@@ -83,6 +83,22 @@ fn main() {
         let pruned = prune_hss(&dense, &prune_pattern);
         pruned.nonzeros() as f64
     });
+    // The selection shapes the co-design surrogate prunes most: one-rank
+    // lowest-rank groups of 4 and 8 values, and a two-rank pattern whose
+    // upper rank ranks blocks of two.
+    for (name, pattern) in [
+        ("prune_lowest_2_4", HssPattern::one_rank(Gh::new(2, 4))),
+        ("prune_lowest_3_8", HssPattern::one_rank(Gh::new(3, 8))),
+        (
+            "prune_hss_4_8_1_2",
+            HssPattern::two_rank(Gh::new(4, 8), Gh::new(1, 2)),
+        ),
+    ] {
+        record(name, 20, &mut || {
+            let pruned = prune_hss(&dense, &pattern);
+            pruned.nonzeros() as f64
+        });
+    }
 
     let mut rows = String::new();
     for (i, (name, iters, avg_ms, _)) in kernels.iter().enumerate() {

@@ -35,9 +35,9 @@ use rand::{Rng, SeedableRng};
 use crate::layers::DnnModel;
 
 thread_local! {
-    /// Per-thread pruning scratch: one pair of scoring buffers serves every
-    /// cached retention evaluation this thread performs, instead of two
-    /// fresh allocations per pruned rank.
+    /// Per-thread pruning scratch: the sort buffer for groups wider than
+    /// 32 blocks, shared by every cached retention evaluation this thread
+    /// performs.
     static SCRATCH: RefCell<PruneScratch> = RefCell::new(PruneScratch::new());
 }
 
@@ -103,11 +103,13 @@ impl From<&PruningConfig> for ConfigKey {
 ///
 /// Design-space sweeps re-estimate the same model under dozens of pruning
 /// configurations; without memoization every estimate re-synthesizes the
-/// same seeded weight matrices (the dominant cost: four RNG draws per
-/// element) and re-prunes layers whose `(shape, config, seed)` triple was
-/// already scored. The cache keys carry *every* input the evaluation
-/// reads, so cached and uncached results are identical — the property the
-/// workspace's memoization property test asserts.
+/// same seeded weight matrices and re-prunes layers whose
+/// `(shape, config, seed)` triple was already scored. Pruning on retention
+/// misses dominates a cold co-design search; synthesis (four RNG draws
+/// per element, ~0.6 ms per 64×1024 proxy) is a small share. The cache
+/// keys carry *every* input the evaluation reads, so cached and uncached
+/// results are identical — the property the workspace's memoization
+/// property test asserts.
 #[derive(Debug, Default)]
 pub struct RetentionCache {
     /// Synthesized weight matrices keyed on `(rows, cols, seed)`.

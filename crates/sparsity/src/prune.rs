@@ -45,11 +45,11 @@ pub fn scaled_l2(values: &[f32]) -> f64 {
     (sum_sq(values) / values.len() as f64).sqrt()
 }
 
-/// Reusable selection buffer for the in-place pruning kernels.
+/// Reusable sort buffer for the in-place pruning kernels.
 ///
-/// One scratch serves every rank of every [`prune_hss`] call on a thread;
-/// sweeps that score thousands of candidate patterns reuse it instead of
-/// reallocating a small vector per (row, group).
+/// Groups of up to 32 blocks are ranked on the stack; only wider groups
+/// sort, and one scratch then serves every rank of every [`prune_hss`]
+/// call on a thread instead of a fresh vector per call.
 #[derive(Debug, Default)]
 pub struct PruneScratch {
     keys: Vec<u128>,
@@ -70,6 +70,27 @@ fn total_cmp_key(x: f64) -> u64 {
     let b = x.to_bits() as i64;
     let flip = ((b >> 63) as u64) >> 1;
     ((b ^ flip as i64) as u64) ^ (1 << 63)
+}
+
+/// The selection key of a block: [`total_cmp_key`] of its [`sum_sq`]
+/// score, where a block holding a NaN scores as its first NaN, widened to
+/// `f64` and quieted with sign and payload kept — what evaluating the sum
+/// in slice order on IEEE hardware yields. That NaN is built from bits
+/// because Rust leaves the sign and payload of a NaN that arithmetic
+/// produces unspecified (the optimizer may swap the operands of an add of
+/// two NaNs), and the kept set must not depend on code generation.
+fn block_key(block: &[f32]) -> u64 {
+    let score = sum_sq(block);
+    if !score.is_nan() {
+        return total_cmp_key(score);
+    }
+    // Squares are never negative, so the sum is NaN only if a value is.
+    let Some(nan) = block.iter().find(|v| v.is_nan()) else {
+        return total_cmp_key(score);
+    };
+    let b = u64::from(nan.to_bits());
+    let widened = ((b >> 31) << 63) | (0x7FF8 << 48) | ((b & 0x7F_FFFF) << 29);
+    total_cmp_key(f64::from_bits(widened))
 }
 
 /// Prunes the lowest rank: within every aligned block of `gh.h` values in
@@ -97,14 +118,34 @@ pub fn prune_rank(m: &Matrix, gh: Gh, granularity: usize) -> Matrix {
 }
 
 /// In-place single-rank pruning — the hot loop under [`prune_hss`], which
-/// pruning runs once per pattern per sweep cell. The kernel works on raw
-/// row slices (one bounds check per row, not per element), compares
-/// blocks by [`sum_sq`] (same selection as scaled-L2, see there), and
-/// zeroes dropped blocks with slice fills.
+/// pruning runs once per pattern per sweep cell.
 ///
-/// Groups are disjoint and each group is fully scored before any of its
-/// blocks is zeroed, so operating in place scores exactly the values the
-/// out-of-place version scored.
+/// Within a group, blocks rank by (score descending, index ascending) —
+/// the paper's "top-k with ties to the lower index" — and the first
+/// `keep` survive. For `H <= 32` the kernel never sorts: block `b`
+/// survives iff fewer than `keep` blocks of its group precede it in that
+/// order ([`survivors`]). This is exact — it keeps the very set a sort of
+/// the same keys keeps:
+///
+/// - block scores are [`sum_sq`] (same selection as scaled-L2, see
+///   there), compared by `total_cmp` through [`block_key`], so a corrupt
+///   weight's NaN score still ranks deterministically;
+/// - at the lowest rank (single values, `H` in `2..=8`) a score is the
+///   square of an `f32` in `f64`, which is exact and strictly monotone in
+///   `|v|`, so the 32-bit magnitude bits `to_bits() & 0x7FFF_FFFF` order
+///   values exactly as their squares do. That fails only for NaN (a
+///   negative NaN squares below every number under `total_cmp`), so a
+///   group holding a NaN ranks by the `u64` [`block_key`]s instead;
+/// - ties go to the lower index: an earlier block precedes on equal keys,
+///   a later one only on strictly greater keys.
+///
+/// No branch depends on the weights: the lowest rank zeroes with a
+/// bit-mask select, higher ranks fill exactly `H - keep` dropped blocks
+/// found from the survivor mask. Groups wider than 32 blocks fall back to
+/// one packed-integer sort. Groups never span rows (the row length is a
+/// multiple of the group), and each group is fully scored before any of
+/// its blocks is zeroed, so operating in place scores exactly the values
+/// the out-of-place version scored.
 fn prune_rank_in_place(m: &mut Matrix, gh: Gh, granularity: usize, scratch: &mut PruneScratch) {
     let group = gh.h as usize * granularity;
     assert!(
@@ -118,59 +159,121 @@ fn prune_rank_in_place(m: &mut Matrix, gh: Gh, granularity: usize, scratch: &mut
         // Every block survives: the selection can drop nothing.
         return;
     }
-    let groups = m.cols() / group;
-    if granularity == 1 && h <= 32 {
-        // Lowest-rank fast path — every pattern's innermost (and most
-        // numerous) selection. Blocks are single values, so the group is
-        // one contiguous slice and the scores are plain squares; keys
-        // live on the stack. The packed order is identical to the
-        // general path below (see the comment there), and a square is
-        // exactly the one-element sum [`sum_sq`] computes.
-        let mut keys = [0u128; 32];
-        for r in 0..m.rows() {
-            let row = m.row_mut(r);
-            for g in 0..groups {
-                let gs = &mut row[g * h..(g + 1) * h];
-                for (b, key) in keys[..h].iter_mut().enumerate() {
-                    let v = f64::from(gs[b]);
-                    *key = (u128::from(!total_cmp_key(v * v)) << 32) | b as u128;
-                }
-                keys[..h].sort_unstable();
-                for &k in &keys[keep..h] {
-                    gs[(k as u32) as usize] = 0.0;
-                }
-            }
+    let data = m.data_mut();
+    if granularity == 1 {
+        match h {
+            2 => return prune_values::<2>(data, keep),
+            3 => return prune_values::<3>(data, keep),
+            4 => return prune_values::<4>(data, keep),
+            5 => return prune_values::<5>(data, keep),
+            6 => return prune_values::<6>(data, keep),
+            7 => return prune_values::<7>(data, keep),
+            8 => return prune_values::<8>(data, keep),
+            _ => {}
         }
-        return;
+    }
+    // Constant arms for the widths the co-design space prunes let the
+    // compiler unroll the rank count and the block sums.
+    match h {
+        2 => return prune_blocks_by_width(data, 2, granularity, keep),
+        4 => return prune_blocks_by_width(data, 4, granularity, keep),
+        6 => return prune_blocks_by_width(data, 6, granularity, keep),
+        8 => return prune_blocks_by_width(data, 8, granularity, keep),
+        ..=32 => return prune_blocks_by_width(data, h, granularity, keep),
+        _ => {}
     }
     let keys = &mut scratch.keys;
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        for g in 0..groups {
-            let start = g * group;
-            // Rank blocks by (score desc, index asc); the first `keep`
-            // survive — the same selection `top-k with ties to the lower
-            // index` the paper's procedure prescribes. Packing
-            // `(!total_cmp_key(score) << 32) | index` turns that order
-            // into one ascending integer sort with no comparator
-            // closure: inverting the key bits descends the `total_cmp`
-            // order (so a corrupt weight's NaN score still ranks the
-            // block deterministically instead of panicking a
-            // comparator), and the low word breaks ties toward the
-            // lower index.
-            keys.clear();
-            for b in 0..h {
-                let lo = start + b * granularity;
-                let score = sum_sq(&row[lo..lo + granularity]);
-                keys.push((u128::from(!total_cmp_key(score)) << 32) | b as u128);
-            }
-            keys.sort_unstable();
-            for &k in &keys[keep..] {
-                let lo = start + (k as u32) as usize * granularity;
-                row[lo..lo + granularity].fill(0.0);
-            }
+    for grp in data.chunks_exact_mut(group) {
+        // Packing `(!total_cmp_key(score) << 32) | index` turns the
+        // (score desc, index asc) order into one ascending integer sort.
+        keys.clear();
+        for (b, block) in grp.chunks_exact(granularity).enumerate() {
+            keys.push((u128::from(!block_key(block)) << 32) | b as u128);
+        }
+        keys.sort_unstable();
+        for &k in &keys[keep..] {
+            let lo = (k as u32) as usize * granularity;
+            grp[lo..lo + granularity].fill(0.0);
         }
     }
+}
+
+/// [`prune_blocks`] with constant arms for block widths 2 and 4.
+#[inline(always)]
+fn prune_blocks_by_width(data: &mut [f32], h: usize, granularity: usize, keep: usize) {
+    match granularity {
+        2 => prune_blocks(data, h, 2, keep),
+        4 => prune_blocks(data, h, 4, keep),
+        _ => prune_blocks(data, h, granularity, keep),
+    }
+}
+
+/// Keeps the `keep` blocks of largest [`sum_sq`] in every group of `h`
+/// blocks of `granularity` values (`h <= 32`). Always inlined, so each
+/// constant `(h, granularity)` call site gets its own unrolled copy.
+#[inline(always)]
+fn prune_blocks(data: &mut [f32], h: usize, granularity: usize, keep: usize) {
+    let mut keys = [0u64; 32];
+    for grp in data.chunks_exact_mut(h * granularity) {
+        for (key, block) in keys.iter_mut().zip(grp.chunks_exact(granularity)) {
+            *key = block_key(block);
+        }
+        let kept = survivors(&keys[..h], keep);
+        let mut dropped = !kept & (u64::MAX >> (64 - h)) as u32;
+        while dropped != 0 {
+            let lo = dropped.trailing_zeros() as usize * granularity;
+            grp[lo..lo + granularity].fill(0.0);
+            dropped &= dropped - 1;
+        }
+    }
+}
+
+/// Lowest-rank kernel for a fixed group width `H`: keeps the `keep`
+/// largest-magnitude values of every `H`-value group of `data`.
+fn prune_values<const H: usize>(data: &mut [f32], keep: usize) {
+    for grp in data.chunks_exact_mut(H) {
+        let mut keys = [0u32; H];
+        for (key, v) in keys.iter_mut().zip(grp.iter()) {
+            *key = v.to_bits() & 0x7FFF_FFFF;
+        }
+        let kept = if keys.iter().any(|&k| k > f32::INFINITY.to_bits()) {
+            nan_group_survivors(grp, keep)
+        } else {
+            survivors(&keys, keep)
+        };
+        for (b, v) in grp.iter_mut().enumerate() {
+            // All ones keeps the value, zero writes `+0.0`.
+            let mask = 0u32.wrapping_sub((kept >> b) & 1);
+            *v = f32::from_bits(v.to_bits() & mask);
+        }
+    }
+}
+
+/// [`survivors`] of a lowest-rank group (at most 8 values) holding a NaN,
+/// ranked by the [`block_key`] of each value. Kept out of line so the
+/// NaN-free loop stays small.
+#[cold]
+fn nan_group_survivors(grp: &[f32], keep: usize) -> u32 {
+    let mut keys = [0u64; 8];
+    for (key, v) in keys.iter_mut().zip(grp) {
+        *key = block_key(std::slice::from_ref(v));
+    }
+    survivors(&keys[..grp.len()], keep)
+}
+
+/// Bit `b` set iff block `b` is among the `keep` first of `keys` in
+/// (key descending, index ascending) order: fewer than `keep` blocks
+/// precede it — an earlier block on an equal or greater key, a later one
+/// only on a strictly greater key. Needs `keys.len() <= 32`.
+#[inline(always)]
+fn survivors<K: Copy + Ord>(keys: &[K], keep: usize) -> u32 {
+    let mut kept = 0;
+    for (b, &kb) in keys.iter().enumerate() {
+        let earlier = keys[..b].iter().filter(|&&k| k >= kb).count();
+        let later = keys[b + 1..].iter().filter(|&&k| k > kb).count();
+        kept |= u32::from(earlier + later < keep) << b;
+    }
+    kept
 }
 
 /// Sparsifies a dense matrix to an N-rank HSS pattern, rank-by-rank in
@@ -318,6 +421,96 @@ mod tests {
     use super::*;
     use hl_tensor::gen;
 
+    /// The sort-based selection the rank-count kernels replaced, kept as
+    /// their oracle: per group, pack `(!block_key(block) << 32) | index`,
+    /// sort ascending, and zero every block past the first `keep`.
+    fn prune_rank_sorted(m: &Matrix, gh: Gh, granularity: usize) -> Matrix {
+        let mut out = m.clone();
+        let group = gh.h as usize * granularity;
+        let h = gh.h as usize;
+        let keep = (gh.g as usize).min(h);
+        let mut keys: Vec<u128> = Vec::new();
+        for r in 0..out.rows() {
+            let row = out.row_mut(r);
+            for start in (0..row.len()).step_by(group) {
+                keys.clear();
+                for b in 0..h {
+                    let lo = start + b * granularity;
+                    let key = block_key(&row[lo..lo + granularity]);
+                    keys.push((u128::from(!key) << 32) | b as u128);
+                }
+                keys.sort_unstable();
+                for &k in &keys[keep..] {
+                    let lo = start + (k as u32) as usize * granularity;
+                    row[lo..lo + granularity].fill(0.0);
+                }
+            }
+        }
+        out
+    }
+
+    /// splitmix64: a dependency-free stream for the property test.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A matrix of small-integer-valued weights (so magnitudes tie often)
+    /// salted with signed zeros, infinities, and NaNs of both signs with
+    /// different payloads.
+    fn adversarial_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut state = seed;
+        let special = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0xFF80_0002),
+            f32::MIN_POSITIVE / 4.0,
+            f32::MAX,
+        ];
+        Matrix::from_fn(rows, cols, |_, _| {
+            let r = next(&mut state);
+            match r % 16 {
+                0 => special[(r >> 8) as usize % special.len()],
+                1..=7 => ((r >> 8) % 7) as f32 - 3.0,
+                _ => f32::from_bits((r >> 32) as u32 & 0xBFFF_FFFF) * 1e-20,
+            }
+        })
+    }
+
+    #[test]
+    fn rank_count_kernels_match_sorted_selection_bit_for_bit() {
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let widths = (1..=9).chain([16, 32, 33]);
+        let mut seed = 1;
+        for h in widths {
+            for granularity in [1, 2, 4] {
+                for g in 0..=h {
+                    // G = 0 is not a valid `Gh::new` ratio, but the kernel
+                    // must still drop every block.
+                    let gh = Gh { g, h };
+                    let cols = h as usize * granularity * 3;
+                    for rows in [1, 5] {
+                        seed += 1;
+                        let m = adversarial_matrix(rows, cols, seed);
+                        assert_eq!(
+                            bits(&prune_rank(&m, gh, granularity)),
+                            bits(&prune_rank_sorted(&m, gh, granularity)),
+                            "{g}:{h} at granularity {granularity}, seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn lowest_rank_keeps_largest_magnitudes() {
         let m = Matrix::from_rows(&[&[1.0, -4.0, 0.5, 3.0, 2.0, -1.0, 0.1, 0.2]]);
@@ -414,6 +607,15 @@ mod tests {
         let hss = prune_hss(&wide, &HssPattern::two_rank(Gh::new(1, 2), Gh::new(1, 2)));
         assert!(hss.row(0)[0].is_nan());
         assert_eq!(&hss.row(0)[1..], &[0.0, 0.0, 0.0]);
+        // A block holding NaNs of both signs scores as its first NaN, in
+        // any build: a leading negative NaN ranks below every number, a
+        // leading positive one above.
+        let n = f32::NAN;
+        let mixed = Matrix::from_rows(&[&[-n, n, 1.0, 1.0, n, -n, 1.0, 1.0]]);
+        let p = prune_rank(&mixed, Gh::new(1, 2), 2);
+        assert_eq!(&p.row(0)[..4], &[0.0, 0.0, 1.0, 1.0]);
+        assert!(p.row(0)[4].is_nan() && p.row(0)[5].is_nan());
+        assert_eq!(&p.row(0)[6..], &[0.0, 0.0]);
     }
 
     #[test]
