@@ -55,10 +55,11 @@
 //! `X-Request-Id` or generated), echoed on the response and recorded —
 //! with a parse/queue/eval/serialize/write span waterfall whose spans
 //! sum exactly to the total — in the [`crate::trace`] ring served at
-//! `GET /v1/trace`. Fault injections, sheds, and snapshot failures emit
-//! structured JSON log lines (see [`crate::log`]) tagged with the
-//! nearest trace id: the request's where one exists, the connection's
-//! for socket-level faults, a boot-scoped id for loop-level events.
+//! `GET /v1/trace`. Fault injections, sheds, and snapshot loads and
+//! failures emit structured JSON log lines (see [`crate::log`]) tagged
+//! with the nearest trace id: the request's where one exists, the
+//! connection's for socket-level faults, a boot-scoped id for loop-level
+//! events.
 //!
 //! **Shutdown** is cooperative: [`Shutdown::trigger`] sets a flag and
 //! wakes the loop. The listener closes first, in-flight requests finish
@@ -259,8 +260,18 @@ impl Server {
         if let Some(path) = &self.config.snapshot {
             let cache = self.app.context().engine().eval_cache();
             let log = Some((self.app.logger(), boot_id.as_str()));
+            let started = Instant::now();
             match snapshot::load_logged(cache, path, faults.as_deref(), log) {
-                Ok(_) => {}
+                Ok(loaded) => self.app.logger().info(
+                    "snapshot_loaded",
+                    &[
+                        ("trace_id", Json::str(boot_id.as_str())),
+                        ("path", Json::str(path.display().to_string())),
+                        ("entries", Json::Num(loaded.entries as f64)),
+                        ("bytes", Json::Num(loaded.bytes as f64)),
+                        ("load_ms", Json::Num(started.elapsed().as_secs_f64() * 1e3)),
+                    ],
+                ),
                 Err(snapshot::SnapshotError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {}
                 Err(e) => self.app.logger().warn(
                     "snapshot_load_failed",

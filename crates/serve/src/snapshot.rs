@@ -2,42 +2,62 @@
 //! memo on graceful drain and re-loads it on boot, so a restarted server
 //! answers its steady-state traffic from a warm cache.
 //!
-//! The snapshot is a single JSON document:
+//! The snapshot is a single JSON document (format 3):
 //!
 //! ```json
 //! {
-//!   "format": 2,
-//!   "fingerprint": "hl-snap-v2:9a…",
+//!   "format": 3,
+//!   "fingerprint": "hl-snap-v3:9a…",
 //!   "crc32": "9bd366ae",
-//!   "entries": [ { "design": …, "shape": …, "a": …, "b": …, "outcome": … } ]
+//!   "strings": [ "HighLight", "HighLight { … }", "conv1", … ],
+//!   "entries": [ [1, [1024, 768, 512], [[4, 8], [2, 4]], "dense", [0, 2, 1500000, [[0, 12.5], [4, 3.25]]]] ]
 //! }
 //! ```
+//!
+//! Every string an entry refers to — design `Debug` fingerprints, design
+//! names, workload names, unsupported reasons — is stored once in the
+//! sorted `strings` table, and entries name them by index. Each entry is
+//! the positional array `[design, [m, k, n], a, b, outcome]`:
+//!
+//! - `design` is the string index of the design fingerprint; every
+//!   loaded key of one design shares one `Arc<str>`.
+//! - an operand (`a`, `b`) is `"dense"`, a 16-digit hex string holding
+//!   the unstructured degree's exact `f64` bit pattern, or an array of
+//!   HSS `[g, h]` ranks (highest rank first).
+//! - `outcome` is `[name, workload, cycles, energy]` for a result, with
+//!   `energy` the `[component, pJ]` pairs in [`Comp::ALL`] index order,
+//!   or `[name, reason]` for an unsupported pair.
 //!
 //! Cached results are only valid for the code that produced them — the
 //! analytical models are pure functions of the design configuration, so
 //! the `fingerprint` hashes every registered design's `Debug`
 //! configuration fingerprint plus the model registry. A snapshot whose
-//! fingerprint does not match the running binary is refused (the server
-//! boots cold instead of serving stale numbers).
+//! format or fingerprint does not match the running binary is refused
+//! (the server boots cold instead of serving stale numbers).
 //!
-//! `crc32` is an IEEE CRC-32 over the raw bytes of the `entries` array
-//! (brackets included, exactly as written). The file layout is fixed —
-//! `"entries"` is always the last member — so [`load`] can locate the
-//! payload bytes without re-encoding, verify the checksum, and reject a
-//! torn write or silent media corruption as
+//! `crc32` is an IEEE CRC-32 over the raw bytes that follow the
+//! `,"strings":` tag, up to the document's closing brace: the string
+//! table and the entries exactly as written. The file layout is fixed —
+//! `"strings"` and `"entries"` are always the last two members — so
+//! [`load`] can locate the payload bytes without re-encoding, verify the
+//! checksum, and reject a torn write or silent media corruption as
 //! [`SnapshotError::ChecksumMismatch`] before trusting a single entry.
+//! Every entry is decoded before the first one is preloaded, so a load
+//! either restores the whole snapshot or leaves the cache untouched.
 //! Every load failure is reported, never panicked: the serving layer
 //! logs it and boots cold.
 //!
-//! Entries are sorted by their encoded form before writing, so
-//! save → load → save is byte-identical (the in-memory memo is a
-//! `HashMap` with nondeterministic iteration order). `f64` payloads
-//! round-trip exactly: the [`Json`] encoder prints shortest-round-trip
-//! forms, and the one `f64` that is keyed by bit pattern (unstructured
-//! degrees) is stored as a hex bit string rather than a number.
+//! The string table is sorted and entries are sorted by their encoded
+//! form before writing, so save → load → save is byte-identical (the
+//! in-memory memo is a `HashMap` with nondeterministic iteration order).
+//! `f64` payloads round-trip exactly: the [`Json`] encoder prints
+//! shortest-round-trip forms, and the one `f64` that is keyed by bit
+//! pattern (unstructured degrees) is stored as a hex bit string rather
+//! than a number.
 
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use hl_arch::{Comp, EnergyBreakdown};
 use hl_sim::engine::{EvalCache, EvalKey, OperandKey};
@@ -48,8 +68,8 @@ use hl_tensor::GemmShape;
 use crate::json::Json;
 
 /// Snapshot format version; bumped on any encoding change (v2 added the
-/// `crc32` payload checksum).
-pub const FORMAT: u64 = 2;
+/// `crc32` payload checksum, v3 the string table and positional entries).
+pub const FORMAT: u64 = 3;
 
 /// Why a snapshot could not be loaded (`thiserror` idiom: structured
 /// variants, hand-written `Display`, `std::error::Error`).
@@ -66,8 +86,8 @@ pub enum SnapshotError {
         /// What the file carries.
         found: String,
     },
-    /// The `entries` payload bytes do not match the stored CRC-32 — a
-    /// torn write or bit rot.
+    /// The payload bytes do not match the stored CRC-32 — a torn write
+    /// or bit rot.
     ChecksumMismatch {
         /// The checksum the file claims (lowercase hex).
         stored: String,
@@ -114,22 +134,42 @@ fn malformed(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Malformed(msg.into())
 }
 
-/// IEEE CRC-32 (reflected, polynomial 0xEDB88320), computed bitwise —
-/// snapshots are loaded once per boot, so a lookup table buys nothing.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// One cached evaluation outcome.
+type Outcome = Result<EvalResult, Unsupported>;
+
+/// The byte-at-a-time lookup table for [`crc32`], built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
+        // hl-lint: allow(no-panic-in-request-path, evaluated at compile time with i < 256)
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// IEEE CRC-32 (reflected, polynomial 0xEDB88320), one table lookup per
+/// byte.
+fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
+        // hl-lint: allow(no-panic-in-request-path, a u8 always indexes the 256-entry table)
+        CRC_TABLE[usize::from((crc as u8) ^ b)] ^ (crc >> 8)
+    })
 }
 
 /// The tag preceding the payload in the fixed document layout.
-const ENTRIES_TAG: &str = ",\"entries\":";
+const PAYLOAD_TAG: &str = ",\"strings\":";
 
 /// The cache-compatibility fingerprint of the running binary: an FNV-1a
 /// hash over the snapshot format version, every registered design's
@@ -145,9 +185,8 @@ pub fn cache_fingerprint() -> String {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     };
     eat(FORMAT.to_le_bytes().as_slice());
-    for name in hl_bench::registered_names() {
-        let design = hl_bench::design_by_name(name).expect("registered");
-        eat(format!("{design:?}").as_bytes());
+    for id in hl_bench::DesignId::ALL {
+        eat(format!("{:?}", id.build()).as_bytes());
     }
     for name in hl_models::model_names() {
         eat(name.as_bytes());
@@ -161,22 +200,20 @@ pub fn cache_fingerprint() -> String {
 /// # Errors
 /// [`SnapshotError::Io`].
 pub fn save(cache: &EvalCache, path: &Path) -> Result<usize, SnapshotError> {
-    let mut encoded: Vec<String> = cache
-        .entries()
+    let entries = cache.entries();
+    let strings = StringTable::new(&entries);
+    let mut encoded: Vec<String> = entries
         .iter()
-        .map(|(k, v)| entry_json(k, v).encode())
+        .map(|(k, v)| strings.entry_json(k, v).encode())
         .collect();
     // The memo is a HashMap; sort so identical caches write identical
     // bytes (asserted by the round-trip test).
     encoded.sort_unstable();
-    // The payload: the entries array exactly as written (the CRC input).
-    let mut payload = String::from("[");
-    for (i, e) in encoded.iter().enumerate() {
-        if i > 0 {
-            payload.push(',');
-        }
-        payload.push_str(e);
-    }
+    // The payload: the string table and the entries array exactly as
+    // written (the CRC input).
+    let mut payload = strings.json().encode();
+    payload.push_str(",\"entries\":[");
+    payload.push_str(&encoded.join(","));
     payload.push(']');
     let mut doc = String::new();
     doc.push_str("{\"format\":");
@@ -185,7 +222,7 @@ pub fn save(cache: &EvalCache, path: &Path) -> Result<usize, SnapshotError> {
     doc.push_str(&Json::str(cache_fingerprint()).encode());
     doc.push_str(",\"crc32\":");
     doc.push_str(&Json::str(format!("{:08x}", crc32(payload.as_bytes()))).encode());
-    doc.push_str(ENTRIES_TAG);
+    doc.push_str(PAYLOAD_TAG);
     doc.push_str(&payload);
     doc.push('}');
 
@@ -199,6 +236,15 @@ pub fn save(cache: &EvalCache, path: &Path) -> Result<usize, SnapshotError> {
     Ok(encoded.len())
 }
 
+/// What a successful [`load_logged`] restored.
+#[derive(Debug, Clone, Copy)]
+pub struct Loaded {
+    /// Entries preloaded into the cache.
+    pub entries: usize,
+    /// Size of the snapshot file in bytes.
+    pub bytes: usize,
+}
+
 /// Loads a snapshot into the cache via [`EvalCache::preload`] (hit/miss
 /// counters untouched; live entries win over preloaded ones), returning
 /// the number of entries loaded.
@@ -206,8 +252,8 @@ pub fn save(cache: &EvalCache, path: &Path) -> Result<usize, SnapshotError> {
 /// # Errors
 /// [`SnapshotError`] — including [`SnapshotError::FingerprintMismatch`]
 /// when the file was produced by a different registry and
-/// [`SnapshotError::ChecksumMismatch`] when the payload fails its CRC,
-/// in which case the cache is left untouched.
+/// [`SnapshotError::ChecksumMismatch`] when the payload fails its CRC.
+/// On any error the cache is left untouched.
 pub fn load(cache: &EvalCache, path: &Path) -> Result<usize, SnapshotError> {
     load_with(cache, path, None)
 }
@@ -224,12 +270,13 @@ pub fn load_with(
     path: &Path,
     faults: Option<&crate::faults::FaultPlane>,
 ) -> Result<usize, SnapshotError> {
-    load_logged(cache, path, faults, None)
+    load_logged(cache, path, faults, None).map(|loaded| loaded.entries)
 }
 
 /// [`load_with`], reporting injected corruption through a structured
 /// logger (tagged with the server's boot-scoped trace id) instead of a
-/// bare stderr line. The server boot path uses this; `None` is silent.
+/// bare stderr line, and returning the file size along with the entry
+/// count. The server boot path uses this; `None` is silent.
 ///
 /// # Errors
 /// As [`load`].
@@ -238,8 +285,9 @@ pub fn load_logged(
     path: &Path,
     faults: Option<&crate::faults::FaultPlane>,
     log: Option<(&crate::log::Logger, &str)>,
-) -> Result<usize, SnapshotError> {
+) -> Result<Loaded, SnapshotError> {
     let mut text = std::fs::read_to_string(path)?;
+    let bytes = text.len();
     let corrupted = faults.is_some_and(|plane| plane.corrupt_snapshot(&mut text));
     if let (true, Some((logger, trace_id))) = (corrupted, log) {
         logger.warn(
@@ -251,7 +299,21 @@ pub fn load_logged(
             ],
         );
     }
-    let doc = Json::parse(&text).map_err(|e| malformed(e.to_string()))?;
+    let entries = decode(&text)?;
+    let loaded = Loaded {
+        entries: entries.len(),
+        bytes,
+    };
+    // Preload only once every entry has decoded: a bad entry anywhere
+    // leaves the cache as cold as the boot the server logs.
+    cache.preload(entries);
+    Ok(loaded)
+}
+
+/// Checks a snapshot document's format, fingerprint and checksum, then
+/// decodes every entry.
+fn decode(text: &str) -> Result<Vec<(EvalKey, Outcome)>, SnapshotError> {
+    let doc = Json::parse(text).map_err(|e| malformed(e.to_string()))?;
     let format = doc
         .get("format")
         .and_then(Json::as_f64)
@@ -274,16 +336,14 @@ pub fn load_logged(
         .get("crc32")
         .and_then(Json::as_str)
         .ok_or_else(|| malformed("missing \"crc32\""))?;
-    // The fixed layout puts the entries array last, so the raw payload
-    // bytes — exactly what `save` checksummed — run from just past the
-    // tag to the document's closing brace. No re-encoding involved:
-    // re-encoding a corrupted-but-parsable array could normalize the
-    // damage away.
-    let payload_start = text
-        .find(ENTRIES_TAG)
-        .ok_or_else(|| malformed("document layout: missing entries tag"))?
-        + ENTRIES_TAG.len();
-    let payload = text[payload_start..]
+    // The fixed layout puts the payload last, so its raw bytes — exactly
+    // what `save` checksummed — run from just past the tag to the
+    // document's closing brace. No re-encoding involved: re-encoding a
+    // corrupted-but-parsable payload could normalize the damage away.
+    let payload = text
+        .split_once(PAYLOAD_TAG)
+        .ok_or_else(|| malformed("document layout: missing strings tag"))?
+        .1
         .strip_suffix('}')
         .ok_or_else(|| malformed("document layout: missing closing brace"))?;
     let computed = format!("{:08x}", crc32(payload.as_bytes()));
@@ -293,111 +353,175 @@ pub fn load_logged(
             computed,
         });
     }
-    let entries = doc
-        .get("entries")
+    let strings = doc
+        .get("strings")
         .and_then(Json::as_arr)
-        .ok_or_else(|| malformed("missing \"entries\""))?;
-    for e in entries {
-        let (key, value) = entry_from(e)?;
-        cache.preload(key, value);
-    }
-    Ok(entries.len())
-}
-
-fn entry_json(key: &EvalKey, value: &Result<EvalResult, Unsupported>) -> Json {
-    let outcome = match value {
-        Ok(r) => Json::Obj(vec![("ok".into(), eval_result_members(r))]),
-        Err(u) => Json::Obj(vec![(
-            "unsupported".into(),
-            Json::Obj(vec![
-                ("design".into(), Json::str(&u.design)),
-                ("reason".into(), Json::str(&u.reason)),
-            ]),
-        )]),
-    };
-    Json::Obj(vec![
-        ("design".into(), Json::str(&*key.design)),
-        ("shape".into(), shape_json(key.shape)),
-        ("a".into(), operand_key_json(&key.a)),
-        ("b".into(), operand_key_json(&key.b)),
-        ("outcome".into(), outcome),
-    ])
-}
-
-fn entry_from(v: &Json) -> Result<(EvalKey, Result<EvalResult, Unsupported>), SnapshotError> {
-    let design = req_str(v, "design")?.to_string();
-    let shape = shape_from(
-        v.get("shape")
-            .ok_or_else(|| malformed("entry missing \"shape\""))?,
-    )?;
-    let a = operand_key_from(v.get("a").ok_or_else(|| malformed("entry missing \"a\""))?)?;
-    let b = operand_key_from(v.get("b").ok_or_else(|| malformed("entry missing \"b\""))?)?;
-    let outcome = v
-        .get("outcome")
-        .ok_or_else(|| malformed("entry missing \"outcome\""))?;
-    let value = if let Some(ok) = outcome.get("ok") {
-        Ok(eval_result_from(ok)?)
-    } else if let Some(u) = outcome.get("unsupported") {
-        Err(Unsupported {
-            design: req_str(u, "design")?.to_string(),
-            reason: req_str(u, "reason")?.to_string(),
+        .ok_or_else(|| malformed("missing \"strings\""))?
+        .iter()
+        .map(|s| {
+            s.as_str()
+                .map(Arc::from)
+                .ok_or_else(|| malformed("\"strings\" must hold strings"))
         })
-    } else {
-        return Err(malformed("outcome must hold \"ok\" or \"unsupported\""));
+        .collect::<Result<Vec<Arc<str>>, _>>()?;
+    // Decode from the owned tree, so each entry's nodes are freed as soon
+    // as it is decoded and the decoded entries reuse that memory: a
+    // booting process pays for every fresh page it touches.
+    let entries = match doc {
+        Json::Obj(members) => members.into_iter().find_map(|(key, value)| match value {
+            Json::Arr(items) if key == "entries" => Some(items),
+            _ => None,
+        }),
+        _ => None,
+    };
+    entries
+        .ok_or_else(|| malformed("missing \"entries\""))?
+        .into_iter()
+        .map(|e| entry_from(&strings, &e))
+        .collect()
+}
+
+/// The sorted, deduplicated table of every string a snapshot's entries
+/// refer to.
+struct StringTable<'a>(Vec<&'a str>);
+
+impl<'a> StringTable<'a> {
+    fn new(entries: &'a [(EvalKey, Outcome)]) -> Self {
+        let mut table = Vec::new();
+        for (key, value) in entries {
+            table.push(&*key.design);
+            match value {
+                Ok(r) => table.extend([r.design.as_str(), r.workload.as_str()]),
+                Err(u) => table.extend([u.design.as_str(), u.reason.as_str()]),
+            }
+        }
+        table.sort_unstable();
+        table.dedup();
+        Self(table)
+    }
+
+    fn json(&self) -> Json {
+        Json::Arr(self.0.iter().map(|s| Json::str(*s)).collect())
+    }
+
+    /// The index of `s`, which the table holds by construction.
+    fn index(&self, s: &str) -> Json {
+        Json::Num(self.0.partition_point(|t| *t < s) as f64)
+    }
+
+    fn entry_json(&self, key: &EvalKey, value: &Outcome) -> Json {
+        let outcome = match value {
+            Ok(r) => Json::Arr(vec![
+                self.index(&r.design),
+                self.index(&r.workload),
+                Json::Num(r.cycles),
+                energy_json(&r.energy),
+            ]),
+            Err(u) => Json::Arr(vec![self.index(&u.design), self.index(&u.reason)]),
+        };
+        Json::Arr(vec![
+            self.index(&key.design),
+            shape_json(key.shape),
+            operand_key_json(&key.a),
+            operand_key_json(&key.b),
+            outcome,
+        ])
+    }
+}
+
+fn entry_from(strings: &[Arc<str>], v: &Json) -> Result<(EvalKey, Outcome), SnapshotError> {
+    let Some([design, shape, a, b, outcome]) = v.as_arr() else {
+        return Err(malformed("an entry must be [design, shape, a, b, outcome]"));
+    };
+    let value = match outcome.as_arr() {
+        Some([name, workload, cycles, energy]) => Ok(EvalResult {
+            design: string_at(strings, name)?.to_string(),
+            workload: string_at(strings, workload)?.to_string(),
+            cycles: cycles
+                .as_f64()
+                .ok_or_else(|| malformed("result cycles must be a number"))?,
+            energy: energy_from(energy)?,
+        }),
+        Some([name, reason]) => Err(Unsupported {
+            design: string_at(strings, name)?.to_string(),
+            reason: string_at(strings, reason)?.to_string(),
+        }),
+        _ => {
+            return Err(malformed(
+                "an outcome must be [name, workload, cycles, energy] or [name, reason]",
+            ))
+        }
     };
     Ok((
         EvalKey {
-            design: design.into(),
-            shape,
-            a,
-            b,
+            design: Arc::clone(string_at(strings, design)?),
+            shape: shape_from(shape)?,
+            a: operand_key_from(a)?,
+            b: operand_key_from(b)?,
         },
         value,
     ))
 }
 
-fn eval_result_members(r: &EvalResult) -> Json {
-    Json::Obj(vec![
-        ("design".into(), Json::str(&r.design)),
-        ("workload".into(), Json::str(&r.workload)),
-        ("cycles".into(), Json::Num(r.cycles)),
-        (
-            "energy_pj".into(),
-            Json::Obj(
-                r.energy
-                    .iter()
-                    .map(|(c, pj)| (c.label().to_string(), Json::Num(pj)))
-                    .collect(),
-            ),
-        ),
-    ])
+/// The string-table entry a JSON index names.
+fn string_at<'a>(strings: &'a [Arc<str>], v: &Json) -> Result<&'a Arc<str>, SnapshotError> {
+    index_from(v).and_then(|i| strings.get(i)).ok_or_else(|| {
+        malformed(format!(
+            "{} is not an index into the {}-string table",
+            v.encode(),
+            strings.len()
+        ))
+    })
 }
 
-fn eval_result_from(v: &Json) -> Result<EvalResult, SnapshotError> {
-    let cycles = v
-        .get("cycles")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| malformed("result missing \"cycles\""))?;
-    let Some(Json::Obj(members)) = v.get("energy_pj") else {
-        return Err(malformed("result missing \"energy_pj\""));
-    };
-    let mut energy = EnergyBreakdown::new();
-    for (label, pj) in members {
-        let comp = Comp::ALL
+/// A non-negative integral JSON number as an index.
+fn index_from(v: &Json) -> Option<usize> {
+    v.as_f64()
+        .filter(|n| n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(n))
+        .map(|n| n as usize)
+}
+
+fn energy_json(energy: &EnergyBreakdown) -> Json {
+    let mut pairs: Vec<(usize, f64)> = energy
+        .iter()
+        .filter_map(|(c, pj)| Some((Comp::ALL.iter().position(|&x| x == c)?, pj)))
+        .collect();
+    pairs.sort_by_key(|&(i, _)| i);
+    Json::Arr(
+        pairs
             .into_iter()
-            .find(|c| c.label() == label)
-            .ok_or_else(|| malformed(format!("unknown energy component {label:?}")))?;
+            .map(|(i, pj)| Json::Arr(vec![Json::Num(i as f64), Json::Num(pj)]))
+            .collect(),
+    )
+}
+
+fn energy_from(v: &Json) -> Result<EnergyBreakdown, SnapshotError> {
+    let pairs = v
+        .as_arr()
+        .ok_or_else(|| malformed("result energy must be an array"))?;
+    let mut energy = EnergyBreakdown::new();
+    let mut next = 0;
+    for pair in pairs {
+        let Some([comp, pj]) = pair.as_arr() else {
+            return Err(malformed("energy must hold [component, pJ] pairs"));
+        };
+        let (i, comp) = index_from(comp)
+            .filter(|&i| i >= next)
+            .and_then(|i| Some((i, *Comp::ALL.get(i)?)))
+            .ok_or_else(|| {
+                malformed(format!(
+                    "energy component {} is unknown or out of order",
+                    comp.encode()
+                ))
+            })?;
         let pj = pj
             .as_f64()
-            .ok_or_else(|| malformed(format!("component {label:?} must be a number")))?;
+            .filter(|pj| pj.is_finite() && *pj >= 0.0)
+            .ok_or_else(|| malformed(format!("bad {comp} energy {}", pj.encode())))?;
         energy.record(comp, pj);
+        next = i + 1;
     }
-    Ok(EvalResult {
-        design: req_str(v, "design")?.to_string(),
-        workload: req_str(v, "workload")?.to_string(),
-        cycles,
-        energy,
-    })
+    Ok(energy)
 }
 
 fn operand_key_json(key: &OperandKey) -> Json {
@@ -406,52 +530,38 @@ fn operand_key_json(key: &OperandKey) -> Json {
         // The degree is keyed by its exact f64 bit pattern; a JSON number
         // would survive (shortest-round-trip encoder) but a hex string
         // makes bit-exactness structural rather than incidental.
-        OperandKey::Unstructured(bits) => Json::Obj(vec![(
-            "unstructured".into(),
-            Json::str(format!("{bits:016x}")),
-        )]),
-        OperandKey::Hss(p) => Json::Obj(vec![(
-            "hss".into(),
-            Json::Arr(
-                p.ranks()
-                    .iter()
-                    .map(|gh| {
-                        Json::Arr(vec![Json::Num(f64::from(gh.g)), Json::Num(f64::from(gh.h))])
-                    })
-                    .collect(),
-            ),
-        )]),
+        OperandKey::Unstructured(bits) => Json::str(format!("{bits:016x}")),
+        OperandKey::Hss(p) => Json::Arr(
+            p.ranks()
+                .iter()
+                .map(|gh| Json::Arr(vec![Json::Num(f64::from(gh.g)), Json::Num(f64::from(gh.h))]))
+                .collect(),
+        ),
     }
 }
 
 fn operand_key_from(v: &Json) -> Result<OperandKey, SnapshotError> {
-    if v.as_str() == Some("dense") {
-        return Ok(OperandKey::Dense);
+    match v {
+        Json::Str(s) if s == "dense" => Ok(OperandKey::Dense),
+        Json::Str(hex) => u64::from_str_radix(hex, 16)
+            .ok()
+            .filter(|_| hex.len() == 16)
+            .map(OperandKey::Unstructured)
+            .ok_or_else(|| malformed(format!("bad unstructured bit pattern {hex:?}"))),
+        Json::Arr(ranks) => ranks
+            .iter()
+            .map(|rank| {
+                let Some([g, h]) = rank.as_arr() else {
+                    return Err(malformed("HSS ranks must be [g, h] pairs"));
+                };
+                Gh::try_new(gh_int(g)?, gh_int(h)?).map_err(|e| malformed(e.to_string()))
+            })
+            .collect::<Result<_, _>>()
+            .map(|ghs| OperandKey::Hss(HssPattern::new(ghs))),
+        _ => Err(malformed(
+            "an operand must be \"dense\", a hex bit pattern, or HSS ranks",
+        )),
     }
-    if let Some(bits) = v.get("unstructured") {
-        let hex = bits
-            .as_str()
-            .ok_or_else(|| malformed("\"unstructured\" bits must be a hex string"))?;
-        let bits = u64::from_str_radix(hex, 16)
-            .map_err(|_| malformed(format!("bad unstructured bit pattern {hex:?}")))?;
-        return Ok(OperandKey::Unstructured(bits));
-    }
-    if let Some(ranks) = v.get("hss") {
-        let ranks = ranks
-            .as_arr()
-            .ok_or_else(|| malformed("\"hss\" must be an array"))?;
-        let mut ghs = Vec::new();
-        for rank in ranks {
-            let pair = rank
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| malformed("\"hss\" ranks must be [g, h] pairs"))?;
-            let (g, h) = (gh_int(&pair[0])?, gh_int(&pair[1])?);
-            ghs.push(Gh::try_new(g, h).map_err(|e| malformed(e.to_string()))?);
-        }
-        return Ok(OperandKey::Hss(HssPattern::new(ghs)));
-    }
-    Err(malformed("operand must be \"dense\", unstructured, or hss"))
 }
 
 fn gh_int(v: &Json) -> Result<u32, SnapshotError> {
@@ -465,32 +575,25 @@ fn gh_int(v: &Json) -> Result<u32, SnapshotError> {
 }
 
 fn shape_json(shape: GemmShape) -> Json {
-    Json::Obj(vec![
-        ("m".into(), Json::Num(shape.m as f64)),
-        ("k".into(), Json::Num(shape.k as f64)),
-        ("n".into(), Json::Num(shape.n as f64)),
+    Json::Arr(vec![
+        Json::Num(shape.m as f64),
+        Json::Num(shape.k as f64),
+        Json::Num(shape.n as f64),
     ])
 }
 
 fn shape_from(v: &Json) -> Result<GemmShape, SnapshotError> {
-    let mut dims = [0usize; 3];
-    for (i, key) in ["m", "k", "n"].into_iter().enumerate() {
-        let n = v
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| malformed(format!("shape missing {key:?}")))?;
-        if n.fract() != 0.0 || n < 1.0 || n > (1u64 << 53) as f64 {
-            return Err(malformed(format!("bad shape dimension {key:?} = {n}")));
-        }
-        dims[i] = n as usize;
-    }
-    Ok(GemmShape::new(dims[0], dims[1], dims[2]))
+    let Some([m, k, n]) = v.as_arr() else {
+        return Err(malformed("a shape must be [m, k, n]"));
+    };
+    Ok(GemmShape::new(dim(m)?, dim(k)?, dim(n)?))
 }
 
-fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, SnapshotError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| malformed(format!("missing string field {key:?}")))
+fn dim(v: &Json) -> Result<usize, SnapshotError> {
+    v.as_f64()
+        .filter(|n| n.fract() == 0.0 && (1.0..=(1u64 << 53) as f64).contains(n))
+        .map(|n| n as usize)
+        .ok_or_else(|| malformed(format!("bad shape dimension {}", v.encode())))
 }
 
 #[cfg(test)]
@@ -513,33 +616,46 @@ mod tests {
         let mut energy = EnergyBreakdown::new();
         energy.record(Comp::Mac, 123.456789);
         energy.record(Comp::Dram, 0.1 + 0.2); // non-terminating f64
-        cache.preload(
-            EvalKey {
-                design: "HighLight { tiles: 16 }".into(),
-                shape: GemmShape::new(1024, 768, 512),
-                a: OperandKey::Hss(HssPattern::two_rank(Gh::new(4, 8), Gh::new(2, 4))),
-                b: OperandKey::Dense,
-            },
-            Ok(EvalResult {
-                design: "HighLight".into(),
-                workload: "w".into(),
-                cycles: 1.0e9 + 0.25,
-                energy,
-            }),
-        );
-        cache.preload(
-            EvalKey {
-                design: "S2TA { .. }".into(),
-                shape: GemmShape::new(64, 64, 64),
-                a: OperandKey::Unstructured(0.55_f64.to_bits()),
-                b: OperandKey::Unstructured(0.25_f64.to_bits()),
-            },
-            Err(Unsupported {
-                design: "S2TA".into(),
-                reason: "dense A".into(),
-            }),
-        );
+        cache.preload([
+            (
+                EvalKey {
+                    design: "HighLight { tiles: 16 }".into(),
+                    shape: GemmShape::new(1024, 768, 512),
+                    a: OperandKey::Hss(HssPattern::two_rank(Gh::new(4, 8), Gh::new(2, 4))),
+                    b: OperandKey::Dense,
+                },
+                Ok(EvalResult {
+                    design: "HighLight".into(),
+                    workload: "w".into(),
+                    cycles: 1.0e9 + 0.25,
+                    energy,
+                }),
+            ),
+            (
+                EvalKey {
+                    design: "S2TA { .. }".into(),
+                    shape: GemmShape::new(64, 64, 64),
+                    a: OperandKey::Unstructured(0.55_f64.to_bits()),
+                    b: OperandKey::Unstructured(0.25_f64.to_bits()),
+                },
+                Err(Unsupported {
+                    design: "S2TA".into(),
+                    reason: "dense A".into(),
+                }),
+            ),
+        ]);
         cache
+    }
+
+    /// A snapshot document around `payload` (the string table and the
+    /// entries, as written after the payload tag) with the running
+    /// binary's fingerprint and the payload's true checksum.
+    fn document(payload: &str) -> String {
+        format!(
+            "{{\"format\":{FORMAT},\"fingerprint\":{},\"crc32\":\"{:08x}\"{PAYLOAD_TAG}{payload}}}",
+            Json::str(cache_fingerprint()).encode(),
+            crc32(payload.as_bytes())
+        )
     }
 
     #[test]
@@ -572,13 +688,46 @@ mod tests {
     }
 
     #[test]
+    fn strings_are_stored_once_and_keys_of_one_design_share_them() {
+        let cache = EvalCache::new();
+        let design = "HighLight { tiles: 16 }";
+        cache.preload((1..=3).map(|m| {
+            (
+                EvalKey {
+                    design: design.into(),
+                    shape: GemmShape::new(m, 8, 8),
+                    a: OperandKey::Dense,
+                    b: OperandKey::Dense,
+                },
+                Err(Unsupported {
+                    design: "HighLight".into(),
+                    reason: "dense A".into(),
+                }),
+            )
+        }));
+        let path = temp_path("shared");
+        save(&cache, &path).unwrap();
+        let doc = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(doc.matches(design).count(), 1, "{doc}");
+        assert_eq!(doc.matches("dense A").count(), 1, "{doc}");
+
+        let restored = EvalCache::new();
+        assert_eq!(load(&restored, &path).unwrap(), 3);
+        let entries = restored.entries();
+        assert!(entries
+            .iter()
+            .all(|(k, _)| Arc::ptr_eq(&k.design, &entries[0].0.design)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn fingerprint_mismatch_refuses_the_snapshot() {
         let cache = sample_cache();
         let path = temp_path("stale");
         save(&cache, &path).unwrap();
         let doc = std::fs::read_to_string(&path)
             .unwrap()
-            .replace(&cache_fingerprint(), "hl-snap-v2:0000000000000000");
+            .replace(&cache_fingerprint(), "hl-snap-v3:0000000000000000");
         std::fs::write(&path, doc).unwrap();
 
         let restored = EvalCache::new();
@@ -608,11 +757,29 @@ mod tests {
     }
 
     #[test]
+    fn a_v2_snapshot_is_refused_as_an_unsupported_format() {
+        let path = temp_path("v2");
+        let payload = r#"[{"design":"HighLight { tiles: 16 }","shape":{"m":8,"k":8,"n":8},"a":"dense","b":"dense","outcome":{"unsupported":{"design":"HighLight","reason":"dense A"}}}]"#;
+        let doc = format!(
+            "{{\"format\":2,\"fingerprint\":\"hl-snap-v2:0123456789abcdef\",\
+             \"crc32\":\"{:08x}\",\"entries\":{payload}}}",
+            crc32(payload.as_bytes())
+        );
+        std::fs::write(&path, doc).unwrap();
+        let restored = EvalCache::new();
+        let err = load(&restored, &path).unwrap_err();
+        assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("unsupported format 2"), "{err}");
+        assert!(restored.entries().is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn fingerprint_is_stable_within_a_process() {
         let a = cache_fingerprint();
         let b = cache_fingerprint();
         assert_eq!(a, b);
-        assert!(a.starts_with("hl-snap-v2:"), "{a}");
+        assert!(a.starts_with("hl-snap-v3:"), "{a}");
     }
 
     #[test]
@@ -623,6 +790,25 @@ mod tests {
     }
 
     #[test]
+    fn table_crc32_matches_the_bitwise_definition() {
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    let mask = (crc & 1).wrapping_neg();
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+                }
+            }
+            !crc
+        }
+        let all: Vec<u8> = (0..=255u8).chain((0..=255u8).rev()).collect();
+        for len in 0..all.len() {
+            assert_eq!(crc32(&all[..len]), bitwise(&all[..len]), "length {len}");
+        }
+    }
+
+    #[test]
     fn corrupted_payload_bytes_fail_the_checksum() {
         let cache = sample_cache();
         let path = temp_path("bitrot");
@@ -630,12 +816,8 @@ mod tests {
         // Damage one payload byte in a way that still parses as JSON —
         // only the CRC can catch this class of corruption.
         let doc = std::fs::read_to_string(&path).unwrap();
-        assert!(doc.contains("\"workload\":\"w\""));
-        std::fs::write(
-            &path,
-            doc.replace("\"workload\":\"w\"", "\"workload\":\"X\""),
-        )
-        .unwrap();
+        assert_eq!(doc.matches("\"w\"").count(), 1, "{doc}");
+        std::fs::write(&path, doc.replace("\"w\"", "\"X\"")).unwrap();
 
         let restored = EvalCache::new();
         let err = load(&restored, &path).unwrap_err();
@@ -644,6 +826,57 @@ mod tests {
             "{err}"
         );
         assert!(restored.entries().is_empty(), "cache left untouched");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_bad_last_entry_leaves_the_cache_empty() {
+        // A checksum-valid document whose first entry decodes and whose
+        // last does not: the load fails as a whole.
+        let good = r#"[0,[8,8,8],"dense","dense",[1,2]]"#;
+        let bad = r#"[0,[8,8,8],"dense","dense",[1]]"#;
+        let strings = r#"["HighLight { tiles: 16 }","HighLight","dense A"]"#;
+        let payload = format!(r#"{strings},"entries":[{good},{bad}]"#);
+        let path = temp_path("bad-last");
+        std::fs::write(&path, document(&payload)).unwrap();
+        let restored = EvalCache::new();
+        let err = load(&restored, &path).unwrap_err();
+        assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
+        assert!(restored.entries().is_empty(), "no entry of a failed load");
+
+        // The good entry on its own loads.
+        let payload = format!(r#"{strings},"entries":[{good}]"#);
+        std::fs::write(&path, document(&payload)).unwrap();
+        assert_eq!(load(&restored, &path).unwrap(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checksum_valid_but_bad_entries_are_malformed() {
+        let strings = r#"["HighLight { tiles: 16 }","HighLight","dense A"]"#;
+        let path = temp_path("bad-entries");
+        for entry in [
+            r#"[3,[8,8,8],"dense","dense",[1,2]]"#, // index past the table
+            r#"[0.5,[8,8,8],"dense","dense",[1,2]]"#, // fractional index
+            r#"[0,[8,0,8],"dense","dense",[1,2]]"#, // zero dimension
+            r#"[0,[8,8],"dense","dense",[1,2]]"#,   // short shape
+            r#"[0,[8,8,8],"sparse","dense",[1,2]]"#, // unknown operand
+            r#"[0,[8,8,8],"3fe0","dense",[1,2]]"#,  // short bit pattern
+            r#"[0,[8,8,8],[[3,2]],"dense",[1,2]]"#, // G > H
+            r#"[0,[8,8,8],[[1,2,3]],"dense",[1,2]]"#, // not a pair
+            r#"[0,[8,8,8],"dense","dense",[1,1,5,[[0,-1]]]]"#, // negative energy
+            r#"[0,[8,8,8],"dense","dense",[1,1,5,[[13,1]]]]"#, // unknown component
+            r#"[0,[8,8,8],"dense","dense",[1,1,5,[[4,1],[0,1]]]]"#, // out of order
+            r#"[0,[8,8,8],"dense","dense",[1,1,5,[[4,1],[4,1]]]]"#, // repeated
+            r#"[0,[8,8,8],"dense","dense"]"#,       // no outcome
+        ] {
+            let payload = format!(r#"{strings},"entries":[{entry}]"#);
+            std::fs::write(&path, document(&payload)).unwrap();
+            let restored = EvalCache::new();
+            let err = load(&restored, &path).unwrap_err();
+            assert!(matches!(err, SnapshotError::Malformed(_)), "{entry}: {err}");
+            assert!(restored.entries().is_empty(), "{entry}");
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -660,10 +893,32 @@ mod tests {
     }
 
     #[test]
+    fn every_truncation_and_byte_flip_is_refused() {
+        let path = temp_path("exhaustive");
+        save(&sample_cache(), &path).unwrap();
+        let doc = std::fs::read(&path).unwrap();
+        let refused = |bytes: &[u8], what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            let restored = EvalCache::new();
+            assert!(load(&restored, &path).is_err(), "{what} loaded");
+            assert!(restored.entries().is_empty(), "{what} left entries");
+        };
+        for len in 0..doc.len() {
+            refused(&doc[..len], &format!("a {len}-byte prefix"));
+        }
+        for i in 0..doc.len() {
+            let mut flipped = doc.clone();
+            flipped[i] ^= 0x01;
+            refused(&flipped, &format!("a flip of byte {i}"));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn missing_crc_field_is_malformed() {
         let path = temp_path("nocrc");
         let doc = format!(
-            "{{\"format\":2,\"fingerprint\":{},\"entries\":[]}}",
+            "{{\"format\":{FORMAT},\"fingerprint\":{},\"strings\":[],\"entries\":[]}}",
             Json::str(cache_fingerprint()).encode()
         );
         std::fs::write(&path, doc).unwrap();

@@ -23,6 +23,7 @@ use hl_serve::api::{
 };
 use hl_serve::client::{get_json, post_json, request, Client};
 use hl_serve::json::Json;
+use hl_serve::log::SharedBuffer;
 use hl_serve::server::{Server, ServerConfig, ServerHandle};
 use hl_sim::engine::Engine;
 use hl_tensor::GemmShape;
@@ -297,32 +298,22 @@ fn snapshot_round_trips_the_cache_across_a_restart() {
     let body =
         Json::parse(r#"{"design":"HighLight","a_sparsity":0.5,"b_sparsity":0.125}"#).unwrap();
 
-    let spawn_with_snapshot = || {
-        let app = App::with_context(SweepContext::with_engine(Engine::with_threads(2)));
-        Server::bind(
-            ServerConfig {
-                snapshot: Some(path.clone()),
-                ..config()
-            },
-            app,
-        )
-        .expect("bind")
-        .spawn()
-        .expect("spawn")
-    };
-
     // Cold boot: evaluate once (misses), drain — the snapshot is saved.
-    let server = spawn_with_snapshot();
+    // No file yet, so the boot logs no snapshot event at all.
+    let (server, log) = spawn_logged(&path);
     let addr = server.addr().to_string();
     let (status, first) = post_json(&addr, "/v1/evaluate", &body).unwrap();
     assert_eq!(status, 200);
+    let entries = server.app().context().engine().eval_cache().entries().len();
     assert!(server.app().context().engine().eval_cache().misses() > 0);
     server.stop().unwrap();
     assert!(path.exists(), "drain must write the snapshot");
+    assert!(log_events(&log, "snapshot_loaded").is_empty());
+    assert!(log_events(&log, "snapshot_load_failed").is_empty());
 
     // Warm boot: the same request replays entirely from the preloaded
     // cache (zero misses) and stays byte-identical.
-    let server = spawn_with_snapshot();
+    let (server, log) = spawn_logged(&path);
     let addr = server.addr().to_string();
     let (status, again) = post_json(&addr, "/v1/evaluate", &body).unwrap();
     assert_eq!(status, 200);
@@ -331,6 +322,72 @@ fn snapshot_round_trips_the_cache_across_a_restart() {
     assert_eq!(cache.misses(), 0, "warm boot must answer from the snapshot");
     assert!(cache.hits() > 0);
     server.stop().unwrap();
+
+    // The warm boot says so: entry count, file size, load time, trace id.
+    let loaded = log_events(&log, "snapshot_loaded");
+    assert_eq!(loaded.len(), 1, "{loaded:?}");
+    let field = |key: &str| loaded[0].get(key).and_then(Json::as_f64);
+    assert_eq!(field("entries"), Some(entries as f64));
+    let bytes = std::fs::metadata(&path).unwrap().len();
+    assert_eq!(field("bytes"), Some(bytes as f64));
+    assert!(field("load_ms").is_some_and(|ms| ms >= 0.0));
+    assert!(loaded[0].get("trace_id").and_then(Json::as_str).is_some());
+
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A server on an ephemeral port with a snapshot path, its structured log
+/// captured in memory.
+fn spawn_logged(snapshot: &std::path::Path) -> (ServerHandle, SharedBuffer) {
+    let app = App::with_context(SweepContext::with_engine(Engine::with_threads(2)));
+    let log = SharedBuffer::new();
+    app.logger().set_sink(log.make_sink());
+    let server = Server::bind(
+        ServerConfig {
+            snapshot: Some(snapshot.to_path_buf()),
+            ..config()
+        },
+        app,
+    )
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    (server, log)
+}
+
+/// Every logged event named `event`.
+fn log_events(log: &SharedBuffer, event: &str) -> Vec<Json> {
+    log.contents()
+        .lines()
+        .filter_map(|l| Json::parse(l).ok())
+        .filter(|e| e.get("event").and_then(Json::as_str) == Some(event))
+        .collect()
+}
+
+#[test]
+fn a_v2_snapshot_is_refused_and_the_server_boots_cold() {
+    let path = std::env::temp_dir().join(format!("hl-serve-e2e-v2-{}.json", std::process::id()));
+    std::fs::write(
+        &path,
+        r#"{"format":2,"fingerprint":"hl-snap-v2:0123456789abcdef","crc32":"00000000","entries":[]}"#,
+    )
+    .unwrap();
+
+    let (server, log) = spawn_logged(&path);
+    let addr = server.addr().to_string();
+    let body =
+        Json::parse(r#"{"design":"HighLight","a_sparsity":0.5,"b_sparsity":0.125}"#).unwrap();
+    let (status, _) = post_json(&addr, "/v1/evaluate", &body).unwrap();
+    assert_eq!(status, 200);
+    let cache = server.app().context().engine().eval_cache();
+    assert!(cache.misses() > 0, "a refused snapshot boots cold");
+    server.stop().unwrap();
+
+    let failed = log_events(&log, "snapshot_load_failed");
+    assert_eq!(failed.len(), 1, "{}", log.contents());
+    let error = failed[0].get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("unsupported format 2"), "{error}");
+    assert!(log_events(&log, "snapshot_loaded").is_empty());
 
     let _ = std::fs::remove_file(&path);
 }

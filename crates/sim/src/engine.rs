@@ -222,11 +222,17 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
             .collect()
     }
 
-    /// Seeds an entry without touching the hit/miss counters — the
-    /// snapshot-load path. An already-present key keeps its value (live
-    /// results win over preloaded ones).
-    pub fn preload(&self, key: K, value: V) {
-        self.map().entry(key).or_insert(value);
+    /// Seeds entries without touching the hit/miss counters — the
+    /// snapshot-load path — under one lock, growing the map once. An
+    /// already-present key keeps its value (live results win over
+    /// preloaded ones).
+    pub fn preload(&self, entries: impl IntoIterator<Item = (K, V)>) {
+        let entries = entries.into_iter();
+        let mut map = self.map();
+        map.reserve(entries.size_hint().0);
+        for (key, value) in entries {
+            map.entry(key).or_insert(value);
+        }
     }
 }
 
@@ -654,7 +660,7 @@ mod tests {
         assert_eq!(memo.get_or_insert_with(&1, || unreachable!()), 10);
         assert_eq!(memo.get_or_insert_with(&2, || 20), 20);
         assert_eq!(memo.len(), 2);
-        memo.preload(3, 30);
+        memo.preload([(3, 30)]);
         let mut entries = memo.entries();
         entries.sort_unstable();
         assert_eq!(entries, vec![(1, 10), (2, 20), (3, 30)]);
@@ -679,12 +685,10 @@ mod tests {
         assert_eq!(entries, vec![(1, 10), (2, 20)]);
 
         let warm: Memo<u32, u32> = Memo::new();
-        for (k, v) in entries {
-            warm.preload(k, v);
-        }
+        warm.preload(entries);
         // Preloading counts neither hits nor misses and loses to live entries.
         assert_eq!((warm.hits(), warm.misses(), warm.len()), (0, 0, 2));
-        warm.preload(1, 99);
+        warm.preload([(1, 99)]);
         assert_eq!(warm.get_or_insert_with(&1, || unreachable!()), 10);
         assert_eq!((warm.hits(), warm.misses()), (1, 0));
     }
