@@ -1,7 +1,8 @@
 //! Times the individual cold-path kernels — HSS conformance checking,
 //! compressed-format encoding, the functional micro-architecture
-//! simulator, fibertree construction, and HSS pruning — and records the
-//! result in `BENCH_micro.json` (honoring `HL_BENCH_OUT`).
+//! simulator, fibertree construction, HSS pruning, and the accuracy
+//! surrogate's retention miss — and records the result in
+//! `BENCH_micro.json` (honoring `HL_BENCH_OUT`).
 //!
 //! Where `bench_sweeps` measures the end-to-end sweeps, this harness
 //! isolates the kernels those sweeps are built from, so a regression in
@@ -14,7 +15,7 @@ use std::time::Instant;
 use hl_bench::bench_out_path;
 use hl_models::accuracy::synthetic_weights;
 use hl_sim::micro::{MicroConfig, MicroSim};
-use hl_sparsity::prune::prune_hss;
+use hl_sparsity::prune::{hss_kept, hss_kept_sum_sq, prune_hss, PruneScratch};
 use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::format::{HssCompressed, SparseB};
 use hl_tensor::gen;
@@ -99,6 +100,21 @@ fn main() {
             pruned.nonzeros() as f64
         });
     }
+
+    // A retention miss of the accuracy surrogate on its 64×1024 proxy: the
+    // sum of the kept squares, one-rank from the weights, and two-rank
+    // from the lowest rank's mask, which the surrogate caches.
+    let proxy = synthetic_weights(64, 1024, 0xACC0);
+    let mut scratch = PruneScratch::new();
+    let one_rank = HssPattern::one_rank(Gh::new(2, 4));
+    let two_rank = HssPattern::two_rank(Gh::new(4, 8), Gh::new(2, 4));
+    let prefix = hss_kept(proxy.data(), 1024, &one_rank, None, &mut scratch);
+    record("retention_miss_2_4", 200, &mut || {
+        hss_kept_sum_sq(proxy.data(), 1024, &one_rank, None, &mut scratch)
+    });
+    record("retention_miss_4_8_2_4", 200, &mut || {
+        hss_kept_sum_sq(proxy.data(), 1024, &two_rank, Some(&prefix), &mut scratch)
+    });
 
     let mut rows = String::new();
     for (i, (name, iters, avg_ms, _)) in kernels.iter().enumerate() {

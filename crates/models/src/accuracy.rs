@@ -23,9 +23,8 @@ use std::sync::Arc;
 
 use hl_sim::engine::Memo;
 use hl_sparsity::prune::{
-    magnitude_order, prune_hss, prune_hss_ranks_in_place, prune_unstructured,
-    prune_unstructured_ordered, retained_norm_fraction, retained_norm_fraction_with_total,
-    total_sq_norm, PruneScratch,
+    hss_kept, hss_kept_sum_sq, magnitude_order, prune_hss, prune_unstructured,
+    retained_norm_fraction, sum_sq, unstructured_sum_sq, KeptMask, PruneScratch,
 };
 use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::Matrix;
@@ -35,11 +34,15 @@ use rand::{Rng, SeedableRng};
 use crate::layers::DnnModel;
 
 thread_local! {
-    /// Per-thread pruning scratch: the sort buffer for groups wider than
-    /// 32 blocks, shared by every cached retention evaluation this thread
-    /// performs.
+    /// Per-thread pruning buffers, shared by every cached retention
+    /// evaluation this thread performs.
     static SCRATCH: RefCell<PruneScratch> = RefCell::new(PruneScratch::new());
 }
+
+/// Rows of the representative proxy a layer is scored on.
+const PROXY_ROWS: usize = 64;
+/// Column cap of the proxy before it is aligned to the pattern group.
+const PROXY_COLS: usize = 1024;
 
 /// A weight-pruning configuration whose accuracy impact is being estimated.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,31 +106,34 @@ impl From<&PruningConfig> for ConfigKey {
 ///
 /// Design-space sweeps re-estimate the same model under dozens of pruning
 /// configurations; without memoization every estimate re-synthesizes the
-/// same seeded weight matrices and re-prunes layers whose
-/// `(shape, config, seed)` triple was already scored. Pruning on retention
-/// misses dominates a cold co-design search; synthesis (four RNG draws
-/// per element, ~0.6 ms per 64×1024 proxy) is a small share. The cache
-/// keys carry *every* input the evaluation reads, so cached and uncached
-/// results are identical — the property the workspace's memoization
-/// property test asserts.
+/// same seeded weights and re-prunes layers whose `(shape, config, seed)`
+/// triple was already scored. A retention miss selects the kept values
+/// and sums their squares (`hl_sparsity::prune::hss_kept_sum_sq`) without
+/// building a pruned matrix; synthesis (four RNG draws per element) runs
+/// once per layer. The cache keys carry *every* input the evaluation
+/// reads, so cached and uncached results are identical — the property
+/// the workspace's memoization property test asserts.
 #[derive(Debug, Default)]
 pub struct RetentionCache {
-    /// Synthesized weight matrices keyed on `(rows, cols, seed)`.
-    weights: Memo<(usize, usize, u64), Arc<Matrix>>,
-    /// Magnitude pruning orders keyed like `weights`: the argsort is
-    /// degree-independent, so a sweep pruning one matrix at many
-    /// unstructured degrees sorts it once.
+    /// Weight streams keyed on `(rows, width, seed)`, `width` columns wide
+    /// ([`stream_width`]). A proxy of `c <= width` columns is the stream's
+    /// first `rows * c` values, so every proxy of a layer shares one
+    /// synthesis whatever its group alignment.
+    streams: Memo<(usize, usize, u64), Arc<[f32]>>,
+    /// Magnitude pruning orders keyed on the proxy's `(rows, cols, seed)`:
+    /// the argsort is degree-independent, so a sweep pruning one matrix at
+    /// many unstructured degrees sorts it once.
     orders: Memo<(usize, usize, u64), Arc<Vec<u32>>>,
-    /// Total squared norms keyed like `weights`: the retained-fraction
+    /// Total squared norms keyed like `orders`: the retained-fraction
     /// denominator is config-independent, so every candidate scoring one
     /// matrix shares a single full-matrix pass.
     norms: Memo<(usize, usize, u64), f64>,
-    /// Lowest-rank-pruned weights keyed `(rows, cols, seed, lowest G:H)`.
-    /// The lowest rank always prunes at granularity 1, so its result
-    /// depends only on the matrix and that one `G:H` — every multi-rank
-    /// candidate sharing a lowest rank replays the prefix and prunes only
-    /// its higher ranks.
-    hss_prefix: Memo<(usize, usize, u64, Gh), Arc<Matrix>>,
+    /// Lowest-rank kept masks keyed `(rows, cols, seed, lowest G:H)`, 8 KB
+    /// per 64×1024 proxy. The lowest rank always prunes single values, so
+    /// its selection depends only on the weights and that one `G:H` —
+    /// every multi-rank candidate sharing a lowest rank starts from the
+    /// mask and selects only its higher ranks.
+    hss_prefix: Memo<(usize, usize, u64, Gh), Arc<KeptMask>>,
     /// Per-layer retained-norm fractions keyed on
     /// `(rows, cols, config, seed)`.
     retention: Memo<(usize, usize, ConfigKey, u64), f64>,
@@ -145,18 +151,50 @@ impl RetentionCache {
     }
 }
 
+/// `len` approximately normal weights (Irwin–Hall of four uniforms) drawn
+/// from one seeded stream.
+fn weight_stream(len: usize, seed: u64) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| (0..4).map(|_| rng.gen_range(-0.5f32..0.5)).sum::<f32>())
+        .collect()
+}
+
 /// Synthesizes approximately normal weights (Irwin–Hall of four uniforms):
 /// realistic mass near zero so magnitude pruning retains most of the norm.
+///
+/// The matrix is the seed's stream laid out row-major, so a narrower
+/// matrix of the same seed holds the stream's first `rows * cols` values.
 pub fn synthetic_weights(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Matrix::from_fn(rows, cols, |_, _| {
-        (0..4).map(|_| rng.gen_range(-0.5f32..0.5)).sum::<f32>()
-    })
+    Matrix::from_vec(rows, cols, weight_stream(rows * cols, seed))
+}
+
+/// The representative proxy shape a `rows × cols` layer is scored on under
+/// `config`: at most [`PROXY_ROWS`] rows, and the column cap aligned down
+/// to the pattern group (but at least one group).
+fn proxy_shape(rows: usize, cols: usize, config: &PruningConfig) -> (usize, usize) {
+    let group = match config {
+        PruningConfig::Hss(p) => p.group_size().max(1),
+        _ => 1,
+    };
+    (
+        rows.min(PROXY_ROWS),
+        (cols.min(PROXY_COLS) / group).max(1) * group,
+    )
+}
+
+/// Width of the weight stream a `c`-column proxy of a layer with `cols`
+/// columns is a prefix of: the layer's unaligned proxy width, which no
+/// group alignment exceeds unless the group is wider than the layer.
+fn stream_width(cols: usize, c: usize) -> usize {
+    c.max(cols.min(PROXY_COLS))
 }
 
 /// Retained squared-norm fraction of one representative layer under the
-/// configuration. `cache` deduplicates both the weight synthesis and the
-/// pruning itself across repeated `(shape, config, seed)` evaluations.
+/// configuration. `cache` deduplicates the weight synthesis, the shared
+/// selection work, and the scores across repeated `(shape, config, seed)`
+/// evaluations; without it the layer is pruned with `prune_hss`, the
+/// reference the cached path matches bit for bit.
 fn layer_retention(
     rows: usize,
     cols: usize,
@@ -164,82 +202,65 @@ fn layer_retention(
     seed: u64,
     cache: Option<&RetentionCache>,
 ) -> f64 {
-    let group = match config {
-        PruningConfig::Hss(p) => p.group_size().max(1),
-        _ => 1,
-    };
-    // Representative proxy: cap size for speed, align K to the group.
-    let r = rows.min(64);
-    let c = (cols.min(1024) / group).max(1) * group;
     if matches!(config, PruningConfig::Dense) {
         return 1.0;
     }
-    match cache {
-        None => {
-            let w = synthetic_weights(r, c, seed);
-            let pruned = match config {
-                PruningConfig::Dense => unreachable!("handled above"),
-                PruningConfig::Unstructured { sparsity } => prune_unstructured(&w, *sparsity),
-                PruningConfig::Hss(p) => prune_hss(&w, p),
-            };
-            retained_norm_fraction(&w, &pruned)
-        }
-        Some(cache) => {
-            let key = (r, c, ConfigKey::from(config), seed);
-            cache.retention.get_or_insert_with(&key, || {
-                let wkey = (r, c, seed);
-                let w = cache
-                    .weights
-                    .get_or_insert_with(&wkey, || Arc::new(synthetic_weights(r, c, seed)));
-                let pruned = match config {
-                    PruningConfig::Dense => unreachable!("handled above"),
-                    PruningConfig::Unstructured { sparsity } => {
-                        // The argsort is shared across every degree pruning
-                        // this matrix; only the zeroing depends on `sparsity`.
-                        let order = cache
-                            .orders
-                            .get_or_insert_with(&wkey, || Arc::new(magnitude_order(&w)));
-                        prune_unstructured_ordered(&w, *sparsity, &order)
-                    }
-                    PruningConfig::Hss(p) if p.rank_count() >= 2 => {
-                        // Replay the shared lowest-rank prefix, then prune
-                        // only this candidate's higher ranks. Identical to
-                        // `prune_hss`: that routine prunes the same buffer
-                        // rank-by-rank, and the lowest rank reads nothing
-                        // but the matrix and its own G:H.
-                        let lowest = *p.ranks().last().expect("rank_count >= 2");
-                        let prefix =
-                            cache
-                                .hss_prefix
-                                .get_or_insert_with(&(r, c, seed, lowest), || {
-                                    let mut m = Matrix::clone(&w);
-                                    SCRATCH.with(|s| {
-                                        prune_hss_ranks_in_place(
-                                            &mut m,
-                                            &HssPattern::one_rank(lowest),
-                                            0,
-                                            &mut s.borrow_mut(),
-                                        );
-                                    });
-                                    Arc::new(m)
-                                });
-                        let mut m = Matrix::clone(&prefix);
-                        SCRATCH
-                            .with(|s| prune_hss_ranks_in_place(&mut m, p, 1, &mut s.borrow_mut()));
-                        m
-                    }
-                    PruningConfig::Hss(p) => {
-                        let mut m = Matrix::clone(&w);
-                        SCRATCH
-                            .with(|s| prune_hss_ranks_in_place(&mut m, p, 0, &mut s.borrow_mut()));
-                        m
-                    }
+    let (r, c) = proxy_shape(rows, cols, config);
+    let Some(cache) = cache else {
+        let w = synthetic_weights(r, c, seed);
+        let pruned = match config {
+            PruningConfig::Dense => unreachable!("handled above"),
+            PruningConfig::Unstructured { sparsity } => prune_unstructured(&w, *sparsity),
+            PruningConfig::Hss(p) => prune_hss(&w, p),
+        };
+        return retained_norm_fraction(&w, &pruned);
+    };
+    let key = (r, c, ConfigKey::from(config), seed);
+    cache.retention.get_or_insert_with(&key, || {
+        let width = stream_width(cols, c);
+        let stream = cache
+            .streams
+            .get_or_insert_with(&(r, width, seed), || weight_stream(r * width, seed).into());
+        let w = &stream[..r * c];
+        let wkey = (r, c, seed);
+        let retained = match config {
+            PruningConfig::Dense => unreachable!("handled above"),
+            PruningConfig::Unstructured { sparsity } => {
+                // The argsort is shared across every degree pruning this
+                // matrix; only the zeroing depends on `sparsity`.
+                let order = cache
+                    .orders
+                    .get_or_insert_with(&wkey, || Arc::new(magnitude_order(w)));
+                SCRATCH.with(|s| unstructured_sum_sq(w, *sparsity, &order, &mut s.borrow_mut()))
+            }
+            PruningConfig::Hss(p) => {
+                // A multi-rank candidate starts from the shared mask of its
+                // lowest rank, unless that rank keeps everything, and
+                // selects only its higher ranks.
+                let prefix = match p.ranks() {
+                    [_, .., lowest] if lowest.g < lowest.h => Some(
+                        cache
+                            .hss_prefix
+                            .get_or_insert_with(&(r, c, seed, *lowest), || {
+                                let one = HssPattern::one_rank(*lowest);
+                                Arc::new(
+                                    SCRATCH
+                                        .with(|s| hss_kept(w, c, &one, None, &mut s.borrow_mut())),
+                                )
+                            }),
+                    ),
+                    _ => None,
                 };
-                let total = cache.norms.get_or_insert_with(&wkey, || total_sq_norm(&w));
-                retained_norm_fraction_with_total(total, &w, &pruned)
-            })
+                SCRATCH.with(|s| hss_kept_sum_sq(w, c, p, prefix.as_deref(), &mut s.borrow_mut()))
+            }
+        };
+        let total = cache.norms.get_or_insert_with(&wkey, || sum_sq(w));
+        if total == 0.0 {
+            1.0
+        } else {
+            retained / total
         }
-    }
+    })
 }
 
 fn model_retention_impl(
@@ -373,25 +394,74 @@ mod tests {
     #[test]
     fn cached_and_uncached_losses_agree_exactly() {
         let cache = RetentionCache::new();
-        let m = zoo::resnet50();
+        let hss = |ranks: &[(u32, u32)]| {
+            PruningConfig::Hss(HssPattern::new(
+                ranks.iter().map(|&(g, h)| Gh::new(g, h)).collect(),
+            ))
+        };
+        // One candidate of every shape the co-design space holds, in an
+        // order that replays shared lowest-rank masks from the cache.
         let configs = [
             PruningConfig::Unstructured { sparsity: 0.5 },
-            PruningConfig::Hss(HssPattern::one_rank(Gh::new(2, 4))),
-            PruningConfig::Hss(HssPattern::two_rank(Gh::new(4, 8), Gh::new(2, 4))),
+            hss(&[(2, 4)]),
+            hss(&[(3, 7)]),
+            hss(&[(4, 8), (2, 4)]),
+            hss(&[(2, 6), (1, 2)]),
+            hss(&[(4, 4), (2, 4)]),
+            hss(&[(2, 4), (2, 2)]),
+            hss(&[(1, 2), (2, 4), (2, 4)]),
         ];
-        for cfg in &configs {
-            let plain = accuracy_loss(&m, cfg);
-            let cached = accuracy_loss_cached(&m, cfg, &cache);
-            assert_eq!(plain, cached, "first (miss) evaluation must be identical");
-            let replay = accuracy_loss_cached(&m, cfg, &cache);
-            assert_eq!(plain, replay, "replay (hit) must be identical");
+        for m in [zoo::resnet50(), zoo::deit_small(), zoo::transformer_big()] {
+            for cfg in &configs {
+                let plain = accuracy_loss(&m, cfg);
+                let cached = accuracy_loss_cached(&m, cfg, &cache);
+                assert_eq!(plain, cached, "first (miss) evaluation must be identical");
+                let replay = accuracy_loss_cached(&m, cfg, &cache);
+                assert_eq!(plain, replay, "replay (hit) must be identical");
+            }
+            assert_eq!(
+                model_retention(&m, &configs[0]),
+                model_retention_cached(&m, &configs[0], &cache)
+            );
         }
         let (hits, misses) = cache.stats();
         assert!(hits > 0 && misses > 0);
-        assert_eq!(
-            model_retention(&m, &configs[0]),
-            model_retention_cached(&m, &configs[0], &cache)
-        );
+    }
+
+    #[test]
+    fn proxies_are_prefixes_of_one_weight_stream() {
+        // Every proxy width the surrogate derives for a layer — one per
+        // group size a pattern can have, up to the widest a request may
+        // ask for — reads the same values `synthetic_weights` builds.
+        let cache = RetentionCache::new();
+        for m in [zoo::resnet50(), zoo::deit_small(), zoo::transformer_big()] {
+            for (i, layer) in m.layers.iter().filter(|l| l.prunable).enumerate() {
+                let seed = 0xACC0 + i as u64;
+                let mut widths: Vec<usize> = (1..=64)
+                    .map(|group| {
+                        let h = u32::try_from(group).unwrap();
+                        let cfg = PruningConfig::Hss(HssPattern::one_rank(Gh::new(1, h)));
+                        proxy_shape(layer.shape.m, layer.shape.k, &cfg).1
+                    })
+                    .collect();
+                widths.sort_unstable();
+                widths.dedup();
+                for c in widths {
+                    let r = layer.shape.m.min(PROXY_ROWS);
+                    let width = stream_width(layer.shape.k, c);
+                    let stream = cache.streams.get_or_insert_with(&(r, width, seed), || {
+                        weight_stream(r * width, seed).into()
+                    });
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(synthetic_weights(r, c, seed).data()),
+                        bits(&stream[..r * c]),
+                        "{} layer {i}: {r}x{c} proxy of a {width}-wide stream",
+                        m.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

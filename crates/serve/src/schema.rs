@@ -248,12 +248,12 @@ fn int_field(reader: &ObjReader<'_>, key: &'static str) -> Result<Option<usize>,
 /// enforces the dense-MAC product cap.
 fn shape_fields(reader: &ObjReader<'_>) -> Result<GemmShape, SchemaError> {
     let mut dims = [1024usize; 3];
-    for (i, key) in ["m", "k", "n"].into_iter().enumerate() {
+    for (dim, key) in dims.iter_mut().zip(["m", "k", "n"]) {
         if let Some(n) = int_field(reader, key)? {
             if n == 0 {
                 return Err(SchemaError::invalid(format!("{key:?} must be at least 1")));
             }
-            dims[i] = n;
+            *dim = n;
         }
     }
     let macs = dims.iter().map(|&d| d as u128).product::<u128>();
@@ -262,7 +262,8 @@ fn shape_fields(reader: &ObjReader<'_>) -> Result<GemmShape, SchemaError> {
             "m*k*n = {macs} dense MACs exceeds the {MAX_MACS} limit"
         )));
     }
-    Ok(GemmShape::new(dims[0], dims[1], dims[2]))
+    let [m, k, n] = dims;
+    Ok(GemmShape::new(m, k, n))
 }
 
 fn check_degree(n: f64, key: &str) -> Result<f64, SchemaError> {
@@ -686,11 +687,12 @@ pub fn pruning_spec(v: Option<&Json>) -> Result<PruningConfig, SchemaError> {
             }
             let mut ghs = Vec::new();
             for rank in ranks {
-                let pair = rank.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                    SchemaError::invalid("\"pruning.hss\" ranks must be [g, h] pairs")
-                })?;
-                let g = gh_component(&pair[0])?;
-                let h = gh_component(&pair[1])?;
+                let Some([g, h]) = rank.as_arr() else {
+                    return Err(SchemaError::invalid(
+                        "\"pruning.hss\" ranks must be [g, h] pairs",
+                    ));
+                };
+                let (g, h) = (gh_component(g)?, gh_component(h)?);
                 // The typed core validation (density > 1, division by
                 // zero) maps straight to a 400 here.
                 ghs.push(Gh::try_new(g, h).map_err(|e| SchemaError::invalid(e.to_string()))?);
