@@ -522,8 +522,11 @@ impl App {
             m.active_connections() as f64,
         );
         let reuse = m.reuse();
-        let reuse_edges: Vec<f64> = (0..REUSE_BUCKETS)
-            .map(|i| (1u64 << (i + 1)) as f64)
+        // Bucket i holds integer counts in [2^i, 2^(i+1)), so its
+        // inclusive upper edge is 2^(i+1) - 1; the open last bucket
+        // appears only under +Inf.
+        let reuse_edges: Vec<f64> = (0..REUSE_BUCKETS - 1)
+            .map(|i| ((1u64 << (i + 1)) - 1) as f64)
             .collect();
         e.histogram(
             "hl_connection_requests",
@@ -1543,6 +1546,36 @@ mod tests {
                 "{path} maps to {family}, which is missing from the exposition"
             );
         }
+    }
+
+    #[test]
+    fn reuse_histogram_le_edges_count_connections_at_most_le() {
+        let app = test_app();
+        let served = [1u64, 2, 3, 4, 8];
+        for n in served {
+            app.metrics().record_connection_opened();
+            app.metrics().record_connection_closed(n);
+        }
+        let text = app.render_prometheus();
+        prom::validate_exposition(&text).unwrap();
+        let prefix = "hl_connection_requests_bucket{le=\"";
+        let mut seen = 0;
+        for line in text.lines() {
+            let Some(rest) = line.strip_prefix(prefix) else {
+                continue;
+            };
+            let (le, value) = rest.split_once("\"} ").unwrap();
+            let value: f64 = value.parse().unwrap();
+            let expect = if le == "+Inf" {
+                served.len()
+            } else {
+                let le: f64 = le.parse().unwrap();
+                served.iter().filter(|&&n| n as f64 <= le).count()
+            };
+            assert_eq!(value, expect as f64, "le={le}");
+            seen += 1;
+        }
+        assert_eq!(seen, REUSE_BUCKETS, "15 closed buckets plus +Inf");
     }
 
     fn trace_rec(id: &str, route: &'static str, total_us: u64) -> crate::trace::TraceRecord {

@@ -82,7 +82,8 @@ impl Exposition {
     /// A histogram family from per-bucket (non-cumulative) counts.
     /// `upper_edges` gives each bucket's inclusive upper bound in the
     /// exported unit; buckets are accumulated here and capped with
-    /// `+Inf`, `_sum`, and `_count`.
+    /// `+Inf`, `_sum`, and `_count`. Buckets past the last edge (an
+    /// open last bucket) are counted only under `+Inf`.
     pub fn histogram(
         &mut self,
         name: &str,
@@ -91,7 +92,7 @@ impl Exposition {
         bucket_counts: &[u64],
         sum: f64,
     ) {
-        debug_assert_eq!(upper_edges.len(), bucket_counts.len());
+        debug_assert!(upper_edges.len() <= bucket_counts.len());
         self.header(name, help, "histogram");
         let bucket = format!("{name}_bucket");
         let mut cum = 0u64;
