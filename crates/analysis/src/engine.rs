@@ -59,7 +59,6 @@ pub fn run(ws: &Workspace, mut baseline: Option<Baseline>, extra: Vec<Finding>) 
         for file in &ws.files {
             rule.check_file(file, &mut raw);
         }
-        rule.check_workspace(ws, &mut raw);
     }
 
     let mut outcome = Outcome::default();

@@ -2,14 +2,11 @@
 //!
 //! Each rule is a named project invariant with a precise diagnostic;
 //! the set mirrors the bug classes past PRs fixed by hand-audit so they
-//! cannot regress silently. File-local rules implement [`Rule::check_file`];
-//! cross-file invariants (route/metrics parity) implement
-//! [`Rule::check_workspace`].
+//! cannot regress silently. Each rule implements [`Rule::check_file`].
 
 mod eprintln_serve;
 mod panic_path;
 mod partial_cmp;
-mod route_parity;
 mod safety;
 mod wallclock;
 
@@ -20,22 +17,14 @@ use crate::source::SourceFile;
 pub use eprintln_serve::NoRawEprintlnInServe;
 pub use panic_path::NoPanicInRequestPath;
 pub use partial_cmp::NoFloatPartialCmpUnwrap;
-pub use route_parity::RouteMetricsParity;
 pub use safety::SafetyCommentOnUnsafe;
 pub use wallclock::NoWallclockInDeterministicCrates;
 
-/// All files under analysis, for cross-file rules.
+/// All files under analysis.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// The lexed files, in walk order.
     pub files: Vec<SourceFile>,
-}
-
-impl Workspace {
-    /// The file whose repo-relative path ends with `suffix`, if any.
-    pub fn file_ending_with(&self, suffix: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.path.ends_with(suffix))
-    }
 }
 
 /// One project invariant.
@@ -44,10 +33,8 @@ pub trait Rule: Sync {
     fn name(&self) -> &'static str;
     /// One-line description for `--list-rules` and the README catalog.
     fn description(&self) -> &'static str;
-    /// Per-file check. Default: nothing.
-    fn check_file(&self, _file: &SourceFile, _out: &mut Vec<Finding>) {}
-    /// Whole-workspace check. Default: nothing.
-    fn check_workspace(&self, _ws: &Workspace, _out: &mut Vec<Finding>) {}
+    /// Checks one file.
+    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>);
 }
 
 /// The full rule set, in catalog order.
@@ -58,7 +45,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(SafetyCommentOnUnsafe),
         Box::new(NoRawEprintlnInServe),
         Box::new(NoWallclockInDeterministicCrates),
-        Box::new(RouteMetricsParity),
     ]
 }
 

@@ -12,15 +12,19 @@
 //! and answered with a 500 so one bad request can never take a worker
 //! down.
 //!
-//! Endpoints: `GET /v1/healthz`, `GET /v1/designs`, `GET /v1/metrics`
-//! (JSON, or Prometheus text via `?format=prometheus` /
-//! `Accept: text/plain`), `GET /v1/models`, `GET /v1/trace` (recent
-//! request lifecycles from the [`crate::trace`] ring), `POST
+//! The endpoints are the rows of the route table
+//! `metrics::ROUTES`: `GET /v1/healthz`, `GET /v1/designs`,
+//! `GET /v1/metrics` (JSON, or Prometheus text via `?format=prometheus`
+//! / `Accept: text/plain`, both rendered from
+//! `metrics::FAMILIES`), `GET /v1/models`, `GET /v1/trace`
+//! (recent request lifecycles from the [`crate::trace`] ring), `POST
 //! /v1/evaluate`, `POST /v1/evaluate_model`, `POST /v1/sweep`, `POST
-//! /v1/search`. The legacy unversioned paths remain as byte-identical
-//! aliases; each hit increments the `deprecated` counter surfaced in
-//! `/v1/metrics`. (`/v1/trace` postdates the aliases and has no
-//! unversioned form.)
+//! /v1/search`. A request resolves to its row once; the method check,
+//! the 405 and 404 replies come from the table, and dispatch is one
+//! exhaustive match from [`Route`] to its handler. The legacy
+//! unversioned paths remain as byte-identical aliases; each hit
+//! increments the `deprecated` counter surfaced in `/v1/metrics`.
+//! (`/v1/trace` postdates the aliases and has no unversioned form.)
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,7 +39,7 @@ use hl_tensor::GemmShape;
 use crate::http::{ParseError, Request, Response};
 use crate::json::Json;
 use crate::log::{Level, Logger};
-use crate::metrics::{Metrics, Route, LATENCY_BUCKETS, REUSE_BUCKETS};
+use crate::metrics::{self, Metrics, Route, ROUTES};
 use crate::prom;
 use crate::schema::{self, ErrorBody, SchemaError};
 use crate::trace::{IdGen, TraceQuery, TraceRecord, TraceRing};
@@ -160,7 +164,8 @@ impl App {
         if deprecated {
             self.metrics.record_deprecated_route();
         }
-        let (resp, panicked) = match panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(req))) {
+        let dispatched = panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(req, route)));
+        let (resp, panicked) = match dispatched {
             Ok(Ok(resp)) => (resp, false),
             Ok(Err(e)) => (e.into_response(), false),
             Err(_) => (ApiError::internal("handler panicked").into_response(), true),
@@ -181,34 +186,24 @@ impl App {
         resp
     }
 
-    fn dispatch(&self, req: &Request) -> Result<Response, ApiError> {
-        // `/v1/<route>` is canonical; the bare legacy path is an alias
-        // that must answer byte-identically, so both converge here.
-        // `/v1/trace` guards on the raw path: it has no legacy alias, so
-        // bare `/trace` falls through to the 404 arm.
-        let path = canonical_path(&req.path);
-        match (req.method.as_str(), path) {
-            ("GET", "/healthz") => Ok(ok_json(self.healthz())),
-            ("GET", "/designs") => Ok(ok_json(designs_json())),
-            ("GET", "/metrics") => self.metrics_response(req),
-            ("GET", "/models") => Ok(ok_json(models_json())),
-            ("GET", "/trace") if req.path.starts_with("/v1/") => {
-                self.trace_endpoint(req).map(ok_json)
-            }
-            ("POST", "/evaluate") => self.evaluate(&req.body).map(ok_json),
-            ("POST", "/evaluate_model") => self.evaluate_model(&req.body).map(ok_json),
-            ("POST", "/sweep") => self.sweep(&req.body).map(ok_json),
-            ("POST", "/search") => self.search(&req.body).map(ok_json),
-            (_, "/trace") if req.path.starts_with("/v1/") => {
-                Err(ApiError::method_not_allowed("GET"))
-            }
-            (_, "/healthz" | "/designs" | "/metrics" | "/models") => {
-                Err(ApiError::method_not_allowed("GET"))
-            }
-            (_, "/evaluate" | "/evaluate_model" | "/sweep" | "/search") => {
-                Err(ApiError::method_not_allowed("POST"))
-            }
-            _ => Err(ApiError::not_found(&req.path)),
+    /// Answers `req` on its resolved `route`: the legacy alias and the
+    /// `/v1/` path resolve alike, so they answer byte-identically.
+    fn dispatch(&self, req: &Request, route: Route) -> Result<Response, ApiError> {
+        let method = route.spec().method;
+        if route != Route::Other && req.method != method {
+            return Err(ApiError::method_not_allowed(method));
+        }
+        match route {
+            Route::Healthz => Ok(ok_json(self.healthz())),
+            Route::Designs => Ok(ok_json(designs_json())),
+            Route::Metrics => self.metrics_response(req),
+            Route::Models => Ok(ok_json(models_json())),
+            Route::Trace => self.trace_endpoint(req).map(ok_json),
+            Route::Evaluate => self.evaluate(&req.body).map(ok_json),
+            Route::EvaluateModel => self.evaluate_model(&req.body).map(ok_json),
+            Route::Sweep => self.sweep(&req.body).map(ok_json),
+            Route::Search => self.search(&req.body).map(ok_json),
+            Route::Other => Err(ApiError::not_found(&req.path)),
         }
     }
 
@@ -225,7 +220,7 @@ impl App {
                 retry_after: None,
             })
         } else {
-            Ok(ok_json(self.metrics_json()))
+            Ok(ok_json(metrics::metrics_json(self)))
         }
     }
 
@@ -261,330 +256,11 @@ impl App {
         ])
     }
 
-    fn metrics_json(&self) -> Json {
-        let mut requests = vec![
-            (
-                "total".into(),
-                Json::Num(self.metrics.total_requests() as f64),
-            ),
-            (
-                "coalesced".into(),
-                Json::Num(self.metrics.coalesced() as f64),
-            ),
-            (
-                "deprecated".into(),
-                Json::Num(self.metrics.deprecated_routes() as f64),
-            ),
-        ];
-        for r in Route::ALL {
-            requests.push((
-                r.label().into(),
-                Json::Num(self.metrics.requests_for(r) as f64),
-            ));
-        }
-        let (s2, s3, s4, s5, s_other) = self.metrics.status_counts_full();
-        let (panics, respawns, quarantined) = self.metrics.worker_counts();
-        let (shed_deadline, shed_overload) = self.metrics.shed_counts();
-        let (accepted, closed) = self.metrics.connection_counts();
-        let reuse = self.metrics.reuse();
-        let cache = self.ctx.engine().eval_cache();
-        let (hits, misses) = (cache.hits(), cache.misses());
-        let hit_rate = if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        };
-        let (ret_hits, ret_misses) = self.ctx.retention_stats();
-        let ret_rate = if ret_hits + ret_misses == 0 {
-            0.0
-        } else {
-            ret_hits as f64 / (ret_hits + ret_misses) as f64
-        };
-        let lat = self.metrics.latency();
-        let wait = self.metrics.queue_wait();
-        Json::Obj(vec![
-            ("uptime_s".into(), Json::Num(self.metrics.uptime_s())),
-            (
-                "threads".into(),
-                Json::Num(self.ctx.engine().threads() as f64),
-            ),
-            ("requests".into(), Json::Obj(requests)),
-            (
-                "responses".into(),
-                Json::Obj(vec![
-                    ("2xx".into(), Json::Num(s2 as f64)),
-                    ("3xx".into(), Json::Num(s3 as f64)),
-                    ("4xx".into(), Json::Num(s4 as f64)),
-                    ("5xx".into(), Json::Num(s5 as f64)),
-                    ("other".into(), Json::Num(s_other as f64)),
-                    (
-                        "rejected_busy".into(),
-                        Json::Num(self.metrics.busy_rejections() as f64),
-                    ),
-                ]),
-            ),
-            (
-                "workers".into(),
-                Json::Obj(vec![
-                    ("panics".into(), Json::Num(panics as f64)),
-                    ("respawns".into(), Json::Num(respawns as f64)),
-                    ("quarantined".into(), Json::Num(quarantined as f64)),
-                ]),
-            ),
-            (
-                "shed".into(),
-                Json::Obj(vec![
-                    ("deadline".into(), Json::Num(shed_deadline as f64)),
-                    ("overload".into(), Json::Num(shed_overload as f64)),
-                ]),
-            ),
-            (
-                "connections".into(),
-                Json::Obj(vec![
-                    ("accepted".into(), Json::Num(accepted as f64)),
-                    ("closed".into(), Json::Num(closed as f64)),
-                    (
-                        "active".into(),
-                        Json::Num(self.metrics.active_connections() as f64),
-                    ),
-                    (
-                        "reuse".into(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::Num(reuse.count() as f64)),
-                            ("mean_requests".into(), Json::Num(reuse.mean())),
-                            (
-                                "histogram".into(),
-                                Json::Arr(
-                                    reuse
-                                        .nonzero_buckets()
-                                        .into_iter()
-                                        .map(|(ge, n)| {
-                                            Json::Obj(vec![
-                                                ("ge".into(), Json::Num(ge as f64)),
-                                                ("count".into(), Json::Num(n as f64)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ]),
-                    ),
-                ]),
-            ),
-            (
-                "eval_cache".into(),
-                Json::Obj(vec![
-                    ("entries".into(), Json::Num(cache.len() as f64)),
-                    ("hits".into(), Json::Num(hits as f64)),
-                    ("misses".into(), Json::Num(misses as f64)),
-                    ("hit_rate".into(), Json::Num(hit_rate)),
-                ]),
-            ),
-            (
-                "retention_cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), Json::Num(ret_hits as f64)),
-                    ("misses".into(), Json::Num(ret_misses as f64)),
-                    ("hit_rate".into(), Json::Num(ret_rate)),
-                ]),
-            ),
-            (
-                "queue".into(),
-                Json::Obj(vec![
-                    ("depth".into(), Json::Num(self.metrics.queue_depth() as f64)),
-                    (
-                        // A new view, so it uses the interpolated
-                        // quantile estimator from the start.
-                        "wait_ms".into(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::Num(wait.count() as f64)),
-                            ("mean".into(), Json::Num(wait.mean_ms())),
-                            ("p50".into(), Json::Num(wait.quantile_ms(0.50))),
-                            ("p90".into(), Json::Num(wait.quantile_ms(0.90))),
-                            ("p99".into(), Json::Num(wait.quantile_ms(0.99))),
-                        ]),
-                    ),
-                ]),
-            ),
-            (
-                "latency_ms".into(),
-                Json::Obj(vec![
-                    ("count".into(), Json::Num(lat.count() as f64)),
-                    ("mean".into(), Json::Num(lat.mean_ms())),
-                    // The historical upper-edge estimator, byte-compat
-                    // with every prior release of this view; the
-                    // interpolated estimate rides alongside as `*_est`.
-                    ("p50".into(), Json::Num(lat.quantile_ms_upper_edge(0.50))),
-                    ("p90".into(), Json::Num(lat.quantile_ms_upper_edge(0.90))),
-                    ("p99".into(), Json::Num(lat.quantile_ms_upper_edge(0.99))),
-                    ("p50_est".into(), Json::Num(lat.quantile_ms(0.50))),
-                    ("p90_est".into(), Json::Num(lat.quantile_ms(0.90))),
-                    ("p99_est".into(), Json::Num(lat.quantile_ms(0.99))),
-                ]),
-            ),
-        ])
-    }
-
-    /// The Prometheus text exposition (format 0.0.4) of every series in
-    /// the JSON metrics view — counters and gauges one-to-one, the two
-    /// log₂ histograms as cumulative-bucket histogram families.
+    /// The Prometheus text exposition (format 0.0.4) of every
+    /// `/v1/metrics` family — counters and gauges one-to-one, the log₂
+    /// histograms as cumulative-bucket histogram families.
     pub fn render_prometheus(&self) -> String {
-        let m = &self.metrics;
-        let mut e = prom::Exposition::new();
-        e.gauge(
-            "hl_uptime_seconds",
-            "Seconds since the server started.",
-            m.uptime_s(),
-        );
-        e.gauge(
-            "hl_threads",
-            "Evaluation engine worker threads.",
-            self.ctx.engine().threads() as f64,
-        );
-        let route_samples: Vec<(&str, f64)> = Route::ALL
-            .iter()
-            .map(|r| (r.label(), m.requests_for(*r) as f64))
-            .collect();
-        e.counter_vec(
-            "hl_requests_total",
-            "Requests handled, by route.",
-            "route",
-            &route_samples,
-        );
-        e.counter(
-            "hl_requests_coalesced_total",
-            "Requests answered by joining an identical in-flight computation.",
-            m.coalesced() as f64,
-        );
-        e.counter(
-            "hl_requests_deprecated_total",
-            "Requests that arrived on a deprecated legacy route alias.",
-            m.deprecated_routes() as f64,
-        );
-        let (s2, s3, s4, s5, s_other) = m.status_counts_full();
-        e.counter_vec(
-            "hl_responses_total",
-            "Responses by status class.",
-            "class",
-            &[
-                ("2xx", s2 as f64),
-                ("3xx", s3 as f64),
-                ("4xx", s4 as f64),
-                ("5xx", s5 as f64),
-                ("other", s_other as f64),
-            ],
-        );
-        e.counter(
-            "hl_responses_rejected_busy_total",
-            "Connections shed with 503 at the connection cap.",
-            m.busy_rejections() as f64,
-        );
-        let (panics, respawns, quarantined) = m.worker_counts();
-        e.counter(
-            "hl_worker_panics_total",
-            "Worker threads killed by a panic.",
-            panics as f64,
-        );
-        e.counter(
-            "hl_worker_respawns_total",
-            "Dead workers respawned by the supervisor.",
-            respawns as f64,
-        );
-        e.counter(
-            "hl_workers_quarantined_total",
-            "Requests answered from quarantine.",
-            quarantined as f64,
-        );
-        let (shed_deadline, shed_overload) = m.shed_counts();
-        e.counter_vec(
-            "hl_shed_total",
-            "Requests shed, by reason.",
-            "reason",
-            &[
-                ("deadline", shed_deadline as f64),
-                ("overload", shed_overload as f64),
-            ],
-        );
-        let (accepted, closed) = m.connection_counts();
-        e.counter(
-            "hl_connections_accepted_total",
-            "Connections accepted.",
-            accepted as f64,
-        );
-        e.counter(
-            "hl_connections_closed_total",
-            "Connections closed.",
-            closed as f64,
-        );
-        e.gauge(
-            "hl_connections_active",
-            "Connections currently open.",
-            m.active_connections() as f64,
-        );
-        let reuse = m.reuse();
-        // Bucket i holds integer counts in [2^i, 2^(i+1)), so its
-        // inclusive upper edge is 2^(i+1) - 1; the open last bucket
-        // appears only under +Inf.
-        let reuse_edges: Vec<f64> = (0..REUSE_BUCKETS - 1)
-            .map(|i| ((1u64 << (i + 1)) - 1) as f64)
-            .collect();
-        e.histogram(
-            "hl_connection_requests",
-            "Requests served per closed connection.",
-            &reuse_edges,
-            &reuse.bucket_counts(),
-            reuse.sum() as f64,
-        );
-        let cache = self.ctx.engine().eval_cache();
-        e.gauge(
-            "hl_eval_cache_entries",
-            "Entries in the shared evaluation cache.",
-            cache.len() as f64,
-        );
-        let (hits, misses) = cache.stats();
-        e.counter("hl_eval_cache_hits_total", "Eval cache hits.", hits as f64);
-        e.counter(
-            "hl_eval_cache_misses_total",
-            "Eval cache misses.",
-            misses as f64,
-        );
-        let (ret_hits, ret_misses) = self.ctx.retention_stats();
-        e.counter(
-            "hl_retention_cache_hits_total",
-            "Retention (surrogate accuracy) cache hits.",
-            ret_hits as f64,
-        );
-        e.counter(
-            "hl_retention_cache_misses_total",
-            "Retention (surrogate accuracy) cache misses.",
-            ret_misses as f64,
-        );
-        // log₂ µs buckets exported in seconds: upper edge 2^(i+1) µs.
-        let latency_edges: Vec<f64> = (0..LATENCY_BUCKETS)
-            .map(|i| (1u64 << (i + 1)) as f64 / 1e6)
-            .collect();
-        let lat = m.latency();
-        e.histogram(
-            "hl_request_latency_seconds",
-            "Request handling latency.",
-            &latency_edges,
-            &lat.bucket_counts(),
-            lat.sum_us() as f64 / 1e6,
-        );
-        e.gauge(
-            "hl_queue_depth",
-            "Jobs waiting in the worker queue.",
-            m.queue_depth() as f64,
-        );
-        let wait = m.queue_wait();
-        e.histogram(
-            "hl_queue_wait_seconds",
-            "Time between enqueue and worker pickup.",
-            &latency_edges,
-            &wait.bucket_counts(),
-            wait.sum_us() as f64 / 1e6,
-        );
-        e.finish()
+        metrics::render_prometheus(self)
     }
 
     fn evaluate(&self, body: &[u8]) -> Result<Json, ApiError> {
@@ -738,16 +414,6 @@ fn wants_prometheus(req: &Request) -> Result<bool, ApiError> {
         .is_some_and(|a| a.contains("text/plain")))
 }
 
-/// Strips the `/v1` version prefix, leaving legacy paths untouched:
-/// `/v1/evaluate` and `/evaluate` dispatch to the same handler (the
-/// alias is byte-identical by construction).
-fn canonical_path(path: &str) -> &str {
-    match path.strip_prefix("/v1") {
-        Some(rest) if rest.starts_with('/') => rest,
-        _ => path,
-    }
-}
-
 /// The `GET /v1/designs` payload: every registered design with its
 /// Table 3/4 identity.
 pub fn designs_json() -> Json {
@@ -850,15 +516,17 @@ impl ApiError {
         }
     }
 
-    /// 404 listing the available routes.
+    /// 404 listing the available routes: GET routes, then POST routes,
+    /// each in `ROUTES` order.
     pub fn not_found(path: &str) -> Self {
+        let available: Vec<String> = ["GET", "POST"]
+            .iter()
+            .flat_map(|&method| ROUTES.iter().filter(move |r| r.method == method))
+            .map(|r| format!("{} {}", r.method, r.path))
+            .collect();
         Self {
             status: 404,
-            message: format!(
-                "no route {path}; available: GET /v1/healthz, GET /v1/designs, \
-                 GET /v1/metrics, GET /v1/models, GET /v1/trace, POST /v1/evaluate, \
-                 POST /v1/evaluate_model, POST /v1/sweep, POST /v1/search"
-            ),
+            message: format!("no route {path}; available: {}", available.join(", ")),
         }
     }
 
@@ -1443,68 +1111,20 @@ mod tests {
         assert_eq!(resp.content_type, prom::CONTENT_TYPE);
     }
 
-    /// Maps a dotted path of a leaf in the `/v1/metrics` JSON view to
-    /// the Prometheus family carrying the same series. A new JSON
-    /// series without a mapping fails the coverage test below.
+    /// The family owning a leaf of the `/v1/metrics` JSON view: the
+    /// table row whose JSON path is the leaf or the nearest object above
+    /// it. A `hit_rate` leaf belongs to its object's `misses` family.
     fn family_for(path: &str) -> &'static str {
-        if let Some(rest) = path.strip_prefix("requests.") {
-            return match rest {
-                "coalesced" => "hl_requests_coalesced_total",
-                "deprecated" => "hl_requests_deprecated_total",
-                _ => "hl_requests_total", // total + per-route labels
-            };
-        }
-        if let Some(rest) = path.strip_prefix("responses.") {
-            return match rest {
-                "rejected_busy" => "hl_responses_rejected_busy_total",
-                _ => "hl_responses_total",
-            };
-        }
-        if let Some(rest) = path.strip_prefix("workers.") {
-            return match rest {
-                "panics" => "hl_worker_panics_total",
-                "respawns" => "hl_worker_respawns_total",
-                _ => "hl_workers_quarantined_total",
-            };
-        }
-        if path.starts_with("shed.") {
-            return "hl_shed_total";
-        }
-        if let Some(rest) = path.strip_prefix("connections.") {
-            return match rest {
-                "accepted" => "hl_connections_accepted_total",
-                "closed" => "hl_connections_closed_total",
-                "active" => "hl_connections_active",
-                _ => "hl_connection_requests", // the reuse histogram
-            };
-        }
-        if let Some(rest) = path.strip_prefix("eval_cache.") {
-            return match rest {
-                "entries" => "hl_eval_cache_entries",
-                "misses" => "hl_eval_cache_misses_total",
-                _ => "hl_eval_cache_hits_total", // hits + derived hit_rate
-            };
-        }
-        if let Some(rest) = path.strip_prefix("retention_cache.") {
-            return match rest {
-                "misses" => "hl_retention_cache_misses_total",
-                _ => "hl_retention_cache_hits_total",
-            };
-        }
-        if path == "queue.depth" {
-            return "hl_queue_depth";
-        }
-        if path.starts_with("queue.wait_ms") {
-            return "hl_queue_wait_seconds";
-        }
-        if path.starts_with("latency_ms") {
-            return "hl_request_latency_seconds";
-        }
-        match path {
-            "uptime_s" => "hl_uptime_seconds",
-            "threads" => "hl_threads",
-            other => panic!("JSON metrics series {other:?} has no Prometheus family mapping"),
-        }
+        let path = match path.strip_suffix(".hit_rate") {
+            Some(object) => format!("{object}.misses"),
+            None => path.to_string(),
+        };
+        metrics::FAMILIES
+            .iter()
+            .filter(|f| path == f.json || path.starts_with(&format!("{}.", f.json)))
+            .max_by_key(|f| f.json.len())
+            .map(|f| f.name)
+            .unwrap_or_else(|| panic!("JSON metrics series {path:?} has no family"))
     }
 
     fn leaf_paths(v: &Json, prefix: &str, out: &mut Vec<String>) {
@@ -1575,7 +1195,7 @@ mod tests {
             assert_eq!(value, expect as f64, "le={le}");
             seen += 1;
         }
-        assert_eq!(seen, REUSE_BUCKETS, "15 closed buckets plus +Inf");
+        assert_eq!(seen, metrics::REUSE_BUCKETS, "15 closed buckets plus +Inf");
     }
 
     fn trace_rec(id: &str, route: &'static str, total_us: u64) -> crate::trace::TraceRecord {

@@ -26,9 +26,10 @@
 //! worker pool for evaluation, cooperative drain), [`snapshot`]
 //! (evaluation-cache persistence across restarts), [`signal`]
 //! (SIGTERM/ctrl-c → shutdown flag), [`api`] (the endpoint handlers),
-//! [`metrics`] (lock-free counters + latency histogram + connection
-//! accounting), [`trace`] (per-request lifecycle spans in a ring served
-//! at `/v1/trace`), [`log`] (leveled, rate-limited JSON-lines logging),
+//! [`metrics`] (lock-free counters and histograms, the route table, and
+//! the metric-family table both `/v1/metrics` views render from),
+//! [`trace`] (per-request lifecycle spans in a ring served at
+//! `/v1/trace`), [`log`] (leveled, rate-limited JSON-lines logging),
 //! [`prom`] (Prometheus text exposition + validator), and [`client`]
 //! (the keep-alive client the `hl-client` CLI, the load bench, and the
 //! e2e tests use).

@@ -1,18 +1,33 @@
-//! Lock-free request metrics: per-route counters, status-class counters,
-//! per-connection counters (accept/close/reuse, a log₂
-//! requests-per-connection histogram), coalescing + deprecated-route
-//! counters, and a log₂-bucketed latency histogram with quantile
-//! estimation.
+//! Lock-free server metrics, and the two tables that declare the
+//! serving surface once.
 //!
-//! Everything is plain atomics, so recording from the event loop and the
-//! worker pool never contends — `/v1/metrics` reads are racy snapshots,
-//! which is fine for monitoring.
+//! - `ROUTES` holds one row per [`Route`]: its canonical `/v1/` path,
+//!   its method, whether the unversioned path is a legacy alias, and
+//!   whether overload sheds it first. Path resolution, labels, the 405
+//!   and 404 replies, the per-route counters and the shedding policy
+//!   all read it; a const check keeps it in step with the enum.
+//! - `FAMILIES` holds one row per `/v1/metrics` family: its
+//!   Prometheus name, help text, JSON path and a typed reader.
+//!   `metrics_json` and `render_prometheus` are two walks over it,
+//!   so adding a metric means adding one row. The JSON walk derives the
+//!   `requests.total`, `*.hit_rate`, reuse `mean_requests`/`histogram`
+//!   and latency mean/quantile leaves from their family's reading.
+//!
+//! Recording is plain atomics (per-route and status-class counters,
+//! connection, coalescing and supervision counters, and log₂
+//! histograms of latency, queue wait and requests per connection), so
+//! the event loop and the worker pool never contend; `/v1/metrics`
+//! reads are racy snapshots, which is fine for monitoring.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// The routes the server tracks individually (canonical `/v1/` labels;
-/// legacy unversioned aliases record under the same route).
+use crate::api::App;
+use crate::json::Json;
+use crate::prom::Exposition;
+
+/// The routes the server tracks individually. Each has one row in
+/// `ROUTES`; legacy unversioned aliases record under the same route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// `GET /v1/healthz`.
@@ -33,69 +48,108 @@ pub enum Route {
     Search,
     /// `GET /v1/trace`.
     Trace,
-    /// Anything else (404s, parse failures, …).
+    /// Anything else (404s, parse failures, …). Stays the last variant:
+    /// its row closes `ROUTES`.
     Other,
 }
 
-impl Route {
-    /// All tracked routes, in display order.
-    pub const ALL: [Route; 10] = [
-        Route::Healthz,
-        Route::Designs,
-        Route::Metrics,
-        Route::Models,
-        Route::Evaluate,
-        Route::EvaluateModel,
-        Route::Sweep,
-        Route::Search,
-        Route::Trace,
-        Route::Other,
-    ];
+/// One row of the route table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RouteSpec {
+    /// The route this row describes.
+    pub route: Route,
+    /// The canonical `/v1/` path; `other` for the catch-all, which no
+    /// request path resolves to.
+    pub path: &'static str,
+    /// The one method the route answers; any other gets a 405.
+    pub method: &'static str,
+    /// Whether the path without its `/v1` prefix is a deprecated alias.
+    pub legacy_alias: bool,
+    /// Whether overload sheds this route before the others.
+    pub expensive: bool,
+}
 
-    /// The route for a request path (`/v1/` or legacy alias).
-    pub fn of(path: &str) -> Route {
-        Route::resolve(path).0
+const fn row(
+    route: Route,
+    path: &'static str,
+    method: &'static str,
+    legacy_alias: bool,
+    expensive: bool,
+) -> RouteSpec {
+    RouteSpec {
+        route,
+        path,
+        method,
+        legacy_alias,
+        expensive,
+    }
+}
+
+/// The route table, one row per [`Route`] in declaration order (which
+/// is also the display order of the per-route series and the 404 list).
+#[rustfmt::skip]
+pub(crate) const ROUTES: [RouteSpec; 10] = [
+    // route, canonical path, method, legacy alias, expensive
+    row(Route::Healthz, "/v1/healthz", "GET", true, false),
+    row(Route::Designs, "/v1/designs", "GET", true, false),
+    row(Route::Metrics, "/v1/metrics", "GET", true, false),
+    row(Route::Models, "/v1/models", "GET", true, false),
+    row(Route::Evaluate, "/v1/evaluate", "POST", true, false),
+    row(Route::EvaluateModel, "/v1/evaluate_model", "POST", true, false),
+    row(Route::Sweep, "/v1/sweep", "POST", true, true),
+    row(Route::Search, "/v1/search", "POST", true, true),
+    // Postdates the unversioned paths, so it has no alias.
+    row(Route::Trace, "/v1/trace", "GET", false, false),
+    row(Route::Other, "other", "", false, false),
+];
+
+/// True when row `i` of [`ROUTES`] names the variant whose discriminant
+/// is `i` and the table ends at [`Route::Other`], the last variant:
+/// then every variant has exactly one row, at index `route as usize`.
+const fn routes_cover_each_variant_once() -> bool {
+    let mut rows: &[RouteSpec] = &ROUTES;
+    let mut i = 0;
+    while let [first, rest @ ..] = rows {
+        if first.route as usize != i {
+            return false;
+        }
+        rows = rest;
+        i += 1;
+    }
+    i == Route::Other as usize + 1
+}
+
+// hl-lint: allow(no-panic-in-request-path, evaluated at compile time: a false check fails the build)
+const _: () = assert!(
+    routes_cover_each_variant_once(),
+    "ROUTES must list every Route variant once, in declaration order"
+);
+
+impl Route {
+    /// This route's row of [`ROUTES`].
+    pub(crate) fn spec(self) -> &'static RouteSpec {
+        // hl-lint: allow(no-panic-in-request-path, the const check above makes every discriminant a row index)
+        &ROUTES[self as usize]
     }
 
-    /// Resolves a request path to its route plus whether it used a
-    /// deprecated legacy (unversioned) alias of a known endpoint.
-    /// Unknown paths are `(Other, false)` — a 404 is not a deprecation.
+    /// Resolves a request path (`/v1/` or legacy alias) to its route,
+    /// plus whether it used a deprecated legacy alias. Unknown paths are
+    /// `(Other, false)` — a 404 is not a deprecation.
     pub fn resolve(path: &str) -> (Route, bool) {
-        let (bare, versioned) = match path.strip_prefix("/v1") {
-            Some(rest) if rest.starts_with('/') => (rest, true),
-            _ => (path, false),
-        };
-        let route = match bare {
-            "/healthz" => Route::Healthz,
-            "/designs" => Route::Designs,
-            "/metrics" => Route::Metrics,
-            "/models" => Route::Models,
-            "/evaluate" => Route::Evaluate,
-            "/evaluate_model" => Route::EvaluateModel,
-            "/sweep" => Route::Sweep,
-            "/search" => Route::Search,
-            // /v1/trace postdates the legacy aliases; there is no bare
-            // /trace endpoint to alias, so unversioned stays Other.
-            "/trace" if versioned => Route::Trace,
-            _ => Route::Other,
-        };
-        (route, !versioned && route != Route::Other)
+        for spec in &ROUTES {
+            if spec.path == path {
+                return (spec.route, false);
+            }
+            if spec.legacy_alias && spec.path.strip_prefix("/v1") == Some(path) {
+                return (spec.route, true);
+            }
+        }
+        (Route::Other, false)
     }
 
     /// Display label (the canonical `/v1/` path, or `other`).
     pub fn label(self) -> &'static str {
-        match self {
-            Route::Healthz => "/v1/healthz",
-            Route::Designs => "/v1/designs",
-            Route::Metrics => "/v1/metrics",
-            Route::Models => "/v1/models",
-            Route::Evaluate => "/v1/evaluate",
-            Route::EvaluateModel => "/v1/evaluate_model",
-            Route::Sweep => "/v1/sweep",
-            Route::Search => "/v1/search",
-            Route::Trace => "/v1/trace",
-            Route::Other => "other",
-        }
+        self.spec().path
     }
 }
 
@@ -121,7 +175,9 @@ impl LatencyHistogram {
     pub fn record(&self, latency: Duration) {
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
         let bucket = (63 - us.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        if let Some(b) = self.buckets.get(bucket) {
+            b.fetch_add(1, Ordering::Relaxed);
+        }
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
     }
@@ -205,18 +261,6 @@ impl LatencyHistogram {
         }
         out
     }
-
-    /// Snapshot of the non-empty buckets as `(upper_edge_ms, count)`.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then_some(((1u64 << (i + 1)) as f64 / 1000.0, n))
-            })
-            .collect()
-    }
 }
 
 /// Number of log₂ requests-per-connection buckets (last bucket open).
@@ -242,7 +286,9 @@ impl ReuseHistogram {
     /// (0 is clamped to the first bucket).
     pub fn record(&self, requests: u64) {
         let bucket = (63 - requests.max(1).leading_zeros() as usize).min(REUSE_BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        if let Some(b) = self.buckets.get(bucket) {
+            b.fetch_add(1, Ordering::Relaxed);
+        }
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(requests, Ordering::Relaxed);
     }
@@ -259,19 +305,6 @@ impl ReuseHistogram {
             return 0.0;
         }
         self.sum.load(Ordering::Relaxed) as f64 / n as f64
-    }
-
-    /// Snapshot of the non-empty buckets as `(lower_edge, count)`:
-    /// `lower_edge = 2^i` requests.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then_some((1u64 << i, n))
-            })
-            .collect()
     }
 
     /// Sum of requests across all recorded connections.
@@ -293,7 +326,8 @@ impl ReuseHistogram {
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
-    requests: [AtomicU64; Route::ALL.len()],
+    /// One counter per [`ROUTES`] row, indexed by `route as usize`.
+    requests: [AtomicU64; ROUTES.len()],
     status_2xx: AtomicU64,
     status_3xx: AtomicU64,
     status_4xx: AtomicU64,
@@ -392,7 +426,9 @@ impl Metrics {
     }
 
     fn count_request(&self, route: Route, status: u16) {
-        self.requests[Self::route_index(route)].fetch_add(1, Ordering::Relaxed);
+        if let Some(c) = self.requests.get(route as usize) {
+            c.fetch_add(1, Ordering::Relaxed);
+        }
         match status {
             200..=299 => &self.status_2xx,
             300..=399 => &self.status_3xx,
@@ -439,73 +475,6 @@ impl Metrics {
         self.shed_overload.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `(panics, respawns, quarantined)` worker-supervision counts.
-    pub fn worker_counts(&self) -> (u64, u64, u64) {
-        (
-            self.worker_panics.load(Ordering::Relaxed),
-            self.worker_respawns.load(Ordering::Relaxed),
-            self.quarantined.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(deadline_expired, overload)` shed counts.
-    pub fn shed_counts(&self) -> (u64, u64) {
-        (
-            self.shed_deadline.load(Ordering::Relaxed),
-            self.shed_overload.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Requests handled for one route.
-    pub fn requests_for(&self, route: Route) -> u64 {
-        self.requests[Self::route_index(route)].load(Ordering::Relaxed)
-    }
-
-    /// Index of `route` in [`Route::ALL`]. Every variant appears there;
-    /// fall back to the `Other` slot rather than panicking on a metrics
-    /// path if the two ever drift.
-    fn route_index(route: Route) -> usize {
-        Route::ALL
-            .iter()
-            .position(|r| *r == route)
-            .unwrap_or(Route::ALL.len() - 1)
-    }
-
-    /// Total requests handled.
-    pub fn total_requests(&self) -> u64 {
-        self.requests
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// `(2xx, 4xx, 5xx)` response counts (the historical view; see
-    /// [`Self::status_counts_full`] for all five classes).
-    pub fn status_counts(&self) -> (u64, u64, u64) {
-        (
-            self.status_2xx.load(Ordering::Relaxed),
-            self.status_4xx.load(Ordering::Relaxed),
-            self.status_5xx.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(2xx, 3xx, 4xx, 5xx, other)` response counts, where `other` is
-    /// 1xx plus anything outside 100–599.
-    pub fn status_counts_full(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.status_2xx.load(Ordering::Relaxed),
-            self.status_3xx.load(Ordering::Relaxed),
-            self.status_4xx.load(Ordering::Relaxed),
-            self.status_5xx.load(Ordering::Relaxed),
-            self.status_other.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Connections shed with 503.
-    pub fn busy_rejections(&self) -> u64 {
-        self.rejected_busy.load(Ordering::Relaxed)
-    }
-
     /// Requests that arrived on a deprecated legacy route alias.
     pub fn deprecated_routes(&self) -> u64 {
         self.deprecated_route.load(Ordering::Relaxed)
@@ -514,20 +483,6 @@ impl Metrics {
     /// Requests answered by coalescing onto an in-flight computation.
     pub fn coalesced(&self) -> u64 {
         self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// `(accepted, closed)` connection counts.
-    pub fn connection_counts(&self) -> (u64, u64) {
-        (
-            self.conns_accepted.load(Ordering::Relaxed),
-            self.conns_closed.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Connections currently open (accepted − closed).
-    pub fn active_connections(&self) -> u64 {
-        let (accepted, closed) = self.connection_counts();
-        accepted.saturating_sub(closed)
     }
 
     /// Records a job entering the worker queue (bumps the depth gauge).
@@ -564,21 +519,426 @@ impl Metrics {
     }
 }
 
+/// One `/v1/metrics` family: a row of [`FAMILIES`].
+pub(crate) struct Family {
+    /// The Prometheus family name.
+    pub name: &'static str,
+    /// The Prometheus `# HELP` text.
+    pub help: &'static str,
+    /// The dotted JSON path: of the family's leaf, or of the object
+    /// holding its leaves for [`Kind::CounterVec`].
+    pub json: &'static str,
+    /// The family's kind, with its reader.
+    pub kind: Kind,
+}
+
+/// How a family reads the app and renders in each view.
+#[derive(Clone, Copy)]
+pub(crate) enum Kind {
+    /// A counter: one sample, one JSON leaf.
+    Counter(fn(&App) -> f64),
+    /// A gauge: one sample, one JSON leaf.
+    Gauge(fn(&App) -> f64),
+    /// A cache-miss counter. In JSON its leaf is followed by `hit_rate`,
+    /// hits / (hits + misses) with the `hits` leaf of the same object
+    /// (0 when both are 0).
+    Misses(fn(&App) -> f64),
+    /// A counter with one sample per `(label value, count)` pair under
+    /// the label key `label`. In JSON, one leaf per label value in the
+    /// object at the path, led by their sum as `total` when `total` is
+    /// set.
+    CounterVec {
+        label: &'static str,
+        total: bool,
+        read: fn(&App) -> Vec<(&'static str, f64)>,
+    },
+    /// A microsecond latency histogram, exported in seconds with upper
+    /// edges `2^(i+1)` µs. In JSON, an object of `count`, `mean` and
+    /// interpolated `p50`/`p90`/`p99` in ms; with `edge_quantiles` the
+    /// quantiles are the historical bucket upper edges and the
+    /// interpolated estimates follow as `*_est`.
+    Latency {
+        edge_quantiles: bool,
+        read: fn(&App) -> &LatencyHistogram,
+    },
+    /// The requests-per-connection histogram. Bucket `i` holds counts in
+    /// `[2^i, 2^(i+1))`, so it is exported with the inclusive edge
+    /// `2^(i+1) − 1`; the open last bucket appears only under `+Inf`. In
+    /// JSON, an object of `count`, `mean_requests`, and the non-empty
+    /// buckets as `{ge, count}`.
+    Reuse(fn(&App) -> &ReuseHistogram),
+}
+
+fn load(counter: &AtomicU64) -> f64 {
+    counter.load(Ordering::Relaxed) as f64
+}
+
+/// Every `/v1/metrics` family, in JSON order. Rows whose JSON paths
+/// share an object are adjacent.
+pub(crate) static FAMILIES: [Family; 23] = [
+    Family {
+        name: "hl_uptime_seconds",
+        help: "Seconds since the server started.",
+        json: "uptime_s",
+        kind: Kind::Gauge(|a| a.metrics().uptime_s()),
+    },
+    Family {
+        name: "hl_threads",
+        help: "Evaluation engine worker threads.",
+        json: "threads",
+        kind: Kind::Gauge(|a| a.context().engine().threads() as f64),
+    },
+    Family {
+        name: "hl_requests_coalesced_total",
+        help: "Requests answered by joining an identical in-flight computation.",
+        json: "requests.coalesced",
+        kind: Kind::Counter(|a| load(&a.metrics().coalesced)),
+    },
+    Family {
+        name: "hl_requests_deprecated_total",
+        help: "Requests that arrived on a deprecated legacy route alias.",
+        json: "requests.deprecated",
+        kind: Kind::Counter(|a| load(&a.metrics().deprecated_route)),
+    },
+    Family {
+        name: "hl_requests_total",
+        help: "Requests handled, by route.",
+        json: "requests",
+        kind: Kind::CounterVec {
+            label: "route",
+            total: true,
+            read: |a| {
+                let counts = &a.metrics().requests;
+                ROUTES
+                    .iter()
+                    .zip(counts)
+                    .map(|(r, c)| (r.path, load(c)))
+                    .collect()
+            },
+        },
+    },
+    Family {
+        name: "hl_responses_total",
+        help: "Responses by status class.",
+        json: "responses",
+        kind: Kind::CounterVec {
+            label: "class",
+            total: false,
+            read: |a| {
+                let m = a.metrics();
+                vec![
+                    ("2xx", load(&m.status_2xx)),
+                    ("3xx", load(&m.status_3xx)),
+                    ("4xx", load(&m.status_4xx)),
+                    ("5xx", load(&m.status_5xx)),
+                    ("other", load(&m.status_other)),
+                ]
+            },
+        },
+    },
+    Family {
+        name: "hl_responses_rejected_busy_total",
+        help: "Connections shed with 503 at the connection cap.",
+        json: "responses.rejected_busy",
+        kind: Kind::Counter(|a| load(&a.metrics().rejected_busy)),
+    },
+    Family {
+        name: "hl_worker_panics_total",
+        help: "Worker threads killed by a panic.",
+        json: "workers.panics",
+        kind: Kind::Counter(|a| load(&a.metrics().worker_panics)),
+    },
+    Family {
+        name: "hl_worker_respawns_total",
+        help: "Dead workers respawned by the supervisor.",
+        json: "workers.respawns",
+        kind: Kind::Counter(|a| load(&a.metrics().worker_respawns)),
+    },
+    Family {
+        name: "hl_workers_quarantined_total",
+        help: "Requests answered from quarantine.",
+        json: "workers.quarantined",
+        kind: Kind::Counter(|a| load(&a.metrics().quarantined)),
+    },
+    Family {
+        name: "hl_shed_total",
+        help: "Requests shed, by reason.",
+        json: "shed",
+        kind: Kind::CounterVec {
+            label: "reason",
+            total: false,
+            read: |a| {
+                let m = a.metrics();
+                vec![
+                    ("deadline", load(&m.shed_deadline)),
+                    ("overload", load(&m.shed_overload)),
+                ]
+            },
+        },
+    },
+    Family {
+        name: "hl_connections_accepted_total",
+        help: "Connections accepted.",
+        json: "connections.accepted",
+        kind: Kind::Counter(|a| load(&a.metrics().conns_accepted)),
+    },
+    Family {
+        name: "hl_connections_closed_total",
+        help: "Connections closed.",
+        json: "connections.closed",
+        kind: Kind::Counter(|a| load(&a.metrics().conns_closed)),
+    },
+    Family {
+        name: "hl_connections_active",
+        help: "Connections currently open.",
+        json: "connections.active",
+        kind: Kind::Gauge(|a| {
+            let m = a.metrics();
+            let accepted = m.conns_accepted.load(Ordering::Relaxed);
+            accepted.saturating_sub(m.conns_closed.load(Ordering::Relaxed)) as f64
+        }),
+    },
+    Family {
+        name: "hl_connection_requests",
+        help: "Requests served per closed connection.",
+        json: "connections.reuse",
+        kind: Kind::Reuse(|a| &a.metrics().reuse),
+    },
+    Family {
+        name: "hl_eval_cache_entries",
+        help: "Entries in the shared evaluation cache.",
+        json: "eval_cache.entries",
+        kind: Kind::Gauge(|a| a.context().engine().eval_cache().len() as f64),
+    },
+    Family {
+        name: "hl_eval_cache_hits_total",
+        help: "Eval cache hits.",
+        json: "eval_cache.hits",
+        kind: Kind::Counter(|a| a.context().engine().eval_cache().hits() as f64),
+    },
+    Family {
+        name: "hl_eval_cache_misses_total",
+        help: "Eval cache misses.",
+        json: "eval_cache.misses",
+        kind: Kind::Misses(|a| a.context().engine().eval_cache().misses() as f64),
+    },
+    Family {
+        name: "hl_retention_cache_hits_total",
+        help: "Retention (surrogate accuracy) cache hits.",
+        json: "retention_cache.hits",
+        kind: Kind::Counter(|a| a.context().retention_stats().0 as f64),
+    },
+    Family {
+        name: "hl_retention_cache_misses_total",
+        help: "Retention (surrogate accuracy) cache misses.",
+        json: "retention_cache.misses",
+        kind: Kind::Misses(|a| a.context().retention_stats().1 as f64),
+    },
+    Family {
+        name: "hl_queue_depth",
+        help: "Jobs waiting in the worker queue.",
+        json: "queue.depth",
+        kind: Kind::Gauge(|a| load(&a.metrics().queue_depth)),
+    },
+    Family {
+        name: "hl_queue_wait_seconds",
+        help: "Time between enqueue and worker pickup.",
+        json: "queue.wait_ms",
+        kind: Kind::Latency {
+            edge_quantiles: false,
+            read: |a| &a.metrics().queue_wait,
+        },
+    },
+    Family {
+        name: "hl_request_latency_seconds",
+        help: "Request handling latency.",
+        json: "latency_ms",
+        kind: Kind::Latency {
+            edge_quantiles: true,
+            read: |a| &a.metrics().latency,
+        },
+    },
+];
+
+const QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)];
+
+/// Adds `key: value` to the JSON object at `object` (`""` is the root).
+/// A row whose object differs from the last root member's opens a new
+/// object, which is why rows sharing an object are adjacent.
+fn put(root: &mut Vec<(String, Json)>, object: &str, key: &str, value: Json) {
+    let member = (key.to_string(), value);
+    if object.is_empty() {
+        root.push(member);
+        return;
+    }
+    match root.last_mut() {
+        Some((name, Json::Obj(members))) if name == object => members.push(member),
+        _ => root.push((object.to_string(), Json::Obj(vec![member]))),
+    }
+}
+
+fn num(key: &str, value: f64) -> (String, Json) {
+    (key.to_string(), Json::Num(value))
+}
+
+/// The `/v1/metrics` JSON view: one walk over [`FAMILIES`].
+pub(crate) fn metrics_json(app: &App) -> Json {
+    let mut root: Vec<(String, Json)> = Vec::new();
+    for family in &FAMILIES {
+        let (object, key) = family.json.rsplit_once('.').unwrap_or(("", family.json));
+        match family.kind {
+            Kind::Counter(read) | Kind::Gauge(read) => {
+                put(&mut root, object, key, Json::Num(read(app)));
+            }
+            Kind::Misses(read) => {
+                let misses = read(app);
+                let hits = match root.last() {
+                    Some((name, members)) if name == object => {
+                        members.get("hits").and_then(Json::as_f64).unwrap_or(0.0)
+                    }
+                    _ => 0.0,
+                };
+                let rate = if hits + misses == 0.0 {
+                    0.0
+                } else {
+                    hits / (hits + misses)
+                };
+                put(&mut root, object, key, Json::Num(misses));
+                put(&mut root, object, "hit_rate", Json::Num(rate));
+            }
+            Kind::CounterVec { total, read, .. } => {
+                let samples = read(app);
+                let sum = samples.iter().map(|(_, v)| v).sum();
+                for (label, value) in samples {
+                    put(&mut root, family.json, label, Json::Num(value));
+                }
+                if total {
+                    if let Some((_, Json::Obj(members))) = root.last_mut() {
+                        members.insert(0, num("total", sum));
+                    }
+                }
+            }
+            Kind::Latency {
+                edge_quantiles,
+                read,
+            } => {
+                let h = read(app);
+                let mut members = vec![num("count", h.count() as f64), num("mean", h.mean_ms())];
+                for (name, q) in QUANTILES {
+                    let value = if edge_quantiles {
+                        h.quantile_ms_upper_edge(q)
+                    } else {
+                        h.quantile_ms(q)
+                    };
+                    members.push(num(name, value));
+                }
+                if edge_quantiles {
+                    for (name, q) in QUANTILES {
+                        members.push(num(&format!("{name}_est"), h.quantile_ms(q)));
+                    }
+                }
+                put(&mut root, object, key, Json::Obj(members));
+            }
+            Kind::Reuse(read) => {
+                let h = read(app);
+                let buckets = (0u32..)
+                    .zip(h.bucket_counts())
+                    .filter(|&(_, n)| n > 0)
+                    .map(|(i, n)| {
+                        Json::Obj(vec![num("ge", (1u64 << i) as f64), num("count", n as f64)])
+                    })
+                    .collect();
+                let members = vec![
+                    num("count", h.count() as f64),
+                    num("mean_requests", h.mean()),
+                    ("histogram".into(), Json::Arr(buckets)),
+                ];
+                put(&mut root, object, key, Json::Obj(members));
+            }
+        }
+    }
+    Json::Obj(root)
+}
+
+/// The Prometheus text exposition (format 0.0.4): the other walk over
+/// [`FAMILIES`], in table order.
+pub(crate) fn render_prometheus(app: &App) -> String {
+    let mut e = Exposition::new();
+    for f in &FAMILIES {
+        match f.kind {
+            Kind::Counter(read) | Kind::Misses(read) => e.counter(f.name, f.help, read(app)),
+            Kind::Gauge(read) => e.gauge(f.name, f.help, read(app)),
+            Kind::CounterVec { label, read, .. } => {
+                e.counter_vec(f.name, f.help, label, &read(app));
+            }
+            Kind::Latency { read, .. } => {
+                let h = read(app);
+                let edges: Vec<f64> = (0..LATENCY_BUCKETS)
+                    .map(|i| (1u64 << (i + 1)) as f64 / 1e6)
+                    .collect();
+                let sum = h.sum_us() as f64 / 1e6;
+                e.histogram(f.name, f.help, &edges, &h.bucket_counts(), sum);
+            }
+            Kind::Reuse(read) => {
+                let h = read(app);
+                let edges: Vec<f64> = (0..REUSE_BUCKETS - 1)
+                    .map(|i| ((1u64 << (i + 1)) - 1) as f64)
+                    .collect();
+                e.histogram(f.name, f.help, &edges, &h.bucket_counts(), h.sum() as f64);
+            }
+        }
+    }
+    e.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn app() -> App {
+        App::with_context(hl_bench::SweepContext::with_engine(
+            hl_sim::engine::Engine::serial(),
+        ))
+    }
+
+    fn family(name: &str) -> &'static Family {
+        FAMILIES.iter().find(|f| f.name == name).unwrap()
+    }
+
+    /// A single-sample family's reading.
+    fn value(app: &App, name: &str) -> f64 {
+        match family(name).kind {
+            Kind::Counter(read) | Kind::Gauge(read) | Kind::Misses(read) => read(app),
+            _ => panic!("{name} is not a single-sample family"),
+        }
+    }
+
+    /// A labelled family's reading.
+    fn samples(app: &App, name: &str) -> Vec<(&'static str, f64)> {
+        match family(name).kind {
+            Kind::CounterVec { read, .. } => read(app),
+            _ => panic!("{name} is not a labelled family"),
+        }
+    }
+
+    fn sample(app: &App, name: &str, label: &str) -> f64 {
+        let samples = samples(app, name);
+        samples.iter().find(|(l, _)| *l == label).unwrap().1
+    }
+
     #[test]
     fn routes_map_paths_and_labels() {
-        assert_eq!(Route::of("/v1/healthz"), Route::Healthz);
-        assert_eq!(Route::of("/healthz"), Route::Healthz);
-        assert_eq!(Route::of("/v1/evaluate"), Route::Evaluate);
-        assert_eq!(Route::of("/evaluate"), Route::Evaluate);
-        assert_eq!(Route::of("/nope"), Route::Other);
-        assert_eq!(Route::of("/v1/nope"), Route::Other);
-        for r in Route::ALL {
-            assert!(!r.label().is_empty());
+        assert_eq!(Route::resolve("/v1/healthz").0, Route::Healthz);
+        assert_eq!(Route::resolve("/healthz").0, Route::Healthz);
+        assert_eq!(Route::resolve("/v1/evaluate").0, Route::Evaluate);
+        assert_eq!(Route::resolve("/evaluate").0, Route::Evaluate);
+        assert_eq!(Route::resolve("/nope").0, Route::Other);
+        assert_eq!(Route::resolve("/v1/nope").0, Route::Other);
+        for spec in ROUTES {
+            assert_eq!(spec.route.label(), spec.path);
+            assert_eq!(spec.route.spec().route, spec.route);
         }
+        assert!(Route::Search.spec().expensive && !Route::Evaluate.spec().expensive);
     }
 
     #[test]
@@ -619,7 +979,7 @@ mod tests {
         assert!((8.192..=16.384).contains(&p99), "p99 = {p99}");
         assert!((p99 - 15.5648).abs() < 1e-9, "p99 = {p99}");
         assert!(h.mean_ms() > 0.0);
-        assert_eq!(h.nonzero_buckets().len(), 2);
+        assert_eq!(h.bucket_counts().iter().filter(|&&n| n > 0).count(), 2);
     }
 
     #[test]
@@ -677,39 +1037,49 @@ mod tests {
         h.record(0); // closed before any request; clamps to bucket 0
         assert_eq!(h.count(), 4);
         assert!((h.mean() - 38.0).abs() < 1e-9);
-        let buckets = h.nonzero_buckets();
-        assert_eq!(buckets, vec![(1, 3), (128, 1)]);
+        let counts = h.bucket_counts();
+        assert_eq!((counts[0], counts[7]), (3, 1));
+        assert_eq!(counts.iter().sum::<u64>(), 4);
     }
 
     #[test]
     fn metrics_record_and_classify() {
-        let m = Metrics::new();
+        let app = app();
+        let m = app.metrics();
         m.record(Route::Healthz, 200, Duration::from_micros(5));
         m.record(Route::Evaluate, 200, Duration::from_micros(50));
         m.record(Route::Other, 404, Duration::from_micros(2));
         m.record(Route::Sweep, 500, Duration::from_micros(9));
         m.record_busy_rejection();
-        assert_eq!(m.total_requests(), 4);
-        assert_eq!(m.requests_for(Route::Evaluate), 1);
-        assert_eq!(m.status_counts(), (2, 1, 1));
-        assert_eq!(m.busy_rejections(), 1);
+        let routes = samples(&app, "hl_requests_total");
+        assert_eq!(routes.iter().map(|(_, n)| n).sum::<f64>(), 4.0);
+        assert_eq!(sample(&app, "hl_requests_total", "/v1/evaluate"), 1.0);
+        assert_eq!(sample(&app, "hl_responses_total", "2xx"), 2.0);
+        assert_eq!(sample(&app, "hl_responses_total", "4xx"), 1.0);
+        assert_eq!(sample(&app, "hl_responses_total", "5xx"), 1.0);
+        assert_eq!(value(&app, "hl_responses_rejected_busy_total"), 1.0);
         assert_eq!(m.latency().count(), 4);
-        assert!(m.uptime_s() >= 0.0);
+        assert!(value(&app, "hl_uptime_seconds") >= 0.0);
     }
 
     #[test]
     fn status_classes_cover_1xx_3xx_and_out_of_range() {
-        let m = Metrics::new();
-        m.record(Route::Healthz, 200, Duration::from_micros(1));
-        m.record(Route::Healthz, 301, Duration::from_micros(1));
-        m.record(Route::Healthz, 304, Duration::from_micros(1));
-        m.record(Route::Healthz, 404, Duration::from_micros(1));
-        m.record(Route::Healthz, 500, Duration::from_micros(1));
-        m.record(Route::Healthz, 101, Duration::from_micros(1));
-        m.record(Route::Healthz, 999, Duration::from_micros(1));
+        let app = app();
+        for status in [200, 301, 304, 404, 500, 101, 999] {
+            app.metrics()
+                .record(Route::Healthz, status, Duration::from_micros(1));
+        }
         // 1xx/3xx/out-of-range no longer pollute the 5xx counter.
-        assert_eq!(m.status_counts(), (1, 1, 1));
-        assert_eq!(m.status_counts_full(), (1, 2, 1, 1, 2));
+        assert_eq!(
+            samples(&app, "hl_responses_total"),
+            vec![
+                ("2xx", 1.0),
+                ("3xx", 2.0),
+                ("4xx", 1.0),
+                ("5xx", 1.0),
+                ("other", 2.0)
+            ]
+        );
     }
 
     #[test]
@@ -729,19 +1099,21 @@ mod tests {
 
     #[test]
     fn connection_and_coalescing_counters() {
-        let m = Metrics::new();
+        let app = app();
+        let m = app.metrics();
         m.record_connection_opened();
         m.record_connection_opened();
-        assert_eq!(m.active_connections(), 2);
+        assert_eq!(value(&app, "hl_connections_active"), 2.0);
         m.record_connection_closed(5);
-        assert_eq!(m.connection_counts(), (2, 1));
-        assert_eq!(m.active_connections(), 1);
+        assert_eq!(value(&app, "hl_connections_accepted_total"), 2.0);
+        assert_eq!(value(&app, "hl_connections_closed_total"), 1.0);
+        assert_eq!(value(&app, "hl_connections_active"), 1.0);
         assert_eq!(m.reuse().count(), 1);
         m.record_coalesced(Route::Evaluate, 200, Duration::from_micros(3));
         assert_eq!(m.coalesced(), 1);
         assert_eq!(
-            m.requests_for(Route::Evaluate),
-            1,
+            sample(&app, "hl_requests_total", "/v1/evaluate"),
+            1.0,
             "coalesced counts as a request"
         );
         m.record_deprecated_route();
@@ -750,9 +1122,21 @@ mod tests {
 
     #[test]
     fn supervision_and_shed_counters() {
-        let m = Metrics::new();
-        assert_eq!(m.worker_counts(), (0, 0, 0));
-        assert_eq!(m.shed_counts(), (0, 0));
+        let app = app();
+        let m = app.metrics();
+        let workers = |app: &App| {
+            [
+                "hl_worker_panics_total",
+                "hl_worker_respawns_total",
+                "hl_workers_quarantined_total",
+            ]
+            .map(|name| value(app, name))
+        };
+        assert_eq!(workers(&app), [0.0, 0.0, 0.0]);
+        assert_eq!(
+            samples(&app, "hl_shed_total"),
+            vec![("deadline", 0.0), ("overload", 0.0)]
+        );
         m.record_worker_panic();
         m.record_worker_respawn();
         m.record_worker_panic();
@@ -760,7 +1144,10 @@ mod tests {
         m.record_deadline_shed();
         m.record_overload_shed();
         m.record_overload_shed();
-        assert_eq!(m.worker_counts(), (2, 1, 1));
-        assert_eq!(m.shed_counts(), (1, 2));
+        assert_eq!(workers(&app), [2.0, 1.0, 1.0]);
+        assert_eq!(
+            samples(&app, "hl_shed_total"),
+            vec![("deadline", 1.0), ("overload", 2.0)]
+        );
     }
 }

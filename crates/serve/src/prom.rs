@@ -165,10 +165,10 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
             continue;
         }
         // Sample line: name[{labels}] value
-        let name_end = line
+        let name = line
             .find(['{', ' '])
+            .and_then(|end| line.get(..end))
             .ok_or_else(|| format!("line {lineno}: malformed sample: {line:?}"))?;
-        let name = &line[..name_end];
         let value_str = line
             .rsplit(' ')
             .next()
@@ -202,11 +202,12 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
 
     for (family, buckets) in &hist_buckets {
         for pair in buckets.windows(2) {
-            if pair[1] < pair[0] {
-                return Err(format!(
-                    "histogram {family}: buckets not monotone ({} then {})",
-                    pair[0], pair[1]
-                ));
+            if let &[prev, next] = pair {
+                if next < prev {
+                    return Err(format!(
+                        "histogram {family}: buckets not monotone ({prev} then {next})"
+                    ));
+                }
             }
         }
         let inf = *hist_inf
@@ -259,7 +260,7 @@ fn match_family(name: &str, families: &HashMap<String, String>) -> Option<(Strin
 fn extract_label(line: &str, key: &str) -> Option<String> {
     let open = line.find('{')?;
     let close = line.rfind('}')?;
-    for part in line[open + 1..close].split(',') {
+    for part in line.get(open + 1..close)?.split(',') {
         let (k, v) = part.split_once('=')?;
         if k == key {
             return Some(v.trim_matches('"').to_string());

@@ -913,7 +913,7 @@ impl EventLoop<'_> {
             // exempt — they add no queue work.
             if !self.inflight.contains_key(&key) {
                 let depth = self.app.metrics().queue_depth();
-                let expensive = matches!(route, Route::Search | Route::Sweep);
+                let expensive = route.spec().expensive;
                 let bound = if expensive {
                     (self.config.max_queue / 4).max(1)
                 } else {
