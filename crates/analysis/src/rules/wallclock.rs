@@ -3,7 +3,7 @@
 //!
 //! The byte-identity suites (engine vs serial sweeps, snapshot replay,
 //! codesign search across thread counts) only hold because nothing in
-//! `tensor`/`sparsity`/`sim`/`fibertree`/`models` reads a clock. Timing
+//! `tensor`/`sparsity`/`sim`/`fibertree`/`models`/`eval` reads a clock. Timing
 //! belongs in `bench`/`serve`. The rule bans even *importing*
 //! `Instant`/`SystemTime` in those crates' library code — an unused
 //! import is one refactor away from a nondeterministic eval path.
@@ -26,6 +26,7 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     "crates/sim/src",
     "crates/fibertree/src",
     "crates/models/src",
+    "crates/eval/src",
 ];
 
 /// Banned wall-clock type names.
@@ -37,7 +38,7 @@ impl Rule for NoWallclockInDeterministicCrates {
     }
 
     fn description(&self) -> &'static str {
-        "no `Instant`/`SystemTime` in tensor/sparsity/sim/fibertree/models eval paths"
+        "no `Instant`/`SystemTime` in tensor/sparsity/sim/fibertree/models/eval eval paths"
     }
 
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {

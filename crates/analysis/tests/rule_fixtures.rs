@@ -78,6 +78,20 @@ fn panic_in_request_path_fixture() {
     let out = lint(&[("crates/serve/src/http.rs", waived)]);
     assert_one_suppressed(&out, RULE, "checked non-empty two lines up");
 
+    // A char argument can only be the JSON parser's own `Result`-returning
+    // `expect`; `Option::expect`/`Result::expect` take a `&str`, literal
+    // or not.
+    let parser =
+        "fn object(&mut self) -> Result<(), E> {\n    self.expect(b'{')?;\n    Ok(())\n}\n";
+    let out = lint(&[("crates/serve/src/json.rs", parser)]);
+    assert!(out.active.is_empty(), "{:?}", out.active);
+    let literal = "fn f(q: Option<u32>) -> u32 {\n    q.expect(\"m\")\n}\n";
+    let out = lint(&[("crates/serve/src/json.rs", literal)]);
+    assert_one_active(&out, RULE, "crates/serve/src/json.rs", 2);
+    let named = "fn f(q: Option<u32>, msg: &str) -> u32 {\n    q.expect(msg)\n}\n";
+    let out = lint(&[("crates/serve/src/json.rs", named)]);
+    assert_one_active(&out, RULE, "crates/serve/src/json.rs", 2);
+
     // Out of scope: bins, non-serve crates, and #[cfg(test)] modules.
     let out = lint(&[
         ("crates/serve/src/bin/hl_client.rs", bad),
@@ -151,6 +165,12 @@ fn wallclock_fixture() {
         let _t = std::time::Instant::now();\n}\n";
     let out = lint(&[("crates/sim/src/mapper.rs", waived)]);
     assert_one_suppressed(&out, RULE, "coarse progress display only");
+
+    // The evaluation layer (sweep context, co-design search) is covered.
+    let out = lint(&[("crates/eval/src/search.rs", bad)]);
+    assert!(!out.active.is_empty());
+    assert_eq!(out.active[0].file, "crates/eval/src/search.rs");
+    assert_eq!(out.active[0].line, 1);
 
     // The serving stack legitimately reads clocks.
     let out = lint(&[("crates/serve/src/server.rs", bad)]);

@@ -28,25 +28,6 @@ pub use s2ta::S2ta;
 pub use stc::Stc;
 pub use tc::Tc;
 
-/// The baseline design names, in the paper's presentation order.
-pub const BASELINE_NAMES: [&str; 4] = ["TC", "STC", "DSTC", "S2TA"];
-
-/// Constructs a default-configured baseline by its registry name
-/// (`"TC"`, `"STC"`, `"DSTC"`, `"S2TA"`); `None` for any other name.
-///
-/// One half of the workspace-wide named design registry — HighLight and
-/// DSSO live in `highlight-core` and the composed fallible registry in
-/// `hl-bench`.
-pub fn baseline_by_name(name: &str) -> Option<Box<dyn hl_sim::Accelerator>> {
-    match name {
-        "TC" => Some(Box::new(Tc::default())),
-        "STC" => Some(Box::new(Stc::default())),
-        "DSTC" => Some(Box::new(Dstc::default())),
-        "S2TA" => Some(Box::new(S2ta::default())),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,5 @@
-//! Ablation study of HighLight's design choices (DESIGN.md §7): each SAF is
-//! switched off in turn and the resulting EDP on the 75%/50% synthetic
+//! Ablation study of HighLight's design choices: each SAF is switched off
+//! in turn and the resulting EDP on the 75%/50% synthetic
 //! workload is printed once, then the ablated evaluations are benchmarked.
 //!
 //! The printed ratios quantify how much each modular SAF contributes:
@@ -7,8 +7,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use highlight_core::{HighLight, HighLightConfig};
-use hl_bench::{operand_a_for, operand_b_for};
+use hl_bench::DesignId;
 use hl_sim::{evaluate_best, Workload};
+use hl_tensor::GemmShape;
 use std::hint::black_box;
 
 fn variants() -> Vec<(&'static str, HighLight)> {
@@ -47,11 +48,13 @@ fn variants() -> Vec<(&'static str, HighLight)> {
     ]
 }
 
+/// The 75%/50% synthetic workload, co-designed for HighLight.
+fn workload() -> Workload {
+    DesignId::HighLight.workload(GemmShape::new(1024, 1024, 1024), 0.75, 0.5)
+}
+
 fn print_ablation_table() {
-    let w = Workload::synthetic(
-        operand_a_for("HighLight", 0.75),
-        operand_b_for("HighLight", 0.5),
-    );
+    let w = workload();
     let full = evaluate_best(&HighLight::default(), &w).unwrap();
     println!("\nHighLight SAF ablation on A 75% / B 50% (1024^3 GEMM):");
     println!(
@@ -73,10 +76,7 @@ fn print_ablation_table() {
 
 fn bench_ablations(c: &mut Criterion) {
     print_ablation_table();
-    let w = Workload::synthetic(
-        operand_a_for("HighLight", 0.75),
-        operand_b_for("HighLight", 0.5),
-    );
+    let w = workload();
     for (name, hl) in variants() {
         c.bench_function(&format!("ablation/{name}"), |bench| {
             bench.iter(|| black_box(evaluate_best(&hl, &w)))

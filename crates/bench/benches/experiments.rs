@@ -4,15 +4,17 @@
 //! time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hl_bench::{designs, operand_a_for, operand_b_for, run_synthetic_sweep};
-use hl_sim::{evaluate_best, Workload};
+use hl_bench::{run_synthetic_sweep, DesignId};
+use hl_sim::evaluate_best;
+use hl_tensor::GemmShape;
 use std::hint::black_box;
 
 fn bench_design_evaluations(c: &mut Criterion) {
-    for d in designs() {
-        let w = Workload::synthetic(operand_a_for(d.name(), 0.75), operand_b_for(d.name(), 0.5));
-        c.bench_function(&format!("evaluate/{}", d.name()), |bench| {
-            bench.iter(|| black_box(evaluate_best(d.as_ref(), &w)))
+    for &d in DesignId::EVALUATED {
+        let w = d.workload(GemmShape::new(1024, 1024, 1024), 0.75, 0.5);
+        let design = d.build();
+        c.bench_function(&format!("evaluate/{d}"), |bench| {
+            bench.iter(|| black_box(evaluate_best(design.as_ref(), &w)))
         });
     }
 }

@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use hl_bench::bench_out_path;
+use hl_eval::bench_out_path;
 use hl_models::accuracy::synthetic_weights;
 use hl_sim::micro::{MicroConfig, MicroSim};
 use hl_sparsity::prune::{hss_kept, hss_kept_sum_sq, prune_hss, PruneScratch};

@@ -11,9 +11,8 @@
 
 use std::time::Instant;
 
-use hl_bench::{
-    bench_out_path, designs, fig15_points, fig2_data, Fig2Model, ParetoPoint, SweepContext,
-};
+use hl_bench::{fig15_points, fig2_data, Fig2Model, ParetoPoint};
+use hl_eval::{bench_out_path, DesignId, SearchOutcome, SweepContext};
 use hl_models::accuracy::PruningConfig;
 use hl_models::zoo;
 use hl_sim::engine::{default_threads, Engine};
@@ -85,9 +84,9 @@ fn main() {
         models
             .iter()
             .flat_map(|m| {
-                designs()
-                    .into_iter()
-                    .map(|d| ctx.eval_network(d.as_ref(), m, &weights))
+                DesignId::EVALUATED
+                    .iter()
+                    .map(|&d| ctx.eval_network(d, m, &weights))
                     .collect::<Vec<_>>()
             })
             .collect()
@@ -108,14 +107,13 @@ fn main() {
         "network eval"
     );
 
-    // Co-design search (`hl_bench::search`): HighLight over every model
+    // Co-design search (`hl_eval::search`): HighLight over every model
     // at a 0.5-point budget, cold (fresh context) vs a cached replay —
     // the speedup `/search` clients see when re-posting a query.
-    let run_searches = |ctx: &SweepContext| -> Vec<hl_bench::SearchOutcome> {
-        let design = hl_bench::design_by_name("HighLight").expect("registered");
+    let run_searches = |ctx: &SweepContext| -> Vec<SearchOutcome> {
         models
             .iter()
-            .map(|m| ctx.codesign(design.as_ref(), m, 0.5))
+            .map(|m| ctx.codesign(DesignId::HighLight, m, 0.5))
             .collect()
     };
     let ctx = SweepContext::with_engine(Engine::with_threads(default_threads()));

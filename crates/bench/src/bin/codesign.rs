@@ -8,14 +8,15 @@
 //!
 //! Defaults: all three zoo models, all registered designs, a 0.5-point
 //! budget (roughly Fig. 2's "2:4 loss + 0.4" envelope). The search core
-//! lives in [`hl_bench::search`] and runs on the parallel engine
+//! lives in [`hl_eval::search`] and runs on the parallel engine
 //! (`HL_THREADS` sizes the pool); `POST /search` on `hl-serve` answers
 //! the same queries from the same code. Output is persisted to
 //! `results/codesign.txt`.
 
 use std::process::exit;
 
-use hl_bench::{design_by_name, persist, registered_names, SearchOutcome, SweepContext};
+use hl_bench::persist;
+use hl_eval::{registered_names, DesignId, SearchOutcome, SweepContext};
 use hl_models::{model_by_name, zoo};
 
 fn render(out: &SearchOutcome) -> String {
@@ -97,7 +98,7 @@ fn main() {
             }
         }
     };
-    let designs: Vec<_> = match design_names.iter().map(|n| design_by_name(n)).collect() {
+    let designs: Vec<DesignId> = match design_names.iter().map(|n| n.parse()).collect() {
         Ok(designs) => designs,
         Err(e) => {
             eprintln!("codesign: {e}");
@@ -112,7 +113,7 @@ fn main() {
     for model in &models {
         for design in &designs {
             out.push('\n');
-            out.push_str(&render(&ctx.codesign(design.as_ref(), model, budget)));
+            out.push_str(&render(&ctx.codesign(*design, model, budget)));
         }
     }
     print!("{out}");

@@ -2,7 +2,8 @@
 //! GEMMs with A ∈ {0, 50, 75}% and B ∈ {0, 25, 50, 75}% sparsity, normalized
 //! to the dense TC baseline.
 
-use hl_bench::{cell, design_names, persist, run_synthetic_sweep};
+use hl_bench::{cell, persist, run_synthetic_sweep};
+use hl_eval::design_names;
 
 fn main() {
     let names = design_names();

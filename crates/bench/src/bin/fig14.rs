@@ -2,7 +2,8 @@
 //! Fig. 13 synthetic sweep, normalized to TC. Unsupported points (S2TA on
 //! dense A) are excluded from that design's geomean, as in the paper.
 
-use hl_bench::{design_names, persist, run_synthetic_sweep};
+use hl_bench::{persist, run_synthetic_sweep};
+use hl_eval::design_names;
 use hl_sim::geomean;
 
 fn main() {

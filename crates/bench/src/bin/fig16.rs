@@ -4,8 +4,8 @@
 
 use highlight_core::HighLight;
 use hl_arch::Comp;
-use hl_bench::{designs, operand_a_for, persist, SweepContext};
-use hl_sim::network::{NetworkLayer, NetworkWorkload};
+use hl_bench::{persist, DesignId, SweepContext};
+use hl_sim::network::{NetworkLayer, NetworkWorkload, SparsityMapping};
 use hl_sim::Accelerator;
 use hl_sim::{OperandSparsity, Workload};
 
@@ -14,14 +14,13 @@ fn main() {
     let mut out = String::new();
     out.push_str("Fig. 16(a) — energy breakdown (mJ), A 75% sparse / B dense, 1024^3 GEMM\n\n");
     out.push_str(&format!("{:>11}", "component"));
-    let designs = designs();
     // Each design evaluates a one-layer network through the network-level
     // subsystem (the same path `/evaluate_model` and Figs. 2/15 use), and
     // the breakdown reads the per-layer result.
-    let results: Vec<_> = ctx.map(&designs, |d| {
-        let w = Workload::synthetic(operand_a_for(d.name(), 0.75), OperandSparsity::Dense);
+    let results: Vec<_> = ctx.map(DesignId::EVALUATED, |&d| {
+        let w = Workload::synthetic(d.operand_a(0.75), OperandSparsity::Dense);
         let network = NetworkWorkload::new("fig16", vec![NetworkLayer::new(w, 1)]);
-        let eval = ctx.evaluate_network(d.as_ref(), &network);
+        let eval = ctx.evaluate_network(d.build().as_ref(), &network);
         let layer = eval.layers.into_iter().next().expect("one layer");
         (d.name().to_string(), layer.outcome.ok())
     });

@@ -1,11 +1,11 @@
 //! Renderers for the paper's Tables 1-4 (shared by the table binaries).
 
 use hl_arch::Comp;
+use hl_eval::{designs, DesignId};
 use hl_fibertree::catalog;
+use hl_sim::network::SparsityMapping;
 use hl_sim::{evaluate_best, OperandSparsity, Workload};
 use hl_sparsity::families::highlight_a;
-
-use crate::{designs, operand_a_for};
 
 /// Table 1: design-category comparison, measured from the models.
 pub fn table1() -> String {
@@ -18,17 +18,17 @@ pub fn table1() -> String {
         "{:>10} {:>22} {:>18} {:>22}\n",
         "design", "category", "tax (% energy)", "exploitable degrees"
     ));
-    for d in designs() {
-        let w = Workload::synthetic(operand_a_for(d.name(), 0.5), OperandSparsity::Dense);
-        let tax = evaluate_best(d.as_ref(), &w)
+    for &d in DesignId::EVALUATED {
+        let w = Workload::synthetic(d.operand_a(0.5), OperandSparsity::Dense);
+        let tax = evaluate_best(d.build().as_ref(), &w)
             .map(|r| r.energy.sparsity_tax() / r.energy.total() * 100.0)
             .ok();
-        let (category, degrees) = match d.name() {
-            "TC" => ("dense", "n/a (never exploits)".to_string()),
-            "STC" => ("structured sparse", "2 (0%, 50%)".to_string()),
-            "S2TA" => ("structured sparse", "4 (>=50%, eighths)".to_string()),
-            "DSTC" => ("unstructured sparse", "continuous".to_string()),
-            _ => (
+        let (category, degrees) = match d {
+            DesignId::Tc => ("dense", "n/a (never exploits)".to_string()),
+            DesignId::Stc => ("structured sparse", "2 (0%, 50%)".to_string()),
+            DesignId::S2ta => ("structured sparse", "4 (>=50%, eighths)".to_string()),
+            DesignId::Dstc => ("unstructured sparse", "continuous".to_string()),
+            DesignId::HighLight | DesignId::Dsso => (
                 "HSS (this work)",
                 format!("{} exact", highlight_a().degree_count()),
             ),

@@ -37,19 +37,6 @@ mod highlight;
 pub use dsso::Dsso;
 pub use highlight::{HighLight, HighLightConfig};
 
-/// Constructs a default-configured design of this crate by its registry
-/// name (`"HighLight"`, `"DSSO"`); `None` for any other name.
-///
-/// One half of the workspace-wide named design registry — the baselines
-/// live in `hl-baselines` and the composed fallible registry in `hl-bench`.
-pub fn design_by_name(name: &str) -> Option<Box<dyn hl_sim::Accelerator>> {
-    match name {
-        "HighLight" => Some(Box::new(HighLight::default())),
-        "DSSO" => Some(Box::new(Dsso::default())),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,7 @@
 //!    a grid of unstructured degrees (up to and including the fully-pruned
 //!    1.0 extreme), and 1-/2-/3-rank `G:H` grids (including `G == H` dense
 //!    ranks and density → 0 stacks) plus the design's Fig. 15 configs;
-//! 2. [`resolve_candidate`] performs the co-design step per candidate:
+//! 2. `resolve_candidate` performs the co-design step per candidate:
 //!    abstract unstructured degrees resolve through the design's operand-A
 //!    mapping (the same [`SparsityMapping`](hl_sim::network::SparsityMapping)
 //!    policy model lowering uses), so a degree becomes the `G:H` pattern
@@ -33,12 +33,13 @@
 
 use hl_models::accuracy::PruningConfig;
 use hl_models::DnnModel;
+use hl_sim::engine::Engine;
+use hl_sim::network::SparsityMapping;
 use hl_sim::pareto::pareto_front_flags;
-use hl_sim::{Accelerator, OperandSparsity};
+use hl_sim::OperandSparsity;
 use hl_sparsity::{Gh, HssPattern};
 
-use crate::registry::UnknownDesign;
-use crate::{operand_a_for, try_fig15_configs, SweepContext};
+use crate::{DesignId, SweepContext, UnknownDesign};
 
 /// One evaluated (supported) candidate of a co-design search.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +103,7 @@ impl SearchOutcome {
 /// extreme, 1-rank `G:H` grids (`G ≤ 4`, `H ≤ 8`, including dense
 /// `G == H`), 2-rank grids over the Table 3 neighbourhood, a few 3-rank
 /// stacks (density down to 1/8 at group size 8), and the design's Fig. 15
-/// configurations — deduplicated after [`resolve_candidate`], preserving
+/// configurations — deduplicated after `resolve_candidate`, preserving
 /// first-occurrence order.
 ///
 /// The extremes are deliberate: density → 0 (unstructured 1.0), `G == H`
@@ -112,6 +113,11 @@ impl SearchOutcome {
 /// # Errors
 /// [`UnknownDesign`] when the name is not registered.
 pub fn codesign_space(design: &str) -> Result<Vec<PruningConfig>, UnknownDesign> {
+    design.parse().map(candidates)
+}
+
+/// [`codesign_space`] for a parsed design.
+fn candidates(design: DesignId) -> Vec<PruningConfig> {
     let mut raw: Vec<PruningConfig> = vec![PruningConfig::Dense];
     for i in 1..=20 {
         raw.push(PruningConfig::Unstructured {
@@ -141,14 +147,13 @@ pub fn codesign_space(design: &str) -> Result<Vec<PruningConfig>, UnknownDesign>
             stack.iter().map(|&(g, h)| Gh::new(g, h)).collect(),
         )));
     }
-    raw.extend(try_fig15_configs(design)?);
+    raw.extend(design.fig15_configs());
 
     let mut seen = std::collections::BTreeSet::new();
-    Ok(raw
-        .into_iter()
+    raw.into_iter()
         .map(|cfg| resolve_candidate(design, &cfg))
         .filter(|cfg| seen.insert(cfg.to_string()))
-        .collect())
+        .collect()
 }
 
 /// The co-design step for one abstract candidate: unstructured degrees
@@ -156,13 +161,9 @@ pub fn codesign_space(design: &str) -> Result<Vec<PruningConfig>, UnknownDesign>
 /// pruned *to the pattern the design was built for* at that degree), so
 /// the surrogate loss and the evaluated workload describe the same
 /// configuration. Dense and explicit HSS candidates pass through.
-///
-/// # Panics
-/// Panics on a name the [`crate::registry`] does not know (callers reach
-/// this through [`codesign_space`], which validates the name first).
-pub fn resolve_candidate(design: &str, cfg: &PruningConfig) -> PruningConfig {
+fn resolve_candidate(design: DesignId, cfg: &PruningConfig) -> PruningConfig {
     match cfg {
-        PruningConfig::Unstructured { sparsity } => match operand_a_for(design, *sparsity) {
+        PruningConfig::Unstructured { sparsity } => match design.operand_a(*sparsity) {
             OperandSparsity::Dense => PruningConfig::Dense,
             OperandSparsity::Unstructured { sparsity } => PruningConfig::Unstructured { sparsity },
             OperandSparsity::Hss(p) => PruningConfig::Hss(p),
@@ -182,34 +183,10 @@ impl SweepContext {
     /// The outcome is byte-identical for any worker count, and repeated
     /// queries replay from the shared caches (per-layer eval memo +
     /// retention memo).
-    ///
-    /// # Panics
-    /// Panics on a design name the [`crate::registry`] does not know;
-    /// fallible front-ends use [`SweepContext::try_codesign`].
-    pub fn codesign(
-        &self,
-        design: &dyn Accelerator,
-        model: &DnnModel,
-        budget: f64,
-    ) -> SearchOutcome {
-        self.try_codesign(design, model, budget)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`SweepContext::codesign`].
-    ///
-    /// # Errors
-    /// [`UnknownDesign`] when the design name is not registered.
-    pub fn try_codesign(
-        &self,
-        design: &dyn Accelerator,
-        model: &DnnModel,
-        budget: f64,
-    ) -> Result<SearchOutcome, UnknownDesign> {
-        let candidates = codesign_space(design.name())?;
-        let tc = crate::design_by_name("TC").expect("TC is registered");
+    pub fn codesign(&self, design: DesignId, model: &DnnModel, budget: f64) -> SearchOutcome {
+        let candidates = candidates(design);
         let tc_edp = self
-            .eval_network(tc.as_ref(), model, &PruningConfig::Dense)
+            .eval_network(DesignId::Tc, model, &PruningConfig::Dense)
             .edp()
             .expect("TC runs dense");
 
@@ -217,10 +194,12 @@ impl SweepContext {
         // across the pool (nested layer fan-out runs inline on workers).
         // Neighboring candidates differ only in operand A's descriptor, so
         // the design fingerprint is hoisted out of the whole grid.
-        let fingerprint = hl_sim::engine::Engine::fingerprint(design);
+        let accelerator = design.build();
+        let fingerprint = Engine::fingerprint(accelerator.as_ref());
         let evals = self.map(&candidates, |cfg| {
             let loss = self.accuracy_loss(model, cfg);
-            let eval = self.eval_network_keyed(design, &fingerprint, model, cfg);
+            let network = Self::lower_model(design, model, cfg);
+            let eval = self.evaluate_network_keyed(accelerator.as_ref(), &fingerprint, &network);
             match (eval.edp(), eval.energy_j(), eval.latency_s()) {
                 (Some(edp), Some(energy_j), Some(latency_s)) => {
                     Some((loss, edp, energy_j, latency_s))
@@ -265,7 +244,7 @@ impl SweepContext {
             })
             .map(|(i, _)| i);
 
-        Ok(SearchOutcome {
+        SearchOutcome {
             design: design.name().to_string(),
             model: model.name.clone(),
             metric: model.metric,
@@ -274,7 +253,7 @@ impl SweepContext {
             unsupported: candidates.len() - points.len(),
             points,
             best,
-        })
+        }
     }
 }
 
@@ -307,15 +286,24 @@ mod tests {
     #[test]
     fn resolution_codesigns_unstructured_degrees() {
         // On HighLight an abstract 75% degree becomes the family pattern…
-        let cfg = resolve_candidate("HighLight", &PruningConfig::Unstructured { sparsity: 0.75 });
+        let cfg = resolve_candidate(
+            DesignId::HighLight,
+            &PruningConfig::Unstructured { sparsity: 0.75 },
+        );
         assert!(matches!(&cfg, PruningConfig::Hss(p) if (p.density_f64() - 0.25).abs() < 1e-12));
         // …while DSTC keeps it unstructured and degree 0 is dense.
         assert!(matches!(
-            resolve_candidate("DSTC", &PruningConfig::Unstructured { sparsity: 0.75 }),
+            resolve_candidate(
+                DesignId::Dstc,
+                &PruningConfig::Unstructured { sparsity: 0.75 }
+            ),
             PruningConfig::Unstructured { .. }
         ));
         assert_eq!(
-            resolve_candidate("STC", &PruningConfig::Unstructured { sparsity: 0.0 }),
+            resolve_candidate(
+                DesignId::Stc,
+                &PruningConfig::Unstructured { sparsity: 0.0 }
+            ),
             PruningConfig::Dense
         );
     }
@@ -324,8 +312,7 @@ mod tests {
     fn search_front_is_nondominated_and_best_fits_budget() {
         let ctx = SweepContext::new();
         let model = zoo::deit_small();
-        let design = crate::design_by_name("HighLight").unwrap();
-        let out = ctx.codesign(design.as_ref(), &model, 0.5);
+        let out = ctx.codesign(DesignId::HighLight, &model, 0.5);
         assert!(!out.points.is_empty());
         assert_eq!(out.candidates - out.unsupported, out.points.len());
         let front = out.front();
@@ -353,10 +340,9 @@ mod tests {
     fn degenerate_candidates_surface_as_unsupported_not_panics() {
         let ctx = SweepContext::new();
         let model = zoo::transformer_big();
-        for name in ["DSTC", "S2TA", "DSSO"] {
-            let design = crate::design_by_name(name).unwrap();
-            let out = ctx.codesign(design.as_ref(), &model, 1.0);
-            assert!(out.unsupported > 0, "{name} must reject some extremes");
+        for design in [DesignId::Dstc, DesignId::S2ta, DesignId::Dsso] {
+            let out = ctx.codesign(design, &model, 1.0);
+            assert!(out.unsupported > 0, "{design} must reject some extremes");
         }
     }
 }

@@ -6,9 +6,9 @@
 //! it with `prune_hss`, and is the reference. Each uncached call
 //! synthesizes every layer again, which takes about a minute in a debug
 //! build, so the test runs in release builds (CI runs
-//! `cargo test --release -p hl-models`).
+//! `cargo test --release -p hl-eval`).
 
-use hl_bench::{codesign_space, DesignId};
+use hl_eval::{codesign_space, DesignId};
 use hl_models::accuracy::{accuracy_loss, accuracy_loss_cached, PruningConfig, RetentionCache};
 use hl_models::ModelId;
 

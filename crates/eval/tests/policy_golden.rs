@@ -8,7 +8,8 @@
 
 use std::fmt::Write;
 
-use hl_bench::{codesign_space, fig15_configs, operand_a_for, operand_b_for, DesignId};
+use hl_eval::{codesign_space, DesignId};
+use hl_sim::network::SparsityMapping;
 
 const DEGREES: [f64; 8] = [0.0, 0.05, 0.25, 0.5, 0.6, 0.75, 0.95, 1.0];
 
@@ -23,14 +24,18 @@ fn labels<T: ToString>(items: &[T]) -> String {
 fn policy_table() -> String {
     let mut out = String::new();
     for id in DesignId::ALL {
-        let name = id.name();
-        writeln!(out, "{name}").unwrap();
+        writeln!(out, "{id}").unwrap();
         for s in DEGREES {
-            writeln!(out, "  a {s}: {}", operand_a_for(name, s)).unwrap();
-            writeln!(out, "  b {s}: {}", operand_b_for(name, s)).unwrap();
+            writeln!(out, "  a {s}: {}", id.operand_a(s)).unwrap();
+            writeln!(out, "  b {s}: {}", id.operand_b(s)).unwrap();
         }
-        writeln!(out, "  fig15: {}", labels(&fig15_configs(name))).unwrap();
-        writeln!(out, "  space: {}", labels(&codesign_space(name).unwrap())).unwrap();
+        writeln!(out, "  fig15: {}", labels(&id.fig15_configs())).unwrap();
+        writeln!(
+            out,
+            "  space: {}",
+            labels(&codesign_space(id.name()).unwrap())
+        )
+        .unwrap();
     }
     out
 }

@@ -3,7 +3,7 @@
 //! Every front-end that accepts a model *name* — the fig binaries, the
 //! `hl-serve` `/evaluate_model` handler, the `hl-client` CLI — resolves
 //! it through this one fallible registry instead of hand-rolled string
-//! matching, mirroring `hl_bench::registry` for designs. [`ModelId`] is
+//! matching, mirroring `hl_eval::registry` for designs. [`ModelId`] is
 //! the parsed identity, [`model_by_name`] the `Result`-returning
 //! constructor, and [`UnknownModel`] the error a server can map to a 4xx
 //! instead of a crash.

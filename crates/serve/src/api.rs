@@ -30,8 +30,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use hl_bench::{design_names, operand_b_for, registered_names, try_operand_a_for, SweepContext};
+use hl_eval::{design_names, fig13_degrees, DesignId, SweepContext, UnknownDesign};
 use hl_models::accuracy::PruningConfig;
+use hl_models::ModelId;
 use hl_sim::engine::SweepGrid;
 use hl_sim::{Accelerator, Workload};
 use hl_tensor::GemmShape;
@@ -252,7 +253,7 @@ impl App {
                 "threads".into(),
                 Json::Num(self.ctx.engine().threads() as f64),
             ),
-            ("designs".into(), Json::Num(registered_names().len() as f64)),
+            ("designs".into(), Json::Num(DesignId::ALL.len() as f64)),
         ])
     }
 
@@ -265,19 +266,17 @@ impl App {
 
     fn evaluate(&self, body: &[u8]) -> Result<Json, ApiError> {
         let req = schema::EvaluateRequest::from_body(body)?;
-        let design = hl_bench::design_by_name(&req.design)
-            .map_err(|e| ApiError::bad_request(e.to_string()))?;
-        let workload = build_workload(design.name(), req.shape, req.a_sparsity, req.b_sparsity)
-            .map_err(|e| ApiError::bad_request(e.to_string()))?;
+        let id: DesignId = req.design.parse()?;
+        let workload = id.workload(req.shape, req.a_sparsity, req.b_sparsity);
 
         let mut members = vec![
-            ("design".into(), Json::str(design.name())),
+            ("design".into(), Json::str(id.name())),
             ("workload".into(), Json::str(&workload.name)),
             ("shape".into(), schema::shape_json(req.shape)),
             ("a".into(), Json::str(workload.a.to_string())),
             ("b".into(), Json::str(workload.b.to_string())),
         ];
-        match self.ctx.evaluate_best(design.as_ref(), &workload) {
+        match self.ctx.evaluate_best(id.build().as_ref(), &workload) {
             Ok(result) => {
                 members.push(("supported".into(), Json::Bool(true)));
                 members.push(("result".into(), eval_result_json(&result)));
@@ -292,16 +291,15 @@ impl App {
 
     fn evaluate_model(&self, body: &[u8]) -> Result<Json, ApiError> {
         let req = schema::EvaluateModelRequest::from_body(body)?;
-        let design = hl_bench::design_by_name(&req.design)
-            .map_err(|e| ApiError::bad_request(e.to_string()))?;
+        let id: DesignId = req.design.parse()?;
         let model = hl_models::model_by_name(&req.model)
             .map_err(|e| ApiError::bad_request(e.to_string()))?;
         let pruning = req.pruning;
 
-        let eval = self.ctx.eval_network(design.as_ref(), &model, &pruning);
+        let eval = self.ctx.eval_network(id, &model, &pruning);
         let loss = self.ctx.accuracy_loss(&model, &pruning);
         Ok(Json::Obj(vec![
-            ("design".into(), Json::str(design.name())),
+            ("design".into(), Json::str(id.name())),
             ("model".into(), Json::str(&model.name)),
             ("metric".into(), Json::str(model.metric)),
             ("pruning".into(), Json::str(pruning.to_string())),
@@ -314,27 +312,21 @@ impl App {
 
     fn search(&self, body: &[u8]) -> Result<Json, ApiError> {
         let req = schema::SearchRequest::from_body(body)?;
-        let design = hl_bench::design_by_name(&req.design)
-            .map_err(|e| ApiError::bad_request(e.to_string()))?;
+        let id: DesignId = req.design.parse()?;
         let model = hl_models::model_by_name(&req.model)
             .map_err(|e| ApiError::bad_request(e.to_string()))?;
 
-        let outcome = self
-            .ctx
-            .try_codesign(design.as_ref(), &model, req.budget)
-            .map_err(|e| ApiError::bad_request(e.to_string()))?;
+        let outcome = self.ctx.codesign(id, &model, req.budget);
         Ok(search_outcome_json(&outcome))
     }
 
     fn sweep(&self, body: &[u8]) -> Result<Json, ApiError> {
         let req = schema::SweepRequest::from_body(body)?;
         let names: Vec<String> = req.designs.unwrap_or_else(design_names);
-        let designs: Vec<Box<dyn Accelerator>> = names
-            .iter()
-            .map(|n| hl_bench::design_by_name(n).map_err(|e| ApiError::bad_request(e.to_string())))
-            .collect::<Result<_, _>>()?;
-        let a_degrees = req.a_degrees.unwrap_or_else(|| hl_bench::fig13_degrees().0);
-        let b_degrees = req.b_degrees.unwrap_or_else(|| hl_bench::fig13_degrees().1);
+        let ids: Vec<DesignId> = names.iter().map(|n| n.parse()).collect::<Result<_, _>>()?;
+        let designs: Vec<Box<dyn Accelerator>> = ids.iter().map(|d| d.build()).collect();
+        let a_degrees = req.a_degrees.unwrap_or_else(|| fig13_degrees().0);
+        let b_degrees = req.b_degrees.unwrap_or_else(|| fig13_degrees().1);
         let shape = req.shape;
         let limit = req.limit.map_or(MAX_SWEEP_ROWS, |n| n.min(MAX_SWEEP_ROWS));
 
@@ -346,10 +338,7 @@ impl App {
                     break 'outer;
                 }
                 degrees.push((sa, sb));
-                grid.try_push_row_with(|d| {
-                    build_workload(d.name(), shape, sa, sb)
-                        .map_err(|e| ApiError::bad_request(e.to_string()))
-                })?;
+                grid.push_row(ids.iter().map(|d| d.workload(shape, sa, sb)));
             }
         }
         let rows_total = a_degrees.len() * b_degrees.len();
@@ -417,15 +406,12 @@ fn wants_prometheus(req: &Request) -> Result<bool, ApiError> {
 /// The `GET /v1/designs` payload: every registered design with its
 /// Table 3/4 identity.
 pub fn designs_json() -> Json {
-    let designs: Vec<Json> = registered_names()
+    let designs: Vec<Json> = DesignId::ALL
+        .map(DesignId::build)
         .iter()
-        .filter_map(|name| {
-            // The registry returned this name, so the lookup succeeds
-            // in any consistent build; skip rather than panic if the
-            // two ever drift.
-            let d = hl_bench::design_by_name(name).ok()?;
+        .map(|d| {
             let area = d.area();
-            Some(Json::Obj(vec![
+            Json::Obj(vec![
                 ("name".into(), Json::str(d.name())),
                 (
                     "supported_patterns".into(),
@@ -437,7 +423,7 @@ pub fn designs_json() -> Json {
                     "sparsity_tax_mm2".into(),
                     Json::Num(area.sparsity_tax() / 1e6),
                 ),
-            ]))
+            ])
         })
         .collect();
     Json::Obj(vec![("designs".into(), Json::Arr(designs))])
@@ -446,13 +432,11 @@ pub fn designs_json() -> Json {
 /// The `GET /v1/models` payload: every registered model with its
 /// inventory summary.
 pub fn models_json() -> Json {
-    let models: Vec<Json> = hl_models::model_names()
+    let models: Vec<Json> = ModelId::ALL
+        .map(ModelId::build)
         .iter()
-        .filter_map(|name| {
-            // As in `designs_json`: a name the registry itself returned
-            // resolves in any consistent build; skip on drift.
-            let m = hl_models::model_by_name(name).ok()?;
-            Some(Json::Obj(vec![
+        .map(|m| {
+            Json::Obj(vec![
                 ("name".into(), Json::str(&m.name)),
                 ("metric".into(), Json::str(m.metric)),
                 ("dense_accuracy".into(), Json::Num(m.dense_accuracy)),
@@ -464,7 +448,7 @@ pub fn models_json() -> Json {
                     Json::Num(m.avg_activation_sparsity()),
                 ),
                 ("has_dense_layers".into(), Json::Bool(m.has_dense_layers())),
-            ]))
+            ])
         })
         .collect();
     Json::Obj(vec![("models".into(), Json::Arr(models))])
@@ -483,17 +467,16 @@ pub fn pruning_from(v: Option<&Json>) -> Result<PruningConfig, ApiError> {
 /// point, named exactly like [`Workload::synthetic`] labels its points.
 ///
 /// # Errors
-/// [`hl_bench::UnknownDesign`] when the name is not registered.
+/// [`UnknownDesign`] when the name is not registered.
 pub fn build_workload(
     design: &str,
     shape: GemmShape,
     a_sparsity: f64,
     b_sparsity: f64,
-) -> Result<Workload, hl_bench::UnknownDesign> {
-    let a = try_operand_a_for(design, a_sparsity)?;
-    let b = operand_b_for(design, b_sparsity);
-    let name = format!("A[{a}] B[{b}]");
-    Ok(Workload::new(name, shape, a, b))
+) -> Result<Workload, UnknownDesign> {
+    Ok(design
+        .parse::<DesignId>()?
+        .workload(shape, a_sparsity, b_sparsity))
 }
 
 /// An API failure: status code plus message, rendered as the structured
@@ -559,6 +542,12 @@ impl From<SchemaError> for ApiError {
     }
 }
 
+impl From<UnknownDesign> for ApiError {
+    fn from(e: UnknownDesign) -> Self {
+        ApiError::bad_request(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,7 +606,7 @@ mod tests {
         let (status, v) = get(&app, "/v1/designs");
         assert_eq!(status, 200);
         let designs = v.get("designs").and_then(Json::as_arr).unwrap();
-        assert_eq!(designs.len(), registered_names().len());
+        assert_eq!(designs.len(), DesignId::ALL.len());
         assert_eq!(
             designs[0].get("name").and_then(Json::as_str),
             Some("TC"),
@@ -675,7 +664,7 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(v.get("supported").and_then(Json::as_bool), Some(true));
         // Byte-identical to the offline evaluation through the same view.
-        let design = hl_bench::design_by_name("HighLight").unwrap();
+        let design = DesignId::HighLight.build();
         let w = build_workload("HighLight", GemmShape::new(1024, 1024, 1024), 0.5, 0.25).unwrap();
         let offline = hl_sim::evaluate_best(design.as_ref(), &w).unwrap();
         assert_eq!(
@@ -917,10 +906,9 @@ mod tests {
         assert!(num_leq(best.get("loss"), 0.5));
         // Byte-identical to the offline co-design search through the same
         // canonical view.
-        let design = hl_bench::design_by_name("HighLight").unwrap();
         let model = hl_models::model_by_name("DeiT-small").unwrap();
         let offline = SweepContext::with_engine(hl_sim::engine::Engine::serial()).codesign(
-            design.as_ref(),
+            DesignId::HighLight,
             &model,
             0.5,
         );

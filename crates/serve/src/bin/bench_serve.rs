@@ -32,7 +32,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hl_bench::bench_out_path;
+use hl_eval::bench_out_path;
 use hl_serve::api::App;
 use hl_serve::client::{get_json, post_json, Client, RetryPolicy};
 use hl_serve::faults::FaultPlane;
@@ -52,7 +52,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 /// polling a design space would).
 fn request_mix() -> Vec<Json> {
     let mut mix = Vec::new();
-    for design in hl_bench::design_names() {
+    for design in hl_eval::design_names() {
         for (sa, sb) in [(0.5, 0.0), (0.5, 0.5), (0.75, 0.25)] {
             mix.push(Json::Obj(vec![
                 ("design".into(), Json::str(&design)),
@@ -238,7 +238,7 @@ fn open_loop(
 /// Distinct evaluation bodies (no two coalesce), so a slow worker
 /// genuinely backs the queue up instead of the coalescer absorbing it.
 fn overload_mix(n: usize) -> Vec<Json> {
-    let designs = hl_bench::design_names();
+    let designs = hl_eval::design_names();
     (0..n)
         .map(|i| {
             Json::Obj(vec![

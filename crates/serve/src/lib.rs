@@ -8,7 +8,7 @@
 //! S"* — or *"evaluate design D on model M under pruning config P"*
 //! (`/v1/evaluate_model`, per-layer + aggregate results through
 //! [`hl_sim::network`]) — interactively. All requests share one
-//! [`hl_bench::SweepContext`]:
+//! [`hl_eval::SweepContext`]:
 //! the parallel engine plus its [`hl_sim::engine::EvalCache`], so
 //! repeated queries replay from the memo and `/v1/metrics` exposes the
 //! hit rate. The API is versioned under `/v1/`; the original unversioned

@@ -896,7 +896,7 @@ mod tests {
     use super::*;
 
     fn app() -> App {
-        App::with_context(hl_bench::SweepContext::with_engine(
+        App::with_context(hl_eval::SweepContext::with_engine(
             hl_sim::engine::Engine::serial(),
         ))
     }

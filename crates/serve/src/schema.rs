@@ -29,7 +29,7 @@
 //! hand-written `Display`, `std::error::Error`) — there is no crates.io
 //! access in this workspace, so the derive is spelled out.
 
-use hl_bench::{SearchOutcome, SearchPoint};
+use hl_eval::{SearchOutcome, SearchPoint};
 use hl_models::accuracy::PruningConfig;
 use hl_sim::network::{LayerEval, NetworkEval};
 use hl_sim::EvalResult;

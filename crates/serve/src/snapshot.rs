@@ -185,7 +185,7 @@ pub fn cache_fingerprint() -> String {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     };
     eat(FORMAT.to_le_bytes().as_slice());
-    for id in hl_bench::DesignId::ALL {
+    for id in hl_eval::DesignId::ALL {
         eat(format!("{:?}", id.build()).as_bytes());
     }
     for name in hl_models::model_names() {

@@ -21,7 +21,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hl_bench::SweepContext;
+use hl_eval::SweepContext;
 use hl_serve::api::App;
 use hl_serve::client::{get_json, post_json, Client};
 use hl_serve::faults::{FaultPlane, FaultPoint};

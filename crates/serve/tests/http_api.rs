@@ -17,7 +17,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use hl_bench::{registered_names, SweepContext};
+use hl_eval::{registered_names, DesignId, SweepContext};
 use hl_serve::api::{
     build_workload, eval_result_json, network_eval_json, pruning_from, search_outcome_json, App,
 };
@@ -118,7 +118,7 @@ fn evaluate_is_byte_identical_to_offline_for_every_design() {
             let (status, v) = post_json(&addr, "/v1/evaluate", &body).unwrap();
             assert_eq!(status, 200, "{name} at ({sa},{sb})");
 
-            let design = hl_bench::design_by_name(name).unwrap();
+            let design = hl_eval::design_by_name(name).unwrap();
             let workload = build_workload(name, shape, sa, sb).unwrap();
             match hl_sim::evaluate_best(design.as_ref(), &workload) {
                 Ok(offline) => {
@@ -408,10 +408,11 @@ fn evaluate_model_is_byte_identical_to_offline_network_eval() {
             assert_eq!(status, 200, "{design_name} on {model_name}");
 
             // Offline: the same lowering + serial network evaluation.
-            let design = hl_bench::design_by_name(design_name).unwrap();
+            let id: DesignId = design_name.parse().unwrap();
+            let design = id.build();
             let model = hl_models::model_by_name(model_name).unwrap();
             let config = pruning_from(Some(&pruning)).unwrap();
-            let network = SweepContext::lower_model(design.as_ref(), &model, &config);
+            let network = SweepContext::lower_model(id, &model, &config);
             let offline = hl_sim::network::evaluate_network(design.as_ref(), &network);
             assert_eq!(
                 v.get("network").unwrap().encode(),
@@ -443,10 +444,9 @@ fn search_is_byte_identical_to_offline_codesign_and_rejects_degenerates() {
     // Byte-identity: the served search must equal the offline co-design
     // search (serial, uncached-pool) through the same canonical view —
     // the same contract /v1/evaluate and /v1/evaluate_model honour.
-    let design = hl_bench::design_by_name("HighLight").unwrap();
+    let design = DesignId::HighLight;
     let model = hl_models::model_by_name("DeiT-small").unwrap();
-    let offline =
-        SweepContext::with_engine(Engine::serial()).codesign(design.as_ref(), &model, 0.5);
+    let offline = SweepContext::with_engine(Engine::serial()).codesign(design, &model, 0.5);
     assert_eq!(v.encode(), search_outcome_json(&offline).encode());
 
     // The served front is non-dominated.
@@ -603,7 +603,7 @@ fn sweep_end_to_end_with_limit() {
     // Spot-check one cell against the offline evaluation.
     let cell = rows[1].get("results").and_then(Json::as_arr).unwrap()[2].clone();
     let offline = hl_sim::evaluate_best(
-        hl_bench::design_by_name("HighLight").unwrap().as_ref(),
+        hl_eval::design_by_name("HighLight").unwrap().as_ref(),
         &build_workload("HighLight", GemmShape::new(256, 256, 256), 0.0, 0.5).unwrap(),
     )
     .unwrap();

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use hl_bench::SweepContext;
+use hl_eval::SweepContext;
 use hl_models::accuracy::PruningConfig;
 use hl_serve::api::{build_workload, App};
 use hl_serve::http::Request;
@@ -70,7 +70,7 @@ fn driven_app() -> App {
 
     // Eval- and retention-cache misses, then the same queries as hits.
     let ctx = app.context();
-    let design = hl_bench::design_by_name("HighLight").expect("registered design");
+    let design = hl_eval::design_by_name("HighLight").expect("registered design");
     let w = build_workload("HighLight", GemmShape::new(64, 64, 64), 0.5, 0.25)
         .expect("registered design");
     for _ in 0..2 {

@@ -14,7 +14,7 @@ use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
-use hl_bench::SweepContext;
+use hl_eval::SweepContext;
 use hl_serve::api::App;
 use hl_serve::client::get_json;
 use hl_serve::json::Json;

@@ -443,40 +443,17 @@ impl<'a> SweepGrid<'a> {
         self.rows.len()
     }
 
-    /// Adds one sweep row, deriving each design's co-designed workload from
-    /// the builder (`§7.1.2`: every design is handed the workload in the
-    /// sparsity pattern it was designed for).
-    pub fn push_row_with(&mut self, build: impl FnMut(&dyn Accelerator) -> Workload) -> &mut Self {
-        let mut build = build;
-        self.rows
-            .push(self.designs.iter().map(|d| build(d.as_ref())).collect());
-        self
-    }
-
-    /// Adds one sweep row evaluating the same workload on every design.
-    pub fn push_row(&mut self, workload: &Workload) -> &mut Self {
-        self.push_row_with(|_| workload.clone())
-    }
-
-    /// Adds one sweep row from a fallible per-design workload builder,
-    /// leaving the grid unchanged when any design's build fails — the
-    /// serving layer turns the error into a structured response instead
-    /// of panicking mid-sweep.
+    /// Adds one sweep row: one workload per design, in registry order
+    /// (`§7.1.2`: every design is handed the workload in the sparsity
+    /// pattern it was designed for).
     ///
-    /// # Errors
-    /// The first builder error, verbatim.
-    pub fn try_push_row_with<E>(
-        &mut self,
-        build: impl FnMut(&dyn Accelerator) -> Result<Workload, E>,
-    ) -> Result<&mut Self, E> {
-        let mut build = build;
-        let row = self
-            .designs
-            .iter()
-            .map(|d| build(d.as_ref()))
-            .collect::<Result<Vec<_>, E>>()?;
+    /// # Panics
+    /// Panics when the row does not hold exactly one workload per design.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = Workload>) -> &mut Self {
+        let row: Vec<Workload> = row.into_iter().collect();
+        assert_eq!(row.len(), self.designs.len(), "one workload per design");
         self.rows.push(row);
-        Ok(self)
+        self
     }
 
     /// Evaluates every cell on the engine, returning `rows × designs`
@@ -742,7 +719,7 @@ mod tests {
         let designs: Vec<Box<dyn Accelerator>> = vec![Box::new(Counting::new())];
         let mut grid = SweepGrid::new(&designs);
         for m in [8usize, 16, 24] {
-            grid.push_row_with(|_| sparse_workload("w", m));
+            grid.push_row([sparse_workload("w", m)]);
         }
         assert_eq!(grid.rows(), 3);
         let engine = Engine::with_threads(4);

@@ -13,7 +13,7 @@ use highlight::models::{zoo, DnnModel, LayerKind, LayerSpec};
 use highlight::prelude::*;
 use highlight::sim::engine::Engine;
 use highlight::sim::network::evaluate_network;
-use hl_bench::{designs, DesignMapping, SweepContext};
+use hl_eval::{designs, DesignId, DesignMapping, SweepContext};
 use proptest::prelude::*;
 
 /// A small random model: linear layers with K a multiple of 32 so every
@@ -130,12 +130,12 @@ fn zoo_models_evaluate_identically_in_both_context_modes() {
     let pooled = SweepContext::with_engine(Engine::with_threads(4));
     let config = PruningConfig::Hss(HssPattern::one_rank(Gh::new(2, 4)));
     for model in zoo::all_models() {
-        for design in designs() {
-            let a = serial.eval_network(design.as_ref(), &model, &config);
-            let b = pooled.eval_network(design.as_ref(), &model, &config);
+        for &design in DesignId::EVALUATED {
+            let a = serial.eval_network(design, &model, &config);
+            let b = pooled.eval_network(design, &model, &config);
             assert_eq!(a, b, "{} on {}", design.name(), model.name);
             // Replay from the warm cache is still identical.
-            let c = pooled.eval_network(design.as_ref(), &model, &config);
+            let c = pooled.eval_network(design, &model, &config);
             assert_eq!(b, c, "warm replay: {} on {}", design.name(), model.name);
         }
     }

@@ -4,7 +4,8 @@
 //! roughly what factor — so regressions in any model surface immediately.
 
 use highlight::prelude::*;
-use hl_bench::{design_names, run_synthetic_sweep};
+use hl_bench::run_synthetic_sweep;
+use hl_eval::design_names;
 use hl_sim::geomean;
 
 fn sweep_index(name: &str) -> usize {
@@ -111,8 +112,7 @@ fn fig2_crossover_shape() {
     use highlight::models::zoo;
     use hl_bench::eval_model;
 
-    let designs = hl_bench::designs();
-    let by_name = |n: &str| designs.iter().find(|d| d.name() == n).unwrap().as_ref();
+    let by_name = |n: &str| n.parse::<hl_eval::DesignId>().unwrap();
     for (model, dstc_sparsity, expect_stc_wins) in [
         (zoo::transformer_big(), 0.75, true),
         (zoo::resnet50(), 0.70, false),

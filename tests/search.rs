@@ -2,7 +2,7 @@
 //!
 //! - the returned Pareto front is actually non-dominated over
 //!   `(accuracy loss, EDP)`;
-//! - the whole [`hl_bench::SearchOutcome`] is byte-identical for any
+//! - the whole [`hl_eval::SearchOutcome`] is byte-identical for any
 //!   worker count — `HL_THREADS` only feeds the default pool size, so
 //!   pinning explicit counts (plus the uncached serial baseline) covers
 //!   every value it could take;
@@ -19,8 +19,9 @@ use highlight::models::{zoo, DnnModel, LayerKind, LayerSpec};
 use highlight::prelude::*;
 use highlight::sim::engine::Engine;
 use highlight::sim::pareto::dominates;
-use hl_bench::search::codesign_space;
-use hl_bench::{designs, eval_model, SearchOutcome, SweepContext};
+use hl_bench::eval_model;
+use hl_eval::search::codesign_space;
+use hl_eval::{designs, DesignId, SearchOutcome, SweepContext};
 use proptest::prelude::*;
 
 /// A 2-layer model small enough to brute-force with the uncached serial
@@ -65,8 +66,8 @@ fn shared_ctx() -> &'static SweepContext {
 fn deit_outcome() -> &'static SearchOutcome {
     static OUTCOME: OnceLock<SearchOutcome> = OnceLock::new();
     OUTCOME.get_or_init(|| {
-        let design = hl_bench::design_by_name("HighLight").unwrap();
-        shared_ctx().codesign(design.as_ref(), &zoo::deit_small(), 0.5)
+        let design = DesignId::HighLight;
+        shared_ctx().codesign(design, &zoo::deit_small(), 0.5)
     })
 }
 
@@ -101,16 +102,16 @@ fn front_is_non_dominated() {
 
 #[test]
 fn outcome_is_thread_count_invariant() {
-    let design = hl_bench::design_by_name("HighLight").unwrap();
+    let design = DesignId::HighLight;
     let model = zoo::deit_small();
     let reference = deit_outcome();
     for threads in [1usize, 2, 8] {
         let ctx = SweepContext::with_engine(Engine::with_threads(threads));
-        let out = ctx.codesign(design.as_ref(), &model, 0.5);
+        let out = ctx.codesign(design, &model, 0.5);
         assert_eq!(&out, reference, "{threads}-thread search must be identical");
     }
     // The uncached serial baseline agrees too (memo transparency).
-    let out = SweepContext::serial_baseline().codesign(design.as_ref(), &model, 0.5);
+    let out = SweepContext::serial_baseline().codesign(design, &model, 0.5);
     assert_eq!(&out, reference);
 }
 
@@ -119,21 +120,19 @@ fn budget_best_matches_serial_brute_force() {
     let model = small_model();
     let budget = 0.4;
     for name in ["HighLight", "DSTC", "STC"] {
-        let design = hl_bench::design_by_name(name).unwrap();
+        let design: DesignId = name.parse().unwrap();
         let ctx = SweepContext::with_engine(Engine::with_threads(4));
-        let out = ctx.codesign(design.as_ref(), &model, budget);
+        let out = ctx.codesign(design, &model, budget);
 
         // Brute force: the same candidate grid, evaluated one by one with
         // the plain uncached pipeline and a hand-rolled argmin.
-        let tc = hl_bench::design_by_name("TC").unwrap();
-        let tc_edp = eval_model(tc.as_ref(), &model, &PruningConfig::Dense)
-            .edp()
-            .unwrap();
+        let tc = DesignId::Tc;
+        let tc_edp = eval_model(tc, &model, &PruningConfig::Dense).edp().unwrap();
         let mut best: Option<(String, f64, f64)> = None;
         let mut supported = 0usize;
         for cfg in codesign_space(name).unwrap() {
             let loss = accuracy_loss(&model, &cfg);
-            let Some(edp) = eval_model(design.as_ref(), &model, &cfg).edp() else {
+            let Some(edp) = eval_model(design, &model, &cfg).edp() else {
                 continue;
             };
             let edp = edp / tc_edp;
@@ -178,12 +177,8 @@ fn fully_pruned_operands_are_unsupported_on_every_design() {
     // Through the network pipeline: prunable layers report Unsupported
     // per layer, the dense layer still evaluates.
     let model = small_model();
-    let dstc = hl_bench::design_by_name("DSTC").unwrap();
-    let eval = eval_model(
-        dstc.as_ref(),
-        &model,
-        &PruningConfig::Unstructured { sparsity: 1.0 },
-    );
+    let dstc = DesignId::Dstc;
+    let eval = eval_model(dstc, &model, &PruningConfig::Unstructured { sparsity: 1.0 });
     assert!(!eval.supported());
     assert_eq!(eval.edp(), None);
     assert!(eval.layers[0].outcome.is_err(), "pruned layer rejected");
@@ -213,8 +208,8 @@ proptest! {
             }
         });
         // Recompute with the shared caches warm: same points, new budget.
-        let design = hl_bench::design_by_name("HighLight").unwrap();
-        let rerun = shared_ctx().codesign(design.as_ref(), &zoo::deit_small(), budget);
+        let design = DesignId::HighLight;
+        let rerun = shared_ctx().codesign(design, &zoo::deit_small(), budget);
         prop_assert_eq!(rerun.points.len(), out.points.len());
         match (rerun.best_point(), expect) {
             (Some(got), Some(want)) => {
