@@ -13,10 +13,9 @@
 //!    ranks and density → 0 stacks) plus the design's Fig. 15 configs;
 //! 2. `resolve_candidate` performs the co-design step per candidate:
 //!    abstract unstructured degrees resolve through the design's operand-A
-//!    mapping (the same [`SparsityMapping`](hl_sim::network::SparsityMapping)
-//!    policy model lowering uses), so a degree becomes the `G:H` pattern
-//!    the design was built for and the surrogate scores exactly the
-//!    configuration the hardware runs;
+//!    mapping (the same [`SparsityMapping`] policy model lowering uses),
+//!    so a degree becomes the `G:H` pattern the design was built for and
+//!    the surrogate scores exactly the configuration the hardware runs;
 //! 3. [`SweepContext::codesign`] evaluates every resolved candidate in
 //!    parallel across the engine pool — surrogate accuracy loss through
 //!    the retention cache, whole-network EDP through the per-layer
