@@ -553,7 +553,8 @@ pub(crate) enum Kind {
         read: fn(&App) -> Vec<(&'static str, f64)>,
     },
     /// A microsecond latency histogram, exported in seconds with upper
-    /// edges `2^(i+1)` µs. In JSON, an object of `count`, `mean` and
+    /// edges `2^(i+1)` µs; the open last bucket appears only under
+    /// `+Inf`. In JSON, an object of `count`, `mean` and
     /// interpolated `p50`/`p90`/`p99` in ms; with `edge_quantiles` the
     /// quantiles are the historical bucket upper edges and the
     /// interpolated estimates follow as `*_est`.
@@ -873,7 +874,7 @@ pub(crate) fn render_prometheus(app: &App) -> String {
             }
             Kind::Latency { read, .. } => {
                 let h = read(app);
-                let edges: Vec<f64> = (0..LATENCY_BUCKETS)
+                let edges: Vec<f64> = (0..LATENCY_BUCKETS - 1)
                     .map(|i| (1u64 << (i + 1)) as f64 / 1e6)
                     .collect();
                 let sum = h.sum_us() as f64 / 1e6;
@@ -1026,6 +1027,29 @@ mod tests {
         h.record(Duration::from_secs(100_000));
         assert_eq!(h.count(), 2);
         assert!(h.quantile_ms(1.0) > 0.0);
+    }
+
+    #[test]
+    fn open_last_latency_bucket_is_exported_only_under_inf() {
+        let app = app();
+        app.metrics()
+            .record(Route::Healthz, 200, Duration::from_secs(100));
+        app.metrics().record_dequeued(Duration::from_secs(100));
+        let text = render_prometheus(&app);
+        for family in ["hl_request_latency_seconds", "hl_queue_wait_seconds"] {
+            let prefix = format!("{family}_bucket{{le=\"");
+            let mut finite = 0;
+            for line in text.lines() {
+                let Some(rest) = line.strip_prefix(&prefix) else {
+                    continue;
+                };
+                let (le, value) = rest.split_once("\"} ").unwrap();
+                let expect = if le == "+Inf" { "1" } else { "0" };
+                assert_eq!(value, expect, "{family} le={le}");
+                finite += usize::from(le != "+Inf");
+            }
+            assert_eq!(finite, LATENCY_BUCKETS - 1, "{family}");
+        }
     }
 
     #[test]
