@@ -62,7 +62,6 @@ pub mod client;
 pub mod epoll;
 pub mod faults;
 pub mod http;
-pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod prom;
@@ -73,5 +72,6 @@ pub mod snapshot;
 pub mod trace;
 
 pub use api::App;
+pub use hl_json as json;
 pub use json::Json;
 pub use server::{Server, ServerConfig, ServerHandle, DEFAULT_ADDR};
