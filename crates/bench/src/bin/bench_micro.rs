@@ -13,6 +13,7 @@
 use std::time::Instant;
 
 use hl_eval::bench_out_path;
+use hl_json::Json;
 use hl_models::accuracy::synthetic_weights;
 use hl_sim::micro::{MicroConfig, MicroSim};
 use hl_sparsity::prune::{hss_kept, hss_kept_sum_sq, prune_hss, PruneScratch};
@@ -116,18 +117,21 @@ fn main() {
         hss_kept_sum_sq(proxy.data(), 1024, &two_rank, Some(&prefix), &mut scratch)
     });
 
-    let mut rows = String::new();
-    for (i, (name, iters, avg_ms, _)) in kernels.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"iters\": {iters}, \"avg_ms\": {avg_ms:.4}}}"
-        ));
-    }
-    let json =
-        format!("{{\n  \"benchmark\": \"cold-path kernels\",\n  \"kernels\": [\n{rows}\n  ]\n}}\n");
+    let rows = kernels
+        .iter()
+        .map(|&(name, iters, avg_ms, _)| {
+            Json::Obj(vec![
+                ("name".into(), Json::str(name)),
+                ("iters".into(), Json::Num(f64::from(iters))),
+                ("avg_ms".into(), Json::Num(avg_ms)),
+            ])
+        })
+        .collect();
+    let json = Json::Obj(vec![
+        ("benchmark".into(), Json::str("cold-path kernels")),
+        ("kernels".into(), Json::Arr(rows)),
+    ]);
     let out = bench_out_path("BENCH_micro.json");
-    std::fs::write(&out, &json).expect("write BENCH_micro.json");
+    std::fs::write(&out, json.encode() + "\n").expect("write BENCH_micro.json");
     println!("\nwrote {}", out.display());
 }

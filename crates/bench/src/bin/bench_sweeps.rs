@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use hl_bench::{fig15_points, fig2_data, Fig2Model, ParetoPoint};
 use hl_eval::{bench_out_path, DesignId, SearchOutcome, SweepContext};
+use hl_json::Json;
 use hl_models::accuracy::PruningConfig;
 use hl_models::zoo;
 use hl_sim::engine::{default_threads, Engine};
@@ -26,6 +27,20 @@ fn run_sweeps(ctx: &SweepContext) -> (Vec<Fig2Model>, Vec<Vec<ParetoPoint>>) {
         .map(|m| fig15_points(ctx, m))
         .collect();
     (fig2, fig15)
+}
+
+fn num(key: &str, value: f64) -> (String, Json) {
+    (key.to_string(), Json::Num(value))
+}
+
+/// A cold run against its cached replay on the same context.
+fn replay_json(cold_s: f64, cached_s: f64, speedup: f64, identical: bool) -> Json {
+    Json::Obj(vec![
+        num("cold_seconds", cold_s),
+        num("cached_seconds", cached_s),
+        num("replay_speedup", speedup),
+        ("identical".into(), Json::Bool(identical)),
+    ])
 }
 
 fn main() {
@@ -51,9 +66,9 @@ fn main() {
         thread_counts.push(default);
     }
 
-    let mut rows = String::new();
+    let mut rows = Vec::new();
     let mut identical = true;
-    for (i, &threads) in thread_counts.iter().enumerate() {
+    for &threads in &thread_counts {
         // Fresh context per run: cold caches, explicitly sized pool.
         let ctx = SweepContext::with_engine(Engine::with_threads(threads));
         let t0 = Instant::now();
@@ -66,12 +81,11 @@ fn main() {
             "{:>15} ({threads}T): {s:8.3} s   {speedup:5.2}x vs serial   identical: {same}",
             "engine"
         );
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"threads\": {threads}, \"seconds\": {s:.4}, \"speedup_vs_serial\": {speedup:.3}}}"
-        ));
+        rows.push(Json::Obj(vec![
+            num("threads", threads as f64),
+            num("seconds", s),
+            num("speedup_vs_serial", speedup),
+        ]));
     }
 
     // Network-level evaluation (`hl_sim::network`): every design × model
@@ -143,28 +157,47 @@ fn main() {
         "cache counters"
     );
 
-    let threads_can_help = available > 1;
-    let json = format!(
-        "{{\n  \"benchmark\": \"fig2+fig15 design-space sweeps\",\n  \
-         \"cpus\": {cpus},\n  \"available_parallelism\": {available},\n  \
-         \"threads_can_help\": {threads_can_help},\n  \"serial_seconds\": {serial_s:.4},\n  \
-         \"engine\": [\n{rows}\n  ],\n  \
-         \"network_eval\": {{\"cold_seconds\": {network_cold_s:.4}, \
-         \"cached_seconds\": {network_cached_s:.4}, \
-         \"replay_speedup\": {replay_speedup:.3}, \
-         \"identical\": {network_identical}}},\n  \
-         \"codesign_search\": {{\"cold_seconds\": {search_cold_s:.4}, \
-         \"cached_seconds\": {search_cached_s:.4}, \
-         \"replay_speedup\": {search_replay:.3}, \
-         \"identical\": {search_identical}}},\n  \
-         \"search_caches\": {{\"eval_hits\": {eval_hits}, \
-         \"eval_misses\": {eval_misses}, \
-         \"retention_hits\": {ret_hits}, \
-         \"retention_misses\": {ret_misses}}},\n  \
-         \"outputs_identical\": {identical}\n}}\n"
-    );
+    let json = Json::Obj(vec![
+        (
+            "benchmark".into(),
+            Json::str("fig2+fig15 design-space sweeps"),
+        ),
+        num("cpus", cpus as f64),
+        num("available_parallelism", available as f64),
+        ("threads_can_help".into(), Json::Bool(available > 1)),
+        num("serial_seconds", serial_s),
+        ("engine".into(), Json::Arr(rows)),
+        (
+            "network_eval".into(),
+            replay_json(
+                network_cold_s,
+                network_cached_s,
+                replay_speedup,
+                network_identical,
+            ),
+        ),
+        (
+            "codesign_search".into(),
+            replay_json(
+                search_cold_s,
+                search_cached_s,
+                search_replay,
+                search_identical,
+            ),
+        ),
+        (
+            "search_caches".into(),
+            Json::Obj(vec![
+                num("eval_hits", eval_hits as f64),
+                num("eval_misses", eval_misses as f64),
+                num("retention_hits", ret_hits as f64),
+                num("retention_misses", ret_misses as f64),
+            ]),
+        ),
+        ("outputs_identical".into(), Json::Bool(identical)),
+    ]);
     let out = bench_out_path("BENCH_sweeps.json");
-    std::fs::write(&out, &json).expect("write BENCH_sweeps.json");
+    std::fs::write(&out, json.encode() + "\n").expect("write BENCH_sweeps.json");
     println!("\nwrote {}", out.display());
     assert!(identical, "engine output diverged from the serial baseline");
 }
