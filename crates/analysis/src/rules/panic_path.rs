@@ -5,7 +5,8 @@
 //! kills a thread; an event-loop panic kills the server). This rule
 //! keeps that audit mechanical: inside the serve library's request
 //! path — everything under `crates/serve/src/` except the CLI binaries
-//! and the client half — it flags
+//! and the client half, plus the JSON codec under `crates/json/src/`,
+//! which parses every request body — it flags
 //!
 //! - `.unwrap()` / `.expect(..)` method calls — except `.expect` with a
 //!   char argument (`self.expect(b'{')?`): `Option::expect` and
@@ -49,13 +50,15 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
     "continue", "where", "unsafe", "const", "static", "box", "yield", "dyn", "impl", "for",
 ];
 
-/// True for serve-library files on the request path: the event loop,
+/// True for files on the request path: the serve library's event loop,
 /// parsing, dispatch and rendering — not the CLI binaries (their panics
-/// end one offline process) and not the client half.
+/// end one offline process) and not the client half — and the JSON
+/// codec every request body goes through.
 fn on_request_path(path: &str) -> bool {
-    under_dir(path, "crates/serve/src")
+    (under_dir(path, "crates/serve/src")
         && !under_dir(path, "crates/serve/src/bin")
-        && !path.ends_with("/client.rs")
+        && !path.ends_with("/client.rs"))
+        || under_dir(path, "crates/json/src")
 }
 
 impl Rule for NoPanicInRequestPath {
@@ -64,7 +67,7 @@ impl Rule for NoPanicInRequestPath {
     }
 
     fn description(&self) -> &'static str {
-        "no unwrap/expect/panic-family macros/indexing in serve code reachable from Server::run"
+        "no unwrap/expect/panic-family macros/indexing in serve or JSON-codec code reachable from Server::run"
     }
 
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {

@@ -83,14 +83,21 @@ fn panic_in_request_path_fixture() {
     // or not.
     let parser =
         "fn object(&mut self) -> Result<(), E> {\n    self.expect(b'{')?;\n    Ok(())\n}\n";
-    let out = lint(&[("crates/serve/src/json.rs", parser)]);
+    let out = lint(&[("crates/json/src/json.rs", parser)]);
     assert!(out.active.is_empty(), "{:?}", out.active);
     let literal = "fn f(q: Option<u32>) -> u32 {\n    q.expect(\"m\")\n}\n";
-    let out = lint(&[("crates/serve/src/json.rs", literal)]);
-    assert_one_active(&out, RULE, "crates/serve/src/json.rs", 2);
+    let out = lint(&[("crates/json/src/json.rs", literal)]);
+    assert_one_active(&out, RULE, "crates/json/src/json.rs", 2);
     let named = "fn f(q: Option<u32>, msg: &str) -> u32 {\n    q.expect(msg)\n}\n";
-    let out = lint(&[("crates/serve/src/json.rs", named)]);
-    assert_one_active(&out, RULE, "crates/serve/src/json.rs", 2);
+    let out = lint(&[("crates/json/src/json.rs", named)]);
+    assert_one_active(&out, RULE, "crates/json/src/json.rs", 2);
+
+    // The JSON codec parses every request body, so it is in scope too.
+    let index = "fn f(b: &[u8], i: usize) -> u8 {\n    b[i]\n}\n";
+    let out = lint(&[("crates/json/src/json.rs", index)]);
+    assert_one_active(&out, RULE, "crates/json/src/json.rs", 2);
+    let out = lint(&[("crates/json/src/lib.rs", bad)]);
+    assert_one_active(&out, RULE, "crates/json/src/lib.rs", 2);
 
     // Out of scope: bins, non-serve crates, and #[cfg(test)] modules.
     let out = lint(&[

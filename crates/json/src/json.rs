@@ -208,6 +208,11 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// The unread input.
+    fn rest(&self) -> &[u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -224,7 +229,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.rest().starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -334,17 +339,20 @@ impl Parser<'_> {
                     return Err(self.err("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8; find the char boundary).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
+                    // Copy the run up to the next quote, backslash or
+                    // control byte. The input is a &str and the run ends
+                    // at an ASCII byte or the end, so it is whole UTF-8.
+                    let rest = self.rest();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run = rest
+                        .get(..len)
+                        .and_then(|run| std::str::from_utf8(run).ok())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -422,8 +430,11 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
-        let n: f64 = text.parse().map_err(|_| self.err("unparseable number"))?;
+        let n: f64 = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|text| std::str::from_utf8(text).ok()?.parse().ok())
+            .ok_or_else(|| self.err("unparseable number"))?;
         if !n.is_finite() {
             return Err(self.err("number overflows a double"));
         }
