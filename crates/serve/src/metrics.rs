@@ -14,10 +14,12 @@
 //!   and latency mean/quantile leaves from their family's reading.
 //!
 //! Recording is plain atomics (per-route and status-class counters,
-//! connection, coalescing and supervision counters, and log₂
-//! histograms of latency, queue wait and requests per connection), so
-//! the event loop and the worker pool never contend; `/v1/metrics`
-//! reads are racy snapshots, which is fine for monitoring.
+//! connection, coalescing and supervision counters, and one log₂
+//! histogram type, [`Log2Histogram`], for latency and queue wait in
+//! microseconds and for requests per connection), so the event loop
+//! and the worker pool never contend; `/v1/metrics` reads are racy
+//! snapshots, which is fine for monitoring. Every histogram exports its
+//! open last bucket only under `+Inf`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -153,33 +155,42 @@ impl Route {
     }
 }
 
-/// Number of log₂ latency buckets: bucket `i` counts requests with
-/// latency in `[2^i, 2^(i+1))` microseconds; the last bucket is open.
-pub const LATENCY_BUCKETS: usize = 26;
-
-/// A log₂-bucketed latency histogram (microsecond resolution).
-#[derive(Debug, Default)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
+/// A log₂-bucketed histogram of `u64` observations with `N` buckets:
+/// bucket `i` counts values in `[2^i, 2^(i+1))`, 0 counts in bucket 0,
+/// and the last bucket is open. One type serves every unit: the latency
+/// histograms observe microseconds, the reuse histogram requests per
+/// connection.
+#[derive(Debug)]
+pub struct Log2Histogram<const N: usize> {
+    buckets: [AtomicU64; N],
     count: AtomicU64,
-    sum_us: AtomicU64,
+    sum: AtomicU64,
 }
 
-impl LatencyHistogram {
+impl<const N: usize> Default for Log2Histogram<N> {
+    fn default() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<const N: usize> Log2Histogram<N> {
     /// An empty histogram.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Records one observation.
-    pub fn record(&self, latency: Duration) {
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        let bucket = (63 - us.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
+    pub fn observe(&self, value: u64) {
+        let bucket = (63 - value.max(1).leading_zeros() as usize).min(N - 1);
         if let Some(b) = self.buckets.get(bucket) {
             b.fetch_add(1, Ordering::Relaxed);
         }
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     /// Number of observations.
@@ -187,140 +198,101 @@ impl LatencyHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Mean latency in milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        self.sum_us.load(Ordering::Relaxed) as f64 / n as f64 / 1000.0
+    /// Sum of all observations.
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
     }
 
-    /// Estimated latency quantile in milliseconds (0 when empty), with
-    /// linear interpolation inside the winning log₂ bucket: assuming
-    /// observations spread evenly across `[2^i, 2^(i+1))`, the estimate
-    /// is `lower + frac · width` where `frac` is how deep into the
-    /// bucket the target rank falls. `q` is clamped to `[0, 1]`. For
-    /// the historical upper-edge estimate (which overstates by up to 2×
-    /// but is what the `/v1/metrics` JSON has always reported), see
-    /// [`Self::quantile_ms_upper_edge`].
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            seen += n;
-            if seen >= target && n > 0 {
-                // Bucket 0 also holds sub-µs observations, so its
-                // interpolation floor is 0 rather than 2^0.
-                let lower = if i == 0 { 0.0 } else { (1u64 << i) as f64 };
-                let upper = (1u64 << (i + 1)) as f64;
-                let frac = (target - (seen - n)) as f64 / n as f64;
-                return (lower + frac * (upper - lower)) / 1000.0;
-            }
-        }
-        (1u64 << LATENCY_BUCKETS) as f64 / 1000.0
-    }
-
-    /// The pre-interpolation quantile estimate: the upper edge
-    /// (`2^(i+1)` µs) of the first bucket whose cumulative count
-    /// reaches `q · total` (0 when empty). Kept byte-compatible for the
-    /// existing `/v1/metrics` JSON view.
-    pub fn quantile_ms_upper_edge(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                // Upper edge of bucket i: 2^(i+1) µs.
-                return (1u64 << (i + 1)) as f64 / 1000.0;
-            }
-        }
-        (1u64 << LATENCY_BUCKETS) as f64 / 1000.0
-    }
-
-    /// Sum of all observations in microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
-    }
-
-    /// All per-bucket (non-cumulative) counts, in bucket order —
-    /// the raw series Prometheus exposition accumulates.
-    pub fn bucket_counts(&self) -> [u64; LATENCY_BUCKETS] {
-        let mut out = [0u64; LATENCY_BUCKETS];
-        for (slot, b) in out.iter_mut().zip(&self.buckets) {
-            *slot = b.load(Ordering::Relaxed);
-        }
-        out
-    }
-}
-
-/// Number of log₂ requests-per-connection buckets (last bucket open).
-pub const REUSE_BUCKETS: usize = 16;
-
-/// A log₂ histogram over requests served per connection, recorded when
-/// the connection closes — the keep-alive reuse picture: bucket 0 is
-/// single-request (no reuse) connections, higher buckets are reused.
-#[derive(Debug, Default)]
-pub struct ReuseHistogram {
-    buckets: [AtomicU64; REUSE_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl ReuseHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one closed connection that served `requests` requests
-    /// (0 is clamped to the first bucket).
-    pub fn record(&self, requests: u64) {
-        let bucket = (63 - requests.max(1).leading_zeros() as usize).min(REUSE_BUCKETS - 1);
-        if let Some(b) = self.buckets.get(bucket) {
-            b.fetch_add(1, Ordering::Relaxed);
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(requests, Ordering::Relaxed);
-    }
-
-    /// Number of closed connections observed.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Mean requests per closed connection (0 when empty).
+    /// Mean observation (0 when empty).
     pub fn mean(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             return 0.0;
         }
-        self.sum.load(Ordering::Relaxed) as f64 / n as f64
+        self.sum() as f64 / n as f64
     }
 
-    /// Sum of requests across all recorded connections.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+    /// All per-bucket (non-cumulative) counts, in bucket order — the
+    /// raw series Prometheus exposition accumulates.
+    pub fn bucket_counts(&self) -> [u64; N] {
+        self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed))
     }
 
-    /// All per-bucket (non-cumulative) counts, in bucket order.
-    pub fn bucket_counts(&self) -> [u64; REUSE_BUCKETS] {
-        let mut out = [0u64; REUSE_BUCKETS];
-        for (slot, b) in out.iter_mut().zip(&self.buckets) {
-            *slot = b.load(Ordering::Relaxed);
+    /// The first bucket whose cumulative count reaches the rank
+    /// `q · count` (at least 1; `q` is clamped to `[0, 1]`), and how
+    /// deep into that bucket the rank falls, in `(0, 1]`. `None` when
+    /// empty.
+    fn rank_bucket(&self, q: f64) -> Option<(usize, f64)> {
+        let total = self.count();
+        if total == 0 {
+            return None;
         }
-        out
+        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, n) in self.bucket_counts().into_iter().enumerate() {
+            if seen + n >= target {
+                return Some((i, (target - seen) as f64 / n as f64));
+            }
+            seen += n;
+        }
+        // A racy snapshot whose buckets lag the count: the top of the
+        // open bucket.
+        Some((N - 1, 1.0))
+    }
+
+    /// Estimated quantile (0 when empty), with linear interpolation
+    /// inside the winning bucket: assuming observations spread evenly
+    /// across `[2^i, 2^(i+1))`, the estimate is `lower + frac · width`.
+    pub fn quantile(&self, q: f64) -> f64 {
+        self.rank_bucket(q).map_or(0.0, |(i, frac)| {
+            // Bucket 0 also holds zeros, so its floor is 0 rather than 2^0.
+            let lower = if i == 0 { 0.0 } else { (1u64 << i) as f64 };
+            let upper = (1u64 << (i + 1)) as f64;
+            lower + frac * (upper - lower)
+        })
+    }
+
+    /// The pre-interpolation quantile estimate: the upper edge `2^(i+1)`
+    /// of the winning bucket (0 when empty). It overstates by up to 2×.
+    pub fn quantile_upper_edge(&self, q: f64) -> f64 {
+        self.rank_bucket(q)
+            .map_or(0.0, |(i, _)| (1u64 << (i + 1)) as f64)
     }
 }
+
+/// Number of log₂ latency buckets: bucket `i` counts requests with
+/// latency in `[2^i, 2^(i+1))` microseconds; the last bucket is open.
+pub const LATENCY_BUCKETS: usize = 26;
+
+/// A latency histogram at microsecond resolution.
+pub type LatencyHistogram = Log2Histogram<LATENCY_BUCKETS>;
+
+impl LatencyHistogram {
+    /// Records one latency.
+    pub fn record(&self, latency: Duration) {
+        self.observe(u64::try_from(latency.as_micros()).unwrap_or(u64::MAX));
+    }
+
+    /// [`Self::quantile`] in milliseconds.
+    pub fn quantile_ms(&self, q: f64) -> f64 {
+        self.quantile(q) / 1000.0
+    }
+
+    /// [`Self::quantile_upper_edge`] in milliseconds: the historical
+    /// estimate the `/v1/metrics` JSON has always reported.
+    pub fn quantile_ms_upper_edge(&self, q: f64) -> f64 {
+        self.quantile_upper_edge(q) / 1000.0
+    }
+
+    /// Sum of all observations in microseconds.
+    pub fn sum_us(&self) -> u64 {
+        self.sum()
+    }
+}
+
+/// Number of log₂ requests-per-connection buckets: bucket 0 is
+/// single-request (no reuse) connections; the last bucket is open.
+pub const REUSE_BUCKETS: usize = 16;
 
 /// Server-wide metrics shared between the event loop and the worker pool.
 #[derive(Debug)]
@@ -346,7 +318,7 @@ pub struct Metrics {
     queue_depth: AtomicU64,
     latency: LatencyHistogram,
     queue_wait: LatencyHistogram,
-    reuse: ReuseHistogram,
+    reuse: Log2Histogram<REUSE_BUCKETS>,
 }
 
 impl Default for Metrics {
@@ -379,7 +351,7 @@ impl Metrics {
             queue_depth: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             queue_wait: LatencyHistogram::new(),
-            reuse: ReuseHistogram::new(),
+            reuse: Log2Histogram::new(),
         }
     }
 
@@ -422,7 +394,7 @@ impl Metrics {
     /// (feeding the reuse histogram).
     pub fn record_connection_closed(&self, requests_served: u64) {
         self.conns_closed.fetch_add(1, Ordering::Relaxed);
-        self.reuse.record(requests_served);
+        self.reuse.observe(requests_served);
     }
 
     fn count_request(&self, route: Route, status: u16) {
@@ -502,17 +474,6 @@ impl Metrics {
         self.queue_depth.load(Ordering::Relaxed)
     }
 
-    /// The queue-wait histogram (time between enqueue and worker
-    /// pickup).
-    pub fn queue_wait(&self) -> &LatencyHistogram {
-        &self.queue_wait
-    }
-
-    /// The requests-per-connection histogram.
-    pub fn reuse(&self) -> &ReuseHistogram {
-        &self.reuse
-    }
-
     /// The latency histogram.
     pub fn latency(&self) -> &LatencyHistogram {
         &self.latency
@@ -552,9 +513,8 @@ pub(crate) enum Kind {
         total: bool,
         read: fn(&App) -> Vec<(&'static str, f64)>,
     },
-    /// A microsecond latency histogram, exported in seconds with upper
-    /// edges `2^(i+1)` µs; the open last bucket appears only under
-    /// `+Inf`. In JSON, an object of `count`, `mean` and
+    /// A microsecond latency histogram, exported in seconds with the
+    /// edge `2^(i+1)` µs. In JSON, an object of `count`, `mean` and
     /// interpolated `p50`/`p90`/`p99` in ms; with `edge_quantiles` the
     /// quantiles are the historical bucket upper edges and the
     /// interpolated estimates follow as `*_est`.
@@ -564,10 +524,9 @@ pub(crate) enum Kind {
     },
     /// The requests-per-connection histogram. Bucket `i` holds counts in
     /// `[2^i, 2^(i+1))`, so it is exported with the inclusive edge
-    /// `2^(i+1) − 1`; the open last bucket appears only under `+Inf`. In
-    /// JSON, an object of `count`, `mean_requests`, and the non-empty
-    /// buckets as `{ge, count}`.
-    Reuse(fn(&App) -> &ReuseHistogram),
+    /// `2^(i+1) − 1`. In JSON, an object of `count`, `mean_requests`,
+    /// and the non-empty buckets as `{ge, count}`.
+    Reuse(fn(&App) -> &Log2Histogram<REUSE_BUCKETS>),
 }
 
 fn load(counter: &AtomicU64) -> f64 {
@@ -824,7 +783,10 @@ pub(crate) fn metrics_json(app: &App) -> Json {
                 read,
             } => {
                 let h = read(app);
-                let mut members = vec![num("count", h.count() as f64), num("mean", h.mean_ms())];
+                let mut members = vec![
+                    num("count", h.count() as f64),
+                    num("mean", h.mean() / 1000.0),
+                ];
                 for (name, q) in QUANTILES {
                     let value = if edge_quantiles {
                         h.quantile_ms_upper_edge(q)
@@ -861,6 +823,21 @@ pub(crate) fn metrics_json(app: &App) -> Json {
     Json::Obj(root)
 }
 
+/// Exports a log₂ histogram, `per_unit` observations to one exported
+/// unit: closed bucket `i` under `le = edge(2^(i+1)) / per_unit`, and the
+/// open last bucket only under `+Inf`.
+fn export_log2<const N: usize>(
+    e: &mut Exposition,
+    f: &Family,
+    h: &Log2Histogram<N>,
+    per_unit: f64,
+    edge: fn(u64) -> u64,
+) {
+    let edges: Vec<f64> = (1..N).map(|i| edge(1u64 << i) as f64 / per_unit).collect();
+    let sum = h.sum() as f64 / per_unit;
+    e.histogram(f.name, f.help, &edges, &h.bucket_counts(), sum);
+}
+
 /// The Prometheus text exposition (format 0.0.4): the other walk over
 /// [`FAMILIES`], in table order.
 pub(crate) fn render_prometheus(app: &App) -> String {
@@ -872,21 +849,8 @@ pub(crate) fn render_prometheus(app: &App) -> String {
             Kind::CounterVec { label, read, .. } => {
                 e.counter_vec(f.name, f.help, label, &read(app));
             }
-            Kind::Latency { read, .. } => {
-                let h = read(app);
-                let edges: Vec<f64> = (0..LATENCY_BUCKETS - 1)
-                    .map(|i| (1u64 << (i + 1)) as f64 / 1e6)
-                    .collect();
-                let sum = h.sum_us() as f64 / 1e6;
-                e.histogram(f.name, f.help, &edges, &h.bucket_counts(), sum);
-            }
-            Kind::Reuse(read) => {
-                let h = read(app);
-                let edges: Vec<f64> = (0..REUSE_BUCKETS - 1)
-                    .map(|i| ((1u64 << (i + 1)) - 1) as f64)
-                    .collect();
-                e.histogram(f.name, f.help, &edges, &h.bucket_counts(), h.sum() as f64);
-            }
+            Kind::Latency { read, .. } => export_log2(&mut e, f, read(app), 1e6, |top| top),
+            Kind::Reuse(read) => export_log2(&mut e, f, read(app), 1.0, |top| top - 1),
         }
     }
     e.finish()
@@ -959,74 +923,89 @@ mod tests {
         assert_eq!(Route::resolve("/v1"), (Route::Other, false));
     }
 
+    /// 90 small and 10 large observations, fed to a latency histogram
+    /// in microseconds and to a reuse-sized one as request counts.
+    fn fast_and_slow() -> (LatencyHistogram, Log2Histogram<REUSE_BUCKETS>) {
+        let (latency, reuse) = (LatencyHistogram::new(), Log2Histogram::new());
+        for v in [8; 90].into_iter().chain([16_000; 10]) {
+            latency.record(Duration::from_micros(v));
+            reuse.observe(v);
+        }
+        (latency, reuse)
+    }
+
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.quantile_ms(0.5), 0.0);
-        // 90 fast requests (~8 µs), 10 slow (~16 ms).
-        for _ in 0..90 {
-            h.record(Duration::from_micros(8));
+        fn check<const N: usize>(h: &Log2Histogram<N>) {
+            assert_eq!(h.count(), 100);
+            assert_eq!(h.mean(), 1607.2);
+            // p50 lands in [8, 16); interpolation stays inside it.
+            assert!((8.0..=16.0).contains(&h.quantile(0.5)));
+            // p99 lands in [8192, 16384); rank 99 of 100 sits 9/10 into it.
+            assert!((h.quantile(0.99) - 15_564.8).abs() < 1e-9);
         }
-        for _ in 0..10 {
-            h.record(Duration::from_micros(16_000));
-        }
-        assert_eq!(h.count(), 100);
-        // p50 lands in the 8 µs bucket (upper edge 16 µs = 0.016 ms);
-        // interpolation stays inside it.
-        assert!(h.quantile_ms(0.5) <= 0.016 + 1e-12);
-        // p99 lands in the slow bucket [8.192, 16.384) ms; interpolated
-        // rank 99 of 100 sits 9/10 into it.
-        let p99 = h.quantile_ms(0.99);
-        assert!((8.192..=16.384).contains(&p99), "p99 = {p99}");
-        assert!((p99 - 15.5648).abs() < 1e-9, "p99 = {p99}");
-        assert!(h.mean_ms() > 0.0);
-        assert_eq!(h.bucket_counts().iter().filter(|&&n| n > 0).count(), 2);
+        let (latency, reuse) = fast_and_slow();
+        check(&latency);
+        check(&reuse);
+        assert!((latency.quantile_ms(0.99) - 15.5648).abs() < 1e-12);
     }
 
     #[test]
     fn upper_edge_quantile_keeps_historical_behavior() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.quantile_ms_upper_edge(0.5), 0.0);
-        for _ in 0..90 {
-            h.record(Duration::from_micros(8));
+        fn check<const N: usize>(h: &Log2Histogram<N>) {
+            // The historical estimate is always a bucket upper edge.
+            assert_eq!(h.quantile_upper_edge(0.5), 16.0);
+            assert_eq!(h.quantile_upper_edge(0.99), 16_384.0);
+            // Interpolation never exceeds it.
+            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+                assert!(h.quantile(q) <= h.quantile_upper_edge(q));
+            }
         }
-        for _ in 0..10 {
-            h.record(Duration::from_micros(16_000));
-        }
-        // The historical estimate is always a bucket upper edge.
-        assert_eq!(h.quantile_ms_upper_edge(0.5), 0.016);
-        assert_eq!(h.quantile_ms_upper_edge(0.99), 16.384);
-        // Interpolation never exceeds the upper-edge estimate.
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            assert!(h.quantile_ms(q) <= h.quantile_ms_upper_edge(q) + 1e-12);
-        }
+        let (latency, reuse) = fast_and_slow();
+        check(&latency);
+        check(&reuse);
+        assert_eq!(latency.quantile_ms_upper_edge(0.99), 16.384);
     }
 
     #[test]
     fn bucket_counts_and_sums_snapshot_raw_series() {
-        let h = LatencyHistogram::new();
-        h.record(Duration::from_micros(8));
-        h.record(Duration::from_micros(9));
-        h.record(Duration::from_micros(100));
-        let counts = h.bucket_counts();
-        assert_eq!(counts.iter().sum::<u64>(), 3);
-        assert_eq!(counts[3], 2); // [8, 16) µs
-        assert_eq!(counts[6], 1); // [64, 128) µs
-        assert_eq!(h.sum_us(), 117);
-        let r = ReuseHistogram::new();
-        r.record(1);
-        r.record(150);
-        assert_eq!(r.bucket_counts().iter().sum::<u64>(), 2);
-        assert_eq!(r.sum(), 151);
+        fn check<const N: usize>(h: &Log2Histogram<N>) {
+            let counts = h.bucket_counts();
+            assert_eq!(counts.iter().sum::<u64>(), 3);
+            assert_eq!(counts[3], 2); // [8, 16)
+            assert_eq!(counts[6], 1); // [64, 128)
+            assert_eq!(h.sum(), 117);
+        }
+        let (latency, reuse) = (
+            LatencyHistogram::new(),
+            Log2Histogram::<REUSE_BUCKETS>::new(),
+        );
+        for v in [8, 9, 100] {
+            latency.record(Duration::from_micros(v));
+            reuse.observe(v);
+        }
+        check(&latency);
+        check(&reuse);
+        assert_eq!(latency.sum_us(), 117);
     }
 
     #[test]
-    fn zero_and_huge_latencies_stay_in_range() {
-        let h = LatencyHistogram::new();
-        h.record(Duration::ZERO);
-        h.record(Duration::from_secs(100_000));
-        assert_eq!(h.count(), 2);
-        assert!(h.quantile_ms(1.0) > 0.0);
+    fn zero_and_huge_values_stay_in_range() {
+        fn check<const N: usize>(h: &Log2Histogram<N>) {
+            assert_eq!((h.quantile(0.5), h.quantile_upper_edge(0.5)), (0.0, 0.0));
+            h.observe(0);
+            h.observe(u64::MAX / 2);
+            let counts = h.bucket_counts();
+            // 0 counts in the first bucket, the huge value in the open last.
+            assert_eq!((counts[0], counts[N - 1], h.count()), (1, 1, 2));
+            assert_eq!(h.quantile(1.0), (1u64 << N) as f64);
+        }
+        check(&LatencyHistogram::new());
+        check(&Log2Histogram::<REUSE_BUCKETS>::new());
+        let latency = LatencyHistogram::new();
+        latency.record(Duration::ZERO);
+        latency.record(Duration::from_secs(100_000));
+        assert_eq!(latency.bucket_counts()[LATENCY_BUCKETS - 1], 1);
     }
 
     #[test]
@@ -1050,20 +1029,6 @@ mod tests {
             }
             assert_eq!(finite, LATENCY_BUCKETS - 1, "{family}");
         }
-    }
-
-    #[test]
-    fn reuse_histogram_tracks_requests_per_connection() {
-        let h = ReuseHistogram::new();
-        h.record(1); // one-shot connection
-        h.record(1);
-        h.record(150); // well-reused keep-alive connection
-        h.record(0); // closed before any request; clamps to bucket 0
-        assert_eq!(h.count(), 4);
-        assert!((h.mean() - 38.0).abs() < 1e-9);
-        let counts = h.bucket_counts();
-        assert_eq!((counts[0], counts[7]), (3, 1));
-        assert_eq!(counts.iter().sum::<u64>(), 4);
     }
 
     #[test]
@@ -1117,8 +1082,8 @@ mod tests {
         assert_eq!(m.queue_depth(), 1);
         m.record_dequeued(Duration::from_micros(150));
         assert_eq!(m.queue_depth(), 0);
-        assert_eq!(m.queue_wait().count(), 2);
-        assert_eq!(m.queue_wait().sum_us(), 200);
+        assert_eq!(m.queue_wait.count(), 2);
+        assert_eq!(m.queue_wait.sum_us(), 200);
     }
 
     #[test]
@@ -1132,7 +1097,7 @@ mod tests {
         assert_eq!(value(&app, "hl_connections_accepted_total"), 2.0);
         assert_eq!(value(&app, "hl_connections_closed_total"), 1.0);
         assert_eq!(value(&app, "hl_connections_active"), 1.0);
-        assert_eq!(m.reuse().count(), 1);
+        assert_eq!(m.reuse.count(), 1);
         m.record_coalesced(Route::Evaluate, 200, Duration::from_micros(3));
         assert_eq!(m.coalesced(), 1);
         assert_eq!(
