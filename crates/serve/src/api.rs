@@ -269,23 +269,12 @@ impl App {
         let id: DesignId = req.design.parse()?;
         let workload = id.workload(req.shape, req.a_sparsity, req.b_sparsity);
 
+        let outcome = self.ctx.evaluate_best(id.build().as_ref(), &workload);
         let mut members = vec![
             ("design".into(), Json::str(id.name())),
             ("workload".into(), Json::str(&workload.name)),
-            ("shape".into(), schema::shape_json(req.shape)),
-            ("a".into(), Json::str(workload.a.to_string())),
-            ("b".into(), Json::str(workload.b.to_string())),
         ];
-        match self.ctx.evaluate_best(id.build().as_ref(), &workload) {
-            Ok(result) => {
-                members.push(("supported".into(), Json::Bool(true)));
-                members.push(("result".into(), eval_result_json(&result)));
-            }
-            Err(unsupported) => {
-                members.push(("supported".into(), Json::Bool(false)));
-                members.push(("reason".into(), Json::str(unsupported.to_string())));
-            }
-        }
+        members.extend(schema::workload_eval_members(&workload, &outcome));
         Ok(Json::Obj(members))
     }
 

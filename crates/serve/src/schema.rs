@@ -32,7 +32,7 @@
 use hl_eval::{SearchOutcome, SearchPoint};
 use hl_models::accuracy::PruningConfig;
 use hl_sim::network::{LayerEval, NetworkEval};
-use hl_sim::EvalResult;
+use hl_sim::{EvalResult, Unsupported, Workload};
 use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::GemmShape;
 
@@ -819,21 +819,29 @@ fn layer_eval_json(layer: &LayerEval) -> Json {
     let mut members = vec![
         ("name".into(), Json::str(layer.name())),
         ("count".into(), Json::Num(f64::from(layer.count))),
-        ("shape".into(), shape_json(layer.workload.shape)),
-        ("a".into(), Json::str(layer.workload.a.to_string())),
-        ("b".into(), Json::str(layer.workload.b.to_string())),
     ];
-    match &layer.outcome {
-        Ok(result) => {
-            members.push(("supported".into(), Json::Bool(true)));
-            members.push(("result".into(), eval_result_json(result)));
-        }
-        Err(unsupported) => {
-            members.push(("supported".into(), Json::Bool(false)));
-            members.push(("reason".into(), Json::str(unsupported.to_string())));
-        }
-    }
+    members.extend(workload_eval_members(&layer.workload, &layer.outcome));
     Json::Obj(members)
+}
+
+/// The tail of every evaluated workload's JSON view — `/v1/evaluate` and
+/// each `/v1/evaluate_model` layer: `shape`, the operands `a` and `b`,
+/// then `supported` with the `result` or the unsupported `reason`.
+pub(crate) fn workload_eval_members(
+    workload: &Workload,
+    outcome: &Result<EvalResult, Unsupported>,
+) -> [(String, Json); 5] {
+    let (supported, last) = match outcome {
+        Ok(result) => (true, ("result".into(), eval_result_json(result))),
+        Err(unsupported) => (false, ("reason".into(), Json::str(unsupported.to_string()))),
+    };
+    [
+        ("shape".into(), shape_json(workload.shape)),
+        ("a".into(), Json::str(workload.a.to_string())),
+        ("b".into(), Json::str(workload.b.to_string())),
+        ("supported".into(), Json::Bool(supported)),
+        last,
+    ]
 }
 
 /// The canonical JSON view of one co-design [`SearchOutcome`] — shared by
