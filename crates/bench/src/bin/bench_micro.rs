@@ -53,11 +53,16 @@ fn main() {
     // spec conformance checks construct trees from.
     let tree_src = prune_hss(&synthetic_weights(256, 1024, 0xACC0), &prune_pattern);
 
-    let mut kernels: Vec<(&str, u32, f64, f64)> = Vec::new();
+    let mut kernels = Vec::new();
     let mut record = |name: &'static str, iters: u32, f: &mut dyn FnMut() -> f64| {
         let (avg_ms, checksum) = time_kernel(iters, f);
+        std::hint::black_box(checksum);
         println!("{name:>18}: {avg_ms:9.3} ms/op  ({iters} iters)");
-        kernels.push((name, iters, avg_ms, checksum));
+        kernels.push(Json::Obj(vec![
+            ("name".into(), Json::str(name)),
+            ("iters".into(), Json::Num(f64::from(iters))),
+            ("avg_ms".into(), Json::Num(avg_ms)),
+        ]));
     };
 
     record("check_hss", 50, &mut || {
@@ -117,19 +122,9 @@ fn main() {
         hss_kept_sum_sq(proxy.data(), 1024, &two_rank, Some(&prefix), &mut scratch)
     });
 
-    let rows = kernels
-        .iter()
-        .map(|&(name, iters, avg_ms, _)| {
-            Json::Obj(vec![
-                ("name".into(), Json::str(name)),
-                ("iters".into(), Json::Num(f64::from(iters))),
-                ("avg_ms".into(), Json::Num(avg_ms)),
-            ])
-        })
-        .collect();
     let json = Json::Obj(vec![
         ("benchmark".into(), Json::str("cold-path kernels")),
-        ("kernels".into(), Json::Arr(rows)),
+        ("kernels".into(), Json::Arr(kernels)),
     ]);
     let out = bench_out_path("BENCH_micro.json");
     std::fs::write(&out, json.encode() + "\n").expect("write BENCH_micro.json");

@@ -33,14 +33,33 @@ fn num(key: &str, value: f64) -> (String, Json) {
     (key.to_string(), Json::Num(value))
 }
 
-/// A cold run against its cached replay on the same context.
-fn replay_json(cold_s: f64, cached_s: f64, speedup: f64, identical: bool) -> Json {
-    Json::Obj(vec![
+/// Times `run` cold and then as a cached replay on the same context,
+/// prints the pair under `label`, and returns its JSON record and whether
+/// the replay reproduced the cold output.
+fn cold_vs_cached<T: PartialEq>(
+    label: &str,
+    ctx: &SweepContext,
+    run: impl Fn(&SweepContext) -> T,
+) -> (Json, bool) {
+    let t0 = Instant::now();
+    let cold = run(ctx);
+    let cold_s = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let cached = run(ctx);
+    let cached_s = t0.elapsed().as_secs_f64();
+    let identical = cold == cached;
+    let speedup = cold_s / cached_s.max(1e-9);
+    println!(
+        "{label:>22}: {cold_s:8.3} s cold, {cached_s:8.3} s cached \
+         ({speedup:5.2}x replay)   identical: {identical}"
+    );
+    let json = Json::Obj(vec![
         num("cold_seconds", cold_s),
         num("cached_seconds", cached_s),
         num("replay_speedup", speedup),
         ("identical".into(), Json::Bool(identical)),
-    ])
+    ]);
+    (json, identical)
 }
 
 fn main() {
@@ -106,20 +125,8 @@ fn main() {
             .collect()
     };
     let ctx = SweepContext::with_engine(Engine::with_threads(default_threads()));
-    let t0 = Instant::now();
-    let cold = run_networks(&ctx);
-    let network_cold_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let cached = run_networks(&ctx);
-    let network_cached_s = t0.elapsed().as_secs_f64();
-    let network_identical = cold == cached;
+    let (network_eval, network_identical) = cold_vs_cached("network eval", &ctx, run_networks);
     identical &= network_identical;
-    let replay_speedup = network_cold_s / network_cached_s.max(1e-9);
-    println!(
-        "{:>22}: {network_cold_s:8.3} s cold, {network_cached_s:8.3} s cached \
-         ({replay_speedup:5.2}x replay)   identical: {network_identical}",
-        "network eval"
-    );
 
     // Co-design search (`hl_eval::search`): HighLight over every model
     // at a 0.5-point budget, cold (fresh context) vs a cached replay —
@@ -131,20 +138,8 @@ fn main() {
             .collect()
     };
     let ctx = SweepContext::with_engine(Engine::with_threads(default_threads()));
-    let t0 = Instant::now();
-    let cold = run_searches(&ctx);
-    let search_cold_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let cached = run_searches(&ctx);
-    let search_cached_s = t0.elapsed().as_secs_f64();
-    let search_identical = cold == cached;
+    let (codesign_search, search_identical) = cold_vs_cached("codesign search", &ctx, run_searches);
     identical &= search_identical;
-    let search_replay = search_cold_s / search_cached_s.max(1e-9);
-    println!(
-        "{:>22}: {search_cold_s:8.3} s cold, {search_cached_s:8.3} s cached \
-         ({search_replay:5.2}x replay)   identical: {search_identical}",
-        "codesign search"
-    );
 
     // Cache instrumentation from the search context: the same counters
     // `hl-serve` exports at `/v1/metrics` (eval + retention cache), so a
@@ -167,24 +162,8 @@ fn main() {
         ("threads_can_help".into(), Json::Bool(available > 1)),
         num("serial_seconds", serial_s),
         ("engine".into(), Json::Arr(rows)),
-        (
-            "network_eval".into(),
-            replay_json(
-                network_cold_s,
-                network_cached_s,
-                replay_speedup,
-                network_identical,
-            ),
-        ),
-        (
-            "codesign_search".into(),
-            replay_json(
-                search_cold_s,
-                search_cached_s,
-                search_replay,
-                search_identical,
-            ),
-        ),
+        ("network_eval".into(), network_eval),
+        ("codesign_search".into(), codesign_search),
         (
             "search_caches".into(),
             Json::Obj(vec![
