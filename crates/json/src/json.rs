@@ -1,17 +1,16 @@
-//! A hand-rolled JSON codec (the build environment has no crates.io
-//! access, so `serde_json` is not an option).
-//!
 //! [`Json`] is the value tree; [`Json::encode`] produces compact RFC 8259
 //! output and [`Json::parse`] is a recursive-descent parser with a nesting
 //! cap ([`MAX_DEPTH`]) so adversarial request bodies cannot blow the
-//! stack. Object member order is preserved (members are a `Vec`, not a
-//! map), which keeps encoding deterministic — the property the
-//! byte-identical `/evaluate` acceptance test relies on.
+//! stack, and no panicking index or `unwrap` (hl-lint's request-path rule
+//! covers this crate). Object member order is preserved (members are a
+//! `Vec`, not a map), which keeps encoding deterministic — the property
+//! the byte-identical `/evaluate` acceptance test relies on.
 //!
 //! Numbers are `f64` (as in JSON itself). Encoding uses Rust's shortest
 //! round-trip `Display` for `f64`, so `encode → parse` is the identity on
-//! finite numbers (asserted by the `json_roundtrip` proptest suite).
-//! Non-finite numbers have no JSON representation and encode as `null`.
+//! finite numbers (asserted by hl-serve's `json_roundtrip` proptest
+//! suite). Non-finite numbers have no JSON representation and encode as
+//! `null`.
 
 use std::fmt;
 

@@ -15,8 +15,8 @@
 //! paths still answer byte-identically but count as deprecated aliases.
 //!
 //! There is no crates.io access in this workspace, so everything is
-//! hand-rolled on `std`: [`json`] (codec with escaping and a nesting
-//! cap), [`http`] (incremental request parsing for keep-alive and
+//! hand-rolled on `std`: [`json`] (the `hl-json` codec, re-exported),
+//! [`http`] (incremental request parsing for keep-alive and
 //! pipelining, chunked responses, 4xx/5xx mapping), [`schema`] (the
 //! typed wire structs and structured `{"error":{...}}` bodies),
 //! [`epoll`] (a minimal epoll(7) facade with a self-pipe waker),
