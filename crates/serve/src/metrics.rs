@@ -1009,6 +1009,22 @@ mod tests {
     }
 
     #[test]
+    fn reuse_histogram_tracks_requests_per_connection() {
+        let app = app();
+        let m = app.metrics();
+        m.record_connection_closed(1); // one-shot connection
+        m.record_connection_closed(1);
+        m.record_connection_closed(150); // well-reused keep-alive connection
+        m.record_connection_closed(0); // closed before any request; clamps to bucket 0
+        let h = &m.reuse;
+        assert_eq!(h.count(), 4);
+        assert!((h.mean() - 38.0).abs() < 1e-9);
+        let counts = h.bucket_counts();
+        assert_eq!((counts[0], counts[7]), (3, 1));
+        assert_eq!(counts.iter().sum::<u64>(), 4);
+    }
+
+    #[test]
     fn open_last_latency_bucket_is_exported_only_under_inf() {
         let app = app();
         app.metrics()
