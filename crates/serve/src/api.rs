@@ -1175,6 +1175,45 @@ mod tests {
         assert_eq!(seen, metrics::REUSE_BUCKETS, "15 closed buckets plus +Inf");
     }
 
+    #[test]
+    fn latency_histogram_le_edges_count_requests_at_most_le() {
+        let app = test_app();
+        // Each power of two 2^(i+1) µs is the first value of bucket i+1:
+        // the closed edge of bucket i must stop one microsecond short.
+        let served_us = [1u64, 2, 3, 4, 8, 1024, 1 << 20];
+        for us in served_us {
+            app.metrics()
+                .record(Route::Healthz, 200, Duration::from_micros(us));
+        }
+        let text = app.render_prometheus();
+        prom::validate_exposition(&text).unwrap();
+        let prefix = "hl_request_latency_seconds_bucket{le=\"";
+        let mut seen = 0;
+        for line in text.lines() {
+            let Some(rest) = line.strip_prefix(prefix) else {
+                continue;
+            };
+            let (le, value) = rest.split_once("\"} ").unwrap();
+            let value: f64 = value.parse().unwrap();
+            let expect = if le == "+Inf" {
+                served_us.len()
+            } else {
+                let le: f64 = le.parse().unwrap();
+                served_us
+                    .iter()
+                    .filter(|&&us| us as f64 / 1e6 <= le)
+                    .count()
+            };
+            assert_eq!(value, expect as f64, "le={le}");
+            seen += 1;
+        }
+        assert_eq!(
+            seen,
+            metrics::LATENCY_BUCKETS,
+            "25 closed buckets plus +Inf"
+        );
+    }
+
     fn trace_rec(id: &str, route: &'static str, total_us: u64) -> crate::trace::TraceRecord {
         crate::trace::TraceRecord {
             id: id.to_string(),

@@ -514,7 +514,7 @@ pub(crate) enum Kind {
         read: fn(&App) -> Vec<(&'static str, f64)>,
     },
     /// A microsecond latency histogram, exported in seconds with the
-    /// edge `2^(i+1)` µs. In JSON, an object of `count`, `mean` and
+    /// inclusive edge `2^(i+1) − 1` µs. In JSON, an object of `count`, `mean` and
     /// interpolated `p50`/`p90`/`p99` in ms; with `edge_quantiles` the
     /// quantiles are the historical bucket upper edges and the
     /// interpolated estimates follow as `*_est`.
@@ -824,16 +824,19 @@ pub(crate) fn metrics_json(app: &App) -> Json {
 }
 
 /// Exports a log₂ histogram, `per_unit` observations to one exported
-/// unit: closed bucket `i` under `le = edge(2^(i+1)) / per_unit`, and the
-/// open last bucket only under `+Inf`.
+/// unit: closed bucket `i` under the inclusive edge
+/// `le = (2^(i+1) − 1) / per_unit` (observations are integers, so it
+/// counts exactly the values `≤ le`), and the open last bucket only
+/// under `+Inf`.
 fn export_log2<const N: usize>(
     e: &mut Exposition,
     f: &Family,
     h: &Log2Histogram<N>,
     per_unit: f64,
-    edge: fn(u64) -> u64,
 ) {
-    let edges: Vec<f64> = (1..N).map(|i| edge(1u64 << i) as f64 / per_unit).collect();
+    let edges: Vec<f64> = (1..N)
+        .map(|i| ((1u64 << i) - 1) as f64 / per_unit)
+        .collect();
     let sum = h.sum() as f64 / per_unit;
     e.histogram(f.name, f.help, &edges, &h.bucket_counts(), sum);
 }
@@ -849,8 +852,8 @@ pub(crate) fn render_prometheus(app: &App) -> String {
             Kind::CounterVec { label, read, .. } => {
                 e.counter_vec(f.name, f.help, label, &read(app));
             }
-            Kind::Latency { read, .. } => export_log2(&mut e, f, read(app), 1e6, |top| top),
-            Kind::Reuse(read) => export_log2(&mut e, f, read(app), 1.0, |top| top - 1),
+            Kind::Latency { read, .. } => export_log2(&mut e, f, read(app), 1e6),
+            Kind::Reuse(read) => export_log2(&mut e, f, read(app), 1.0),
         }
     }
     e.finish()
