@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use hl_eval::bench_out_path;
+use hl_bench::bench_out_path;
 use hl_json::Json;
 use hl_models::accuracy::synthetic_weights;
 use hl_sim::micro::{MicroConfig, MicroSim};

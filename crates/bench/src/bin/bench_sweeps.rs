@@ -11,8 +11,8 @@
 
 use std::time::Instant;
 
-use hl_bench::{fig15_points, fig2_data, Fig2Model, ParetoPoint};
-use hl_eval::{bench_out_path, DesignId, SearchOutcome, SweepContext};
+use hl_bench::{bench_out_path, fig15_points, fig2_data, Fig2Model, ParetoPoint};
+use hl_eval::{DesignId, SearchOutcome, SweepContext};
 use hl_json::Json;
 use hl_models::accuracy::PruningConfig;
 use hl_models::zoo;

@@ -12,7 +12,8 @@
 //! - [`fig2_data`] / [`fig15_points`]: the Fig. 2 / Fig. 15 sweep cores,
 //!   shared by the figure binaries and the `bench_sweeps` perf harness;
 //! - report helpers that print aligned tables and persist them under
-//!   `results/`.
+//!   `results/`, and [`bench_out_path`], where every `BENCH_*.json`
+//!   artifact is written.
 //!
 //! The crate also re-exports the `hl-eval` names the stand-alone
 //! `hlperf/replay` benchmark links against.
@@ -23,7 +24,7 @@
 pub mod tables;
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 pub use hl_eval::{
     codesign_space, design_by_name, DesignId, DesignMapping, SearchOutcome, SearchPoint,
@@ -248,6 +249,21 @@ pub fn persist(name: &str, text: &str) {
     let dir = Path::new("results");
     if fs::create_dir_all(dir).is_ok() {
         let _ = fs::write(dir.join(name), text);
+    }
+}
+
+/// Resolves where a benchmark artifact named `file` (`BENCH_sweeps.json`,
+/// `BENCH_micro.json`) should be written: inside the `HL_BENCH_OUT`
+/// directory when that variable is set (created if missing), otherwise
+/// the current working directory.
+pub fn bench_out_path(file: &str) -> PathBuf {
+    match std::env::var("HL_BENCH_OUT") {
+        Ok(dir) if !dir.trim().is_empty() => {
+            let dir = PathBuf::from(dir);
+            let _ = std::fs::create_dir_all(&dir);
+            dir.join(file)
+        }
+        _ => PathBuf::from(file),
     }
 }
 

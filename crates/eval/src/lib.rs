@@ -16,8 +16,7 @@
 //! - [`search`]: the §7.1.2 co-design search — [`SweepContext::codesign`]
 //!   optimizes a pruning configuration for a `(design, model)` pair under
 //!   an accuracy-loss budget and returns the Pareto front over
-//!   `(loss, EDP)`;
-//! - [`bench_out_path`]: where every `BENCH_*.json` artifact is written.
+//!   `(loss, EDP)`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,8 +24,6 @@
 mod context;
 pub mod registry;
 pub mod search;
-
-use std::path::PathBuf;
 
 pub use context::SweepContext;
 pub use registry::{
@@ -43,21 +40,6 @@ pub type DesignMapping = DesignId;
 /// (also the default grid of `hl-serve`'s `/v1/sweep`).
 pub fn fig13_degrees() -> (Vec<f64>, Vec<f64>) {
     (vec![0.0, 0.5, 0.75], vec![0.0, 0.25, 0.5, 0.75])
-}
-
-/// Resolves where a benchmark artifact named `file` (`BENCH_sweeps.json`,
-/// `BENCH_serve.json`, `BENCH_micro.json`) should be written: inside the
-/// `HL_BENCH_OUT` directory when that variable is set (created if
-/// missing), otherwise the current working directory.
-pub fn bench_out_path(file: &str) -> PathBuf {
-    match std::env::var("HL_BENCH_OUT") {
-        Ok(dir) if !dir.trim().is_empty() => {
-            let dir = PathBuf::from(dir);
-            let _ = std::fs::create_dir_all(&dir);
-            dir.join(file)
-        }
-        _ => PathBuf::from(file),
-    }
 }
 
 #[cfg(test)]

@@ -1,20 +1,13 @@
 //! A minimal blocking HTTP/1.1 client for the API — used by the
-//! `hl-client` CLI, the load bench, and the end-to-end tests.
+//! `hl-client` CLI and the end-to-end tests.
 //!
 //! Speaks exactly the slice of HTTP the server emits: status line +
 //! headers, then either a `Content-Length` body or chunked transfer
 //! encoding. [`Client`] holds one keep-alive connection and reconnects
 //! transparently when the server closes it (idle timeout, drain); the
 //! free functions ([`request`], [`get_json`], [`post_json`]) are
-//! one-shot `Connection: close` conveniences.
-//!
-//! With a [`RetryPolicy`] attached ([`Client::with_retry`]), the client
-//! also retries shed work: a 503 response or a reset-shaped transport
-//! error backs off with decorrelated jitter (each sleep is uniform
-//! between the base and three times the previous sleep, capped) and a
-//! server-provided `Retry-After` raises the sleep floor. Retries are
-//! bounded and counted ([`Client::retries`]); evaluation `POST`s are
-//! pure, so replaying one is always safe.
+//! one-shot `Connection: close` conveniences. A 503 (shed) response is
+//! returned to the caller as-is.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -29,50 +22,12 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// A bounded retry policy with decorrelated-jitter backoff.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Retries after the initial attempt (0 disables retrying).
-    pub max_retries: u32,
-    /// Backoff floor (the first sleep is uniform in `[base, 3·base]`).
-    pub base: Duration,
-    /// Backoff ceiling; also caps how long a `Retry-After` is honored,
-    /// so a pathological server cannot pin the client down.
-    pub cap: Duration,
-    /// Seed for the jitter stream — deterministic per client, so test
-    /// and bench runs are reproducible.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base: Duration::from_millis(25),
-            cap: Duration::from_secs(1),
-            seed: 1,
-        }
-    }
-}
-
-/// One raw response off the wire.
-struct RawResponse {
-    status: u16,
-    text: String,
-    retry_after: Option<u64>,
-}
-
 /// A keep-alive connection to the server: requests reuse one TCP
 /// connection until the server closes it, then the next request
 /// reconnects.
 pub struct Client {
     addr: String,
     conn: Option<BufReader<TcpStream>>,
-    retry: Option<RetryPolicy>,
-    /// Jitter stream state (xorshift64*; never zero).
-    rng: u64,
-    prev_backoff: Duration,
-    retries: u64,
     /// `X-Request-Id` echoed on the most recent response, if any.
     last_request_id: Option<String>,
 }
@@ -84,32 +39,8 @@ impl Client {
         Self {
             addr: addr.into(),
             conn: None,
-            retry: None,
-            rng: 1,
-            prev_backoff: Duration::ZERO,
-            retries: 0,
             last_request_id: None,
         }
-    }
-
-    /// Attaches a retry policy: 503s and reset-shaped transport errors
-    /// are retried with decorrelated-jitter backoff, honoring
-    /// `Retry-After` up to the policy's cap.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.rng = policy.seed.max(1);
-        self.prev_backoff = policy.base;
-        self.retry = Some(policy);
-        self
-    }
-
-    /// The target address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// How many retries this client has performed so far.
-    pub fn retries(&self) -> u64 {
-        self.retries
     }
 
     /// The `X-Request-Id` the server echoed on the most recent response
@@ -133,28 +64,10 @@ impl Client {
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "no connection"))
     }
 
-    /// The next decorrelated-jitter sleep: uniform between the policy's
-    /// base and three times the previous sleep, capped.
-    fn next_backoff(&mut self, policy: &RetryPolicy) -> Duration {
-        // xorshift64* step; state is never zero.
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        let unit =
-            (self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64;
-        let lo = policy.base.as_secs_f64();
-        let hi = (self.prev_backoff.as_secs_f64() * 3.0).max(lo);
-        let next = (lo + unit * (hi - lo)).min(policy.cap.as_secs_f64());
-        self.prev_backoff = Duration::from_secs_f64(next);
-        self.prev_backoff
-    }
-
     /// Sends one request on the kept-alive connection and reads the full
     /// response. A request that fails to write or to produce a status
     /// line on a *reused* connection is retried once on a fresh one (the
     /// server may have closed the idle connection between requests).
-    /// With a [`RetryPolicy`] attached, 503 responses and reset-shaped
-    /// transport errors are additionally retried with backoff.
     ///
     /// # Errors
     /// Connection/I/O failures, and malformed responses as
@@ -165,47 +78,8 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> io::Result<(u16, String)> {
-        let mut attempt = 0u32;
-        loop {
-            let outcome = self.send_once(method, path, body);
-            let Some(policy) = self.retry.clone() else {
-                return outcome.map(|r| (r.status, r.text));
-            };
-            match outcome {
-                Ok(resp) if resp.status == 503 && attempt < policy.max_retries => {
-                    attempt += 1;
-                    self.retries += 1;
-                    let backoff = self.next_backoff(&policy);
-                    // Honor Retry-After as a floor, bounded by the cap.
-                    let wait = resp
-                        .retry_after
-                        .map_or(backoff, |s| backoff.max(Duration::from_secs(s)))
-                        .min(policy.cap);
-                    std::thread::sleep(wait);
-                }
-                Ok(resp) => return Ok((resp.status, resp.text)),
-                Err(e) if is_stale(&e) && attempt < policy.max_retries => {
-                    attempt += 1;
-                    self.retries += 1;
-                    let wait = self.next_backoff(&policy);
-                    std::thread::sleep(wait);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One attempt, including the transparent reconnect-once for a
-    /// keep-alive connection the server closed while it was idle.
-    fn send_once(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> io::Result<RawResponse> {
         let reused = self.conn.is_some();
         match self.try_send(method, path, body) {
-            Ok(resp) => Ok(resp),
             Err(e) if reused && is_stale(&e) => {
                 self.conn = None;
                 self.try_send(method, path, body)
@@ -214,6 +88,7 @@ impl Client {
                 self.conn = None;
                 Err(e)
             }
+            ok => ok,
         }
     }
 
@@ -222,7 +97,7 @@ impl Client {
         method: &str,
         path: &str,
         body: Option<&str>,
-    ) -> io::Result<RawResponse> {
+    ) -> io::Result<(u16, String)> {
         let addr = self.addr.clone();
         let reader = self.connect()?;
         let payload = body.unwrap_or("");
@@ -235,7 +110,7 @@ impl Client {
             )?;
             writer.flush()?;
         }
-        let (status, text, close, retry_after, request_id) = match read_response(reader) {
+        let (status, text, close, request_id) = match read_response(reader) {
             Ok(resp) => resp,
             Err(e) => {
                 self.conn = None;
@@ -246,11 +121,7 @@ impl Client {
             self.conn = None;
         }
         self.last_request_id = request_id;
-        Ok(RawResponse {
-            status,
-            text,
-            retry_after,
-        })
+        Ok((status, text))
     }
 
     /// `GET path`, parsing the JSON body.
@@ -293,10 +164,9 @@ fn is_stale(e: &io::Error) -> bool {
     )
 }
 
-/// One response off the wire: status, body, connection-close flag, the
-/// `Retry-After` seconds if the server sent one, and the echoed
-/// `X-Request-Id` if present.
-type WireResponse = (u16, String, bool, Option<u64>, Option<String>);
+/// One response off the wire: status, body, connection-close flag, and
+/// the echoed `X-Request-Id` if present.
+type WireResponse = (u16, String, bool, Option<String>);
 
 fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<WireResponse> {
     let mut status_line = String::new();
@@ -316,7 +186,6 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<WireResponse> 
     let mut content_length: Option<usize> = None;
     let mut chunked = false;
     let mut close = false;
-    let mut retry_after: Option<u64> = None;
     let mut request_id: Option<String> = None;
     loop {
         let mut line = String::new();
@@ -336,9 +205,6 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<WireResponse> 
             } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close")
             {
                 close = true;
-            } else if name.eq_ignore_ascii_case("retry-after") {
-                // Only the delta-seconds form; a date form is ignored.
-                retry_after = value.parse().ok();
             } else if name.eq_ignore_ascii_case("x-request-id") {
                 request_id = Some(value.to_string());
             }
@@ -372,7 +238,7 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<WireResponse> 
         close = true;
     }
     let text = String::from_utf8(body).map_err(|_| invalid("response body is not UTF-8"))?;
-    Ok((status, text, close, retry_after, request_id))
+    Ok((status, text, close, request_id))
 }
 
 /// Sends one request on a fresh `Connection: close` connection and reads
@@ -399,7 +265,7 @@ pub fn request(
     )?;
     writer.flush()?;
     let mut reader = BufReader::new(stream);
-    let (status, text, _, _, _) = read_response(&mut reader)?;
+    let (status, text, _, _) = read_response(&mut reader)?;
     Ok((status, text))
 }
 
@@ -428,63 +294,4 @@ pub fn post_json(addr: &str, path: &str, body: &Json) -> io::Result<(u16, Json)>
         status,
         Json::parse(&text).map_err(|e| invalid(e.to_string()))?,
     ))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn policy(seed: u64) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 5,
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(80),
-            seed,
-        }
-    }
-
-    fn backoff_series(p: &RetryPolicy, steps: usize) -> Vec<Duration> {
-        let mut c = Client::new("127.0.0.1:1").with_retry(p.clone());
-        (0..steps).map(|_| c.next_backoff(p)).collect()
-    }
-
-    #[test]
-    fn backoff_stays_between_base_and_cap() {
-        let p = policy(42);
-        for (i, d) in backoff_series(&p, 64).iter().enumerate() {
-            assert!(*d >= p.base && *d <= p.cap, "step {i}: {d:?}");
-        }
-    }
-
-    #[test]
-    fn backoff_is_deterministic_per_seed() {
-        let p = policy(42);
-        assert_eq!(backoff_series(&p, 32), backoff_series(&p, 32));
-        let other = policy(43);
-        assert_ne!(backoff_series(&p, 32), backoff_series(&other, 32));
-    }
-
-    #[test]
-    fn backoff_grows_from_the_base_before_capping() {
-        // Decorrelated jitter must be able to exceed the base: over a
-        // long series, at least one sleep should land above 3x base,
-        // which a fixed-interval policy never would.
-        let p = policy(7);
-        let grew = backoff_series(&p, 64).iter().any(|d| *d > p.base * 3);
-        assert!(grew, "backoff never escaped the base neighborhood");
-    }
-
-    #[test]
-    fn default_policy_is_bounded() {
-        let p = RetryPolicy::default();
-        assert!(p.max_retries >= 1 && p.max_retries <= 10);
-        assert!(p.base > Duration::ZERO && p.base < p.cap);
-    }
-
-    #[test]
-    fn a_client_without_a_policy_never_counts_retries() {
-        let c = Client::new("127.0.0.1:1");
-        assert!(c.retry.is_none());
-        assert_eq!(c.retries(), 0);
-    }
 }

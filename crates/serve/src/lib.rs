@@ -31,8 +31,7 @@
 //! [`trace`] (per-request lifecycle spans in a ring served at
 //! `/v1/trace`), [`log`] (leveled, rate-limited JSON-lines logging),
 //! [`prom`] (Prometheus text exposition + validator), and [`client`]
-//! (the keep-alive client the `hl-client` CLI, the load bench, and the
-//! e2e tests use).
+//! (the keep-alive client the `hl-client` CLI and the e2e tests use).
 //!
 //! # Example
 //!

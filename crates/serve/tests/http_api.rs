@@ -393,6 +393,23 @@ fn a_v2_snapshot_is_refused_and_the_server_boots_cold() {
 }
 
 #[test]
+fn a_failed_drain_save_is_logged_as_an_error() {
+    // A directory that does not exist: the boot finds no snapshot (and
+    // stays silent), and the save on drain cannot create one.
+    let path = std::env::temp_dir()
+        .join(format!("hl-serve-e2e-missing-{}", std::process::id()))
+        .join("snap.json");
+    let (server, log) = spawn_logged(&path);
+    server.stop().expect("a failed save still drains cleanly");
+
+    let failed = log_events(&log, "snapshot_save_failed");
+    assert_eq!(failed.len(), 1, "{}", log.contents());
+    assert_eq!(failed[0].get("level").and_then(Json::as_str), Some("error"));
+    assert_eq!(failed[0].get("periodic"), Some(&Json::Bool(false)));
+    assert!(log_events(&log, "snapshot_load_failed").is_empty());
+}
+
+#[test]
 fn evaluate_model_is_byte_identical_to_offline_network_eval() {
     let server = spawn_server();
     let addr = server.addr().to_string();
@@ -677,12 +694,19 @@ fn concurrent_clients_get_identical_answers() {
     ]);
     let reference = post_json(&addr, "/v1/evaluate", &body).unwrap().1.encode();
     std::thread::scope(|scope| {
-        for _ in 0..8 {
+        // Eight keep-alive clients reuse one connection each; four churn
+        // clients open and close a fresh connection per request, so
+        // accepts and closes interleave with the kept-alive traffic.
+        for churn in [[false; 8].as_slice(), &[true; 4]].concat() {
             let (addr, body, reference) = (&addr, &body, &reference);
             scope.spawn(move || {
                 let mut client = Client::new(addr.clone());
                 for _ in 0..5 {
-                    let (status, v) = client.post_json("/v1/evaluate", body).unwrap();
+                    let (status, v) = if churn {
+                        post_json(addr, "/v1/evaluate", body).unwrap()
+                    } else {
+                        client.post_json("/v1/evaluate", body).unwrap()
+                    };
                     assert_eq!(status, 200);
                     assert_eq!(&v.encode(), reference);
                 }
