@@ -1145,6 +1145,27 @@ mod tests {
         }
     }
 
+    /// Checks every `le` sample of the histogram `family` against the
+    /// observations (in the exported unit) at most that edge; returns
+    /// the number of bucket samples, `+Inf` included.
+    fn assert_le_counts(app: &App, family: &str, observed: &[f64]) -> usize {
+        let text = app.render_prometheus();
+        prom::validate_exposition(&text).unwrap();
+        let prefix = format!("{family}_bucket{{le=\"");
+        let mut seen = 0;
+        for line in text.lines() {
+            let Some(rest) = line.strip_prefix(prefix.as_str()) else {
+                continue;
+            };
+            let (le, value) = rest.split_once("\"} ").unwrap();
+            let le: f64 = le.parse().unwrap();
+            let expect = observed.iter().filter(|&&v| v <= le).count();
+            assert_eq!(value.parse::<f64>().unwrap(), expect as f64, "le={le}");
+            seen += 1;
+        }
+        seen
+    }
+
     #[test]
     fn reuse_histogram_le_edges_count_connections_at_most_le() {
         let app = test_app();
@@ -1153,25 +1174,8 @@ mod tests {
             app.metrics().record_connection_opened();
             app.metrics().record_connection_closed(n);
         }
-        let text = app.render_prometheus();
-        prom::validate_exposition(&text).unwrap();
-        let prefix = "hl_connection_requests_bucket{le=\"";
-        let mut seen = 0;
-        for line in text.lines() {
-            let Some(rest) = line.strip_prefix(prefix) else {
-                continue;
-            };
-            let (le, value) = rest.split_once("\"} ").unwrap();
-            let value: f64 = value.parse().unwrap();
-            let expect = if le == "+Inf" {
-                served.len()
-            } else {
-                let le: f64 = le.parse().unwrap();
-                served.iter().filter(|&&n| n as f64 <= le).count()
-            };
-            assert_eq!(value, expect as f64, "le={le}");
-            seen += 1;
-        }
+        let observed = served.map(|n| n as f64);
+        let seen = assert_le_counts(&app, "hl_connection_requests", &observed);
         assert_eq!(seen, metrics::REUSE_BUCKETS, "15 closed buckets plus +Inf");
     }
 
@@ -1185,28 +1189,8 @@ mod tests {
             app.metrics()
                 .record(Route::Healthz, 200, Duration::from_micros(us));
         }
-        let text = app.render_prometheus();
-        prom::validate_exposition(&text).unwrap();
-        let prefix = "hl_request_latency_seconds_bucket{le=\"";
-        let mut seen = 0;
-        for line in text.lines() {
-            let Some(rest) = line.strip_prefix(prefix) else {
-                continue;
-            };
-            let (le, value) = rest.split_once("\"} ").unwrap();
-            let value: f64 = value.parse().unwrap();
-            let expect = if le == "+Inf" {
-                served_us.len()
-            } else {
-                let le: f64 = le.parse().unwrap();
-                served_us
-                    .iter()
-                    .filter(|&&us| us as f64 / 1e6 <= le)
-                    .count()
-            };
-            assert_eq!(value, expect as f64, "le={le}");
-            seen += 1;
-        }
+        let observed = served_us.map(|us| us as f64 / 1e6);
+        let seen = assert_le_counts(&app, "hl_request_latency_seconds", &observed);
         assert_eq!(
             seen,
             metrics::LATENCY_BUCKETS,

@@ -161,13 +161,7 @@ fn main() -> ExitCode {
     }
 
     signal::install_handlers();
-    let shutdown = match server.shutdown_switch() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("hl-serve: no shutdown switch: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let shutdown = server.shutdown_switch();
     let watcher = std::thread::spawn(move || {
         while !signal::shutdown_requested() && !shutdown.is_triggered() {
             std::thread::sleep(Duration::from_millis(50));

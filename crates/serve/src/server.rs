@@ -73,7 +73,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -85,6 +85,7 @@ use crate::epoll::{Event, Interest, Poller, Waker};
 use crate::faults::{FaultPlane, FaultPoint};
 use crate::http::{parse_request, ParseError, ParseStatus, Request, Response};
 use crate::json::Json;
+use crate::log::Level;
 use crate::metrics::Route;
 use crate::schema::{ErrorBody, MAX_DEADLINE_MS};
 use crate::snapshot;
@@ -235,14 +236,11 @@ impl Server {
 
     /// The shutdown switch; [`Shutdown::trigger`] makes [`Server::run`]
     /// drain and return.
-    ///
-    /// # Errors
-    /// None today; the `Result` is kept for call-site stability.
-    pub fn shutdown_switch(&self) -> io::Result<Shutdown> {
-        Ok(Shutdown {
+    pub fn shutdown_switch(&self) -> Shutdown {
+        Shutdown {
             flag: Arc::clone(&self.shutdown),
             waker: self.poller.waker(),
-        })
+        }
     }
 
     /// Serves until the shutdown switch is triggered, then drains
@@ -354,18 +352,7 @@ impl Server {
             if let Some(due) = next_snapshot {
                 if Instant::now() >= due {
                     if let Some(path) = &self.config.snapshot {
-                        let cache = self.app.context().engine().eval_cache();
-                        if let Err(e) = snapshot::save(cache, path) {
-                            self.app.logger().warn(
-                                "snapshot_save_failed",
-                                &[
-                                    ("trace_id", Json::str(boot_id.as_str())),
-                                    ("path", Json::str(path.display().to_string())),
-                                    ("error", Json::str(e.to_string())),
-                                    ("periodic", Json::Bool(true)),
-                                ],
-                            );
-                        }
+                        save_snapshot(&self.app, path, &boot_id, true);
                     }
                     next_snapshot = self
                         .config
@@ -410,31 +397,20 @@ impl Server {
         }
 
         if let Some(path) = &self.config.snapshot {
-            let cache = self.app.context().engine().eval_cache();
-            if let Err(e) = snapshot::save(cache, path) {
-                self.app.logger().error(
-                    "snapshot_save_failed",
-                    &[
-                        ("trace_id", Json::str(boot_id.as_str())),
-                        ("path", Json::str(path.display().to_string())),
-                        ("error", Json::str(e.to_string())),
-                        ("periodic", Json::Bool(false)),
-                    ],
-                );
-            }
+            save_snapshot(&self.app, path, &boot_id, false);
         }
         Ok(())
     }
 
     /// Runs the server on a background thread, returning a handle with
-    /// the resolved address and a stop switch. Used by the tests and the
-    /// in-process load bench.
+    /// the resolved address and a stop switch. Used by the in-process
+    /// tests.
     ///
     /// # Errors
     /// Propagates `local_addr` failures.
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
-        let shutdown = self.shutdown_switch()?;
+        let shutdown = self.shutdown_switch();
         let app = Arc::clone(&self.app);
         let join = std::thread::spawn(move || self.run());
         Ok(ServerHandle {
@@ -468,13 +444,13 @@ impl ServerHandle {
     /// Signals shutdown and waits for the drain to finish.
     ///
     /// # Errors
-    /// Propagates the server loop's fatal error, if any.
-    ///
-    /// # Panics
-    /// Panics if the server thread itself panicked.
+    /// Propagates the server loop's fatal error, if any; a panicked
+    /// server thread is reported as an [`io::ErrorKind::Other`] error.
     pub fn stop(self) -> io::Result<()> {
         self.shutdown.trigger();
-        self.join.join().expect("server thread panicked")
+        self.join
+            .join()
+            .unwrap_or_else(|_| Err(io::Error::other("server thread panicked")))
     }
 }
 
@@ -1451,6 +1427,26 @@ impl Drop for CoalitionGuard<'_> {
                 eval_misses: 0,
                 outcome: "worker_died",
             },
+        );
+    }
+}
+
+/// Saves the evaluation-cache snapshot, logging a failure. A failed
+/// periodic save is a warning (the next tick retries); a failed save on
+/// drain loses the cache and is an error.
+fn save_snapshot(app: &App, path: &Path, boot_id: &str, periodic: bool) {
+    let cache = app.context().engine().eval_cache();
+    if let Err(e) = snapshot::save(cache, path) {
+        let level = if periodic { Level::Warn } else { Level::Error };
+        app.logger().log(
+            level,
+            "snapshot_save_failed",
+            &[
+                ("trace_id", Json::str(boot_id)),
+                ("path", Json::str(path.display().to_string())),
+                ("error", Json::str(e.to_string())),
+                ("periodic", Json::Bool(periodic)),
+            ],
         );
     }
 }

@@ -255,28 +255,16 @@ pub struct Loaded {
 /// [`SnapshotError::ChecksumMismatch`] when the payload fails its CRC.
 /// On any error the cache is left untouched.
 pub fn load(cache: &EvalCache, path: &Path) -> Result<usize, SnapshotError> {
-    load_with(cache, path, None)
+    load_logged(cache, path, None, None).map(|loaded| loaded.entries)
 }
 
-/// [`load`], with an optional fault plane corrupting the file text
-/// in memory before it is parsed — the chaos harness' way of proving a
+/// [`load`], with an optional fault plane corrupting the file text in
+/// memory before it is parsed — the chaos harness' way of proving a
 /// truncated or bit-flipped snapshot is rejected and boots cold, without
-/// actually tearing files on disk.
-///
-/// # Errors
-/// As [`load`].
-pub fn load_with(
-    cache: &EvalCache,
-    path: &Path,
-    faults: Option<&crate::faults::FaultPlane>,
-) -> Result<usize, SnapshotError> {
-    load_logged(cache, path, faults, None).map(|loaded| loaded.entries)
-}
-
-/// [`load_with`], reporting injected corruption through a structured
-/// logger (tagged with the server's boot-scoped trace id) instead of a
-/// bare stderr line, and returning the file size along with the entry
-/// count. The server boot path uses this; `None` is silent.
+/// actually tearing files on disk. Injected corruption is reported
+/// through a structured logger (tagged with the server's boot-scoped
+/// trace id); `None` is silent. Returns the file size along with the
+/// entry count. The server boot path uses this.
 ///
 /// # Errors
 /// As [`load`].
@@ -937,7 +925,7 @@ mod tests {
         for spec in ["seed=11,snapshot=bitflip", "snapshot=truncate"] {
             let plane = FaultPlane::parse(spec).unwrap();
             let restored = EvalCache::new();
-            let err = load_with(&restored, &path, Some(&plane)).unwrap_err();
+            let err = load_logged(&restored, &path, Some(&plane), None).unwrap_err();
             assert!(
                 matches!(
                     err,

@@ -163,9 +163,9 @@ impl TraceRing {
     pub fn push(&self, record: TraceRecord) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let idx = (seq % self.slots.len() as u64) as usize;
-        match self.slots[idx].try_lock() {
-            Ok(mut slot) => *slot = Some(record),
-            Err(_) => {
+        match self.slots.get(idx).map(Mutex::try_lock) {
+            Some(Ok(mut slot)) => *slot = Some(record),
+            _ => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -179,7 +179,7 @@ impl TraceRing {
         let mut out = Vec::new();
         for seq in head.saturating_sub(cap)..head {
             let idx = (seq % cap) as usize;
-            if let Ok(slot) = self.slots[idx].try_lock() {
+            if let Some(Ok(slot)) = self.slots.get(idx).map(Mutex::try_lock) {
                 if let Some(rec) = slot.as_ref() {
                     out.push(rec.clone());
                 }

@@ -11,11 +11,12 @@ use hl_serve::metrics::{LatencyHistogram, LATENCY_BUCKETS};
 use hl_serve::prom::{validate_exposition, Exposition};
 use proptest::prelude::*;
 
-/// The edges `api::render_prometheus` exports: upper edge of log₂
-/// bucket `i` is `2^(i+1)` µs, rendered in seconds.
+/// The edges `App::render_prometheus` exports: closed log₂ bucket `i`
+/// under the inclusive edge `2^(i+1) − 1` µs, rendered in seconds; the
+/// open last bucket only under `+Inf`.
 fn edges_seconds() -> Vec<f64> {
-    (0..LATENCY_BUCKETS)
-        .map(|i| (1u64 << (i + 1)) as f64 / 1e6)
+    (1..LATENCY_BUCKETS)
+        .map(|i| ((1u64 << i) - 1) as f64 / 1e6)
         .collect()
 }
 
@@ -95,9 +96,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Rendered buckets are the exact cumulative sums of the raw
-    /// per-bucket series, capped by `+Inf`, with `_count`/`_sum`
-    /// matching the histogram's own counters — and the document passes
-    /// the promcheck validator.
+    /// per-bucket series, each counting exactly the observations at
+    /// most its `le`, capped by `+Inf`, with `_count`/`_sum` matching
+    /// the histogram's own counters — and the document passes the
+    /// promcheck validator.
     #[test]
     fn buckets_are_cumulative_and_count_sum_agree(obs in observations()) {
         let h = record_all(&obs);
@@ -105,15 +107,17 @@ proptest! {
         prop_assert!(validate_exposition(&text).is_ok(), "{text}");
 
         let (buckets, sum, count) = parse_histogram(&text, "hl_request_latency_seconds");
-        prop_assert_eq!(buckets.len(), LATENCY_BUCKETS + 1);
+        prop_assert_eq!(buckets.len(), LATENCY_BUCKETS);
         let raw = h.bucket_counts();
         let mut cum = 0u64;
-        for (i, &(le, value)) in buckets.iter().take(LATENCY_BUCKETS).enumerate() {
+        for (i, &(le, value)) in buckets.iter().take(LATENCY_BUCKETS - 1).enumerate() {
             cum += raw[i];
-            prop_assert_eq!(le, (1u64 << (i + 1)) as f64 / 1e6);
+            prop_assert_eq!(le, ((1u64 << (i + 1)) - 1) as f64 / 1e6);
             prop_assert_eq!(value, cum as f64);
+            let at_most_le = obs.iter().filter(|&&us| us as f64 / 1e6 <= le).count();
+            prop_assert_eq!(value, at_most_le as f64);
         }
-        let (inf_le, inf_value) = buckets[LATENCY_BUCKETS];
+        let (inf_le, inf_value) = buckets[LATENCY_BUCKETS - 1];
         prop_assert_eq!(inf_le, f64::INFINITY);
         prop_assert_eq!(inf_value, obs.len() as f64);
         prop_assert_eq!(count, obs.len() as f64);
