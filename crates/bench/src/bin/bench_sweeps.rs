@@ -142,13 +142,15 @@ fn main() {
     identical &= search_identical;
 
     // Cache instrumentation from the search context: the same counters
-    // `hl-serve` exports at `/v1/metrics` (eval + retention cache), so a
-    // replay-speedup regression here can be attributed to hit rate.
+    // `hl-serve` exports at `/v1/metrics` (eval, retention and search-front
+    // tables), so a replay-speedup regression here can be attributed to
+    // hit rate.
     let (eval_hits, eval_misses) = ctx.engine().eval_cache().stats();
     let (ret_hits, ret_misses) = ctx.retention_stats();
+    let (_, search_hits, _) = ctx.search_stats();
     println!(
         "{:>22}: eval {eval_hits} hits / {eval_misses} misses, \
-         retention {ret_hits} hits / {ret_misses} misses",
+         retention {ret_hits} hits / {ret_misses} misses, search {search_hits} hits",
         "cache counters"
     );
 
@@ -171,6 +173,7 @@ fn main() {
                 num("eval_misses", eval_misses as f64),
                 num("retention_hits", ret_hits as f64),
                 num("retention_misses", ret_misses as f64),
+                num("search_hits", search_hits as f64),
             ]),
         ),
         ("outputs_identical".into(), Json::Bool(identical)),

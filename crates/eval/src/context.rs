@@ -1,13 +1,28 @@
 //! [`SweepContext`]: the evaluation front-end every sweep, search and
 //! server request runs through.
+//!
+//! In engine mode the context owns every memo a request can replay from:
+//! the engine's per-cell [`hl_sim::engine::EvalCache`], the surrogate's
+//! [`RetentionCache`], and the search-front table (one budget-independent
+//! co-design front per (design, model name), see [`crate::search`]). The
+//! baseline mode reads and writes none of them.
 
 use hl_models::accuracy::{accuracy_loss, accuracy_loss_cached, PruningConfig, RetentionCache};
+use std::sync::Arc;
+
 use hl_models::DnnModel;
-use hl_sim::engine::{DesignFingerprint, Engine, SweepGrid};
+use hl_sim::engine::{DesignFingerprint, Engine, Memo, SweepGrid};
 use hl_sim::network::{NetworkEval, NetworkWorkload};
 use hl_sim::{evaluate_best, Accelerator, EvalResult, Unsupported, Workload};
 
+use crate::search::SearchFront;
 use crate::DesignId;
+
+/// The search-front table: one front per (design, model name), each
+/// holding the model it was computed for. A lookup whose model differs
+/// recomputes and replaces the entry, so the table never holds more than
+/// designs × model names entries.
+type FrontTable = Memo<(DesignId, String), Arc<SearchFront>>;
 
 /// The evaluation front-end shared by every sweep: either the parallel
 /// engine with memoized pure evaluations, or the uncached single-threaded
@@ -17,6 +32,7 @@ use crate::DesignId;
 pub struct SweepContext {
     engine: Engine,
     retention: RetentionCache,
+    fronts: FrontTable,
     cached: bool,
 }
 
@@ -38,6 +54,7 @@ impl SweepContext {
         Self {
             engine,
             retention: RetentionCache::new(),
+            fronts: FrontTable::new(),
             cached: true,
         }
     }
@@ -49,6 +66,7 @@ impl SweepContext {
         Self {
             engine: Engine::serial(),
             retention: RetentionCache::new(),
+            fronts: FrontTable::new(),
             cached: false,
         }
     }
@@ -62,6 +80,34 @@ impl SweepContext {
     /// surfaced by `hl-serve`'s metrics alongside the eval cache.
     pub fn retention_stats(&self) -> (u64, u64) {
         self.retention.stats()
+    }
+
+    /// `(entries, hits, misses)` of the search-front table — surfaced by
+    /// `hl-serve`'s metrics and per-request traces.
+    pub fn search_stats(&self) -> (usize, u64, u64) {
+        (self.fronts.len(), self.fronts.hits(), self.fronts.misses())
+    }
+
+    /// The co-design front of `design` on `model` through the front
+    /// table: a stored front answers only when it was computed for a model
+    /// `==` to this one; otherwise `compute` runs and replaces the entry.
+    /// The baseline mode computes every time and stores nothing.
+    pub(crate) fn search_front(
+        &self,
+        design: DesignId,
+        model: &DnnModel,
+        compute: impl FnOnce() -> SearchFront,
+    ) -> Arc<SearchFront> {
+        if !self.cached {
+            return Arc::new(compute());
+        }
+        let key = (design, model.name.clone());
+        if let Some(front) = self.fronts.get_if(&key, |f| f.model == *model) {
+            return front;
+        }
+        let front = Arc::new(compute());
+        self.fronts.insert(key, Arc::clone(&front));
+        front
     }
 
     /// Maps `f` over `items` on the context's pool, results in input order.
@@ -122,8 +168,9 @@ impl SweepContext {
     }
 
     /// Evaluates an already-lowered [`NetworkWorkload`] through the
-    /// context: layers fan out across the engine pool, each hitting the
-    /// eval cache individually (inline and uncached in baseline mode).
+    /// context: every layer is looked up in the eval cache first and only
+    /// the misses fan out across the engine pool (inline and uncached in
+    /// baseline mode).
     pub fn evaluate_network(
         &self,
         design: &dyn Accelerator,

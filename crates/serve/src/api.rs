@@ -1213,6 +1213,7 @@ mod tests {
             write_us: 0,
             eval_cache_hits: 0,
             eval_cache_misses: 0,
+            search_cache_hits: 0,
         }
     }
 

@@ -139,7 +139,10 @@ pub fn parse_request(buf: &[u8]) -> ParseStatus {
     if head_len > MAX_HEAD_BYTES {
         return ParseStatus::Bad(ParseError::new(431, "request head too large"));
     }
-    let head = String::from_utf8_lossy(&buf[..head_len]);
+    let Some(head) = buf.get(..head_len) else {
+        return ParseStatus::Incomplete;
+    };
+    let head = String::from_utf8_lossy(head);
     let mut lines = head.split('\n').map(|l| l.trim_end_matches('\r'));
     let request_line = lines.next().unwrap_or("");
     let (method, path, query) = match parse_request_line(request_line) {
@@ -199,26 +202,24 @@ pub fn parse_request(buf: &[u8]) -> ParseStatus {
         ));
     }
     let total = head_len + len;
-    if buf.len() < total {
+    let Some(body) = buf.get(head_len..total) else {
         return ParseStatus::Incomplete;
-    }
-    req.body = buf[head_len..total].to_vec();
+    };
+    req.body = body.to_vec();
     ParseStatus::Complete(req, total)
 }
 
 /// Index one past the head-terminating empty line, if present.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
-    let mut line_start = 0;
-    for (i, &b) in buf.iter().enumerate() {
-        if b != b'\n' {
-            continue;
+    let mut end = 0;
+    for line in buf.split_inclusive(|&b| b == b'\n') {
+        // An unterminated last line is not a line yet.
+        let line = line.strip_suffix(b"\n")?;
+        let start = end;
+        end += line.len() + 1;
+        if line.strip_suffix(b"\r").unwrap_or(line).is_empty() && start > 0 {
+            return Some(end);
         }
-        let line = &buf[line_start..i];
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        if line.is_empty() && line_start > 0 {
-            return Some(i + 1);
-        }
-        line_start = i + 1;
     }
     None
 }

@@ -474,12 +474,43 @@ struct Completion {
     panicked: bool,
     /// Wall time the worker spent in the handler — the trace eval span.
     eval_us: u64,
-    /// EvalCache hit delta observed across the evaluation.
-    eval_hits: u64,
-    /// EvalCache miss delta observed across the evaluation.
-    eval_misses: u64,
+    /// Cache counter deltas observed across the evaluation.
+    cache: CacheDelta,
     /// The leader's terminal outcome; joiners get `"coalesce_join"`.
     outcome: &'static str,
+}
+
+/// Which caches answered one evaluation: counter deltas across it.
+/// Approximate under concurrency (other workers hit the same shared
+/// caches), exact when a request runs alone — good enough for
+/// attribution.
+#[derive(Debug, Clone, Copy, Default)]
+struct CacheDelta {
+    eval_hits: u64,
+    eval_misses: u64,
+    search_hits: u64,
+}
+
+impl CacheDelta {
+    /// The counters' current totals.
+    fn read(app: &App) -> Self {
+        let (eval_hits, eval_misses) = app.context().engine().eval_cache().stats();
+        let (_, search_hits, _) = app.context().search_stats();
+        Self {
+            eval_hits,
+            eval_misses,
+            search_hits,
+        }
+    }
+
+    /// The growth from `before` to these totals.
+    fn since(self, before: Self) -> Self {
+        Self {
+            eval_hits: self.eval_hits.saturating_sub(before.eval_hits),
+            eval_misses: self.eval_misses.saturating_sub(before.eval_misses),
+            search_hits: self.search_hits.saturating_sub(before.search_hits),
+        }
+    }
 }
 
 /// Coalescing identity: method is always `POST`, so path + body is the
@@ -526,8 +557,7 @@ struct PendingTrace {
     queue_us: u64,
     eval_us: u64,
     serialize_us: u64,
-    eval_hits: u64,
-    eval_misses: u64,
+    cache: CacheDelta,
 }
 
 impl PendingTrace {
@@ -542,8 +572,7 @@ impl PendingTrace {
             queue_us: 0,
             eval_us: 0,
             serialize_us: 0,
-            eval_hits: 0,
-            eval_misses: 0,
+            cache: CacheDelta::default(),
         }
     }
 
@@ -581,8 +610,9 @@ impl PendingTrace {
             eval_us: self.eval_us,
             serialize_us: self.serialize_us,
             write_us,
-            eval_cache_hits: self.eval_hits,
-            eval_cache_misses: self.eval_misses,
+            eval_cache_hits: self.cache.eval_hits,
+            eval_cache_misses: self.cache.eval_misses,
+            search_cache_hits: self.cache.search_hits,
         }
     }
 }
@@ -992,8 +1022,7 @@ impl EventLoop<'_> {
                 resp,
                 panicked,
                 eval_us,
-                eval_hits,
-                eval_misses,
+                cache,
                 outcome,
             }) = next
             else {
@@ -1016,8 +1045,7 @@ impl EventLoop<'_> {
                 }
                 let mut tr = PendingTrace::new(w.id, route.label(), w.t_start, w.parse_us);
                 tr.eval_us = eval_us;
-                tr.eval_hits = eval_hits;
-                tr.eval_misses = eval_misses;
+                tr.cache = cache;
                 // Queue span by contiguity: everything between the end
                 // of parsing and the worker's evaluation is time this
                 // waiter spent on the pool (dispatch + completion queues).
@@ -1384,7 +1412,7 @@ impl CoalitionGuard<'_> {
         resp: Response,
         panicked: bool,
         eval_us: u64,
-        cache_delta: (u64, u64),
+        cache: CacheDelta,
         outcome: &'static str,
     ) {
         if let Some(key) = self.key.take() {
@@ -1395,8 +1423,7 @@ impl CoalitionGuard<'_> {
                     resp,
                     panicked,
                     eval_us,
-                    eval_hits: cache_delta.0,
-                    eval_misses: cache_delta.1,
+                    cache,
                     outcome,
                 },
             );
@@ -1423,8 +1450,7 @@ impl Drop for CoalitionGuard<'_> {
                 resp: Response::json(500, body),
                 panicked: true,
                 eval_us: 0,
-                eval_hits: 0,
-                eval_misses: 0,
+                cache: CacheDelta::default(),
                 outcome: "worker_died",
             },
         );
@@ -1514,7 +1540,7 @@ fn worker_loop(shared: &WorkerShared) {
                     .to_json()
                     .encode();
                 let resp = Response::json(503, body).with_retry_after(RETRY_AFTER_SECS);
-                guard.complete(resp, false, 0, (0, 0), "shed_deadline");
+                guard.complete(resp, false, 0, CacheDelta::default(), "shed_deadline");
                 continue;
             }
         }
@@ -1530,25 +1556,15 @@ fn worker_loop(shared: &WorkerShared) {
                 panic!("injected worker panic (fault plane)");
             }
         }
-        // EvalCache deltas across the evaluation: approximate under
-        // concurrency (other workers hit the same shared cache), exact
-        // when a request runs alone — good enough for attribution.
-        let cache = shared.app.context().engine().eval_cache();
-        let (h0, m0) = cache.stats();
+        let before = CacheDelta::read(&shared.app);
         let t_eval = Instant::now();
         let (resp, panicked) = shared.app.handle_traced(&req);
         let eval_us = u64::try_from(t_eval.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let (h1, m1) = cache.stats();
+        let cache = CacheDelta::read(&shared.app).since(before);
         if panicked {
             shared.app.metrics().record_worker_panic();
         }
-        guard.complete(
-            resp,
-            panicked,
-            eval_us,
-            (h1.saturating_sub(h0), m1.saturating_sub(m0)),
-            "complete",
-        );
+        guard.complete(resp, panicked, eval_us, cache, "complete");
     }
 }
 

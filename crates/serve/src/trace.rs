@@ -62,6 +62,8 @@ pub struct TraceRecord {
     pub eval_cache_hits: u64,
     /// EvalCache misses observed while this request ran.
     pub eval_cache_misses: u64,
+    /// Search-front table hits observed while this request ran.
+    pub search_cache_hits: u64,
 }
 
 impl TraceRecord {
@@ -100,6 +102,10 @@ impl TraceRecord {
                     (
                         "eval_misses".to_string(),
                         Json::Num(self.eval_cache_misses as f64),
+                    ),
+                    (
+                        "search_hits".to_string(),
+                        Json::Num(self.search_cache_hits as f64),
                     ),
                 ]),
             ),
@@ -326,6 +332,7 @@ mod tests {
             write_us: total_us - 4 * (total_us / 5),
             eval_cache_hits: 1,
             eval_cache_misses: 0,
+            search_cache_hits: 2,
         }
     }
 
@@ -400,6 +407,7 @@ mod tests {
         assert_eq!(spans.get("parse_ms").and_then(Json::as_f64), Some(1.0));
         let cache = j.get("cache").unwrap();
         assert_eq!(cache.get("eval_hits").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(cache.get("search_hits").and_then(Json::as_f64), Some(2.0));
         // Round-trips through the codec.
         let text = j.encode();
         assert_eq!(Json::parse(&text).unwrap(), j);

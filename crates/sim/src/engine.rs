@@ -10,13 +10,17 @@
 //!   results are returned in input order regardless of scheduling, so
 //!   parallel sweeps are byte-identical to their serial baseline;
 //! - [`Memo`]: a generic thread-safe memo table for repeated *pure*
-//!   evaluations;
+//!   evaluations, with lookup-only reads ([`Memo::get_many`],
+//!   [`Memo::get_if`]) that count hits without computing;
 //! - [`Engine`]: the pool plus an [`EvalCache`] memoizing
 //!   [`evaluate_best`] results keyed on `(design, shape, operand
-//!   sparsity)` — whole-DNN sweeps stop recomputing identical layers;
+//!   sparsity)` — whole-DNN sweeps stop recomputing identical layers.
+//!   [`Engine::evaluate_cells`] looks a whole batch of cells up under one
+//!   lock and fans out only the misses, so a fully warm batch (a replayed
+//!   network, a repeated sweep) runs on the caller thread and spawns none;
 //! - [`SweepGrid`]: a declarative grid of `(design, workload)` cells that
-//!   replaces hand-rolled nested sweep loops and fans the cells out across
-//!   the pool.
+//!   replaces hand-rolled nested sweep loops and evaluates them as one
+//!   [`Engine::evaluate_cells`] batch.
 //!
 //! ## Thread-count resolution
 //!
@@ -184,6 +188,39 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         let v = f();
         self.map().entry(key.clone()).or_insert_with(|| v.clone());
         v
+    }
+
+    /// Looks every key up under one lock without computing anything,
+    /// counting a hit per stored value. An absent key counts nothing:
+    /// the caller computes it through [`Memo::get_or_insert_with`],
+    /// which counts the miss.
+    pub fn get_many<'k>(&self, keys: impl IntoIterator<Item = &'k K>) -> Vec<Option<V>>
+    where
+        K: 'k,
+    {
+        let map = self.map();
+        let found: Vec<Option<V>> = keys.into_iter().map(|k| map.get(k).cloned()).collect();
+        drop(map);
+        let hits = found.iter().filter(|v| v.is_some()).count();
+        self.hits.fetch_add(hits as u64, Ordering::Relaxed);
+        found
+    }
+
+    /// Looks `key` up without computing anything, answering only with a
+    /// stored value that `fresh` accepts, and counting that as a hit. An
+    /// absent or stale value counts nothing: the caller computes the
+    /// value and stores it with [`Memo::insert`], which counts the miss.
+    pub fn get_if(&self, key: &K, fresh: impl FnOnce(&V) -> bool) -> Option<V> {
+        let v = self.map().get(key).filter(|v| fresh(v)).cloned()?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(v)
+    }
+
+    /// Stores `value` under `key`, replacing any stored value, and counts
+    /// a miss: the value a [`Memo::get_if`] lookup did not answer.
+    pub fn insert(&self, key: K, value: V) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.map().insert(key, value);
     }
 
     /// Number of entries currently stored.
@@ -369,8 +406,8 @@ impl Engine {
     }
 
     /// The configuration fingerprint of `design` — format it once per
-    /// design and pass it to [`Engine::evaluate_best_keyed`] when sweeping
-    /// many points over the same design.
+    /// design and share it across every [`EvalCell`] of a batch that
+    /// sweeps many points over the same design.
     pub fn fingerprint(design: &dyn Accelerator) -> DesignFingerprint {
         format!("{design:?}").into()
     }
@@ -386,30 +423,58 @@ impl Engine {
         design: &dyn Accelerator,
         workload: &Workload,
     ) -> Result<EvalResult, Unsupported> {
-        self.evaluate_best_keyed(design, &Self::fingerprint(design), workload)
-    }
-
-    /// [`Engine::evaluate_best`] with a hoisted design fingerprint: sweep
-    /// loops compute [`Engine::fingerprint`] once and key every point off
-    /// the shared `Arc`, so neighboring points only pay for the operand
-    /// descriptors that actually changed.
-    ///
-    /// # Errors
-    /// Exactly the errors of [`evaluate_best`].
-    pub fn evaluate_best_keyed(
-        &self,
-        design: &dyn Accelerator,
-        fingerprint: &DesignFingerprint,
-        workload: &Workload,
-    ) -> Result<EvalResult, Unsupported> {
-        let key = EvalKey::with_fingerprint(fingerprint, workload);
+        let key = EvalKey::new(design, workload);
         let mut out = self
             .evals
             .get_or_insert_with(&key, || evaluate_best(design, workload));
-        if let Ok(r) = &mut out {
-            r.workload.clone_from(&workload.name);
-        }
+        relabel(&mut out, workload);
         out
+    }
+
+    /// Memoized [`evaluate_best`] over a batch of cells, results in input
+    /// order. Every cell's key is looked up under one lock first and the
+    /// hits are re-labeled in place; only the misses fan out across the
+    /// pool. A fully warm batch therefore spawns no threads, and a cold
+    /// one fans out exactly as [`Engine::map`] would.
+    ///
+    /// Network evaluation and [`SweepGrid::run`] both go through here, so
+    /// every batched path follows the same rule.
+    pub fn evaluate_cells(&self, cells: &[EvalCell<'_>]) -> Vec<Result<EvalResult, Unsupported>> {
+        let keys: Vec<EvalKey> = cells
+            .iter()
+            .map(|&(_, fingerprint, workload)| EvalKey::with_fingerprint(fingerprint, workload))
+            .collect();
+        let mut found = self.evals.get_many(&keys);
+        let misses: Vec<usize> = (0..cells.len()).filter(|&i| found[i].is_none()).collect();
+        let computed = self.map(&misses, |&i| {
+            let (design, _, workload) = cells[i];
+            self.evals
+                .get_or_insert_with(&keys[i], || evaluate_best(design, workload))
+        });
+        for (i, outcome) in misses.into_iter().zip(computed) {
+            found[i] = Some(outcome);
+        }
+        // Every slot is filled now, so `flatten` keeps one outcome per cell.
+        found
+            .into_iter()
+            .flatten()
+            .zip(cells)
+            .map(|(mut outcome, &(_, _, workload))| {
+                relabel(&mut outcome, workload);
+                outcome
+            })
+            .collect()
+    }
+}
+
+/// One cell of [`Engine::evaluate_cells`]: the design, its hoisted
+/// [`Engine::fingerprint`], and the workload to evaluate on it.
+pub type EvalCell<'a> = (&'a dyn Accelerator, &'a DesignFingerprint, &'a Workload);
+
+/// Names a (possibly cached) result after the workload that asked for it.
+fn relabel(outcome: &mut Result<EvalResult, Unsupported>, workload: &Workload) {
+    if let Ok(r) = outcome {
+        r.workload.clone_from(&workload.name);
     }
 }
 
@@ -466,19 +531,18 @@ impl<'a> SweepGrid<'a> {
             .iter()
             .map(|d| Engine::fingerprint(d.as_ref()))
             .collect();
-        let cells: Vec<(usize, &Workload)> = self
+        let cells: Vec<EvalCell<'_>> = self
             .rows
             .iter()
-            .flat_map(|row| row.iter().enumerate())
+            .flat_map(|row| {
+                row.iter()
+                    .zip(self.designs.iter().zip(&fingerprints))
+                    .map(|(w, (d, fp))| (d.as_ref(), fp, w))
+            })
             .collect();
-        let flat = engine.map(&cells, |(d, w)| {
-            engine
-                .evaluate_best_keyed(self.designs[*d].as_ref(), &fingerprints[*d], w)
-                .ok()
-        });
         let n = self.designs.len();
         let mut out = Vec::with_capacity(self.rows.len());
-        let mut it = flat.into_iter();
+        let mut it = engine.evaluate_cells(&cells).into_iter().map(Result::ok);
         for _ in 0..self.rows.len() {
             out.push(it.by_ref().take(n).collect());
         }

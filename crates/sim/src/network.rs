@@ -15,16 +15,18 @@
 //!   dense layer still reports every other layer), plus aggregate cycles /
 //!   energy / EDP / ED² and MACs-weighted utilization;
 //! - [`evaluate_network`]: the serial, uncached reference evaluation;
-//! - [`Engine::evaluate_network`]: the engine path — layers fan out across
-//!   the worker pool and hit the [`crate::engine::EvalCache`]
-//!   individually, so sweeping configurations over a model re-evaluates
-//!   only the layers whose `(design, shape, operands)` cell changed.
+//! - [`Engine::evaluate_network`]: the engine path — every layer's
+//!   `(design, shape, operands)` cell is looked up in the
+//!   [`crate::engine::EvalCache`] first, and only the misses fan out
+//!   across the worker pool, so sweeping configurations over a model
+//!   re-evaluates only the layers whose cell changed and a fully warm
+//!   network spawns no threads.
 //!
 //! Both paths produce byte-identical results (aggregates accumulate in
 //! layer order regardless of scheduling), the property the workspace's
 //! network determinism tests assert.
 
-use crate::engine::Engine;
+use crate::engine::{DesignFingerprint, Engine, EvalCell};
 use crate::eval::{evaluate_best, Accelerator, EvalResult, Unsupported};
 use crate::workload::{OperandSparsity, Workload};
 
@@ -262,11 +264,11 @@ pub fn evaluate_network(design: &dyn Accelerator, network: &NetworkWorkload) -> 
 }
 
 impl Engine {
-    /// Network evaluation on the engine: layers fan out across the worker
-    /// pool and each `(design, shape, operands)` cell hits the
-    /// [`crate::engine::EvalCache`] individually, so repeated
-    /// configurations over the same model replay unchanged layers from
-    /// the memo. Results are identical to [`evaluate_network`] for any
+    /// Network evaluation on the engine, one [`Engine::evaluate_cells`]
+    /// batch: every layer's `(design, shape, operands)` cell is looked up
+    /// in the [`crate::engine::EvalCache`] under one lock, hits replay
+    /// from the memo, and only the missing layers fan out across the
+    /// worker pool. Results are identical to [`evaluate_network`] for any
     /// thread count (deterministic ordered collect + pure evaluations).
     pub fn evaluate_network(
         &self,
@@ -283,12 +285,15 @@ impl Engine {
     pub fn evaluate_network_keyed(
         &self,
         design: &dyn Accelerator,
-        fingerprint: &crate::engine::DesignFingerprint,
+        fingerprint: &DesignFingerprint,
         network: &NetworkWorkload,
     ) -> NetworkEval {
-        let outcomes = self.map(&network.layers, |l| {
-            self.evaluate_best_keyed(design, fingerprint, &l.workload)
-        });
+        let cells: Vec<EvalCell<'_>> = network
+            .layers
+            .iter()
+            .map(|l| (design, fingerprint, &l.workload))
+            .collect();
+        let outcomes = self.evaluate_cells(&cells);
         NetworkEval {
             design: design.name().to_string(),
             network: network.name.clone(),
@@ -417,6 +422,92 @@ mod tests {
         engine.evaluate_network(&SparseOnly, &nw);
         assert_eq!(engine.eval_cache().misses(), misses);
         assert!(engine.eval_cache().hits() >= 2);
+    }
+
+    /// `n` sparse layers with pairwise distinct shapes (distinct cache keys).
+    fn distinct_network(n: usize) -> NetworkWorkload {
+        let layers = (0..n)
+            .map(|i| layer(&format!("l{i}"), 8 * (i + 1), true, 1))
+            .collect();
+        NetworkWorkload::new("distinct", layers)
+    }
+
+    #[test]
+    fn warm_network_counts_one_hit_per_layer_and_no_miss() {
+        let nw = distinct_network(6);
+        for threads in [1, 2] {
+            let engine = Engine::with_threads(threads);
+            let cold = engine.evaluate_network(&SparseOnly, &nw);
+            let (hits, misses) = engine.eval_cache().stats();
+            assert_eq!((hits, misses), (0, 6));
+            assert_eq!(engine.evaluate_network(&SparseOnly, &nw), cold);
+            let (warm_hits, warm_misses) = engine.eval_cache().stats();
+            assert_eq!((warm_hits - hits, warm_misses - misses), (6, 0));
+        }
+    }
+
+    #[test]
+    fn half_preloaded_network_computes_only_its_missing_layers() {
+        let nw = distinct_network(6);
+        let reference = evaluate_network(&SparseOnly, &nw);
+        let engine = Engine::serial();
+        // Preload every other layer, evaluated under a foreign name so
+        // the hits must be re-labeled.
+        engine
+            .eval_cache()
+            .preload(nw.layers.iter().step_by(2).map(|l| {
+                let mut foreign = l.workload.clone();
+                foreign.name = "preloaded".into();
+                let key = crate::engine::EvalKey::new(&SparseOnly, &foreign);
+                (key, evaluate_best(&SparseOnly, &foreign))
+            }));
+        let eval = engine.evaluate_network(&SparseOnly, &nw);
+        assert_eq!(eval, reference);
+        assert_eq!(format!("{eval:?}"), format!("{reference:?}"), "bit for bit");
+        assert_eq!(engine.eval_cache().stats(), (3, 3));
+    }
+
+    #[test]
+    fn a_panicking_missing_layer_reraises_its_payload() {
+        /// [`SparseOnly`], except that a layer with `m == 24` panics.
+        #[derive(Debug)]
+        struct Fragile;
+        impl Accelerator for Fragile {
+            fn name(&self) -> &str {
+                "fragile"
+            }
+            fn evaluate(&self, w: &Workload) -> Result<EvalResult, Unsupported> {
+                assert!(w.shape.m != 24, "layer with m = 24 exploded");
+                SparseOnly.evaluate(w)
+            }
+            fn area(&self) -> AreaBreakdown {
+                AreaBreakdown::new()
+            }
+            fn supported_patterns(&self) -> String {
+                "A sparse".into()
+            }
+            fn swappable(&self) -> bool {
+                false
+            }
+        }
+        let nw = distinct_network(6);
+        for threads in [1, 2] {
+            let engine = Engine::with_threads(threads);
+            // Warm the first layer so the batch mixes a hit with misses.
+            engine
+                .evaluate_best(&Fragile, &nw.layers[0].workload)
+                .unwrap();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.evaluate_network(&Fragile, &nw)
+            }))
+            .expect_err("the layer panic must propagate");
+            let msg = caught
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| caught.downcast_ref::<&str>().copied())
+                .unwrap_or("<non-string payload>");
+            assert!(msg.contains("m = 24 exploded"), "payload was {msg:?}");
+        }
     }
 
     #[test]
