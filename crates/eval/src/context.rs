@@ -7,9 +7,9 @@
 //! co-design front per (design, model name), see [`crate::search`]). The
 //! baseline mode reads and writes none of them.
 
-use hl_models::accuracy::{accuracy_loss, accuracy_loss_cached, PruningConfig, RetentionCache};
 use std::sync::Arc;
 
+use hl_models::accuracy::{accuracy_loss, accuracy_loss_cached, PruningConfig, RetentionCache};
 use hl_models::DnnModel;
 use hl_sim::engine::{DesignFingerprint, Engine, Memo, SweepGrid};
 use hl_sim::network::{NetworkEval, NetworkWorkload};
