@@ -489,6 +489,26 @@ fn search_is_byte_identical_to_offline_codesign_and_rejects_degenerates() {
     let (_, v2) = post_json(&addr, "/v1/search", &body).unwrap();
     assert_eq!(v2.encode(), v.encode());
 
+    // The search-front table answered it: the first query's trace counts
+    // no search hit, the replay's one hit and no eval-cache miss.
+    let (status, t) = get_json(&addr, "/v1/trace?route=/v1/search").unwrap();
+    assert_eq!(status, 200);
+    let cache: Vec<(f64, f64)> = t
+        .get("traces")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|r| {
+            let c = r.get("cache").unwrap();
+            let n = |k| c.get(k).and_then(Json::as_f64).unwrap();
+            (n("search_hits"), n("eval_misses"))
+        })
+        .collect();
+    assert_eq!(cache.len(), 2);
+    assert_eq!(cache[0].0, 0.0);
+    assert!(cache[0].1 > 0.0, "the first query is cold");
+    assert_eq!(cache[1], (1.0, 0.0));
+
     // Degenerate queries are 4xx, not worker panics.
     for bad in [
         Json::Obj(vec![

@@ -10,17 +10,17 @@
 //!   results are returned in input order regardless of scheduling, so
 //!   parallel sweeps are byte-identical to their serial baseline;
 //! - [`Memo`]: a generic thread-safe memo table for repeated *pure*
-//!   evaluations, with lookup-only reads ([`Memo::get_many`],
+//!   evaluations, with lookup-only reads (`Memo::get_many`,
 //!   [`Memo::get_if`]) that count hits without computing;
 //! - [`Engine`]: the pool plus an [`EvalCache`] memoizing
 //!   [`evaluate_best`] results keyed on `(design, shape, operand
 //!   sparsity)` — whole-DNN sweeps stop recomputing identical layers.
-//!   [`Engine::evaluate_cells`] looks a whole batch of cells up under one
+//!   `Engine::evaluate_cells` looks a whole batch of cells up under one
 //!   lock and fans out only the misses, so a fully warm batch (a replayed
 //!   network, a repeated sweep) runs on the caller thread and spawns none;
 //! - [`SweepGrid`]: a declarative grid of `(design, workload)` cells that
 //!   replaces hand-rolled nested sweep loops and evaluates them as one
-//!   [`Engine::evaluate_cells`] batch.
+//!   `Engine::evaluate_cells` batch.
 //!
 //! ## Thread-count resolution
 //!
@@ -194,7 +194,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     /// counting a hit per stored value. An absent key counts nothing:
     /// the caller computes it through [`Memo::get_or_insert_with`],
     /// which counts the miss.
-    pub fn get_many<'k>(&self, keys: impl IntoIterator<Item = &'k K>) -> Vec<Option<V>>
+    pub(crate) fn get_many<'k>(&self, keys: impl IntoIterator<Item = &'k K>) -> Vec<Option<V>>
     where
         K: 'k,
     {
@@ -406,8 +406,8 @@ impl Engine {
     }
 
     /// The configuration fingerprint of `design` — format it once per
-    /// design and share it across every [`EvalCell`] of a batch that
-    /// sweeps many points over the same design.
+    /// design and share it across every cell of a batch that sweeps many
+    /// points over the same design.
     pub fn fingerprint(design: &dyn Accelerator) -> DesignFingerprint {
         format!("{design:?}").into()
     }
@@ -439,7 +439,10 @@ impl Engine {
     ///
     /// Network evaluation and [`SweepGrid::run`] both go through here, so
     /// every batched path follows the same rule.
-    pub fn evaluate_cells(&self, cells: &[EvalCell<'_>]) -> Vec<Result<EvalResult, Unsupported>> {
+    pub(crate) fn evaluate_cells(
+        &self,
+        cells: &[EvalCell<'_>],
+    ) -> Vec<Result<EvalResult, Unsupported>> {
         let keys: Vec<EvalKey> = cells
             .iter()
             .map(|&(_, fingerprint, workload)| EvalKey::with_fingerprint(fingerprint, workload))
@@ -469,7 +472,7 @@ impl Engine {
 
 /// One cell of [`Engine::evaluate_cells`]: the design, its hoisted
 /// [`Engine::fingerprint`], and the workload to evaluate on it.
-pub type EvalCell<'a> = (&'a dyn Accelerator, &'a DesignFingerprint, &'a Workload);
+pub(crate) type EvalCell<'a> = (&'a dyn Accelerator, &'a DesignFingerprint, &'a Workload);
 
 /// Names a (possibly cached) result after the workload that asked for it.
 fn relabel(outcome: &mut Result<EvalResult, Unsupported>, workload: &Workload) {

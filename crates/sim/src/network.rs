@@ -264,7 +264,7 @@ pub fn evaluate_network(design: &dyn Accelerator, network: &NetworkWorkload) -> 
 }
 
 impl Engine {
-    /// Network evaluation on the engine, one [`Engine::evaluate_cells`]
+    /// Network evaluation on the engine, one `Engine::evaluate_cells`
     /// batch: every layer's `(design, shape, operands)` cell is looked up
     /// in the [`crate::engine::EvalCache`] under one lock, hits replay
     /// from the memo, and only the missing layers fan out across the
