@@ -147,7 +147,7 @@ fn main() {
     // hit rate.
     let (eval_hits, eval_misses) = ctx.engine().eval_cache().stats();
     let (ret_hits, ret_misses) = ctx.retention_stats();
-    let (_, search_hits, _) = ctx.search_stats();
+    let search_hits = ctx.search_hits();
     println!(
         "{:>22}: eval {eval_hits} hits / {eval_misses} misses, \
          retention {ret_hits} hits / {ret_misses} misses, search {search_hits} hits",

@@ -83,29 +83,31 @@ impl SweepContext {
     }
 
     /// `(entries, hits, misses)` of the search-front table — surfaced by
-    /// `hl-serve`'s metrics and per-request traces.
+    /// `hl-serve`'s metrics.
     pub fn search_stats(&self) -> (usize, u64, u64) {
         (self.fronts.len(), self.fronts.hits(), self.fronts.misses())
     }
 
+    /// Hits of the search-front table alone: one atomic load, without the
+    /// table lock [`Self::search_stats`] takes to count entries — read
+    /// around every request for its trace.
+    pub fn search_hits(&self) -> u64 {
+        self.fronts.hits()
+    }
+
     /// The co-design front of `design` on `model` through the front
     /// table: a stored front answers only when it was computed for a model
-    /// `==` to this one; otherwise `compute` runs and replaces the entry.
+    /// `==` to this one; otherwise it is computed and replaces the entry.
     /// The baseline mode computes every time and stores nothing.
-    pub(crate) fn search_front(
-        &self,
-        design: DesignId,
-        model: &DnnModel,
-        compute: impl FnOnce() -> SearchFront,
-    ) -> Arc<SearchFront> {
+    pub(crate) fn search_front(&self, design: DesignId, model: &DnnModel) -> Arc<SearchFront> {
         if !self.cached {
-            return Arc::new(compute());
+            return Arc::new(self.compute_front(design, model));
         }
         let key = (design, model.name.clone());
         if let Some(front) = self.fronts.get_if(&key, |f| f.model == *model) {
             return front;
         }
-        let front = Arc::new(compute());
+        let front = Arc::new(self.compute_front(design, model));
         self.fronts.insert(key, Arc::clone(&front));
         front
     }

@@ -242,12 +242,11 @@ impl SweepContext {
     /// model) and a repeated query at any budget only re-picks its best
     /// point; the baseline context computes it every time.
     pub fn codesign(&self, design: DesignId, model: &DnnModel, budget: f64) -> SearchOutcome {
-        self.search_front(design, model, || self.compute_front(design, model))
-            .outcome(design, budget)
+        self.search_front(design, model).outcome(design, budget)
     }
 
     /// Evaluates every candidate of `design` on `model` into its front.
-    fn compute_front(&self, design: DesignId, model: &DnnModel) -> SearchFront {
+    pub(crate) fn compute_front(&self, design: DesignId, model: &DnnModel) -> SearchFront {
         let candidates = candidates(design);
         let tc_edp = self
             .eval_network(DesignId::Tc, model, &PruningConfig::Dense)

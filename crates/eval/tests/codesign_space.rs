@@ -1,16 +1,21 @@
-//! The cached accuracy surrogate against the uncached one on every
-//! candidate of the co-design search.
+//! The cached co-design search against the uncached one over the whole
+//! search space.
 //!
-//! The cached path scores kept values from shared weight streams and
-//! lowest-rank masks; the uncached path synthesizes each layer and prunes
-//! it with `prune_hss`, and is the reference. Each uncached call
-//! synthesizes every layer again, which takes about a minute in a debug
-//! build, so the test runs in release builds (CI runs
-//! `cargo test --release -p hl-eval`).
+//! - The cached accuracy surrogate scores kept values from shared weight
+//!   streams and lowest-rank masks; the uncached one synthesizes each
+//!   layer and prunes it with `prune_hss`, and is the reference. Checked
+//!   on every candidate of every design.
+//! - The search-front table answers a warm query at any budget from one
+//!   stored front; the uncached serial baseline computes it from scratch.
+//!   Checked on every design and model.
+//!
+//! The uncached paths take minutes in a debug build, so these tests run
+//! in release builds (CI runs `cargo test --release -p hl-eval`).
 
-use hl_eval::{codesign_space, DesignId};
+use hl_eval::{codesign_space, DesignId, SearchOutcome, SweepContext};
 use hl_models::accuracy::{accuracy_loss, accuracy_loss_cached, PruningConfig, RetentionCache};
 use hl_models::ModelId;
+use hl_sim::engine::Engine;
 
 #[test]
 #[cfg_attr(
@@ -34,5 +39,42 @@ fn cached_and_uncached_losses_agree_on_every_codesign_candidate() {
                 model.name
             );
         }
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "minutes unoptimized; runs in release")]
+fn warm_search_matches_the_serial_baseline_on_every_design_and_model() {
+    // The two ends of the budget range `/v1/search` accepts (its
+    // `MAX_BUDGET` is 100 points) and two between.
+    const BUDGETS: [f64; 4] = [0.0, 0.5, 1.0, 100.0];
+    let models = ModelId::ALL.map(ModelId::build);
+    let queries: Vec<_> = models
+        .iter()
+        .flat_map(|m| DesignId::ALL.map(|d| (d, m)))
+        .flat_map(|(d, m)| BUDGETS.map(|b| (d, m, b)))
+        .collect();
+    let baseline = SweepContext::serial_baseline();
+    let fresh: Vec<SearchOutcome> = queries
+        .iter()
+        .map(|&(design, model, budget)| baseline.codesign(design, model, budget))
+        .collect();
+    for threads in [1, 2] {
+        let ctx = SweepContext::with_engine(Engine::with_threads(threads));
+        for &(design, model, _) in &queries {
+            ctx.codesign(design, model, 1.0);
+        }
+        for (&(design, model, budget), fresh) in queries.iter().zip(&fresh) {
+            assert_eq!(
+                &ctx.codesign(design, model, budget),
+                fresh,
+                "{design} on {} at {budget}, {threads} thread(s)",
+                model.name
+            );
+        }
+        // One miss per (design, model); every other query is a hit.
+        let fronts = models.len() * DesignId::ALL.len();
+        let hits = 2 * queries.len() - fronts;
+        assert_eq!(ctx.search_stats(), (fronts, hits as u64, fronts as u64));
     }
 }

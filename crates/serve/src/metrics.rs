@@ -504,15 +504,6 @@ pub(crate) enum Kind {
     /// hits / (hits + misses) with the `hits` leaf of the same object
     /// (0 when both are 0).
     Misses(fn(&App) -> f64),
-    /// A memo table's `(entries, hits, misses)`: an entries gauge under
-    /// the row's name, and hit and miss counters under the names and help
-    /// texts the kind carries. In JSON, an object at the path holding
-    /// `entries`, `hits`, `misses` and `hit_rate`.
-    Table {
-        hits: (&'static str, &'static str),
-        misses: (&'static str, &'static str),
-        read: fn(&App) -> (usize, u64, u64),
-    },
     /// A counter with one sample per `(label value, count)` pair under
     /// the label key `label`. In JSON, one leaf per label value in the
     /// object at the path, led by their sum as `total` when `total` is
@@ -544,7 +535,7 @@ fn load(counter: &AtomicU64) -> f64 {
 
 /// Every `/v1/metrics` family, in JSON order. Rows whose JSON paths
 /// share an object are adjacent.
-pub(crate) static FAMILIES: [Family; 24] = [
+pub(crate) static FAMILIES: [Family; 26] = [
     Family {
         name: "hl_uptime_seconds",
         help: "Seconds since the server started.",
@@ -706,12 +697,20 @@ pub(crate) static FAMILIES: [Family; 24] = [
     Family {
         name: "hl_search_cache_entries",
         help: "Entries in the search-front table (one co-design front per design and model).",
-        json: "search_cache",
-        kind: Kind::Table {
-            hits: ("hl_search_cache_hits_total", "Search-front table hits."),
-            misses: ("hl_search_cache_misses_total", "Search-front table misses."),
-            read: |a| a.context().search_stats(),
-        },
+        json: "search_cache.entries",
+        kind: Kind::Gauge(|a| a.context().search_stats().0 as f64),
+    },
+    Family {
+        name: "hl_search_cache_hits_total",
+        help: "Search-front table hits.",
+        json: "search_cache.hits",
+        kind: Kind::Counter(|a| a.context().search_hits() as f64),
+    },
+    Family {
+        name: "hl_search_cache_misses_total",
+        help: "Search-front table misses.",
+        json: "search_cache.misses",
+        kind: Kind::Misses(|a| a.context().search_stats().2 as f64),
     },
     Family {
         name: "hl_queue_depth",
@@ -760,15 +759,6 @@ fn num(key: &str, value: f64) -> (String, Json) {
     (key.to_string(), Json::Num(value))
 }
 
-/// hits / (hits + misses), 0 when both are 0.
-fn hit_rate(hits: f64, misses: f64) -> f64 {
-    if hits + misses == 0.0 {
-        0.0
-    } else {
-        hits / (hits + misses)
-    }
-}
-
 /// The `/v1/metrics` JSON view: one walk over [`FAMILIES`].
 pub(crate) fn metrics_json(app: &App) -> Json {
     let mut root: Vec<(String, Json)> = Vec::new();
@@ -786,24 +776,13 @@ pub(crate) fn metrics_json(app: &App) -> Json {
                     }
                     _ => 0.0,
                 };
+                let rate = if hits + misses == 0.0 {
+                    0.0
+                } else {
+                    hits / (hits + misses)
+                };
                 put(&mut root, object, key, Json::Num(misses));
-                put(
-                    &mut root,
-                    object,
-                    "hit_rate",
-                    Json::Num(hit_rate(hits, misses)),
-                );
-            }
-            Kind::Table { read, .. } => {
-                let (entries, hits, misses) = read(app);
-                let (hits, misses) = (hits as f64, misses as f64);
-                let members = vec![
-                    num("entries", entries as f64),
-                    num("hits", hits),
-                    num("misses", misses),
-                    num("hit_rate", hit_rate(hits, misses)),
-                ];
-                put(&mut root, object, key, Json::Obj(members));
+                put(&mut root, object, "hit_rate", Json::Num(rate));
             }
             Kind::CounterVec { total, read, .. } => {
                 let samples = read(app);
@@ -890,12 +869,6 @@ pub(crate) fn render_prometheus(app: &App) -> String {
             Kind::Gauge(read) => e.gauge(f.name, f.help, read(app)),
             Kind::CounterVec { label, read, .. } => {
                 e.counter_vec(f.name, f.help, label, &read(app));
-            }
-            Kind::Table { hits, misses, read } => {
-                let (n, h, m) = read(app);
-                e.gauge(f.name, f.help, n as f64);
-                e.counter(hits.0, hits.1, h as f64);
-                e.counter(misses.0, misses.1, m as f64);
             }
             Kind::Latency { read, .. } => export_log2(&mut e, f, read(app), 1e6),
             Kind::Reuse(read) => export_log2(&mut e, f, read(app), 1.0),

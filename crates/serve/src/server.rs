@@ -495,11 +495,10 @@ impl CacheDelta {
     /// The counters' current totals.
     fn read(app: &App) -> Self {
         let (eval_hits, eval_misses) = app.context().engine().eval_cache().stats();
-        let (_, search_hits, _) = app.context().search_stats();
         Self {
             eval_hits,
             eval_misses,
-            search_hits,
+            search_hits: app.context().search_hits(),
         }
     }
 

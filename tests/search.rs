@@ -8,6 +8,9 @@
 //!   every value it could take;
 //! - the budgeted best point matches a serial brute-force reference over
 //!   the same candidate grid, evaluated with the plain uncached pipeline;
+//! - the search-front table is transparent: a warm query at any budget
+//!   equals the uncached serial baseline's answer, and a model sharing
+//!   another's name gets its own front, never the stale one;
 //! - degenerate configurations (fully-pruned operands) are `Unsupported`
 //!   on every design instead of a panic — the hardening the search's
 //!   extreme candidates rely on.
@@ -113,6 +116,76 @@ fn outcome_is_thread_count_invariant() {
     // The uncached serial baseline agrees too (memo transparency).
     let out = SweepContext::serial_baseline().codesign(design, &model, 0.5);
     assert_eq!(&out, reference);
+}
+
+/// Budgets a warm query is checked at: the two ends of the range
+/// `/v1/search` accepts (its `MAX_BUDGET` is 100 points) and two between.
+const BUDGETS: [f64; 4] = [0.0, 0.5, 1.0, 100.0];
+
+#[test]
+fn warm_search_matches_the_serial_baseline() {
+    let model = small_model();
+    let baseline = SweepContext::serial_baseline();
+    let queries: Vec<(DesignId, f64)> = DesignId::ALL
+        .iter()
+        .flat_map(|&d| BUDGETS.map(|b| (d, b)))
+        .collect();
+    let fresh: Vec<SearchOutcome> = queries
+        .iter()
+        .map(|&(design, budget)| baseline.codesign(design, &model, budget))
+        .collect();
+    assert_eq!(
+        baseline.search_stats(),
+        (0, 0, 0),
+        "the baseline stores nothing"
+    );
+    for threads in [1usize, 2] {
+        let ctx = SweepContext::with_engine(Engine::with_threads(threads));
+        for design in DesignId::ALL {
+            ctx.codesign(design, &model, 1.0);
+        }
+        let (entries, hits, misses) = ctx.search_stats();
+        assert_eq!(entries, DesignId::ALL.len());
+        for (&(design, budget), fresh) in queries.iter().zip(&fresh) {
+            let warm = ctx.codesign(design, &model, budget);
+            assert_eq!(&warm, fresh, "{design} at {budget}, {threads} thread(s)");
+        }
+        assert_eq!(
+            ctx.search_stats(),
+            (entries, hits + queries.len() as u64, misses),
+            "every warm query is a table hit"
+        );
+    }
+}
+
+#[test]
+fn same_name_models_each_get_their_own_front() {
+    let first = small_model();
+    let second = DnnModel {
+        sensitivity: 2.4,
+        ..small_model()
+    };
+    let baseline = SweepContext::serial_baseline();
+    let design = DesignId::HighLight;
+    assert_ne!(
+        baseline.codesign(design, &first, 0.5),
+        baseline.codesign(design, &second, 0.5),
+        "the two models must search differently for this test to bite"
+    );
+    let ctx = SweepContext::with_engine(Engine::serial());
+    for model in [&first, &second, &first] {
+        for _ in 0..2 {
+            assert_eq!(
+                ctx.codesign(design, model, 0.5),
+                baseline.codesign(design, model, 0.5),
+                "sensitivity {}",
+                model.sensitivity
+            );
+        }
+    }
+    // One entry per name: each model switch recomputes and replaces it,
+    // and each repeat is a hit.
+    assert_eq!(ctx.search_stats(), (1, 3, 3));
 }
 
 #[test]
