@@ -146,7 +146,7 @@ fn main() {
     // tables), so a replay-speedup regression here can be attributed to
     // hit rate.
     let (eval_hits, eval_misses) = ctx.engine().eval_cache().stats();
-    let (ret_hits, ret_misses) = ctx.retention_stats();
+    let (ret_hits, ret_misses) = ctx.retention().stats();
     let search_hits = ctx.search_hits();
     println!(
         "{:>22}: eval {eval_hits} hits / {eval_misses} misses, \

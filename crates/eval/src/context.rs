@@ -76,10 +76,10 @@ impl SweepContext {
         &self.engine
     }
 
-    /// `(hits, misses)` of the retention (surrogate accuracy) cache —
-    /// surfaced by `hl-serve`'s metrics alongside the eval cache.
-    pub fn retention_stats(&self) -> (u64, u64) {
-        self.retention.stats()
+    /// The retention (surrogate accuracy) cache — surfaced by `hl-serve`'s
+    /// metrics alongside the eval cache, and persisted with it.
+    pub fn retention(&self) -> &RetentionCache {
+        &self.retention
     }
 
     /// `(entries, hits, misses)` of the search-front table — surfaced by

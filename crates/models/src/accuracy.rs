@@ -21,7 +21,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use hl_sim::engine::Memo;
+use hl_sim::engine::{Memo, OperandKey};
 use hl_sparsity::prune::{
     hss_kept, hss_kept_sum_sq, magnitude_order, prune_hss, prune_unstructured,
     retained_norm_fraction, sum_sq, unstructured_sum_sq, KeptMask, PruneScratch,
@@ -83,16 +83,9 @@ impl std::fmt::Display for PruningConfig {
     }
 }
 
-/// Hashable identity of a [`PruningConfig`] (`f64` degrees are keyed by
-/// their exact bit pattern), used by [`RetentionCache`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ConfigKey {
-    Dense,
-    Unstructured(u64),
-    Hss(HssPattern),
-}
-
-impl From<&PruningConfig> for ConfigKey {
+/// The retention memo keys a configuration like the engine keys an
+/// operand: `f64` degrees by their exact bit pattern.
+impl From<&PruningConfig> for OperandKey {
     fn from(cfg: &PruningConfig) -> Self {
         match cfg {
             PruningConfig::Dense => Self::Dense,
@@ -101,6 +94,10 @@ impl From<&PruningConfig> for ConfigKey {
         }
     }
 }
+
+/// One per-layer retention score: `((rows, cols, config, seed), fraction)`,
+/// keyed by the proxy shape the layer is scored on.
+pub type RetentionScore = ((usize, usize, OperandKey, u64), f64);
 
 /// Memo tables over the surrogate's pure evaluations.
 ///
@@ -135,8 +132,9 @@ pub struct RetentionCache {
     /// mask and selects only its higher ranks.
     hss_prefix: Memo<(usize, usize, u64, Gh), Arc<KeptMask>>,
     /// Per-layer retained-norm fractions keyed on
-    /// `(rows, cols, config, seed)`.
-    retention: Memo<(usize, usize, ConfigKey, u64), f64>,
+    /// `(rows, cols, config, seed)`. A hit reads none of the tables
+    /// above, so these scores alone restore a warm surrogate.
+    retention: Memo<(usize, usize, OperandKey, u64), f64>,
 }
 
 impl RetentionCache {
@@ -148,6 +146,29 @@ impl RetentionCache {
     /// `(hits, misses)` of the per-layer retention memo.
     pub fn stats(&self) -> (u64, u64) {
         (self.retention.hits(), self.retention.misses())
+    }
+
+    /// Number of retention scores stored.
+    pub fn len(&self) -> usize {
+        self.retention.len()
+    }
+
+    /// True when no retention score is stored.
+    pub fn is_empty(&self) -> bool {
+        self.retention.is_empty()
+    }
+
+    /// Clones out every retention score — the persistence path: `hl-serve`
+    /// snapshots them next to the evaluation cache. Order is unspecified
+    /// (callers sort).
+    pub fn scores(&self) -> Vec<RetentionScore> {
+        self.retention.entries()
+    }
+
+    /// Seeds retention scores without touching the hit/miss counters — the
+    /// snapshot-load path. A stored score keeps its value.
+    pub fn preload_scores(&self, scores: impl IntoIterator<Item = RetentionScore>) {
+        self.retention.preload(scores);
     }
 }
 
@@ -215,7 +236,7 @@ fn layer_retention(
         };
         return retained_norm_fraction(&w, &pruned);
     };
-    let key = (r, c, ConfigKey::from(config), seed);
+    let key = (r, c, OperandKey::from(config), seed);
     cache.retention.get_or_insert_with(&key, || {
         let width = stream_width(cols, c);
         let stream = cache

@@ -535,7 +535,7 @@ fn load(counter: &AtomicU64) -> f64 {
 
 /// Every `/v1/metrics` family, in JSON order. Rows whose JSON paths
 /// share an object are adjacent.
-pub(crate) static FAMILIES: [Family; 26] = [
+pub(crate) static FAMILIES: [Family; 27] = [
     Family {
         name: "hl_uptime_seconds",
         help: "Seconds since the server started.",
@@ -683,16 +683,22 @@ pub(crate) static FAMILIES: [Family; 26] = [
         kind: Kind::Misses(|a| a.context().engine().eval_cache().misses() as f64),
     },
     Family {
+        name: "hl_retention_cache_entries",
+        help: "Scores in the retention (surrogate accuracy) cache.",
+        json: "retention_cache.entries",
+        kind: Kind::Gauge(|a| a.context().retention().len() as f64),
+    },
+    Family {
         name: "hl_retention_cache_hits_total",
         help: "Retention (surrogate accuracy) cache hits.",
         json: "retention_cache.hits",
-        kind: Kind::Counter(|a| a.context().retention_stats().0 as f64),
+        kind: Kind::Counter(|a| a.context().retention().stats().0 as f64),
     },
     Family {
         name: "hl_retention_cache_misses_total",
         help: "Retention (surrogate accuracy) cache misses.",
         json: "retention_cache.misses",
-        kind: Kind::Misses(|a| a.context().retention_stats().1 as f64),
+        kind: Kind::Misses(|a| a.context().retention().stats().1 as f64),
     },
     Family {
         name: "hl_search_cache_entries",

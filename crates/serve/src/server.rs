@@ -256,30 +256,15 @@ impl Server {
         // outside any request (snapshot I/O, loop-level injections).
         let boot_id = self.app.request_id(None);
         if let Some(path) = &self.config.snapshot {
-            let cache = self.app.context().engine().eval_cache();
-            let log = Some((self.app.logger(), boot_id.as_str()));
-            let started = Instant::now();
-            match snapshot::load_logged(cache, path, faults.as_deref(), log) {
-                Ok(loaded) => self.app.logger().info(
-                    "snapshot_loaded",
-                    &[
-                        ("trace_id", Json::str(boot_id.as_str())),
-                        ("path", Json::str(path.display().to_string())),
-                        ("entries", Json::Num(loaded.entries as f64)),
-                        ("bytes", Json::Num(loaded.bytes as f64)),
-                        ("load_ms", Json::Num(started.elapsed().as_secs_f64() * 1e3)),
-                    ],
-                ),
-                Err(snapshot::SnapshotError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => self.app.logger().warn(
-                    "snapshot_load_failed",
-                    &[
-                        ("trace_id", Json::str(boot_id.as_str())),
-                        ("path", Json::str(path.display().to_string())),
-                        ("error", Json::str(e.to_string())),
-                    ],
-                ),
-            }
+            let context = self.app.context();
+            // The outcome is logged; a refused snapshot boots cold.
+            let _ = snapshot::load_logged(
+                context.engine().eval_cache(),
+                context.retention(),
+                path,
+                faults.as_deref(),
+                Some((self.app.logger(), boot_id.as_str())),
+            );
         }
 
         let completions: Arc<Mutex<VecDeque<Completion>>> = Arc::default();
@@ -716,7 +701,12 @@ impl EventLoop<'_> {
                         self.free.push(id);
                         continue;
                     }
-                    self.conns[id] = Some(conn);
+                    match self.conns.get_mut(id) {
+                        Some(slot) => *slot = Some(conn),
+                        // Unreachable: `id` is a slot freed or pushed
+                        // above. Dropping `conn` closes the socket.
+                        None => continue,
+                    }
                     self.active += 1;
                     self.app.metrics().record_connection_opened();
                 }
@@ -788,10 +778,15 @@ impl EventLoop<'_> {
                     window = 1;
                 }
             }
+            // Unreachable: the window is the whole chunk or one byte of it.
+            let Some(window) = chunk.get_mut(..window) else {
+                self.close_conn(id);
+                return;
+            };
             let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
                 return;
             };
-            match conn.stream.read(&mut chunk[..window]) {
+            match conn.stream.read(window) {
                 Ok(0) => {
                     conn.peer_eof = true;
                     conn.reading = false;
@@ -804,7 +799,8 @@ impl EventLoop<'_> {
                 }
                 Ok(n) => {
                     if conn.reading {
-                        conn.buf.extend_from_slice(&chunk[..n]);
+                        // `read` never reports more bytes than the window.
+                        conn.buf.extend(window.iter().take(n));
                     }
                     conn.last_activity = Instant::now();
                 }
@@ -1151,7 +1147,12 @@ impl EventLoop<'_> {
                     end = conn.out_pos + 1;
                 }
             }
-            match conn.stream.write(&conn.out[conn.out_pos..end]) {
+            // Unreachable: `out_pos < end <= out.len()` in this loop.
+            let Some(unsent) = conn.out.get(conn.out_pos..end) else {
+                self.close_conn(id);
+                return retired;
+            };
+            match conn.stream.write(unsent) {
                 Ok(0) => {
                     self.close_conn(id);
                     return retired;
@@ -1456,12 +1457,12 @@ impl Drop for CoalitionGuard<'_> {
     }
 }
 
-/// Saves the evaluation-cache snapshot, logging a failure. A failed
-/// periodic save is a warning (the next tick retries); a failed save on
-/// drain loses the cache and is an error.
+/// Saves the evaluation-cache and retention-score snapshot, logging a
+/// failure. A failed periodic save is a warning (the next tick retries);
+/// a failed save on drain loses the caches and is an error.
 fn save_snapshot(app: &App, path: &Path, boot_id: &str, periodic: bool) {
-    let cache = app.context().engine().eval_cache();
-    if let Err(e) = snapshot::save(cache, path) {
+    let context = app.context();
+    if let Err(e) = snapshot::save(context.engine().eval_cache(), context.retention(), path) {
         let level = if periodic { Level::Warn } else { Level::Error };
         app.logger().log(
             level,

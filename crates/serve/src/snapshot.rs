@@ -1,16 +1,18 @@
-//! Disk persistence for the engine's [`EvalCache`]: the server saves the
-//! memo on graceful drain and re-loads it on boot, so a restarted server
-//! answers its steady-state traffic from a warm cache.
+//! Disk persistence for the engine's [`EvalCache`] and the surrogate's
+//! retention scores: the server saves both on graceful drain and re-loads
+//! them on boot, so a restarted server answers its steady-state traffic,
+//! first co-design searches included, from warm caches.
 //!
-//! The snapshot is a single JSON document (format 3):
+//! The snapshot is a single JSON document (format 4):
 //!
 //! ```json
 //! {
-//!   "format": 3,
-//!   "fingerprint": "hl-snap-v3:9a…",
+//!   "format": 4,
+//!   "fingerprint": "hl-snap-v4:9a…",
 //!   "crc32": "9bd366ae",
 //!   "strings": [ "HighLight", "HighLight { … }", "conv1", … ],
-//!   "entries": [ [1, [1024, 768, 512], [[4, 8], [2, 4]], "dense", [0, 2, 1500000, [[0, 12.5], [4, 3.25]]]] ]
+//!   "entries": [ [1, [1024, 768, 512], [[4, 8], [2, 4]], "dense", [0, 2, 1500000, [[0, 12.5], [4, 3.25]]]] ],
+//!   "scores": [ [64, 1024, [[2, 4]], 44224, 0.8715030111] ]
 //! }
 //! ```
 //!
@@ -28,29 +30,44 @@
 //!   `energy` the `[component, pJ]` pairs in [`Comp::ALL`] index order,
 //!   or `[name, reason]` for an unsupported pair.
 //!
-//! Cached results are only valid for the code that produced them — the
-//! analytical models are pure functions of the design configuration, so
-//! the `fingerprint` hashes every registered design's `Debug`
-//! configuration fingerprint plus the model registry. A snapshot whose
-//! format or fingerprint does not match the running binary is refused
-//! (the server boots cold instead of serving stale numbers).
+//! Each score is the positional array `[rows, cols, config, seed, value]`:
+//! one [`RetentionCache`] score, the retained-norm fraction of a
+//! `rows × cols` proxy synthesized from `seed` under the pruning `config`
+//! (encoded like an operand). `value` is a JSON number, which the encoder
+//! prints in shortest round-trip form, and must be finite. A retention
+//! hit reads nothing but its score, so the scores alone restore a warm
+//! surrogate; the weight streams, argsorts and masks behind them are not
+//! persisted.
+//!
+//! Cached results are only valid for the code that produced them. The
+//! `fingerprint` hashes the format, every registered design's `Debug`
+//! configuration fingerprint, the model registry, and a **canary**: the
+//! results this binary computes for a fixed probe set — `evaluate_best`
+//! for every design on a few shapes and degrees (some of them
+//! unsupported), and uncached surrogate losses of a tiny two-layer model
+//! under an unstructured, a one-rank and a two-rank configuration. A
+//! change to an energy formula, a technology table or a surrogate kernel
+//! changes the canary, so a snapshot another build wrote is refused by
+//! construction. A snapshot whose format or fingerprint does not match the
+//! running binary is refused (the server boots cold instead of serving
+//! stale numbers).
 //!
 //! `crc32` is an IEEE CRC-32 over the raw bytes that follow the
 //! `,"strings":` tag, up to the document's closing brace: the string
-//! table and the entries exactly as written. The file layout is fixed —
-//! `"strings"` and `"entries"` are always the last two members — so
-//! [`load`] can locate the payload bytes without re-encoding, verify the
-//! checksum, and reject a torn write or silent media corruption as
-//! [`SnapshotError::ChecksumMismatch`] before trusting a single entry.
-//! Every entry is decoded before the first one is preloaded, so a load
-//! either restores the whole snapshot or leaves the cache untouched.
-//! Every load failure is reported, never panicked: the serving layer
-//! logs it and boots cold.
+//! table, the entries and the scores exactly as written. The file layout
+//! is fixed — `"strings"`, `"entries"` and `"scores"` are always the last
+//! three members — so [`load`] can locate the payload bytes without
+//! re-encoding, verify the checksum, and reject a torn write or silent
+//! media corruption as [`SnapshotError::ChecksumMismatch`] before trusting
+//! a single entry. Every entry and every score is decoded before the first
+//! one is preloaded, so a load either restores the whole snapshot or
+//! leaves both caches untouched. Every load failure is reported, never
+//! panicked: the serving layer logs it and boots cold.
 //!
-//! The string table is sorted and entries are sorted by their encoded
-//! form before writing, so save → load → save is byte-identical (the
-//! in-memory memo is a `HashMap` with nondeterministic iteration order).
-//! `f64` payloads round-trip exactly: the [`Json`] encoder prints
+//! The string table is sorted, and entries and scores are sorted by their
+//! encoded form before writing, so save → load → save is byte-identical
+//! (the in-memory memos are `HashMap`s with nondeterministic iteration
+//! order). `f64` payloads round-trip exactly: the [`Json`] encoder prints
 //! shortest-round-trip forms, and the one `f64` that is keyed by bit
 //! pattern (unstructured degrees) is stored as a hex bit string rather
 //! than a number.
@@ -58,18 +75,24 @@
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 use hl_arch::{Comp, EnergyBreakdown};
+use hl_models::accuracy::{accuracy_loss, PruningConfig, RetentionCache, RetentionScore};
+use hl_models::{DnnModel, LayerKind, LayerSpec};
 use hl_sim::engine::{EvalCache, EvalKey, OperandKey};
-use hl_sim::{EvalResult, Unsupported};
+use hl_sim::{evaluate_best, EvalResult, OperandSparsity, Unsupported, Workload};
 use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::GemmShape;
 
+use crate::faults::FaultPlane;
 use crate::json::Json;
+use crate::log::Logger;
 
 /// Snapshot format version; bumped on any encoding change (v2 added the
-/// `crc32` payload checksum, v3 the string table and positional entries).
-pub const FORMAT: u64 = 3;
+/// `crc32` payload checksum, v3 the string table and positional entries,
+/// v4 the retention scores and the canary in the fingerprint).
+pub const FORMAT: u64 = 4;
 
 /// Why a snapshot could not be loaded (`thiserror` idiom: structured
 /// variants, hand-written `Display`, `std::error::Error`).
@@ -79,7 +102,8 @@ pub enum SnapshotError {
     Io(io::Error),
     /// The document is not a snapshot (bad JSON, wrong shape, bad entry).
     Malformed(String),
-    /// The snapshot was produced by a different design/model registry.
+    /// The snapshot was produced by a different build: another design or
+    /// model registry, or code that answers the canary differently.
     FingerprintMismatch {
         /// What the running binary expects.
         expected: String,
@@ -171,10 +195,81 @@ fn crc32(bytes: &[u8]) -> u32 {
 /// The tag preceding the payload in the fixed document layout.
 const PAYLOAD_TAG: &str = ",\"strings\":";
 
+/// What this binary computes for the canary's fixed probe set.
+#[derive(Debug, Clone)]
+struct Canary {
+    /// `evaluate_best` of every design on every probe workload.
+    evals: Vec<Outcome>,
+    /// Uncached surrogate losses of the probe model, one per probe config.
+    losses: Vec<f64>,
+}
+
+impl Canary {
+    /// Runs the probe set: every design × two shapes × three operand
+    /// pairs (S2TA and DSSO answer some of them `Unsupported`), and a
+    /// two-layer model under an unstructured, a one-rank and a two-rank
+    /// configuration.
+    fn probe() -> Self {
+        let two_rank = HssPattern::two_rank(Gh::new(4, 8), Gh::new(2, 4));
+        let operands = [
+            (OperandSparsity::Dense, OperandSparsity::Dense),
+            (OperandSparsity::unstructured(0.5), OperandSparsity::Dense),
+            (
+                OperandSparsity::Hss(two_rank.clone()),
+                OperandSparsity::unstructured(0.25),
+            ),
+        ];
+        let mut evals = Vec::new();
+        for id in hl_eval::DesignId::ALL {
+            let design = id.build();
+            for shape in [GemmShape::new(64, 64, 64), GemmShape::new(512, 256, 128)] {
+                for (a, b) in &operands {
+                    let workload = Workload::new("canary", shape, a.clone(), b.clone());
+                    evals.push(evaluate_best(design.as_ref(), &workload));
+                }
+            }
+        }
+        let layer = |name: &str, m, k| {
+            LayerSpec::new(
+                name,
+                LayerKind::Linear,
+                GemmShape::new(m, k, 8),
+                1,
+                true,
+                0.0,
+            )
+        };
+        let model = DnnModel {
+            name: "canary".into(),
+            metric: "top-1 %",
+            dense_accuracy: 75.0,
+            sensitivity: 1.0,
+            layers: vec![layer("fc1", 8, 32), layer("fc2", 4, 64)],
+        };
+        let losses = [
+            PruningConfig::Unstructured { sparsity: 0.5 },
+            PruningConfig::Hss(HssPattern::one_rank(Gh::new(2, 4))),
+            PruningConfig::Hss(two_rank),
+        ]
+        .iter()
+        .map(|config| accuracy_loss(&model, config))
+        .collect();
+        Self { evals, losses }
+    }
+}
+
 /// The cache-compatibility fingerprint of the running binary: an FNV-1a
 /// hash over the snapshot format version, every registered design's
-/// `Debug` configuration fingerprint, and the model registry.
+/// `Debug` configuration fingerprint, the model registry, and this
+/// binary's canary results.
 pub fn cache_fingerprint() -> String {
+    fingerprint(&Canary::probe())
+}
+
+/// [`cache_fingerprint`] over given canary results: the probe outcomes
+/// hash through `Debug` (shortest round-trip `f64`s) and the losses by
+/// their bits, so a one-ulp change anywhere changes the fingerprint.
+fn fingerprint(canary: &Canary) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -191,35 +286,65 @@ pub fn cache_fingerprint() -> String {
     for name in hl_models::model_names() {
         eat(name.as_bytes());
     }
+    for outcome in &canary.evals {
+        eat(format!("{outcome:?}").as_bytes());
+    }
+    for loss in &canary.losses {
+        eat(loss.to_bits().to_le_bytes().as_slice());
+    }
     format!("hl-snap-v{FORMAT}:{h:016x}")
 }
 
-/// Writes the cache to `path` (atomically: temp file + rename), returning
-/// the number of entries saved.
+/// Writes both caches to `path` (atomically: temp file + rename),
+/// returning the number of evaluation-cache entries saved.
 ///
 /// # Errors
 /// [`SnapshotError::Io`].
-pub fn save(cache: &EvalCache, path: &Path) -> Result<usize, SnapshotError> {
+pub fn save(
+    cache: &EvalCache,
+    retention: &RetentionCache,
+    path: &Path,
+) -> Result<usize, SnapshotError> {
+    save_as(cache, retention, path, &cache_fingerprint())
+}
+
+/// [`save`] under a given fingerprint.
+fn save_as(
+    cache: &EvalCache,
+    retention: &RetentionCache,
+    path: &Path,
+    fingerprint: &str,
+) -> Result<usize, SnapshotError> {
     let entries = cache.entries();
     let strings = StringTable::new(&entries);
-    let mut encoded: Vec<String> = entries
+    // The memos are HashMaps; sort so identical caches write identical
+    // bytes (asserted by the round-trip test).
+    let sorted = |mut encoded: Vec<String>| {
+        encoded.sort_unstable();
+        encoded.join(",")
+    };
+    let encoded = entries
         .iter()
         .map(|(k, v)| strings.entry_json(k, v).encode())
         .collect();
-    // The memo is a HashMap; sort so identical caches write identical
-    // bytes (asserted by the round-trip test).
-    encoded.sort_unstable();
-    // The payload: the string table and the entries array exactly as
-    // written (the CRC input).
+    let scores = retention
+        .scores()
+        .iter()
+        .map(|s| score_json(s).encode())
+        .collect();
+    // The payload: the string table, the entries and the scores exactly
+    // as written (the CRC input).
     let mut payload = strings.json().encode();
     payload.push_str(",\"entries\":[");
-    payload.push_str(&encoded.join(","));
+    payload.push_str(&sorted(encoded));
+    payload.push_str("],\"scores\":[");
+    payload.push_str(&sorted(scores));
     payload.push(']');
     let mut doc = String::new();
     doc.push_str("{\"format\":");
     doc.push_str(&FORMAT.to_string());
     doc.push_str(",\"fingerprint\":");
-    doc.push_str(&Json::str(cache_fingerprint()).encode());
+    doc.push_str(&Json::str(fingerprint).encode());
     doc.push_str(",\"crc32\":");
     doc.push_str(&Json::str(format!("{:08x}", crc32(payload.as_bytes()))).encode());
     doc.push_str(PAYLOAD_TAG);
@@ -233,46 +358,90 @@ pub fn save(cache: &EvalCache, path: &Path) -> Result<usize, SnapshotError> {
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    Ok(encoded.len())
+    Ok(entries.len())
 }
 
 /// What a successful [`load_logged`] restored.
 #[derive(Debug, Clone, Copy)]
 pub struct Loaded {
-    /// Entries preloaded into the cache.
+    /// Entries preloaded into the evaluation cache.
     pub entries: usize,
+    /// Scores preloaded into the retention cache.
+    pub scores: usize,
     /// Size of the snapshot file in bytes.
     pub bytes: usize,
 }
 
-/// Loads a snapshot into the cache via [`EvalCache::preload`] (hit/miss
-/// counters untouched; live entries win over preloaded ones), returning
-/// the number of entries loaded.
+/// Loads a snapshot's evaluation-cache entries via [`EvalCache::preload`]
+/// (hit/miss counters untouched; live entries win over preloaded ones),
+/// returning the number of entries loaded. The scores are checked like
+/// the entries and then dropped.
 ///
 /// # Errors
 /// [`SnapshotError`] — including [`SnapshotError::FingerprintMismatch`]
-/// when the file was produced by a different registry and
+/// when the file was produced by a different build and
 /// [`SnapshotError::ChecksumMismatch`] when the payload fails its CRC.
 /// On any error the cache is left untouched.
 pub fn load(cache: &EvalCache, path: &Path) -> Result<usize, SnapshotError> {
-    load_logged(cache, path, None, None).map(|loaded| loaded.entries)
+    load_logged(cache, &RetentionCache::new(), path, None, None).map(|loaded| loaded.entries)
 }
 
-/// [`load`], with an optional fault plane corrupting the file text in
-/// memory before it is parsed — the chaos harness' way of proving a
-/// truncated or bit-flipped snapshot is rejected and boots cold, without
-/// actually tearing files on disk. Injected corruption is reported
-/// through a structured logger (tagged with the server's boot-scoped
-/// trace id); `None` is silent. Returns the file size along with the
-/// entry count. The server boot path uses this.
+/// Loads a snapshot into both caches — the server's boot path — with an
+/// optional fault plane corrupting the file text in memory before it is
+/// parsed: the chaos harness' way of proving a truncated or bit-flipped
+/// snapshot is rejected and boots cold, without actually tearing files
+/// on disk.
+///
+/// With a structured logger (and the server's boot-scoped trace id) the
+/// outcome is logged: `snapshot_loaded` with the entry and score counts,
+/// the file size and the load time, or `snapshot_load_failed` with the
+/// reason. A missing file is silent (a first boot), as is every outcome
+/// with `None`. Injected corruption is logged as `fault_injected`.
 ///
 /// # Errors
-/// As [`load`].
+/// As [`load`]. On any error both caches are left untouched.
 pub fn load_logged(
     cache: &EvalCache,
+    retention: &RetentionCache,
     path: &Path,
-    faults: Option<&crate::faults::FaultPlane>,
-    log: Option<(&crate::log::Logger, &str)>,
+    faults: Option<&FaultPlane>,
+    log: Option<(&Logger, &str)>,
+) -> Result<Loaded, SnapshotError> {
+    let started = Instant::now();
+    let result = read_and_preload(cache, retention, path, faults, log);
+    if let Some((logger, trace_id)) = log {
+        let trace_id = ("trace_id", Json::str(trace_id));
+        let path = ("path", Json::str(path.display().to_string()));
+        match &result {
+            Ok(loaded) => logger.info(
+                "snapshot_loaded",
+                &[
+                    trace_id,
+                    path,
+                    ("entries", Json::Num(loaded.entries as f64)),
+                    ("scores", Json::Num(loaded.scores as f64)),
+                    ("bytes", Json::Num(loaded.bytes as f64)),
+                    ("load_ms", Json::Num(started.elapsed().as_secs_f64() * 1e3)),
+                ],
+            ),
+            Err(SnapshotError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => logger.warn(
+                "snapshot_load_failed",
+                &[trace_id, path, ("error", Json::str(e.to_string()))],
+            ),
+        }
+    }
+    result
+}
+
+/// Reads, checks and decodes the snapshot at `path`, then preloads both
+/// caches.
+fn read_and_preload(
+    cache: &EvalCache,
+    retention: &RetentionCache,
+    path: &Path,
+    faults: Option<&FaultPlane>,
+    log: Option<(&Logger, &str)>,
 ) -> Result<Loaded, SnapshotError> {
     let mut text = std::fs::read_to_string(path)?;
     let bytes = text.len();
@@ -287,20 +456,25 @@ pub fn load_logged(
             ],
         );
     }
-    let entries = decode(&text)?;
+    let (entries, scores) = decode(&text)?;
     let loaded = Loaded {
         entries: entries.len(),
+        scores: scores.len(),
         bytes,
     };
-    // Preload only once every entry has decoded: a bad entry anywhere
-    // leaves the cache as cold as the boot the server logs.
+    // Preload only once every entry and score has decoded: a bad one
+    // anywhere leaves both caches as cold as the boot the server logs.
     cache.preload(entries);
+    retention.preload_scores(scores);
     Ok(loaded)
 }
 
+/// A decoded snapshot: its evaluation-cache entries and its scores.
+type Decoded = (Vec<(EvalKey, Outcome)>, Vec<RetentionScore>);
+
 /// Checks a snapshot document's format, fingerprint and checksum, then
-/// decodes every entry.
-fn decode(text: &str) -> Result<Vec<(EvalKey, Outcome)>, SnapshotError> {
+/// decodes every entry and every score.
+fn decode(text: &str) -> Result<Decoded, SnapshotError> {
     let doc = Json::parse(text).map_err(|e| malformed(e.to_string()))?;
     let format = doc
         .get("format")
@@ -355,18 +529,27 @@ fn decode(text: &str) -> Result<Vec<(EvalKey, Outcome)>, SnapshotError> {
     // Decode from the owned tree, so each entry's nodes are freed as soon
     // as it is decoded and the decoded entries reuse that memory: a
     // booting process pays for every fresh page it touches.
-    let entries = match doc {
-        Json::Obj(members) => members.into_iter().find_map(|(key, value)| match value {
-            Json::Arr(items) if key == "entries" => Some(items),
-            _ => None,
-        }),
-        _ => None,
-    };
-    entries
+    let (mut entries, mut scores) = (None, None);
+    if let Json::Obj(members) = doc {
+        for (key, value) in members {
+            match (key.as_str(), value) {
+                ("entries", Json::Arr(items)) => entries = Some(items),
+                ("scores", Json::Arr(items)) => scores = Some(items),
+                _ => {}
+            }
+        }
+    }
+    let entries = entries
         .ok_or_else(|| malformed("missing \"entries\""))?
         .into_iter()
         .map(|e| entry_from(&strings, &e))
-        .collect()
+        .collect::<Result<_, _>>()?;
+    let scores = scores
+        .ok_or_else(|| malformed("missing \"scores\""))?
+        .into_iter()
+        .map(|s| score_from(&s))
+        .collect::<Result<_, _>>()?;
+    Ok((entries, scores))
 }
 
 /// The sorted, deduplicated table of every string a snapshot's entries
@@ -512,6 +695,41 @@ fn energy_from(v: &Json) -> Result<EnergyBreakdown, SnapshotError> {
     Ok(energy)
 }
 
+fn score_json(((rows, cols, config, seed), value): &RetentionScore) -> Json {
+    Json::Arr(vec![
+        Json::Num(*rows as f64),
+        Json::Num(*cols as f64),
+        operand_key_json(config),
+        Json::Num(*seed as f64),
+        Json::Num(*value),
+    ])
+}
+
+fn score_from(v: &Json) -> Result<RetentionScore, SnapshotError> {
+    let Some([rows, cols, config, seed, value]) = v.as_arr() else {
+        return Err(malformed(
+            "a score must be [rows, cols, config, seed, value]",
+        ));
+    };
+    let seed = seed
+        .as_f64()
+        .filter(|n| n.fract() == 0.0 && (0.0..=(1u64 << 53) as f64).contains(n))
+        .ok_or_else(|| malformed(format!("bad score seed {}", seed.encode())))?;
+    let value = value
+        .as_f64()
+        .filter(|x| x.is_finite())
+        .ok_or_else(|| malformed(format!("bad score value {}", value.encode())))?;
+    Ok((
+        (
+            dim(rows)?,
+            dim(cols)?,
+            operand_key_from(config)?,
+            seed as u64,
+        ),
+        value,
+    ))
+}
+
 fn operand_key_json(key: &OperandKey) -> Json {
     match key {
         OperandKey::Dense => Json::str("dense"),
@@ -635,8 +853,33 @@ mod tests {
         cache
     }
 
-    /// A snapshot document around `payload` (the string table and the
-    /// entries, as written after the payload tag) with the running
+    fn sample_retention() -> RetentionCache {
+        let retention = RetentionCache::new();
+        retention.preload_scores([
+            (
+                (
+                    64,
+                    1024,
+                    OperandKey::Unstructured(0.5_f64.to_bits()),
+                    0xACC0,
+                ),
+                0.9,
+            ),
+            (
+                (
+                    64,
+                    512,
+                    OperandKey::Hss(HssPattern::one_rank(Gh::new(2, 4))),
+                    0xACC1,
+                ),
+                0.1 + 0.7, // non-terminating f64
+            ),
+        ]);
+        retention
+    }
+
+    /// A snapshot document around `payload` (the string table, the
+    /// entries and the scores, as written after the payload tag) with the running
     /// binary's fingerprint and the payload's true checksum.
     fn document(payload: &str) -> String {
         format!(
@@ -649,14 +892,18 @@ mod tests {
     #[test]
     fn save_load_save_is_byte_identical() {
         let cache = sample_cache();
+        let retention = sample_retention();
         let p1 = temp_path("first");
         let p2 = temp_path("second");
-        assert_eq!(save(&cache, &p1).unwrap(), 2);
+        assert_eq!(save(&cache, &retention, &p1).unwrap(), 2);
 
         let restored = EvalCache::new();
-        assert_eq!(load(&restored, &p1).unwrap(), 2);
+        let restored_scores = RetentionCache::new();
+        let loaded = load_logged(&restored, &restored_scores, &p1, None, None).unwrap();
+        assert_eq!((loaded.entries, loaded.scores), (2, 2));
         // Loading counts neither hits nor misses.
         assert_eq!((restored.hits(), restored.misses()), (0, 0));
+        assert_eq!(restored_scores.stats(), (0, 0));
 
         let mut original = cache.entries();
         let mut round_tripped = restored.entries();
@@ -664,8 +911,14 @@ mod tests {
         original.sort_by_key(key);
         round_tripped.sort_by_key(key);
         assert_eq!(original, round_tripped);
+        let mut scores = retention.scores();
+        let mut round_tripped = restored_scores.scores();
+        let key = |s: &RetentionScore| format!("{s:?}");
+        scores.sort_by_key(key);
+        round_tripped.sort_by_key(key);
+        assert_eq!(scores, round_tripped);
 
-        assert_eq!(save(&restored, &p2).unwrap(), 2);
+        assert_eq!(save(&restored, &restored_scores, &p2).unwrap(), 2);
         assert_eq!(
             std::fs::read(&p1).unwrap(),
             std::fs::read(&p2).unwrap(),
@@ -694,7 +947,7 @@ mod tests {
             )
         }));
         let path = temp_path("shared");
-        save(&cache, &path).unwrap();
+        save(&cache, &RetentionCache::new(), &path).unwrap();
         let doc = std::fs::read_to_string(&path).unwrap();
         assert_eq!(doc.matches(design).count(), 1, "{doc}");
         assert_eq!(doc.matches("dense A").count(), 1, "{doc}");
@@ -712,10 +965,10 @@ mod tests {
     fn fingerprint_mismatch_refuses_the_snapshot() {
         let cache = sample_cache();
         let path = temp_path("stale");
-        save(&cache, &path).unwrap();
+        save(&cache, &sample_retention(), &path).unwrap();
         let doc = std::fs::read_to_string(&path)
             .unwrap()
-            .replace(&cache_fingerprint(), "hl-snap-v3:0000000000000000");
+            .replace(&cache_fingerprint(), "hl-snap-v4:0000000000000000");
         std::fs::write(&path, doc).unwrap();
 
         let restored = EvalCache::new();
@@ -763,11 +1016,110 @@ mod tests {
     }
 
     #[test]
+    fn a_v3_snapshot_is_refused_as_an_unsupported_format() {
+        let path = temp_path("v3");
+        let payload = r#"["HighLight { tiles: 16 }","HighLight","dense A"],"entries":[[0,[8,8,8],"dense","dense",[1,2]]]"#;
+        let doc = format!(
+            "{{\"format\":3,\"fingerprint\":\"hl-snap-v3:0123456789abcdef\",\
+             \"crc32\":\"{:08x}\"{PAYLOAD_TAG}{payload}}}",
+            crc32(payload.as_bytes())
+        );
+        std::fs::write(&path, doc).unwrap();
+        let restored = EvalCache::new();
+        let err = load(&restored, &path).unwrap_err();
+        assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("unsupported format 3"), "{err}");
+        assert!(restored.entries().is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn fingerprint_is_stable_within_a_process() {
         let a = cache_fingerprint();
         let b = cache_fingerprint();
         assert_eq!(a, b);
-        assert!(a.starts_with("hl-snap-v3:"), "{a}");
+        assert!(a.starts_with("hl-snap-v4:"), "{a}");
+        // The canary probes an unsupported pair as well as results.
+        let canary = Canary::probe();
+        assert!(canary.evals.iter().any(Result::is_err), "{canary:?}");
+        assert!(canary.evals.iter().any(Result::is_ok), "{canary:?}");
+        assert_eq!(fingerprint(&canary), a);
+    }
+
+    /// Saves the sample caches under the fingerprint of `canary` and
+    /// expects this binary to refuse the file, logging why.
+    fn refused_as_another_builds(canary: &Canary, tag: &str) {
+        let path = temp_path(tag);
+        save_as(
+            &sample_cache(),
+            &sample_retention(),
+            &path,
+            &fingerprint(canary),
+        )
+        .unwrap();
+        let (cache, retention) = (EvalCache::new(), RetentionCache::new());
+        let log = crate::log::SharedBuffer::new();
+        let logger = Logger::with_sink(log.make_sink());
+        let err = load_logged(&cache, &retention, &path, None, Some((&logger, "t"))).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::FingerprintMismatch { .. }),
+            "{tag}: {err}"
+        );
+        assert!(cache.entries().is_empty() && retention.is_empty(), "{tag}");
+        let logged = log.contents();
+        let failed: Vec<Json> = logged
+            .lines()
+            .filter_map(|l| Json::parse(l).ok())
+            .filter(|e| e.get("event").and_then(Json::as_str) == Some("snapshot_load_failed"))
+            .collect();
+        assert_eq!(failed.len(), 1, "{tag}: {logged}");
+        assert_eq!(
+            failed[0].get("error").and_then(Json::as_str),
+            Some(err.to_string().as_str()),
+            "{tag}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_canary_refuses_other_code_s_results() {
+        let canary = Canary::probe();
+        // One design's energy, one ulp off.
+        let mut nudged = canary.clone();
+        let result = nudged
+            .evals
+            .iter_mut()
+            .find_map(|e| e.as_mut().ok())
+            .expect("the canary probes supported pairs");
+        let mut energy = EnergyBreakdown::new();
+        for (i, (comp, pj)) in result.energy.iter().enumerate() {
+            let pj = if i == 0 {
+                f64::from_bits(pj.to_bits() + 1)
+            } else {
+                pj
+            };
+            energy.record(comp, pj);
+        }
+        assert_ne!(energy, result.energy);
+        result.energy = energy;
+        refused_as_another_builds(&nudged, "nudged-energy");
+
+        // One surrogate score, one ulp off.
+        let mut nudged = canary.clone();
+        nudged.losses[0] = f64::from_bits(nudged.losses[0].to_bits() + 1);
+        refused_as_another_builds(&nudged, "nudged-loss");
+
+        // The unperturbed canary's snapshot loads.
+        let path = temp_path("canary");
+        save_as(
+            &sample_cache(),
+            &sample_retention(),
+            &path,
+            &fingerprint(&canary),
+        )
+        .unwrap();
+        assert_eq!(load(&EvalCache::new(), &path).unwrap(), 2);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -800,7 +1152,7 @@ mod tests {
     fn corrupted_payload_bytes_fail_the_checksum() {
         let cache = sample_cache();
         let path = temp_path("bitrot");
-        save(&cache, &path).unwrap();
+        save(&cache, &sample_retention(), &path).unwrap();
         // Damage one payload byte in a way that still parses as JSON —
         // only the CRC can catch this class of corruption.
         let doc = std::fs::read_to_string(&path).unwrap();
@@ -824,7 +1176,7 @@ mod tests {
         let good = r#"[0,[8,8,8],"dense","dense",[1,2]]"#;
         let bad = r#"[0,[8,8,8],"dense","dense",[1]]"#;
         let strings = r#"["HighLight { tiles: 16 }","HighLight","dense A"]"#;
-        let payload = format!(r#"{strings},"entries":[{good},{bad}]"#);
+        let payload = format!(r#"{strings},"entries":[{good},{bad}],"scores":[]"#);
         let path = temp_path("bad-last");
         std::fs::write(&path, document(&payload)).unwrap();
         let restored = EvalCache::new();
@@ -833,9 +1185,53 @@ mod tests {
         assert!(restored.entries().is_empty(), "no entry of a failed load");
 
         // The good entry on its own loads.
-        let payload = format!(r#"{strings},"entries":[{good}]"#);
+        let payload = format!(r#"{strings},"entries":[{good}],"scores":[]"#);
         std::fs::write(&path, document(&payload)).unwrap();
         assert_eq!(load(&restored, &path).unwrap(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_bad_last_score_leaves_both_caches_empty() {
+        // A checksum-valid document whose entry and first score decode and
+        // whose last score does not: neither cache takes anything.
+        let strings = r#"["HighLight { tiles: 16 }","HighLight","dense A"]"#;
+        let entries = r#"[[0,[8,8,8],"dense","dense",[1,2]]]"#;
+        let good = r#"[64,512,[[2,4]],44224,0.75]"#;
+        let path = temp_path("bad-last-score");
+        for bad in [
+            r#"[64,512,[[2,4]],44224,"x"]"#,   // value not a number
+            r#"[64,512,[[2,4]],44224]"#,       // no value
+            r#"[64,512,[[2,4]],-1,0.75]"#,     // negative seed
+            r#"[64,512,[[2,4]],1.5,0.75]"#,    // fractional seed
+            r#"[0,512,[[2,4]],44224,0.75]"#,   // zero rows
+            r#"[64,512,"sparse",44224,0.75]"#, // unknown config
+        ] {
+            let payload = format!(r#"{strings},"entries":{entries},"scores":[{good},{bad}]"#);
+            std::fs::write(&path, document(&payload)).unwrap();
+            let (cache, retention) = (EvalCache::new(), RetentionCache::new());
+            let err = load_logged(&cache, &retention, &path, None, None).unwrap_err();
+            assert!(matches!(err, SnapshotError::Malformed(_)), "{bad}: {err}");
+            assert!(
+                cache.entries().is_empty(),
+                "{bad}: no entry of a failed load"
+            );
+            assert!(retention.is_empty(), "{bad}: no score of a failed load");
+        }
+
+        // Without the bad score, both load.
+        let payload = format!(r#"{strings},"entries":{entries},"scores":[{good}]"#);
+        std::fs::write(&path, document(&payload)).unwrap();
+        let (cache, retention) = (EvalCache::new(), RetentionCache::new());
+        let loaded = load_logged(&cache, &retention, &path, None, None).unwrap();
+        assert_eq!((loaded.entries, loaded.scores), (1, 1));
+        let key = (
+            64,
+            512,
+            OperandKey::Hss(HssPattern::one_rank(Gh::new(2, 4))),
+            44224,
+        );
+        assert_eq!(retention.scores(), vec![(key, 0.75)]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -858,7 +1254,7 @@ mod tests {
             r#"[0,[8,8,8],"dense","dense",[1,1,5,[[4,1],[4,1]]]]"#, // repeated
             r#"[0,[8,8,8],"dense","dense"]"#,       // no outcome
         ] {
-            let payload = format!(r#"{strings},"entries":[{entry}]"#);
+            let payload = format!(r#"{strings},"entries":[{entry}],"scores":[]"#);
             std::fs::write(&path, document(&payload)).unwrap();
             let restored = EvalCache::new();
             let err = load(&restored, &path).unwrap_err();
@@ -872,7 +1268,7 @@ mod tests {
     fn truncated_files_are_rejected() {
         let cache = sample_cache();
         let path = temp_path("torn");
-        save(&cache, &path).unwrap();
+        save(&cache, &sample_retention(), &path).unwrap();
         let doc = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &doc[..doc.len() / 2]).unwrap();
         let err = load(&EvalCache::new(), &path).unwrap_err();
@@ -883,7 +1279,7 @@ mod tests {
     #[test]
     fn every_truncation_and_byte_flip_is_refused() {
         let path = temp_path("exhaustive");
-        save(&sample_cache(), &path).unwrap();
+        save(&sample_cache(), &sample_retention(), &path).unwrap();
         let doc = std::fs::read(&path).unwrap();
         let refused = |bytes: &[u8], what: &str| {
             std::fs::write(&path, bytes).unwrap();
@@ -906,7 +1302,7 @@ mod tests {
     fn missing_crc_field_is_malformed() {
         let path = temp_path("nocrc");
         let doc = format!(
-            "{{\"format\":{FORMAT},\"fingerprint\":{},\"strings\":[],\"entries\":[]}}",
+            "{{\"format\":{FORMAT},\"fingerprint\":{},\"strings\":[],\"entries\":[],\"scores\":[]}}",
             Json::str(cache_fingerprint()).encode()
         );
         std::fs::write(&path, doc).unwrap();
@@ -920,12 +1316,12 @@ mod tests {
         use crate::faults::FaultPlane;
         let cache = sample_cache();
         let path = temp_path("faulty");
-        save(&cache, &path).unwrap();
+        save(&cache, &sample_retention(), &path).unwrap();
 
         for spec in ["seed=11,snapshot=bitflip", "snapshot=truncate"] {
             let plane = FaultPlane::parse(spec).unwrap();
-            let restored = EvalCache::new();
-            let err = load_logged(&restored, &path, Some(&plane), None).unwrap_err();
+            let (restored, retention) = (EvalCache::new(), RetentionCache::new());
+            let err = load_logged(&restored, &retention, &path, Some(&plane), None).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -936,6 +1332,7 @@ mod tests {
                 "{spec}: {err}"
             );
             assert!(restored.entries().is_empty(), "{spec}: cache left cold");
+            assert!(retention.is_empty(), "{spec}: scores left cold");
         }
         // The same file loads cleanly without the fault plane.
         assert_eq!(load(&EvalCache::new(), &path).unwrap(), 2);

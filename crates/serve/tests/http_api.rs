@@ -336,6 +336,81 @@ fn snapshot_round_trips_the_cache_across_a_restart() {
     let _ = std::fs::remove_file(&path);
 }
 
+#[test]
+fn warm_boots_are_transparent() {
+    let path = std::env::temp_dir().join(format!("hl-serve-e2e-warm-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let requests = [
+        (
+            "/v1/search",
+            r#"{"design":"HighLight","model":"DeiT-small","budget":0.5}"#,
+        ),
+        (
+            "/v1/search",
+            r#"{"design":"DSTC","model":"DeiT-small","budget":1.0}"#,
+        ),
+        (
+            "/v1/evaluate_model",
+            r#"{"design":"HighLight","model":"DeiT-small","pruning":{"hss":[[4,8],[2,4]]}}"#,
+        ),
+        (
+            "/v1/evaluate_model",
+            r#"{"design":"DSTC","model":"DeiT-small","pruning":{"unstructured":0.75}}"#,
+        ),
+    ];
+    let replies = |server: &ServerHandle| -> Vec<String> {
+        let addr = server.addr().to_string();
+        requests
+            .iter()
+            .map(|(route, body)| {
+                let (status, reply) = request(&addr, "POST", route, Some(body)).unwrap();
+                assert_eq!(status, 200, "{route} {body}: {reply}");
+                reply
+            })
+            .collect()
+    };
+
+    // Server A answers cold and drains, writing both caches.
+    let (a, _) = spawn_logged(&path);
+    let first = replies(&a);
+    let scores = a.app().context().retention().len();
+    assert!(scores > 0 && a.app().context().retention().stats().1 > 0);
+    a.stop().unwrap();
+
+    // Server B boots from A's snapshot (it loads before it accepts a
+    // connection) and answers every request byte-identically without a
+    // single surrogate miss, so it still holds exactly A's scores.
+    let (b, log) = spawn_logged(&path);
+    assert_eq!(replies(&b), first);
+    let retention = b.app().context().retention();
+    assert_eq!(
+        retention.stats().1,
+        0,
+        "warm boot must score from the snapshot"
+    );
+    assert_eq!(retention.len(), scores);
+    assert!(retention.stats().0 > 0);
+    let (_, metrics) = get_json(&b.addr().to_string(), "/v1/metrics").unwrap();
+    let gauge = metrics
+        .get("retention_cache")
+        .and_then(|c| c.get("entries"));
+    assert_eq!(gauge.and_then(Json::as_f64), Some(scores as f64));
+    b.stop().unwrap();
+    let loaded = log_events(&log, "snapshot_loaded");
+    assert_eq!(loaded.len(), 1, "{}", log.contents());
+    assert_eq!(
+        loaded[0].get("scores").and_then(Json::as_f64),
+        Some(scores as f64)
+    );
+
+    // A cold server without a snapshot answers the same bytes.
+    let cold = spawn_server();
+    assert_eq!(replies(&cold), first);
+    cold.stop().unwrap();
+
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A server on an ephemeral port with a snapshot path, its structured log
 /// captured in memory.
 fn spawn_logged(snapshot: &std::path::Path) -> (ServerHandle, SharedBuffer) {
