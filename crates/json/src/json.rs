@@ -1,5 +1,6 @@
 //! [`Json`] is the value tree; [`Json::encode`] produces compact RFC 8259
-//! output and [`Json::parse`] is a recursive-descent parser with a nesting
+//! output and [`Json::parse`] builds a tree by walking a
+//! [`Reader`](crate::Reader), the crate's one tokenizer, with a nesting
 //! cap ([`MAX_DEPTH`]) so adversarial request bodies cannot blow the
 //! stack, and no panicking index or `unwrap` (hl-lint's request-path rule
 //! covers this crate). Object member order is preserved (members are a
@@ -13,6 +14,8 @@
 //! `null`.
 
 use std::fmt;
+
+use crate::reader::{Kind, Reader};
 
 /// Maximum nesting depth [`Json::parse`] accepts.
 pub const MAX_DEPTH: usize = 64;
@@ -126,17 +129,40 @@ impl Json {
     /// [`JsonError`] with the byte offset and a reason on malformed input,
     /// and on nesting deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        let mut reader = Reader::new(input);
+        let v = Json::read(&mut reader)?;
+        reader.finish()?;
         Ok(v)
+    }
+
+    /// Reads the value `reader` stands at into a tree.
+    fn read(reader: &mut Reader<'_>) -> Result<Json, JsonError> {
+        Ok(match reader.peek()? {
+            Kind::Null => {
+                reader.null()?;
+                Json::Null
+            }
+            Kind::Bool => Json::Bool(reader.bool()?),
+            Kind::Num => Json::Num(reader.number()?),
+            Kind::Str => Json::Str(reader.string()?.into_owned()),
+            Kind::Arr => {
+                reader.enter_array()?;
+                let mut items = Vec::new();
+                while reader.next_element()? {
+                    items.push(Json::read(reader)?);
+                }
+                Json::Arr(items)
+            }
+            Kind::Obj => {
+                reader.enter_object()?;
+                let mut members = Vec::new();
+                while let Some(key) = reader.next_key()? {
+                    let value = Json::read(reader)?;
+                    members.push((key.into_owned(), value));
+                }
+                Json::Obj(members)
+            }
+        })
     }
 }
 
@@ -190,257 +216,6 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, reason: impl Into<String>) -> JsonError {
-        JsonError {
-            pos: self.pos,
-            reason: reason.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    /// The unread input.
-    fn rest(&self) -> &[u8] {
-        self.bytes.get(self.pos..).unwrap_or_default()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
-        if self.rest().starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected '{lit}'")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0C}'),
-                        b'u' => out.push(self.unicode_escape()?),
-                        c => {
-                            self.pos -= 1;
-                            return Err(self.err(format!("invalid escape '\\{}'", c as char)));
-                        }
-                    }
-                }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"));
-                }
-                Some(_) => {
-                    // Copy the run up to the next quote, backslash or
-                    // control byte. The input is a &str and the run ends
-                    // at an ASCII byte or the end, so it is whole UTF-8.
-                    let rest = self.rest();
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                        .unwrap_or(rest.len());
-                    let run = rest
-                        .get(..len)
-                        .and_then(|run| std::str::from_utf8(run).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    out.push_str(run);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let c = self
-                .peek()
-                .ok_or_else(|| self.err("truncated \\u escape"))?;
-            let d = (c as char)
-                .to_digit(16)
-                .ok_or_else(|| self.err("non-hex digit in \\u escape"))?;
-            v = v * 16 + d;
-            self.pos += 1;
-        }
-        Ok(v)
-    }
-
-    fn unicode_escape(&mut self) -> Result<char, JsonError> {
-        let hi = self.hex4()?;
-        if (0xD800..0xDC00).contains(&hi) {
-            // High surrogate: a \uXXXX low surrogate must follow.
-            if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
-                self.pos += 2;
-                let lo = self.hex4()?;
-                if !(0xDC00..0xE000).contains(&lo) {
-                    return Err(self.err("high surrogate not followed by a low surrogate"));
-                }
-                let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                return char::from_u32(c).ok_or_else(|| self.err("invalid surrogate pair"));
-            }
-            return Err(self.err("lone high surrogate"));
-        }
-        if (0xDC00..0xE000).contains(&hi) {
-            return Err(self.err("lone low surrogate"));
-        }
-        char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        // Integer part: 0, or a nonzero digit followed by digits.
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(self.err("invalid number")),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digits must follow the decimal point"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digits must follow the exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let n: f64 = self
-            .bytes
-            .get(start..self.pos)
-            .and_then(|text| std::str::from_utf8(text).ok()?.parse().ok())
-            .ok_or_else(|| self.err("unparseable number"))?;
-        if !n.is_finite() {
-            return Err(self.err("number overflows a double"));
-        }
-        Ok(Json::Num(n))
-    }
-}
-
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.encode())
@@ -450,6 +225,7 @@ impl fmt::Display for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::Reader;
 
     #[test]
     fn encodes_scalars_and_containers() {
@@ -493,38 +269,75 @@ mod tests {
         }
     }
 
+    /// Documents `Json::parse` must refuse.
+    const MALFORMED: &[&str] = &[
+        "",
+        "  ",
+        "{",
+        "[1,",
+        "tru",
+        "nul",
+        "01",
+        "1.",
+        "1e",
+        "+1",
+        "--1",
+        "\"abc",
+        "\"\\q\"",
+        "\"\\u12g4\"",
+        "{\"a\"}",
+        "{\"a\":}",
+        "{a:1}",
+        "[1 2]",
+        "1 2",
+        "{} {}",
+        "\"\\ud800\"",
+        "\"\\ud800\\u0041\"",
+        "1e999",
+        "\u{1}",
+        // Raw control characters must be escaped.
+        "\"a\nb\"",
+    ];
+
+    /// Walks `text` with [`Reader::skip`] and [`Reader::finish`].
+    fn skip_walk(text: &str) -> Result<(), JsonError> {
+        let mut reader = Reader::new(text);
+        reader.skip()?;
+        reader.finish()
+    }
+
     #[test]
     fn rejects_malformed_documents() {
-        for bad in [
-            "",
-            "  ",
-            "{",
-            "[1,",
-            "tru",
-            "nul",
-            "01",
-            "1.",
-            "1e",
-            "+1",
-            "--1",
-            "\"abc",
-            "\"\\q\"",
-            "\"\\u12g4\"",
-            "{\"a\"}",
-            "{\"a\":}",
-            "{a:1}",
-            "[1 2]",
-            "1 2",
-            "{} {}",
-            "\"\\ud800\"",
-            "\"\\ud800\\u0041\"",
-            "1e999",
-            "\u{1}",
-        ] {
+        for bad in MALFORMED {
             assert!(Json::parse(bad).is_err(), "must reject {bad:?}");
         }
-        // Raw control characters must be escaped.
-        assert!(Json::parse("\"a\nb\"").is_err());
+    }
+
+    #[test]
+    fn a_reader_walk_rejects_the_malformed_documents_too() {
+        for bad in MALFORMED {
+            assert_eq!(
+                skip_walk(bad).unwrap_err(),
+                Json::parse(bad).unwrap_err(),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_reader_walk_caps_depth_like_parse() {
+        for depth in [MAX_DEPTH, MAX_DEPTH + 1] {
+            let arrays = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+            let mut objects = "{\"k\":".repeat(depth);
+            objects.push('1');
+            objects.push_str(&"}".repeat(depth));
+            let empty = format!("{}{}", "[".repeat(depth + 1), "]".repeat(depth + 1));
+            for doc in [arrays, objects, empty] {
+                let parsed = Json::parse(&doc).map(drop);
+                assert_eq!(skip_walk(&doc), parsed, "depth {depth}: {doc}");
+                assert_eq!(parsed.is_ok(), depth == MAX_DEPTH, "depth {depth}: {doc}");
+            }
+        }
     }
 
     #[test]

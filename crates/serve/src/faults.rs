@@ -188,7 +188,9 @@ impl FaultPlane {
                     if !(0.0..=1.0).contains(&p) {
                         return Err(format!("fault spec {key} `{value}`: must be in [0, 1]"));
                     }
-                    plane.probs[point.index()] = p;
+                    if let Some(slot) = plane.probs.get_mut(point.index()) {
+                        *slot = p;
+                    }
                 }
             }
         }
@@ -214,17 +216,19 @@ impl FaultPlane {
     /// Each call advances that point's draw counter.
     pub fn fire(&self, point: FaultPoint) -> bool {
         let i = point.index();
-        let p = self.probs[i];
+        let (Some(&p), Some(draws)) = (self.probs.get(i), self.draws.get(i)) else {
+            return false;
+        };
         if p <= 0.0 {
             return false;
         }
-        let n = self.draws[i].fetch_add(1, Ordering::Relaxed);
+        let n = draws.fetch_add(1, Ordering::Relaxed);
         // Salt the point index into the high bits so the streams of
         // different points at the same seed are independent.
         let h = splitmix64(self.seed ^ ((i as u64 + 1) << 56) ^ n);
         let hit = p >= 1.0 || unit(h) < p;
-        if hit {
-            self.injected[i].fetch_add(1, Ordering::Relaxed);
+        if let (true, Some(injected)) = (hit, self.injected.get(i)) {
+            injected.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
@@ -265,7 +269,9 @@ impl FaultPlane {
                 let i = splitmix64(self.seed ^ 0x5EED_5EED) as usize % bytes.len();
                 // Flip a low bit that keeps ASCII bytes ASCII, so the
                 // corrupted document is still valid UTF-8.
-                bytes[i] ^= if bytes[i] < 0x70 { 0x10 } else { 0x01 };
+                if let Some(b) = bytes.get_mut(i) {
+                    *b ^= if *b < 0x70 { 0x10 } else { 0x01 };
+                }
                 *text = String::from_utf8_lossy(&bytes).into_owned();
             }
         }
@@ -274,7 +280,9 @@ impl FaultPlane {
 
     /// How many times `point` has fired so far.
     pub fn injected(&self, point: FaultPoint) -> u64 {
-        self.injected[point.index()].load(Ordering::Relaxed)
+        self.injected
+            .get(point.index())
+            .map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
     /// Total faults injected across every point.

@@ -54,15 +54,29 @@
 //!
 //! `crc32` is an IEEE CRC-32 over the raw bytes that follow the
 //! `,"strings":` tag, up to the document's closing brace: the string
-//! table, the entries and the scores exactly as written. The file layout
-//! is fixed — `"strings"`, `"entries"` and `"scores"` are always the last
-//! three members — so [`load`] can locate the payload bytes without
-//! re-encoding, verify the checksum, and reject a torn write or silent
-//! media corruption as [`SnapshotError::ChecksumMismatch`] before trusting
-//! a single entry. Every entry and every score is decoded before the first
-//! one is preloaded, so a load either restores the whole snapshot or
-//! leaves both caches untouched. Every load failure is reported, never
-//! panicked: the serving layer logs it and boots cold.
+//! table, the entries and the scores exactly as written. It is computed
+//! slice-by-8 (eight table lookups per eight-byte word). The file layout
+//! is fixed: the six members come in the order shown, the payload tag is
+//! written byte for byte, and `"strings"`, `"entries"` and `"scores"` are
+//! always the last three members. A document in any other order, or with
+//! any other member, is refused as [`SnapshotError::Malformed`].
+//!
+//! [`load`] decodes the file in one pass with a pull [`Reader`], without
+//! building a [`Json`] tree. It checks, in order:
+//!
+//! 1. the format;
+//! 2. the fingerprint;
+//! 3. the CRC over the raw payload bytes, so a torn write or silent media
+//!    corruption is refused as [`SnapshotError::ChecksumMismatch`] before
+//!    a single entry is trusted;
+//! 4. every entry and every score as the walk reaches it: string indices,
+//!    dimensions, G:H ranks, energy component order and sign, seed
+//!    range, finite values and known operand forms.
+//!
+//! Every entry and every score is decoded before the first one is
+//! preloaded, so a load either restores the whole snapshot or leaves both
+//! caches untouched. Every load failure is reported, never panicked: the
+//! serving layer logs it and boots cold.
 //!
 //! The string table is sorted, and entries and scores are sorted by their
 //! encoded form before writing, so save → load → save is byte-identical
@@ -75,7 +89,7 @@
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hl_arch::{Comp, EnergyBreakdown};
 use hl_models::accuracy::{accuracy_loss, PruningConfig, RetentionCache, RetentionScore};
@@ -86,7 +100,7 @@ use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::GemmShape;
 
 use crate::faults::FaultPlane;
-use crate::json::Json;
+use crate::json::{Json, JsonError, Kind, Reader};
 use crate::log::Logger;
 
 /// Snapshot format version; bumped on any encoding change (v2 added the
@@ -154,6 +168,12 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
+impl From<JsonError> for SnapshotError {
+    fn from(e: JsonError) -> Self {
+        Self::Malformed(e.to_string())
+    }
+}
+
 fn malformed(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Malformed(msg.into())
 }
@@ -161,35 +181,66 @@ fn malformed(msg: impl Into<String>) -> SnapshotError {
 /// One cached evaluation outcome.
 type Outcome = Result<EvalResult, Unsupported>;
 
-/// The byte-at-a-time lookup table for [`crc32`], built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 == 1 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        // hl-lint: allow(no-panic-in-request-path, evaluated at compile time with i < 256)
-        table[i] = crc;
-        i += 1;
+/// `steps` shift steps of the reflected CRC-32 register (polynomial
+/// 0xEDB88320) starting from `crc`.
+const fn crc_steps(mut crc: u32, steps: u32) -> u32 {
+    let mut step = 0;
+    while step < steps {
+        crc = if crc & 1 == 1 {
+            (crc >> 1) ^ 0xEDB8_8320
+        } else {
+            crc >> 1
+        };
+        step += 1;
     }
-    table
+    crc
+}
+
+/// The slice-by-8 lookup tables for [`crc32`], built at compile time.
+/// `CRC_TABLES[k][b]` is what byte `b` followed by `k` zero bytes
+/// contributes to the register, so table 0 is the byte-at-a-time table.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            // hl-lint: allow(no-panic-in-request-path, evaluated at compile time with k < 8 and b < 256)
+            tables[k][b] = crc_steps(b as u32, 8 * (k as u32 + 1));
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// IEEE CRC-32 (reflected, polynomial 0xEDB88320), one table lookup per
-/// byte.
+#[inline]
+fn crc_lookup(table: &[u32; 256], byte: u8) -> u32 {
+    // hl-lint: allow(no-panic-in-request-path, a u8 always indexes the 256-entry table)
+    table[usize::from(byte)]
+}
+
+/// IEEE CRC-32 (reflected, polynomial 0xEDB88320), slice-by-8: eight
+/// table lookups per eight-byte word, then one per trailing byte.
 fn crc32(bytes: &[u8]) -> u32 {
-    !bytes.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
-        // hl-lint: allow(no-panic-in-request-path, a u8 always indexes the 256-entry table)
-        CRC_TABLE[usize::from((crc as u8) ^ b)] ^ (crc >> 8)
-    })
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut crc = 0xFFFF_FFFFu32;
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
+        let [c0, c1, c2, c3] = crc.to_le_bytes();
+        crc = crc_lookup(t7, b0 ^ c0)
+            ^ crc_lookup(t6, b1 ^ c1)
+            ^ crc_lookup(t5, b2 ^ c2)
+            ^ crc_lookup(t4, b3 ^ c3)
+            ^ crc_lookup(t3, b4)
+            ^ crc_lookup(t2, b5)
+            ^ crc_lookup(t1, b6)
+            ^ crc_lookup(t0, b7);
+    }
+    for &b in tail {
+        crc = crc_lookup(t0, (crc as u8) ^ b) ^ (crc >> 8);
+    }
+    !crc
 }
 
 /// The tag preceding the payload in the fixed document layout.
@@ -351,7 +402,9 @@ pub fn save(
     Ok(entries.len())
 }
 
-/// What a successful [`load_logged`] restored.
+/// What a successful [`load_logged`] restored, and where its time went.
+/// The four stage times, in milliseconds, run back to back and sum to at
+/// most the `load_ms` the server logs.
 #[derive(Debug, Clone, Copy)]
 pub struct Loaded {
     /// Entries preloaded into the evaluation cache.
@@ -360,6 +413,14 @@ pub struct Loaded {
     pub scores: usize,
     /// Size of the snapshot file in bytes.
     pub bytes: usize,
+    /// Reading the file (and any injected corruption).
+    pub read_ms: f64,
+    /// Checking the format, the fingerprint and the payload CRC.
+    pub check_ms: f64,
+    /// Decoding every entry and every score.
+    pub decode_ms: f64,
+    /// Preloading both caches.
+    pub preload_ms: f64,
 }
 
 /// Loads a snapshot's evaluation-cache entries via [`EvalCache::preload`]
@@ -384,9 +445,10 @@ pub fn load(cache: &EvalCache, path: &Path) -> Result<usize, SnapshotError> {
 ///
 /// With a structured logger (and the server's boot-scoped trace id) the
 /// outcome is logged: `snapshot_loaded` with the entry and score counts,
-/// the file size and the load time, or `snapshot_load_failed` with the
-/// reason. A missing file is silent (a first boot), as is every outcome
-/// with `None`. Injected corruption is logged as `fault_injected`.
+/// the file size, the load time and its four stages (`read_ms`,
+/// `check_ms`, `decode_ms`, `preload_ms`), or `snapshot_load_failed` with
+/// the reason. A missing file is silent (a first boot), as is every
+/// outcome with `None`. Injected corruption is logged as `fault_injected`.
 ///
 /// # Errors
 /// As [`load`]. On any error both caches are left untouched.
@@ -411,7 +473,11 @@ pub fn load_logged(
                     ("entries", Json::Num(loaded.entries as f64)),
                     ("scores", Json::Num(loaded.scores as f64)),
                     ("bytes", Json::Num(loaded.bytes as f64)),
-                    ("load_ms", Json::Num(started.elapsed().as_secs_f64() * 1e3)),
+                    ("load_ms", Json::Num(millis(started.elapsed()))),
+                    ("read_ms", Json::Num(loaded.read_ms)),
+                    ("check_ms", Json::Num(loaded.check_ms)),
+                    ("decode_ms", Json::Num(loaded.decode_ms)),
+                    ("preload_ms", Json::Num(loaded.preload_ms)),
                 ],
             ),
             Err(SnapshotError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {}
@@ -424,8 +490,12 @@ pub fn load_logged(
     result
 }
 
+fn millis(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
 /// Reads, checks and decodes the snapshot at `path`, then preloads both
-/// caches.
+/// caches, timing each stage.
 fn read_and_preload(
     cache: &EvalCache,
     retention: &RetentionCache,
@@ -433,6 +503,7 @@ fn read_and_preload(
     faults: Option<&FaultPlane>,
     log: Option<(&Logger, &str)>,
 ) -> Result<Loaded, SnapshotError> {
+    let started = Instant::now();
     let mut text = std::fs::read_to_string(path)?;
     let bytes = text.len();
     let corrupted = faults.is_some_and(|plane| plane.corrupt_snapshot(&mut text));
@@ -446,100 +517,131 @@ fn read_and_preload(
             ],
         );
     }
-    let (entries, scores) = decode(&text)?;
-    let loaded = Loaded {
-        entries: entries.len(),
-        scores: scores.len(),
-        bytes,
-    };
+    let read = Instant::now();
+    let payload = check(&text)?;
+    let checked = Instant::now();
+    let (entries, scores) = decode(payload)?;
+    let decoded = Instant::now();
+    let (n_entries, n_scores) = (entries.len(), scores.len());
     // Preload only once every entry and score has decoded: a bad one
     // anywhere leaves both caches as cold as the boot the server logs.
     cache.preload(entries);
     retention.preload_scores(scores);
-    Ok(loaded)
+    Ok(Loaded {
+        entries: n_entries,
+        scores: n_scores,
+        bytes,
+        read_ms: millis(read.duration_since(started)),
+        check_ms: millis(checked.duration_since(read)),
+        decode_ms: millis(decoded.duration_since(checked)),
+        preload_ms: millis(decoded.elapsed()),
+    })
 }
 
 /// A decoded snapshot: its evaluation-cache entries and its scores.
 type Decoded = (Vec<(EvalKey, Outcome)>, Vec<RetentionScore>);
 
-/// Checks a snapshot document's format, fingerprint and checksum, then
-/// decodes every entry and every score.
-fn decode(text: &str) -> Result<Decoded, SnapshotError> {
-    let doc = Json::parse(text).map_err(|e| malformed(e.to_string()))?;
-    let format = doc
-        .get("format")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| malformed("missing \"format\""))?;
+/// Checks a snapshot document's format, fingerprint and payload checksum,
+/// in that order, and returns the reader standing just before the
+/// payload.
+fn check(text: &str) -> Result<Reader<'_>, SnapshotError> {
+    let mut r = Reader::new(text);
+    r.enter_object()?;
+    member(&mut r, "format")?;
+    let format = r.number()?;
     if format != FORMAT as f64 {
         return Err(malformed(format!("unsupported format {format}")));
     }
-    let found = doc
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .ok_or_else(|| malformed("missing \"fingerprint\""))?;
+    member(&mut r, "fingerprint")?;
+    let found = r.string()?;
     let expected = cache_fingerprint();
-    if found != expected {
+    if found != expected.as_str() {
         return Err(SnapshotError::FingerprintMismatch {
             expected,
-            found: found.to_string(),
+            found: found.into_owned(),
         });
     }
-    let stored = doc
-        .get("crc32")
-        .and_then(Json::as_str)
-        .ok_or_else(|| malformed("missing \"crc32\""))?;
+    member(&mut r, "crc32")?;
+    let stored = r.string()?;
     // The fixed layout puts the payload last, so its raw bytes — exactly
     // what `save` checksummed — run from just past the tag to the
     // document's closing brace. No re-encoding involved: re-encoding a
     // corrupted-but-parsable payload could normalize the damage away.
-    let payload = text
-        .split_once(PAYLOAD_TAG)
+    let payload = r
+        .rest()
+        .strip_prefix(PAYLOAD_TAG)
         .ok_or_else(|| malformed("document layout: missing strings tag"))?
-        .1
         .strip_suffix('}')
         .ok_or_else(|| malformed("document layout: missing closing brace"))?;
     let computed = format!("{:08x}", crc32(payload.as_bytes()));
-    if stored != computed {
+    if stored != computed.as_str() {
         return Err(SnapshotError::ChecksumMismatch {
-            stored: stored.to_string(),
+            stored: stored.into_owned(),
             computed,
         });
     }
-    let strings = doc
-        .get("strings")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| malformed("missing \"strings\""))?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(Arc::from)
-                .ok_or_else(|| malformed("\"strings\" must hold strings"))
-        })
-        .collect::<Result<Vec<Arc<str>>, _>>()?;
-    // Decode from the owned tree, so each entry's nodes are freed as soon
-    // as it is decoded and the decoded entries reuse that memory: a
-    // booting process pays for every fresh page it touches.
-    let (mut entries, mut scores) = (None, None);
-    if let Json::Obj(members) = doc {
-        for (key, value) in members {
-            match (key.as_str(), value) {
-                ("entries", Json::Arr(items)) => entries = Some(items),
-                ("scores", Json::Arr(items)) => scores = Some(items),
-                _ => {}
-            }
-        }
+    Ok(r)
+}
+
+/// Decodes the payload [`check`] verified, in one walk: the string table,
+/// then every entry, then every score, and nothing after them.
+fn decode(mut r: Reader<'_>) -> Result<Decoded, SnapshotError> {
+    member(&mut r, "strings")?;
+    let strings = list(&mut r, |r| Ok(Arc::<str>::from(&*r.string()?)))?;
+    member(&mut r, "entries")?;
+    let entries = list(&mut r, |r| entry(r, &strings))?;
+    member(&mut r, "scores")?;
+    let scores = list(&mut r, score)?;
+    if let Some(key) = r.next_key()? {
+        return Err(malformed(format!(
+            "document layout: unexpected member \"{key}\" after \"scores\""
+        )));
     }
-    let entries = entries
-        .ok_or_else(|| malformed("missing \"entries\""))?
-        .into_iter()
-        .map(|e| entry_from(&strings, &e))
-        .collect::<Result<_, _>>()?;
-    let scores = scores
-        .ok_or_else(|| malformed("missing \"scores\""))?
-        .into_iter()
-        .map(|s| score_from(&s))
-        .collect::<Result<_, _>>()?;
+    r.finish()?;
     Ok((entries, scores))
+}
+
+/// Moves to the object member `name`, which the fixed layout puts next.
+fn member(r: &mut Reader<'_>, name: &str) -> Result<(), SnapshotError> {
+    match r.next_key()? {
+        Some(key) if key == name => Ok(()),
+        Some(key) => Err(malformed(format!(
+            "missing \"{name}\" (found \"{key}\" in its place)"
+        ))),
+        None => Err(malformed(format!("missing \"{name}\""))),
+    }
+}
+
+/// Reads the array the reader stands at, one `item` per element.
+fn list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, SnapshotError>,
+) -> Result<Vec<T>, SnapshotError> {
+    let mut items = Vec::new();
+    r.enter_array()?;
+    while r.next_element()? {
+        items.push(item(r)?);
+    }
+    Ok(items)
+}
+
+/// Moves to the next element of a positional array, which must have one;
+/// `layout` says what the array should hold.
+fn field(r: &mut Reader<'_>, layout: &str) -> Result<(), SnapshotError> {
+    if r.next_element()? {
+        Ok(())
+    } else {
+        Err(malformed(layout))
+    }
+}
+
+/// Closes a positional array, which must hold nothing more.
+fn close(r: &mut Reader<'_>, layout: &str) -> Result<(), SnapshotError> {
+    if r.next_element()? {
+        Err(malformed(layout))
+    } else {
+        Ok(())
+    }
 }
 
 /// The sorted, deduplicated table of every string a snapshot's entries
@@ -590,56 +692,71 @@ impl<'a> StringTable<'a> {
     }
 }
 
-fn entry_from(strings: &[Arc<str>], v: &Json) -> Result<(EvalKey, Outcome), SnapshotError> {
-    let Some([design, shape, a, b, outcome]) = v.as_arr() else {
-        return Err(malformed("an entry must be [design, shape, a, b, outcome]"));
-    };
-    let value = match outcome.as_arr() {
-        Some([name, workload, cycles, energy]) => Ok(EvalResult {
-            design: string_at(strings, name)?.to_string(),
-            workload: string_at(strings, workload)?.to_string(),
-            cycles: cycles
-                .as_f64()
-                .ok_or_else(|| malformed("result cycles must be a number"))?,
-            energy: energy_from(energy)?,
-        }),
-        Some([name, reason]) => Err(Unsupported {
-            design: string_at(strings, name)?.to_string(),
-            reason: string_at(strings, reason)?.to_string(),
-        }),
-        _ => {
-            return Err(malformed(
-                "an outcome must be [name, workload, cycles, energy] or [name, reason]",
-            ))
-        }
-    };
+const ENTRY: &str = "an entry must be [design, shape, a, b, outcome]";
+const OUTCOME: &str = "an outcome must be [name, workload, cycles, energy] or [name, reason]";
+
+fn entry(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<(EvalKey, Outcome), SnapshotError> {
+    r.enter_array()?;
+    field(r, ENTRY)?;
+    let design = Arc::clone(string_at(strings, r.number()?)?);
+    field(r, ENTRY)?;
+    let shape = shape(r)?;
+    field(r, ENTRY)?;
+    let a = operand_key(r)?;
+    field(r, ENTRY)?;
+    let b = operand_key(r)?;
+    field(r, ENTRY)?;
+    let value = outcome(r, strings)?;
+    close(r, ENTRY)?;
     Ok((
         EvalKey {
-            design: Arc::clone(string_at(strings, design)?),
-            shape: shape_from(shape)?,
-            a: operand_key_from(a)?,
-            b: operand_key_from(b)?,
+            design,
+            shape,
+            a,
+            b,
         },
         value,
     ))
 }
 
+fn outcome(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<Outcome, SnapshotError> {
+    r.enter_array()?;
+    field(r, OUTCOME)?;
+    let design = string_at(strings, r.number()?)?.to_string();
+    field(r, OUTCOME)?;
+    // The workload of a result, or the reason of an unsupported pair.
+    let second = string_at(strings, r.number()?)?.to_string();
+    if !r.next_element()? {
+        return Ok(Err(Unsupported {
+            design,
+            reason: second,
+        }));
+    }
+    let cycles = r.number()?;
+    field(r, OUTCOME)?;
+    let energy = energy(r)?;
+    close(r, OUTCOME)?;
+    Ok(Ok(EvalResult {
+        design,
+        workload: second,
+        cycles,
+        energy,
+    }))
+}
+
 /// The string-table entry a JSON index names.
-fn string_at<'a>(strings: &'a [Arc<str>], v: &Json) -> Result<&'a Arc<str>, SnapshotError> {
-    index_from(v).and_then(|i| strings.get(i)).ok_or_else(|| {
+fn string_at(strings: &[Arc<str>], n: f64) -> Result<&Arc<str>, SnapshotError> {
+    index(n).and_then(|i| strings.get(i)).ok_or_else(|| {
         malformed(format!(
-            "{} is not an index into the {}-string table",
-            v.encode(),
+            "{n} is not an index into the {}-string table",
             strings.len()
         ))
     })
 }
 
 /// A non-negative integral JSON number as an index.
-fn index_from(v: &Json) -> Option<usize> {
-    v.as_f64()
-        .filter(|n| n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(n))
-        .map(|n| n as usize)
+fn index(n: f64) -> Option<usize> {
+    (n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n)).then_some(n as usize)
 }
 
 fn energy_json(energy: &EnergyBreakdown) -> Json {
@@ -656,29 +773,25 @@ fn energy_json(energy: &EnergyBreakdown) -> Json {
     )
 }
 
-fn energy_from(v: &Json) -> Result<EnergyBreakdown, SnapshotError> {
-    let pairs = v
-        .as_arr()
-        .ok_or_else(|| malformed("result energy must be an array"))?;
+fn energy(r: &mut Reader<'_>) -> Result<EnergyBreakdown, SnapshotError> {
+    const PAIR: &str = "energy must hold [component, pJ] pairs";
     let mut energy = EnergyBreakdown::new();
     let mut next = 0;
-    for pair in pairs {
-        let Some([comp, pj]) = pair.as_arr() else {
-            return Err(malformed("energy must hold [component, pJ] pairs"));
-        };
-        let (i, comp) = index_from(comp)
+    r.enter_array()?;
+    while r.next_element()? {
+        r.enter_array()?;
+        field(r, PAIR)?;
+        let n = r.number()?;
+        let (i, comp) = index(n)
             .filter(|&i| i >= next)
             .and_then(|i| Some((i, *Comp::ALL.get(i)?)))
-            .ok_or_else(|| {
-                malformed(format!(
-                    "energy component {} is unknown or out of order",
-                    comp.encode()
-                ))
-            })?;
-        let pj = pj
-            .as_f64()
-            .filter(|pj| pj.is_finite() && *pj >= 0.0)
-            .ok_or_else(|| malformed(format!("bad {comp} energy {}", pj.encode())))?;
+            .ok_or_else(|| malformed(format!("energy component {n} is unknown or out of order")))?;
+        field(r, PAIR)?;
+        let pj = r.number()?;
+        if !(pj.is_finite() && pj >= 0.0) {
+            return Err(malformed(format!("bad {comp} energy {pj}")));
+        }
+        close(r, PAIR)?;
         energy.record(comp, pj);
         next = i + 1;
     }
@@ -695,29 +808,27 @@ fn score_json(((rows, cols, config, seed), value): &RetentionScore) -> Json {
     ])
 }
 
-fn score_from(v: &Json) -> Result<RetentionScore, SnapshotError> {
-    let Some([rows, cols, config, seed, value]) = v.as_arr() else {
-        return Err(malformed(
-            "a score must be [rows, cols, config, seed, value]",
-        ));
-    };
-    let seed = seed
-        .as_f64()
-        .filter(|n| n.fract() == 0.0 && (0.0..=(1u64 << 53) as f64).contains(n))
-        .ok_or_else(|| malformed(format!("bad score seed {}", seed.encode())))?;
-    let value = value
-        .as_f64()
-        .filter(|x| x.is_finite())
-        .ok_or_else(|| malformed(format!("bad score value {}", value.encode())))?;
-    Ok((
-        (
-            dim(rows)?,
-            dim(cols)?,
-            operand_key_from(config)?,
-            seed as u64,
-        ),
-        value,
-    ))
+fn score(r: &mut Reader<'_>) -> Result<RetentionScore, SnapshotError> {
+    const SCORE: &str = "a score must be [rows, cols, config, seed, value]";
+    r.enter_array()?;
+    field(r, SCORE)?;
+    let rows = dim(r.number()?)?;
+    field(r, SCORE)?;
+    let cols = dim(r.number()?)?;
+    field(r, SCORE)?;
+    let config = operand_key(r)?;
+    field(r, SCORE)?;
+    let seed = r.number()?;
+    if !(seed.fract() == 0.0 && (0.0..=(1u64 << 53) as f64).contains(&seed)) {
+        return Err(malformed(format!("bad score seed {seed}")));
+    }
+    field(r, SCORE)?;
+    let value = r.number()?;
+    if !value.is_finite() {
+        return Err(malformed(format!("bad score value {value}")));
+    }
+    close(r, SCORE)?;
+    Ok(((rows, cols, config, seed as u64), value))
 }
 
 fn operand_key_json(key: &OperandKey) -> Json {
@@ -736,34 +847,39 @@ fn operand_key_json(key: &OperandKey) -> Json {
     }
 }
 
-fn operand_key_from(v: &Json) -> Result<OperandKey, SnapshotError> {
-    match v {
-        Json::Str(s) if s == "dense" => Ok(OperandKey::Dense),
-        Json::Str(hex) => u64::from_str_radix(hex, 16)
-            .ok()
-            .filter(|_| hex.len() == 16)
-            .map(OperandKey::Unstructured)
-            .ok_or_else(|| malformed(format!("bad unstructured bit pattern {hex:?}"))),
-        Json::Arr(ranks) => ranks
-            .iter()
-            .map(|rank| {
-                let Some([g, h]) = rank.as_arr() else {
-                    return Err(malformed("HSS ranks must be [g, h] pairs"));
-                };
-                Gh::try_new(gh_int(g)?, gh_int(h)?).map_err(|e| malformed(e.to_string()))
-            })
-            .collect::<Result<_, _>>()
-            .map(|ghs| OperandKey::Hss(HssPattern::new(ghs))),
+fn operand_key(r: &mut Reader<'_>) -> Result<OperandKey, SnapshotError> {
+    const RANK: &str = "HSS ranks must be [g, h] pairs";
+    match r.peek()? {
+        Kind::Str => {
+            let s = r.string()?;
+            if s == "dense" {
+                return Ok(OperandKey::Dense);
+            }
+            u64::from_str_radix(&s, 16)
+                .ok()
+                .filter(|_| s.len() == 16)
+                .map(OperandKey::Unstructured)
+                .ok_or_else(|| malformed(format!("bad unstructured bit pattern {s:?}")))
+        }
+        Kind::Arr => {
+            let ranks = list(r, |r| {
+                r.enter_array()?;
+                field(r, RANK)?;
+                let g = gh_int(r.number()?)?;
+                field(r, RANK)?;
+                let h = gh_int(r.number()?)?;
+                close(r, RANK)?;
+                Gh::try_new(g, h).map_err(|e| malformed(e.to_string()))
+            })?;
+            Ok(OperandKey::Hss(HssPattern::new(ranks)))
+        }
         _ => Err(malformed(
             "an operand must be \"dense\", a hex bit pattern, or HSS ranks",
         )),
     }
 }
 
-fn gh_int(v: &Json) -> Result<u32, SnapshotError> {
-    let n = v
-        .as_f64()
-        .ok_or_else(|| malformed("G:H components must be numbers"))?;
+fn gh_int(n: f64) -> Result<u32, SnapshotError> {
     if n.fract() != 0.0 || !(1.0..=f64::from(u32::MAX)).contains(&n) {
         return Err(malformed(format!("bad G:H component {n}")));
     }
@@ -778,18 +894,25 @@ fn shape_json(shape: GemmShape) -> Json {
     ])
 }
 
-fn shape_from(v: &Json) -> Result<GemmShape, SnapshotError> {
-    let Some([m, k, n]) = v.as_arr() else {
-        return Err(malformed("a shape must be [m, k, n]"));
-    };
-    Ok(GemmShape::new(dim(m)?, dim(k)?, dim(n)?))
+fn shape(r: &mut Reader<'_>) -> Result<GemmShape, SnapshotError> {
+    const SHAPE: &str = "a shape must be [m, k, n]";
+    r.enter_array()?;
+    field(r, SHAPE)?;
+    let m = dim(r.number()?)?;
+    field(r, SHAPE)?;
+    let k = dim(r.number()?)?;
+    field(r, SHAPE)?;
+    let n = dim(r.number()?)?;
+    close(r, SHAPE)?;
+    Ok(GemmShape::new(m, k, n))
 }
 
-fn dim(v: &Json) -> Result<usize, SnapshotError> {
-    v.as_f64()
-        .filter(|n| n.fract() == 0.0 && (1.0..=(1u64 << 53) as f64).contains(n))
-        .map(|n| n as usize)
-        .ok_or_else(|| malformed(format!("bad shape dimension {}", v.encode())))
+fn dim(n: f64) -> Result<usize, SnapshotError> {
+    if n.fract() == 0.0 && (1.0..=(1u64 << 53) as f64).contains(&n) {
+        Ok(n as usize)
+    } else {
+        Err(malformed(format!("bad shape dimension {n}")))
+    }
 }
 
 #[cfg(test)]
@@ -1285,6 +1408,167 @@ mod tests {
         let err = load(&EvalCache::new(), &path).unwrap_err();
         assert!(err.to_string().contains("crc32"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_payload_layout_is_fixed() {
+        // Checksum-valid documents whose payload holds every member, but
+        // in another order or with one more: the walk refuses both.
+        let strings = r#"["HighLight { tiles: 16 }","HighLight","dense A"]"#;
+        let entries = r#"[[0,[8,8,8],"dense","dense",[1,2]]]"#;
+        let scores = r#"[[64,512,[[2,4]],44224,0.75]]"#;
+        let path = temp_path("layout");
+        for payload in [
+            format!(r#"{strings},"scores":{scores},"entries":{entries}"#),
+            format!(r#"{strings},"entries":{entries},"scores":{scores},"extra":[]"#),
+        ] {
+            std::fs::write(&path, document(&payload)).unwrap();
+            let (cache, retention) = (EvalCache::new(), RetentionCache::new());
+            let err = load_logged(&cache, &retention, &path, None, None).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Malformed(_)),
+                "{payload}: {err}"
+            );
+            assert!(cache.entries().is_empty(), "{payload}: no entry loaded");
+            assert!(retention.is_empty(), "{payload}: no score loaded");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn snapshot_loaded_logs_the_load_stages() {
+        let path = temp_path("stages");
+        save(&sample_cache(), &sample_retention(), &path).unwrap();
+        let (cache, retention) = (EvalCache::new(), RetentionCache::new());
+        let log = crate::log::SharedBuffer::new();
+        let logger = Logger::with_sink(log.make_sink());
+        load_logged(&cache, &retention, &path, None, Some((&logger, "t"))).unwrap();
+        let logged = log.contents();
+        let events: Vec<Json> = logged
+            .lines()
+            .filter_map(|l| Json::parse(l).ok())
+            .filter(|e| e.get("event").and_then(Json::as_str) == Some("snapshot_loaded"))
+            .collect();
+        assert_eq!(events.len(), 1, "{logged}");
+        let field = |name: &str| events[0].get(name).and_then(Json::as_f64);
+        assert_eq!((field("entries"), field("scores")), (Some(2.0), Some(2.0)));
+        let load_ms = field("load_ms").expect("load_ms");
+        let mut sum = 0.0;
+        for stage in ["read_ms", "check_ms", "decode_ms", "preload_ms"] {
+            let ms = field(stage).unwrap_or_else(|| panic!("{stage} missing: {logged}"));
+            assert!(ms >= 0.0, "{stage} = {ms}");
+            sum += ms;
+        }
+        // The stages run back to back inside the load; the slack only
+        // absorbs rounding of the four millisecond conversions.
+        assert!(sum <= load_ms + 1e-9, "stages {sum} ms > load {load_ms} ms");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_large_seeded_cache_round_trips_byte_identically() {
+        // splitmix64: a fixed stream, so the test is the same every run.
+        let mut state = 0x5EED_CAFE_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // Any finite f64 bit pattern; `nonnegative` clears the sign bit
+        // (energies must be at least zero).
+        let finite = |next: &mut dyn FnMut() -> u64, nonnegative: bool| loop {
+            let mut bits = next();
+            if nonnegative {
+                bits &= !(1 << 63);
+            }
+            let x = f64::from_bits(bits);
+            if x.is_finite() {
+                return x;
+            }
+        };
+        let operand = |next: &mut dyn FnMut() -> u64| match next() % 3 {
+            0 => OperandKey::Dense,
+            1 => OperandKey::Unstructured(next()),
+            _ => OperandKey::Hss(HssPattern::new(
+                (0..1 + next() % 3)
+                    .map(|_| {
+                        let h = 1 + (next() % 16) as u32;
+                        Gh::new(1 + (next() % u64::from(h)) as u32, h)
+                    })
+                    .collect(),
+            )),
+        };
+        let designs = ["HighLight { tiles: 16 }", "TC { .. }", "S2TA { .. }"];
+        let mut entries = Vec::new();
+        for _ in 0..2000 {
+            let design = designs[(next() % 3) as usize];
+            let key = EvalKey {
+                design: design.into(),
+                shape: GemmShape::new(
+                    1 + (next() % (1 << 20)) as usize,
+                    1 + (next() % 4096) as usize,
+                    1 + (next() % 4096) as usize,
+                ),
+                a: operand(&mut next),
+                b: operand(&mut next),
+            };
+            let name = design.split(' ').next().unwrap().to_string();
+            let value = if next() % 4 == 0 {
+                Err(Unsupported {
+                    design: name,
+                    reason: format!("reason {}", next() % 7),
+                })
+            } else {
+                let mut energy = EnergyBreakdown::new();
+                for comp in Comp::ALL {
+                    if next() % 4 == 0 {
+                        energy.record(comp, finite(&mut next, true));
+                    }
+                }
+                Ok(EvalResult {
+                    design: name,
+                    workload: format!("layer{}", next() % 50),
+                    cycles: finite(&mut next, false),
+                    energy,
+                })
+            };
+            entries.push((key, value));
+        }
+        let cache = EvalCache::new();
+        cache.preload(entries);
+        let retention = RetentionCache::new();
+        let scores: Vec<RetentionScore> = (0..500)
+            .map(|_| {
+                let key = (
+                    1 + (next() % 4096) as usize,
+                    1 + (next() % 4096) as usize,
+                    operand(&mut next),
+                    next() % (1 << 53),
+                );
+                (key, finite(&mut next, false))
+            })
+            .collect();
+        retention.preload_scores(scores);
+        assert!(cache.entries().len() > 1900 && retention.len() > 450);
+
+        let p1 = temp_path("seeded-first");
+        let p2 = temp_path("seeded-second");
+        save(&cache, &retention, &p1).unwrap();
+        let (restored, restored_scores) = (EvalCache::new(), RetentionCache::new());
+        let loaded = load_logged(&restored, &restored_scores, &p1, None, None).unwrap();
+        assert_eq!(
+            (loaded.entries, loaded.scores),
+            (cache.entries().len(), retention.len())
+        );
+        save(&restored, &restored_scores, &p2).unwrap();
+        assert!(
+            std::fs::read(&p1).unwrap() == std::fs::read(&p2).unwrap(),
+            "save → load → save must be byte-identical"
+        );
+        std::fs::remove_file(&p1).ok();
+        std::fs::remove_file(&p2).ok();
     }
 
     #[test]

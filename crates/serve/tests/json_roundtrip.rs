@@ -1,8 +1,9 @@
 //! Property tests of the hand-rolled JSON codec: `parse(encode(v))` is
-//! the identity on arbitrary value trees, encoding is a fixed point, and
-//! the parser never panics on garbage.
+//! the identity on arbitrary value trees, encoding is a fixed point, a
+//! pull-reader walk consumes exactly one encoded value, and neither the
+//! parser nor the reader panics on garbage.
 
-use hl_serve::json::{Json, MAX_DEPTH};
+use hl_serve::json::{Json, Reader, MAX_DEPTH};
 use proptest::prelude::*;
 
 /// Strategy over arbitrary JSON value trees of bounded depth.
@@ -107,11 +108,36 @@ proptest! {
         prop_assert_eq!(parsed.unwrap().encode(), encoded);
     }
 
-    /// The parser returns (it never panics) on arbitrary garbage.
+    /// `Reader::skip` consumes the encoding of any value exactly: it
+    /// stops at its last byte, in a document and inside an array.
+    #[test]
+    fn reader_skip_consumes_one_value_exactly(v in json_strategy()) {
+        let encoded = v.encode();
+        let mut reader = Reader::new(&encoded);
+        prop_assert_eq!(reader.skip(), Ok(()));
+        prop_assert_eq!(reader.position(), encoded.len());
+        prop_assert_eq!(reader.finish(), Ok(()));
+
+        let doc = format!("[{encoded}, 7]");
+        let mut reader = Reader::new(&doc);
+        prop_assert_eq!(reader.enter_array(), Ok(()));
+        prop_assert_eq!(reader.next_element(), Ok(true));
+        prop_assert_eq!(reader.skip(), Ok(()));
+        prop_assert_eq!(reader.position(), 1 + encoded.len());
+        prop_assert_eq!(reader.next_element(), Ok(true));
+        prop_assert_eq!(reader.number(), Ok(7.0));
+        prop_assert_eq!(reader.next_element(), Ok(false));
+        prop_assert_eq!(reader.finish(), Ok(()));
+    }
+
+    /// The parser returns (it never panics) on arbitrary garbage, and a
+    /// reader walk agrees with it.
     #[test]
     fn parser_never_panics_on_garbage(text in garbage_strategy()) {
-        let _ = Json::parse(&text);
-        prop_assert!(true);
+        let parsed = Json::parse(&text).map(drop);
+        let mut reader = Reader::new(&text);
+        let walked = reader.skip().and_then(|()| reader.finish());
+        prop_assert_eq!(walked, parsed);
     }
 
     /// Numbers round-trip exactly (shortest-representation display).
