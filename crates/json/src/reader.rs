@@ -377,7 +377,7 @@ impl<'a> Reader<'a> {
         match self.peek_byte() {
             Some(b']') => {
                 self.pos += 1;
-                self.depth -= 1;
+                self.depth = self.depth.saturating_sub(1);
                 return Ok(false);
             }
             Some(b',') if !first => {
@@ -418,7 +418,7 @@ impl<'a> Reader<'a> {
         match self.peek_byte() {
             Some(b'}') => {
                 self.pos += 1;
-                self.depth -= 1;
+                self.depth = self.depth.saturating_sub(1);
                 return Ok(None);
             }
             Some(b',') if !first => {
