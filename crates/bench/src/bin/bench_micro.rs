@@ -1,8 +1,9 @@
 //! Times the individual cold-path kernels — HSS conformance checking,
 //! compressed-format encoding, the functional micro-architecture
 //! simulator, fibertree construction, HSS pruning, and the accuracy
-//! surrogate's retention miss — and records the result in
-//! `BENCH_micro.json` (honoring `HL_BENCH_OUT`).
+//! surrogate's retention misses, one at a time and as a co-design
+//! search's batch — and records the result in `BENCH_micro.json`
+//! (honoring `HL_BENCH_OUT`).
 //!
 //! Where `bench_sweeps` measures the end-to-end sweeps, this harness
 //! isolates the kernels those sweeps are built from, so a regression in
@@ -12,9 +13,10 @@
 
 use std::time::Instant;
 
-use hl_bench::bench_out_path;
+use hl_bench::{bench_out_path, codesign_space};
 use hl_json::Json;
-use hl_models::accuracy::synthetic_weights;
+use hl_models::accuracy::{accuracy_loss_cached, synthetic_weights, RetentionCache};
+use hl_sim::engine::Engine;
 use hl_sim::micro::{MicroConfig, MicroSim};
 use hl_sparsity::prune::{hss_kept, hss_kept_sum_sq, prune_hss, PruneScratch};
 use hl_sparsity::{Gh, HssPattern};
@@ -120,6 +122,24 @@ fn main() {
     });
     record("retention_miss_4_8_2_4", 200, &mut || {
         hss_kept_sum_sq(proxy.data(), 1024, &two_rank, Some(&prefix), &mut scratch)
+    });
+
+    // A cold co-design search's surrogate work: every HighLight candidate
+    // on ResNet50 scored on a fresh cache, as one batch on one thread, and
+    // one candidate at a time through the cached path.
+    let resnet = hl_models::zoo::resnet50();
+    let candidates = codesign_space("HighLight").expect("HighLight is registered");
+    let serial = Engine::serial();
+    record("retention_batch", 5, &mut || {
+        let losses = RetentionCache::new().losses(&resnet, &candidates, &serial);
+        losses.iter().sum()
+    });
+    record("retention_per_candidate", 5, &mut || {
+        let cache = RetentionCache::new();
+        candidates
+            .iter()
+            .map(|cfg| accuracy_loss_cached(&resnet, cfg, &cache))
+            .sum()
     });
 
     let json = Json::Obj(vec![

@@ -158,6 +158,20 @@ impl SweepContext {
         }
     }
 
+    /// [`SweepContext::accuracy_loss`] of every config: in engine mode one
+    /// [`RetentionCache::losses`] batch, whose misses fan out over the
+    /// pool; in baseline mode one uncached estimate per config.
+    pub fn accuracy_losses(&self, model: &DnnModel, configs: &[PruningConfig]) -> Vec<f64> {
+        if self.cached {
+            self.retention.losses(model, configs, &self.engine)
+        } else {
+            configs
+                .iter()
+                .map(|cfg| accuracy_loss(model, cfg))
+                .collect()
+        }
+    }
+
     /// Lowers `model` for `design` (prunable layers at the design's
     /// weight pattern, through its [`hl_sim::network::SparsityMapping`])
     /// into the [`hl_sim::network`] IR.

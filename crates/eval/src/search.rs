@@ -16,10 +16,11 @@
 //!    mapping (the same [`SparsityMapping`] policy model lowering uses),
 //!    so a degree becomes the `G:H` pattern the design was built for and
 //!    the surrogate scores exactly the configuration the hardware runs;
-//! 3. [`SweepContext::codesign`] evaluates every resolved candidate in
-//!    parallel across the engine pool — surrogate accuracy loss through
-//!    the retention cache, whole-network EDP through the per-layer
-//!    [`hl_sim::engine::EvalCache`] — and returns the supported points
+//! 3. [`SweepContext::codesign`] scores every resolved candidate's
+//!    surrogate accuracy loss in one retention-cache batch (fanned out
+//!    over weight matrices), evaluates each candidate's whole-network EDP
+//!    in parallel across the engine pool through the per-layer
+//!    [`hl_sim::engine::EvalCache`], and returns the supported points
 //!    with their Pareto front over `(loss, EDP)` and the lowest-EDP point
 //!    within the budget.
 //!
@@ -253,14 +254,18 @@ impl SweepContext {
             .edp()
             .expect("TC runs dense");
 
-        // One cell per candidate: loss + network aggregates, fanned out
-        // across the pool (nested layer fan-out runs inline on workers).
-        // Neighboring candidates differ only in operand A's descriptor, so
-        // the design fingerprint is hoisted out of the whole grid.
+        // Every candidate's loss in one surrogate batch, which shares the
+        // selection work the candidates have in common and fans out over
+        // weight matrices. Then one cell per candidate: network aggregates,
+        // fanned out across the pool (nested layer fan-out runs inline on
+        // workers). Neighboring candidates differ only in operand A's
+        // descriptor, so the design fingerprint is hoisted out of the whole
+        // grid.
+        let losses = self.accuracy_losses(model, &candidates);
+        let cells: Vec<(&PruningConfig, f64)> = candidates.iter().zip(losses).collect();
         let accelerator = design.build();
         let fingerprint = Engine::fingerprint(accelerator.as_ref());
-        let evals = self.map(&candidates, |cfg| {
-            let loss = self.accuracy_loss(model, cfg);
+        let evals = self.map(&cells, |&(cfg, loss)| {
             let network = Self::lower_model(design, model, cfg);
             let eval = self.evaluate_network_keyed(accelerator.as_ref(), &fingerprint, &network);
             match (eval.edp(), eval.energy_j(), eval.latency_s()) {

@@ -2,14 +2,17 @@
 //! search space.
 //!
 //! - The cached accuracy surrogate scores kept values from shared weight
-//!   streams and lowest-rank masks; the uncached one synthesizes each
-//!   layer and prunes it with `prune_hss`, and is the reference. Checked
-//!   on every candidate of every design.
+//!   streams and lowest-rank masks, a search's candidates in one batch;
+//!   the uncached one synthesizes each layer and prunes it with
+//!   `prune_hss`, and is the reference. Checked on every candidate of
+//!   every design, one at a time and in each search's batch.
+//! - A cold run of every search scores each (layer proxy, config) pair
+//!   once, whatever the worker count.
 //! - The search-front table answers a warm query at any budget from one
 //!   stored front; the uncached serial baseline computes it from scratch.
 //!   Checked on every design and model.
 //!
-//! The uncached paths take minutes in a debug build, so these tests run
+//! The uncached paths take minutes in a debug build, so those tests run
 //! in release builds (CI runs `cargo test --release -p hl-eval`).
 
 use hl_eval::{codesign_space, DesignId, SearchOutcome, SweepContext};
@@ -30,15 +33,49 @@ fn cached_and_uncached_losses_agree_on_every_codesign_candidate() {
         .filter(|cfg| seen.insert(cfg.to_string()))
         .collect();
     let cache = RetentionCache::new();
+    let ctx = SweepContext::with_engine(Engine::with_threads(2));
     for model in ModelId::ALL.map(ModelId::build) {
+        let mut uncached = std::collections::BTreeMap::new();
         for cfg in &candidates {
+            let loss = accuracy_loss(&model, cfg).to_bits();
+            uncached.insert(cfg.to_string(), loss);
             assert_eq!(
-                accuracy_loss(&model, cfg).to_bits(),
+                loss,
                 accuracy_loss_cached(&model, cfg, &cache).to_bits(),
                 "{cfg} on {}",
                 model.name
             );
         }
+        // Every point of every search, scored by the batch whose misses
+        // fan out over two workers.
+        for design in DesignId::ALL {
+            for point in ctx.codesign(design, &model, 1.0).points {
+                assert_eq!(
+                    point.loss.to_bits(),
+                    uncached[&point.label],
+                    "{} for {design} on {}",
+                    point.label,
+                    model.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_cold_run_of_every_search_scores_each_layer_config_once() {
+    // One `/v1/search` per design and model on a fresh context: 2,322
+    // distinct (layer proxy, config) scores, and 8,430 lookups the memo
+    // answers, at any worker count.
+    for threads in [1, 2] {
+        let ctx = SweepContext::with_engine(Engine::with_threads(threads));
+        for model in ModelId::ALL.map(ModelId::build) {
+            for design in DesignId::ALL {
+                ctx.codesign(design, &model, 1.0);
+            }
+        }
+        assert_eq!(ctx.retention().stats(), (8430, 2322), "{threads} thread(s)");
+        assert_eq!(ctx.retention().len(), 2322);
     }
 }
 

@@ -17,21 +17,43 @@
 //! published results. Because the mapping is monotone in destroyed norm,
 //! the *orderings* Fig. 15 relies on hold by construction: loss grows with
 //! sparsity, and finer-grained patterns lose less at equal sparsity.
+//!
+//! ## Scoring many configurations at once
+//!
+//! A co-design search scores one model under every candidate pattern, and
+//! HSS builds those patterns from a few per-rank `G:H` choices (§4.2), so
+//! the candidates share most of their selection work.
+//! [`RetentionCache::losses`] scores a whole candidate list as one batch:
+//!
+//! - it looks every `(layer proxy, config)` score up under one lock;
+//! - it groups the missing scores by the layer weight stream their
+//!   proxies are cut from, and fans the streams out over the engine's
+//!   pool, so no stream, argsort, norm or lowest-rank mask is computed by
+//!   two workers;
+//! - per proxy matrix, every unstructured degree is summed in one pass
+//!   over the shared magnitude ranks
+//!   (`hl_sparsity::prune::unstructured_sums`), and the HSS patterns share
+//!   their masks, block scores and rank counts
+//!   (`hl_sparsity::prune::hss_kept_sums`).
+//!
+//! Every sum stays a data-order sum from `+0.0`, so each loss is bit for
+//! bit the uncached [`accuracy_loss`], which prunes with `prune_hss` and
+//! is kept as the oracle.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use hl_sim::engine::{Memo, OperandKey};
+use hl_sim::engine::{parallel_map, Engine, Memo, OperandKey};
 use hl_sparsity::prune::{
-    hss_kept, hss_kept_sum_sq, magnitude_order, prune_hss, prune_unstructured,
-    retained_norm_fraction, sum_sq, unstructured_sum_sq, KeptMask, PruneScratch,
+    hss_kept_sums, magnitude_ranks, prune_hss, prune_unstructured, retained_norm_fraction, sum_sq,
+    unstructured_sums, KeptMask, PruneScratch,
 };
 use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::layers::DnnModel;
+use crate::layers::{DnnModel, LayerSpec};
 
 thread_local! {
     /// Per-thread pruning buffers, shared by every cached retention
@@ -105,11 +127,12 @@ pub type RetentionScore = ((usize, usize, OperandKey, u64), f64);
 /// configurations; without memoization every estimate re-synthesizes the
 /// same seeded weights and re-prunes layers whose `(shape, config, seed)`
 /// triple was already scored. A retention miss selects the kept values
-/// and sums their squares (`hl_sparsity::prune::hss_kept_sum_sq`) without
-/// building a pruned matrix; synthesis (four RNG draws per element) runs
-/// once per layer. The cache keys carry *every* input the evaluation
-/// reads, so cached and uncached results are identical — the property
-/// the workspace's memoization property test asserts.
+/// and sums their squares without building a pruned matrix, batched with
+/// the other misses on its matrix (see the module docs); synthesis (four
+/// RNG draws per element) runs once per layer. The cache keys carry
+/// *every* input the evaluation reads, so cached and uncached results are
+/// identical — the property the workspace's memoization property test
+/// asserts.
 #[derive(Debug, Default)]
 pub struct RetentionCache {
     /// Weight streams keyed on `(rows, width, seed)`, `width` columns wide
@@ -117,24 +140,48 @@ pub struct RetentionCache {
     /// first `rows * c` values, so every proxy of a layer shares one
     /// synthesis whatever its group alignment.
     streams: Memo<(usize, usize, u64), Arc<[f32]>>,
-    /// Magnitude pruning orders keyed on the proxy's `(rows, cols, seed)`:
-    /// the argsort is degree-independent, so a sweep pruning one matrix at
-    /// many unstructured degrees sorts it once.
-    orders: Memo<(usize, usize, u64), Arc<Vec<u32>>>,
-    /// Total squared norms keyed like `orders`: the retained-fraction
+    /// Magnitude ranks ([`magnitude_ranks`]) keyed on the proxy's
+    /// `(rows, cols, seed)`: they are degree-independent, so every
+    /// unstructured degree of a matrix, in any batch, reads one argsort.
+    ranks: Memo<(usize, usize, u64), Arc<Vec<u32>>>,
+    /// Total squared norms keyed like `ranks`: the retained-fraction
     /// denominator is config-independent, so every candidate scoring one
     /// matrix shares a single full-matrix pass.
     norms: Memo<(usize, usize, u64), f64>,
     /// Lowest-rank kept masks keyed `(rows, cols, seed, lowest G:H)`, 8 KB
     /// per 64×1024 proxy. The lowest rank always prunes single values, so
     /// its selection depends only on the weights and that one `G:H` —
-    /// every multi-rank candidate sharing a lowest rank starts from the
-    /// mask and selects only its higher ranks.
+    /// every multi-rank candidate sharing a lowest rank, in any batch,
+    /// starts from the mask and selects only its higher ranks.
     hss_prefix: Memo<(usize, usize, u64, Gh), Arc<KeptMask>>,
     /// Per-layer retained-norm fractions keyed on
     /// `(rows, cols, config, seed)`. A hit reads none of the tables
     /// above, so these scores alone restore a warm surrogate.
-    retention: Memo<(usize, usize, OperandKey, u64), f64>,
+    retention: Memo<RetentionKey, f64>,
+}
+
+/// The key of one per-layer retention score: `(rows, cols, config, seed)`
+/// of the proxy the layer is scored on.
+type RetentionKey = (usize, usize, OperandKey, u64);
+
+/// A retention score a batch's lookup did not find: its slot in the
+/// batch, its key, and the width of the weight stream its proxy is cut
+/// from.
+struct Miss {
+    slot: usize,
+    key: RetentionKey,
+    width: usize,
+}
+
+/// The missing retention scores of one layer's weight stream: the unit of
+/// work a batch fans out. Every proxy cut from the stream is scored by the
+/// same worker, so no stream is synthesized twice.
+struct StreamMisses {
+    rows: usize,
+    width: usize,
+    seed: u64,
+    /// `(proxy cols, score slot)`, grouped by proxy.
+    misses: Vec<(usize, usize)>,
 }
 
 impl RetentionCache {
@@ -170,6 +217,210 @@ impl RetentionCache {
     pub fn preload_scores(&self, scores: impl IntoIterator<Item = RetentionScore>) {
         self.retention.preload(scores);
     }
+
+    /// [`accuracy_loss`] of `model` under every one of `configs`, bit for
+    /// bit, scored as one batch (see the module docs): one lookup per
+    /// distinct `(layer, config)` pair, counted as a hit when stored, and
+    /// one miss per score the batch computes and inserts. The misses fan
+    /// out over `engine`'s pool, one layer weight stream per item.
+    pub fn losses(&self, model: &DnnModel, configs: &[PruningConfig], engine: &Engine) -> Vec<f64> {
+        self.losses_on(model, configs, engine.threads())
+    }
+
+    /// [`RetentionCache::losses`] on `threads` workers.
+    fn losses_on(&self, model: &DnnModel, configs: &[PruningConfig], threads: usize) -> Vec<f64> {
+        let scores = self.layer_scores(model, configs, threads);
+        let layers = model.layers.iter().filter(|l| l.prunable).count();
+        configs
+            .iter()
+            .enumerate()
+            .map(|(i, cfg)| match cfg {
+                PruningConfig::Dense => 0.0,
+                _ => loss_of(
+                    model,
+                    weighted_retention(model, |l, _| scores[i * layers + l]),
+                ),
+            })
+            .collect()
+    }
+
+    /// Every prunable layer's retention under every config, config-major:
+    /// `1.0` for dense, stored scores as they are, and the missing ones
+    /// scored on `threads` workers and inserted. A config repeated in
+    /// `configs` is looked up once.
+    fn layer_scores(
+        &self,
+        model: &DnnModel,
+        configs: &[PruningConfig],
+        threads: usize,
+    ) -> Vec<f64> {
+        let layers: Vec<(usize, usize)> = model
+            .layers
+            .iter()
+            .filter(|l| l.prunable)
+            .map(|l| (l.shape.m, l.shape.k))
+            .collect();
+        let n = layers.len();
+        let ops: Vec<Option<OperandKey>> = configs
+            .iter()
+            .map(|cfg| (!matches!(cfg, PruningConfig::Dense)).then(|| OperandKey::from(cfg)))
+            .collect();
+        let mut scores = vec![1.0; configs.len() * n];
+        let mut repeats = Vec::new();
+        let mut misses = Vec::new();
+        self.retention.lookup(|get| {
+            for (i, (cfg, op)) in configs.iter().zip(&ops).enumerate() {
+                let Some(op) = op else { continue };
+                if let Some(first) = ops[..i].iter().position(|o| o.as_ref() == Some(op)) {
+                    repeats.push((i, first));
+                    continue;
+                }
+                // One key per config, rewritten per layer and cloned only
+                // on a miss.
+                let mut key = (0, 0, op.clone(), 0);
+                for (l, &(rows, cols)) in layers.iter().enumerate() {
+                    let (r, c) = proxy_shape(rows, cols, cfg);
+                    (key.0, key.1, key.3) = (r, c, layer_seed(l));
+                    match get(&key) {
+                        Some(score) => scores[i * n + l] = score,
+                        None => misses.push(Miss {
+                            slot: i * n + l,
+                            key: key.clone(),
+                            width: stream_width(cols, c),
+                        }),
+                    }
+                }
+            }
+        });
+        if !misses.is_empty() {
+            let streams = group_by_stream(&misses);
+            let scored = parallel_map(threads, &streams, |stream| {
+                self.score_stream(stream, |slot| &configs[slot / n])
+            });
+            for (slot, score) in scored.into_iter().flatten() {
+                scores[slot] = score;
+            }
+            self.retention
+                .insert_many(misses.into_iter().map(|m| (m.key, scores[m.slot])));
+        }
+        for (i, first) in repeats {
+            scores.copy_within(first * n..(first + 1) * n, i * n);
+        }
+        scores
+    }
+
+    /// Scores the missing proxies of one weight stream, `(slot, score)`
+    /// per miss, `config` naming each slot's configuration. Per proxy, the
+    /// unstructured degrees share one pass over the magnitude ranks and
+    /// the HSS patterns one [`hss_kept_sums`] batch.
+    fn score_stream<'c>(
+        &self,
+        stream: &StreamMisses,
+        config: impl Fn(usize) -> &'c PruningConfig,
+    ) -> Vec<(usize, f64)> {
+        let StreamMisses {
+            rows: r,
+            width,
+            seed,
+            ..
+        } = *stream;
+        let values = self
+            .streams
+            .get_or_insert_with(&(r, width, seed), || weight_stream(r * width, seed).into());
+        let mut scored = Vec::with_capacity(stream.misses.len());
+        for proxy in stream.misses.chunk_by(|a, b| a.0 == b.0) {
+            let c = proxy[0].0;
+            let w = &values[..r * c];
+            let wkey = (r, c, seed);
+            let mut degrees = Vec::new();
+            let mut patterns = Vec::new();
+            for &(_, slot) in proxy {
+                match config(slot) {
+                    PruningConfig::Dense => {}
+                    PruningConfig::Unstructured { sparsity } => degrees.push((slot, *sparsity)),
+                    PruningConfig::Hss(p) => patterns.push((slot, p)),
+                }
+            }
+            let mut kept = Vec::with_capacity(proxy.len());
+            if !degrees.is_empty() {
+                let ranks = self
+                    .ranks
+                    .get_or_insert_with(&wkey, || Arc::new(magnitude_ranks(w)));
+                let sparsities: Vec<f64> = degrees.iter().map(|&(_, s)| s).collect();
+                let sums = unstructured_sums(w, &sparsities, &ranks);
+                kept.extend(degrees.iter().map(|&(slot, _)| slot).zip(sums));
+            }
+            if !patterns.is_empty() {
+                kept.extend(self.hss_sums(w, (r, c, seed), &patterns));
+            }
+            let total = self.norms.get_or_insert_with(&wkey, || sum_sq(w));
+            scored.extend(kept.into_iter().map(|(slot, sum)| {
+                let fraction = if total == 0.0 { 1.0 } else { sum / total };
+                (slot, fraction)
+            }));
+        }
+        scored
+    }
+
+    /// Kept sums of the HSS `patterns` (each with its score slot) on the
+    /// proxy `w` keyed `(rows, cols, seed)`, starting from the lowest-rank
+    /// masks the prefix memo holds and storing the ones the batch selects.
+    fn hss_sums(
+        &self,
+        w: &[f32],
+        (r, c, seed): (usize, usize, u64),
+        patterns: &[(usize, &HssPattern)],
+    ) -> Vec<(usize, f64)> {
+        let mut lowest: Vec<Gh> = patterns
+            .iter()
+            .filter_map(|(_, p)| match p.ranks() {
+                [_, .., lowest] if lowest.g < lowest.h => Some(*lowest),
+                _ => None,
+            })
+            .collect();
+        lowest.sort_unstable();
+        lowest.dedup();
+        let keys: Vec<_> = lowest.iter().map(|&gh| (r, c, seed, gh)).collect();
+        let found = self.hss_prefix.get_many(&keys);
+        let known: Vec<(Gh, &KeptMask)> = lowest
+            .iter()
+            .zip(&found)
+            .filter_map(|(&gh, mask)| Some((gh, mask.as_deref()?)))
+            .collect();
+        let refs: Vec<&HssPattern> = patterns.iter().map(|&(_, p)| p).collect();
+        let (sums, selected) =
+            SCRATCH.with(|s| hss_kept_sums(w, c, &refs, &known, &mut s.borrow_mut()));
+        self.hss_prefix.insert_many(
+            selected
+                .into_iter()
+                .map(|(gh, mask)| ((r, c, seed, gh), Arc::new(mask))),
+        );
+        patterns.iter().map(|&(slot, _)| slot).zip(sums).collect()
+    }
+}
+
+/// Groups a batch's misses by the weight stream `(rows, width, seed)` they
+/// are cut from, each stream's misses ordered by proxy width. The streams
+/// come largest first, so the pool's last chunks are small ones.
+fn group_by_stream(misses: &[Miss]) -> Vec<StreamMisses> {
+    let mut order: Vec<&Miss> = misses.iter().collect();
+    order.sort_unstable_by_key(|m| (m.key.3, m.key.0, m.width, m.key.1, m.slot));
+    let mut streams: Vec<StreamMisses> = order
+        .chunk_by(|a, b| (a.key.3, a.key.0, a.width) == (b.key.3, b.key.0, b.width))
+        .map(|run| StreamMisses {
+            rows: run[0].key.0,
+            width: run[0].width,
+            seed: run[0].key.3,
+            misses: run.iter().map(|m| (m.key.1, m.slot)).collect(),
+        })
+        .collect();
+    streams.sort_by_key(|s| std::cmp::Reverse(s.rows * s.width * s.misses.len()));
+    streams
+}
+
+/// The weight seed of a model's `i`-th prunable layer.
+fn layer_seed(i: usize) -> u64 {
+    0xACC0 + i as u64
 }
 
 /// `len` approximately normal weights (Irwin–Hall of four uniforms) drawn
@@ -212,95 +463,41 @@ fn stream_width(cols: usize, c: usize) -> usize {
 }
 
 /// Retained squared-norm fraction of one representative layer under the
-/// configuration. `cache` deduplicates the weight synthesis, the shared
-/// selection work, and the scores across repeated `(shape, config, seed)`
-/// evaluations; without it the layer is pruned with `prune_hss`, the
-/// reference the cached path matches bit for bit.
-fn layer_retention(
-    rows: usize,
-    cols: usize,
-    config: &PruningConfig,
-    seed: u64,
-    cache: Option<&RetentionCache>,
-) -> f64 {
-    if matches!(config, PruningConfig::Dense) {
-        return 1.0;
-    }
+/// configuration, pruned with `prune_hss` (or unstructured) on freshly
+/// synthesized weights: the reference the cached batch matches bit for
+/// bit.
+fn layer_retention(rows: usize, cols: usize, config: &PruningConfig, seed: u64) -> f64 {
     let (r, c) = proxy_shape(rows, cols, config);
-    let Some(cache) = cache else {
-        let w = synthetic_weights(r, c, seed);
-        let pruned = match config {
-            PruningConfig::Dense => unreachable!("handled above"),
-            PruningConfig::Unstructured { sparsity } => prune_unstructured(&w, *sparsity),
-            PruningConfig::Hss(p) => prune_hss(&w, p),
-        };
-        return retained_norm_fraction(&w, &pruned);
-    };
-    let key = (r, c, OperandKey::from(config), seed);
-    cache.retention.get_or_insert_with(&key, || {
-        let width = stream_width(cols, c);
-        let stream = cache
-            .streams
-            .get_or_insert_with(&(r, width, seed), || weight_stream(r * width, seed).into());
-        let w = &stream[..r * c];
-        let wkey = (r, c, seed);
-        let retained = match config {
-            PruningConfig::Dense => unreachable!("handled above"),
-            PruningConfig::Unstructured { sparsity } => {
-                // The argsort is shared across every degree pruning this
-                // matrix; only the zeroing depends on `sparsity`.
-                let order = cache
-                    .orders
-                    .get_or_insert_with(&wkey, || Arc::new(magnitude_order(w)));
-                SCRATCH.with(|s| unstructured_sum_sq(w, *sparsity, &order, &mut s.borrow_mut()))
-            }
-            PruningConfig::Hss(p) => {
-                // A multi-rank candidate starts from the shared mask of its
-                // lowest rank, unless that rank keeps everything, and
-                // selects only its higher ranks.
-                let prefix = match p.ranks() {
-                    [_, .., lowest] if lowest.g < lowest.h => Some(
-                        cache
-                            .hss_prefix
-                            .get_or_insert_with(&(r, c, seed, *lowest), || {
-                                let one = HssPattern::one_rank(*lowest);
-                                Arc::new(
-                                    SCRATCH
-                                        .with(|s| hss_kept(w, c, &one, None, &mut s.borrow_mut())),
-                                )
-                            }),
-                    ),
-                    _ => None,
-                };
-                SCRATCH.with(|s| hss_kept_sum_sq(w, c, p, prefix.as_deref(), &mut s.borrow_mut()))
-            }
-        };
-        let total = cache.norms.get_or_insert_with(&wkey, || sum_sq(w));
-        if total == 0.0 {
-            1.0
-        } else {
-            retained / total
+    let w = || synthetic_weights(r, c, seed);
+    let (w, pruned) = match config {
+        PruningConfig::Dense => return 1.0,
+        PruningConfig::Unstructured { sparsity } => {
+            let w = w();
+            let pruned = prune_unstructured(&w, *sparsity);
+            (w, pruned)
         }
-    })
+        PruningConfig::Hss(p) => {
+            let w = w();
+            let pruned = prune_hss(&w, p);
+            (w, pruned)
+        }
+    };
+    retained_norm_fraction(&w, &pruned)
 }
 
-fn model_retention_impl(
+/// The MAC-weighted mean of `retention(i, layer)` over the model's
+/// prunable layers, `i` counting them in order: the model's retained-norm
+/// fraction. The cached and uncached paths both go through here, so they
+/// share the arithmetic.
+fn weighted_retention(
     model: &DnnModel,
-    config: &PruningConfig,
-    cache: Option<&RetentionCache>,
+    mut retention: impl FnMut(usize, &LayerSpec) -> f64,
 ) -> f64 {
     let mut weighted = 0.0;
     let mut total = 0.0;
     for (i, layer) in model.layers.iter().filter(|l| l.prunable).enumerate() {
         let macs = layer.total_macs();
-        weighted += macs
-            * layer_retention(
-                layer.shape.m,
-                layer.shape.k,
-                config,
-                0xACC0 + i as u64,
-                cache,
-            );
+        weighted += macs * retention(i, layer);
         total += macs;
     }
     if total == 0.0 {
@@ -310,9 +507,17 @@ fn model_retention_impl(
     }
 }
 
+/// The loss in metric points of a model that retains `retained` of its
+/// MAC-weighted squared norm.
+fn loss_of(model: &DnnModel, retained: f64) -> f64 {
+    model.sensitivity * model.prunable_fraction() * 3.5 * (1.0 - retained).powf(1.3)
+}
+
 /// MAC-weighted retained-norm fraction over a model's prunable layers.
 pub fn model_retention(model: &DnnModel, config: &PruningConfig) -> f64 {
-    model_retention_impl(model, config, None)
+    weighted_retention(model, |i, layer| {
+        layer_retention(layer.shape.m, layer.shape.k, config, layer_seed(i))
+    })
 }
 
 /// [`model_retention`] with repeated pure evaluations memoized in `cache`.
@@ -321,36 +526,30 @@ pub fn model_retention_cached(
     config: &PruningConfig,
     cache: &RetentionCache,
 ) -> f64 {
-    model_retention_impl(model, config, Some(cache))
-}
-
-fn accuracy_loss_impl(
-    model: &DnnModel,
-    config: &PruningConfig,
-    cache: Option<&RetentionCache>,
-) -> f64 {
-    if matches!(config, PruningConfig::Dense) {
-        return 0.0;
-    }
-    let retained = model_retention_impl(model, config, cache);
-    model.sensitivity * model.prunable_fraction() * 3.5 * (1.0 - retained).powf(1.3)
+    let scores = cache.layer_scores(model, std::slice::from_ref(config), 1);
+    weighted_retention(model, |i, _| scores[i])
 }
 
 /// Estimated accuracy loss in metric points (top-1 % or BLEU) for pruning
 /// `model`'s prunable weights with `config`.
 pub fn accuracy_loss(model: &DnnModel, config: &PruningConfig) -> f64 {
-    accuracy_loss_impl(model, config, None)
+    if matches!(config, PruningConfig::Dense) {
+        return 0.0;
+    }
+    loss_of(model, model_retention(model, config))
 }
 
 /// [`accuracy_loss`] with repeated pure evaluations memoized in `cache`:
 /// sweeps that score the same model under many configurations synthesize
 /// each layer's weights once and re-score each `(layer, config)` pair once.
+/// This is a [`RetentionCache::losses`] batch of one, run on the caller's
+/// thread.
 pub fn accuracy_loss_cached(
     model: &DnnModel,
     config: &PruningConfig,
     cache: &RetentionCache,
 ) -> f64 {
-    accuracy_loss_impl(model, config, Some(cache))
+    cache.losses_on(model, std::slice::from_ref(config), 1)[0]
 }
 
 #[cfg(test)]
@@ -447,6 +646,105 @@ mod tests {
         }
         let (hits, misses) = cache.stats();
         assert!(hits > 0 && misses > 0);
+    }
+
+    /// One configuration of every shape the co-design space holds:
+    /// unstructured degrees from 5% to fully pruned, one-rank `G:H`
+    /// (`G == H` included), and two- and three-rank stacks that share
+    /// lowest ranks, granularities and `H`s.
+    fn every_shape() -> Vec<PruningConfig> {
+        let hss = |ranks: &[(u32, u32)]| {
+            PruningConfig::Hss(HssPattern::new(
+                ranks.iter().map(|&(g, h)| Gh::new(g, h)).collect(),
+            ))
+        };
+        let mut configs: Vec<PruningConfig> = [0.05, 0.35, 0.5, 0.9, 1.0]
+            .map(|sparsity| PruningConfig::Unstructured { sparsity })
+            .into();
+        configs.extend([
+            PruningConfig::Dense,
+            hss(&[(1, 2)]),
+            hss(&[(2, 4)]),
+            hss(&[(3, 4)]),
+            hss(&[(4, 4)]),
+            hss(&[(3, 7)]),
+            hss(&[(2, 8)]),
+            hss(&[(2, 4), (1, 2)]),
+            hss(&[(2, 8), (1, 2)]),
+            hss(&[(4, 8), (1, 2)]),
+            hss(&[(4, 4), (2, 4)]),
+            hss(&[(2, 6), (2, 4)]),
+            hss(&[(4, 6), (1, 4)]),
+            hss(&[(2, 4), (2, 2)]),
+            hss(&[(1, 2), (2, 4), (2, 4)]),
+            hss(&[(2, 2), (4, 8), (2, 4)]),
+            hss(&[(1, 2), (1, 2), (1, 2)]),
+        ]);
+        configs
+    }
+
+    #[test]
+    fn batch_losses_match_the_uncached_oracle_bit_for_bit() {
+        let m = zoo::deit_small();
+        let configs = every_shape();
+        let oracle: Vec<u64> = configs
+            .iter()
+            .map(|cfg| accuracy_loss(&m, cfg).to_bits())
+            .collect();
+        // Scores of every other config, to start a cache part-way warm.
+        let half: Vec<PruningConfig> = configs.iter().step_by(2).cloned().collect();
+        let warmed = RetentionCache::new();
+        warmed.losses_on(&m, &half, 1);
+        for threads in [1, 2] {
+            for preload in [false, true] {
+                let cache = RetentionCache::new();
+                if preload {
+                    cache.preload_scores(warmed.scores());
+                }
+                let losses = cache.losses_on(&m, &configs, threads);
+                for ((cfg, got), want) in configs.iter().zip(&losses).zip(&oracle) {
+                    assert_eq!(
+                        got.to_bits(),
+                        *want,
+                        "{cfg} at {threads} thread(s), preloaded: {preload}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cold_batch_computes_each_table_entry_once() {
+        let m = zoo::deit_small();
+        let mut configs = every_shape();
+        // A repeated config is looked up once.
+        configs.push(configs[7].clone());
+        let cache = RetentionCache::new();
+        let losses = cache.losses_on(&m, &configs, 2);
+        assert_eq!(losses[7].to_bits(), losses[configs.len() - 1].to_bits());
+        for (name, (hits, misses), len) in [
+            ("streams", cache.streams.stats(), cache.streams.len()),
+            ("ranks", cache.ranks.stats(), cache.ranks.len()),
+            ("norms", cache.norms.stats(), cache.norms.len()),
+            (
+                "hss_prefix",
+                cache.hss_prefix.stats(),
+                cache.hss_prefix.len(),
+            ),
+            ("retention", cache.retention.stats(), cache.retention.len()),
+        ] {
+            assert_eq!(misses as usize, len, "{name}: every miss stores one entry");
+            assert!(len > 0, "{name} is used");
+            assert_eq!(hits, 0, "{name}: a cold batch looks each entry up once");
+        }
+        // One lookup per distinct scored config and prunable layer.
+        let layers = m.layers.iter().filter(|l| l.prunable).count();
+        let lookups = (every_shape().len() - 1) * layers;
+        let (hits, misses) = cache.stats();
+        assert_eq!((hits + misses) as usize, lookups);
+        // A repeated batch answers every lookup from the memo.
+        cache.losses_on(&m, &configs, 2);
+        assert_eq!(cache.stats(), (hits + lookups as u64, misses));
     }
 
     #[test]

@@ -1214,6 +1214,8 @@ mod tests {
             eval_cache_hits: 0,
             eval_cache_misses: 0,
             search_cache_hits: 0,
+            retention_cache_hits: 0,
+            retention_cache_misses: 0,
         }
     }
 

@@ -187,12 +187,13 @@ mod imp {
                 unsafe { close(epfd) };
                 return Err(err);
             }
+            let [rx, tx] = fds;
             let poller = Self {
                 epfd,
-                wake_rx: fds[0],
-                wake_tx: Arc::new(WakeFd(fds[1])),
+                wake_rx: rx,
+                wake_tx: Arc::new(WakeFd(tx)),
             };
-            poller.register(fds[0], Self::WAKE_TOKEN, Interest::READ)?;
+            poller.register(rx, Self::WAKE_TOKEN, Interest::READ)?;
             Ok(poller)
         }
 

@@ -474,16 +474,21 @@ struct CacheDelta {
     eval_hits: u64,
     eval_misses: u64,
     search_hits: u64,
+    retention_hits: u64,
+    retention_misses: u64,
 }
 
 impl CacheDelta {
     /// The counters' current totals.
     fn read(app: &App) -> Self {
         let (eval_hits, eval_misses) = app.context().engine().eval_cache().stats();
+        let (retention_hits, retention_misses) = app.context().retention().stats();
         Self {
             eval_hits,
             eval_misses,
             search_hits: app.context().search_hits(),
+            retention_hits,
+            retention_misses,
         }
     }
 
@@ -493,6 +498,10 @@ impl CacheDelta {
             eval_hits: self.eval_hits.saturating_sub(before.eval_hits),
             eval_misses: self.eval_misses.saturating_sub(before.eval_misses),
             search_hits: self.search_hits.saturating_sub(before.search_hits),
+            retention_hits: self.retention_hits.saturating_sub(before.retention_hits),
+            retention_misses: self
+                .retention_misses
+                .saturating_sub(before.retention_misses),
         }
     }
 }
@@ -597,6 +606,8 @@ impl PendingTrace {
             eval_cache_hits: self.cache.eval_hits,
             eval_cache_misses: self.cache.eval_misses,
             search_cache_hits: self.cache.search_hits,
+            retention_cache_hits: self.cache.retention_hits,
+            retention_cache_misses: self.cache.retention_misses,
         }
     }
 }

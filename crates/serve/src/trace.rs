@@ -64,6 +64,11 @@ pub struct TraceRecord {
     pub eval_cache_misses: u64,
     /// Search-front table hits observed while this request ran.
     pub search_cache_hits: u64,
+    /// Retention (surrogate accuracy) score hits observed while this
+    /// request ran.
+    pub retention_cache_hits: u64,
+    /// Retention scores computed while this request ran.
+    pub retention_cache_misses: u64,
 }
 
 impl TraceRecord {
@@ -106,6 +111,14 @@ impl TraceRecord {
                     (
                         "search_hits".to_string(),
                         Json::Num(self.search_cache_hits as f64),
+                    ),
+                    (
+                        "retention_hits".to_string(),
+                        Json::Num(self.retention_cache_hits as f64),
+                    ),
+                    (
+                        "retention_misses".to_string(),
+                        Json::Num(self.retention_cache_misses as f64),
                     ),
                 ]),
             ),
@@ -333,6 +346,8 @@ mod tests {
             eval_cache_hits: 1,
             eval_cache_misses: 0,
             search_cache_hits: 2,
+            retention_cache_hits: 3,
+            retention_cache_misses: 4,
         }
     }
 
@@ -408,6 +423,14 @@ mod tests {
         let cache = j.get("cache").unwrap();
         assert_eq!(cache.get("eval_hits").and_then(Json::as_f64), Some(1.0));
         assert_eq!(cache.get("search_hits").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(
+            cache.get("retention_hits").and_then(Json::as_f64),
+            Some(3.0)
+        );
+        assert_eq!(
+            cache.get("retention_misses").and_then(Json::as_f64),
+            Some(4.0)
+        );
         // Round-trips through the codec.
         let text = j.encode();
         assert_eq!(Json::parse(&text).unwrap(), j);

@@ -530,8 +530,16 @@ fn search_is_byte_identical_to_offline_codesign_and_rejects_degenerates() {
         ("model".into(), Json::str("DeiT-small")),
         ("budget".into(), Json::Num(0.5)),
     ]);
+    let retention_misses = || {
+        let (_, m) = get_json(&addr, "/v1/metrics").unwrap();
+        let misses = m.get("retention_cache").and_then(|c| c.get("misses"));
+        misses.and_then(Json::as_f64).unwrap()
+    };
+    let misses_before = retention_misses();
     let (status, v) = post_json(&addr, "/v1/search", &body).unwrap();
     assert_eq!(status, 200);
+    let cold_misses = retention_misses() - misses_before;
+    assert!(cold_misses > 0.0, "a cold search scores its candidates");
 
     // Byte-identity: the served search must equal the offline co-design
     // search (serial, uncached-pool) through the same canonical view —
@@ -583,6 +591,21 @@ fn search_is_byte_identical_to_offline_codesign_and_rejects_degenerates() {
     assert_eq!(cache[0].0, 0.0);
     assert!(cache[0].1 > 0.0, "the first query is cold");
     assert_eq!(cache[1], (1.0, 0.0));
+    // The surrogate answered the cold query alone: its trace counts the
+    // retention misses /v1/metrics gained across it, the replay none.
+    let retention: Vec<(f64, f64)> = t
+        .get("traces")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|r| {
+            let c = r.get("cache").unwrap();
+            let n = |k| c.get(k).and_then(Json::as_f64).unwrap();
+            (n("retention_hits"), n("retention_misses"))
+        })
+        .collect();
+    assert_eq!(retention[0].1, cold_misses);
+    assert_eq!(retention[1], (0.0, 0.0));
 
     // Degenerate queries are 4xx, not worker panics.
     for bad in [

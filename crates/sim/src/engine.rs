@@ -10,8 +10,9 @@
 //!   results are returned in input order regardless of scheduling, so
 //!   parallel sweeps are byte-identical to their serial baseline;
 //! - [`Memo`]: a generic thread-safe memo table for repeated *pure*
-//!   evaluations, with lookup-only reads (`Memo::get_many`,
-//!   [`Memo::get_if`]) that count hits without computing;
+//!   evaluations, with lookup-only reads ([`Memo::get_many`],
+//!   [`Memo::lookup`], [`Memo::get_if`]) that count hits without
+//!   computing;
 //! - [`Engine`]: the pool plus an [`EvalCache`] memoizing
 //!   [`evaluate_best`] results keyed on `(design, shape, operand
 //!   sparsity)` — whole-DNN sweeps stop recomputing identical layers.
@@ -192,18 +193,31 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
 
     /// Looks every key up under one lock without computing anything,
     /// counting a hit per stored value. An absent key counts nothing:
-    /// the caller computes it through [`Memo::get_or_insert_with`],
-    /// which counts the miss.
-    pub(crate) fn get_many<'k>(&self, keys: impl IntoIterator<Item = &'k K>) -> Vec<Option<V>>
+    /// the caller computes it and stores it through
+    /// [`Memo::get_or_insert_with`] or [`Memo::insert_many`], which count
+    /// the miss.
+    pub fn get_many<'k>(&self, keys: impl IntoIterator<Item = &'k K>) -> Vec<Option<V>>
     where
         K: 'k,
     {
+        self.lookup(|get| keys.into_iter().map(get).collect())
+    }
+
+    /// [`Memo::get_many`] for keys the caller builds one at a time: under
+    /// one lock, `visit` is handed a lookup to call once per key, and
+    /// every stored value it returns counts a hit. The caller can rewrite
+    /// one key in place between lookups instead of owning every key.
+    pub fn lookup<R>(&self, visit: impl FnOnce(&mut dyn FnMut(&K) -> Option<V>) -> R) -> R {
         let map = self.map();
-        let found: Vec<Option<V>> = keys.into_iter().map(|k| map.get(k).cloned()).collect();
+        let mut hits = 0;
+        let result = visit(&mut |key| {
+            let found = map.get(key).cloned();
+            hits += u64::from(found.is_some());
+            found
+        });
         drop(map);
-        let hits = found.iter().filter(|v| v.is_some()).count();
-        self.hits.fetch_add(hits as u64, Ordering::Relaxed);
-        found
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        result
     }
 
     /// Looks `key` up without computing anything, answering only with a
@@ -221,6 +235,19 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     pub fn insert(&self, key: K, value: V) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.map().insert(key, value);
+    }
+
+    /// [`Memo::insert`] of every entry under one lock, counting a miss per
+    /// entry: the values a batch of lookups did not answer.
+    pub fn insert_many(&self, entries: impl IntoIterator<Item = (K, V)>) {
+        let mut map = self.map();
+        let mut stored = 0;
+        for (key, value) in entries {
+            map.insert(key, value);
+            stored += 1;
+        }
+        drop(map);
+        self.misses.fetch_add(stored, Ordering::Relaxed);
     }
 
     /// Number of entries currently stored.

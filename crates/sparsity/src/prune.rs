@@ -16,6 +16,27 @@
 //! it keeps, which is the accuracy surrogate's score, without building a
 //! pruned copy. Unstructured magnitude pruning is provided for the
 //! DSTC-like baseline.
+//!
+//! ## Scoring many patterns on one matrix
+//!
+//! A co-design search scores dozens of patterns on each weight matrix,
+//! and HSS patterns built from the same per-rank `G:H` choices share most
+//! of their selection work. [`hss_kept_sums`] scores a list of patterns
+//! together, sharing the selection, not the sums:
+//!
+//! - patterns that agree on their lowest ranks share the mask those ranks
+//!   leave (a one-rank pattern equal to a shared lowest rank sums over
+//!   that mask);
+//! - the next ranks over one mask at one granularity share one set of
+//!   block scores, computed a segment of rows at a time;
+//! - the ranks among those that share `H` share one rank count per group,
+//!   and each `G` only picks its survivors from the count.
+//!
+//! [`unstructured_sums`] scores every unstructured degree of a matrix in
+//! one data-order pass over its [`magnitude_ranks`]. Every sum stays a
+//! data-order sum from `+0.0` over the values kept, so each one is bit
+//! for bit the sum of the matching pruned matrix ([`prune_hss`],
+//! [`prune_unstructured`]), the oracle the tests compare against.
 
 use hl_fibertree::spec::Gh;
 use hl_tensor::Matrix;
@@ -56,15 +77,15 @@ fn sq(v: f32) -> f64 {
 }
 
 /// Reusable buffers for the pruning kernels: the sort keys of groups wider
-/// than 32 blocks (narrower groups are ranked on the stack), and the
-/// pruned copy [`unstructured_sum_sq`] sums.
+/// than 32 blocks (narrower groups are ranked on the stack), and the block
+/// scores of one segment, which every `H` of a shared selection ranks.
 ///
 /// One scratch serves every call on a thread instead of fresh vectors per
 /// call.
 #[derive(Debug, Default)]
 pub struct PruneScratch {
     keys: Vec<u128>,
-    values: Vec<f32>,
+    scores: Vec<f64>,
 }
 
 impl PruneScratch {
@@ -195,7 +216,7 @@ impl KeptMask {
 /// `-0.0`; a sum of squares started from `+0.0` never is `-0.0`.
 fn kept_sum_sq(data: &[f32], kept: Option<&KeptMask>) -> f64 {
     let Some(kept) = kept else {
-        return data.iter().fold(0.0, |acc, &v| acc + sq(v));
+        return sum_sq_in_order(data);
     };
     let mut acc = 0.0;
     kept.for_each_in(0, data.len(), |i| acc += sq(data[i]));
@@ -239,11 +260,11 @@ fn score_key(score: f64, first_nan: impl FnOnce() -> Option<f32>) -> u64 {
 /// sum (see [`kept_sum_sq`]).
 #[inline(always)]
 fn block_score(data: &[f32], prior: Option<&KeptMask>, lo: usize, n: usize) -> f64 {
+    let Some(kept) = prior else {
+        return sum_sq_in_order(&data[lo..lo + n]);
+    };
     let mut score = 0.0;
-    match prior {
-        None => data[lo..lo + n].iter().for_each(|&v| score += sq(v)),
-        Some(kept) => kept.for_each_in(lo, lo + n, |i| score += sq(data[i])),
-    }
+    kept.for_each_in(lo, lo + n, |i| score += sq(data[i]));
     score
 }
 
@@ -267,25 +288,30 @@ fn block_key(data: &[f32], prior: Option<&KeptMask>, lo: usize, n: usize) -> u64
 /// Groups the selection kernel ranks at once, one per lane.
 const LANES: usize = 8;
 
-/// Survivor masks of `LANES` groups of `h <= H <= 32` blocks: `keys[b][l]`
-/// is the key of block `b` of the group in lane `l`, and bit `b` of lane
-/// `l`'s mask is set iff that block is among the group's `keep` first in
-/// (key descending, index ascending) order — the paper's "top-k with ties
-/// to the lower index". `K` must be totally ordered on the keys given.
+/// Values whose block scores a shared selection computes at a time: whole
+/// rows of at least this many values, so that no group straddles two
+/// segments and the scores stay in cache.
+const SEGMENT: usize = 4096;
+
+/// Rank counts of `LANES` groups of `h <= H <= 32` blocks: `keys[b][l]` is
+/// the key of block `b` of the group in lane `l`, and `ahead[b][l]` counts
+/// the blocks of that group that precede it in (key descending, index
+/// ascending) order. `K` must be totally ordered on the keys given.
 ///
-/// A block survives iff fewer than `keep` blocks precede it: an earlier
-/// block on an equal or greater key, a later one only on a strictly
-/// greater key. This is exact — it keeps the very set a sort of the same
-/// keys keeps. One compare per unordered pair settles both directions,
+/// An earlier block precedes on an equal or greater key, a later one only
+/// on a strictly greater key. A `G:H` selection — the paper's "top-k with
+/// ties to the lower index" — keeps a block iff fewer than `G` blocks
+/// precede it ([`survivor_masks`]): exactly the set a sort of the same
+/// keys keeps. The counts do not depend on `G`, so one count serves every
+/// `G` of an `H`. One compare per unordered pair settles both directions,
 /// and the lanes make every compare a vector operation. (The inner loop
 /// runs over all `H` so that both loops unroll completely and the counts
 /// stay in registers.)
 #[inline(always)]
-fn rank_count<K: Copy + PartialOrd, const H: usize>(
+fn rank_ahead<K: Copy + PartialOrd, const H: usize>(
     keys: &[[K; LANES]; H],
     h: usize,
-    keep: usize,
-) -> [u32; LANES] {
+) -> [[u32; LANES]; H] {
     let mut ahead = [[0u32; LANES]; H];
     for i in 0..h.min(H) {
         for j in 0..H {
@@ -298,6 +324,18 @@ fn rank_count<K: Copy + PartialOrd, const H: usize>(
             }
         }
     }
+    ahead
+}
+
+/// Survivor masks of a selection keeping `keep` of the `h` blocks of each
+/// lane's group: bit `b` of lane `l` is set iff fewer than `keep` blocks
+/// precede block `b` ([`rank_ahead`]).
+#[inline(always)]
+fn survivor_masks<const H: usize>(
+    ahead: &[[u32; LANES]; H],
+    h: usize,
+    keep: usize,
+) -> [u32; LANES] {
     let mut kept = [0u32; LANES];
     for (b, row) in ahead.iter().enumerate().take(h) {
         for (mask, &n) in kept.iter_mut().zip(row) {
@@ -307,39 +345,22 @@ fn rank_count<K: Copy + PartialOrd, const H: usize>(
     kept
 }
 
-/// Survivor masks of the `lanes <= LANES` groups of `h <= H` blocks of
+/// Rank counts of the `lanes <= LANES` groups of `h <= H` blocks of
 /// `granularity` values starting at group `g0`, where `prior` drops the
-/// values earlier ranks pruned (`None` keeps all). Masks of lanes past
-/// `lanes` are meaningless.
-///
-/// Blocks rank by [`block_score`]. Those scores are never `-0.0` (a sum
-/// of squares from `+0.0`), so unless one is NaN, `>=` on them is the
-/// `total_cmp` order; a batch holding a NaN score ranks by [`block_key`]s.
-#[inline(always)]
-fn block_survivors<const H: usize>(
+/// values earlier ranks pruned, keyed by [`block_key`]s: the ranking of a
+/// batch holding a NaN score. Counts of lanes past `lanes` are
+/// meaningless.
+#[cold]
+#[inline(never)]
+fn key_ahead<const H: usize>(
     data: &[f32],
     prior: Option<&KeptMask>,
     g0: usize,
     lanes: usize,
     h: usize,
     granularity: usize,
-    keep: usize,
-) -> [u32; LANES] {
+) -> [[u32; LANES]; H] {
     let group = h * granularity;
-    let mut scores = [[0.0; LANES]; H];
-    for l in 0..lanes {
-        let lo = (g0 + l) * group;
-        for (b, row) in scores.iter_mut().enumerate().take(h) {
-            row[l] = block_score(data, prior, lo + b * granularity, granularity);
-        }
-    }
-    if !scores
-        .iter()
-        .flatten()
-        .fold(false, |nan, s| nan | s.is_nan())
-    {
-        return rank_count(&scores, h, keep);
-    }
     let mut keys = [[0u64; LANES]; H];
     for l in 0..lanes {
         let lo = (g0 + l) * group;
@@ -347,12 +368,12 @@ fn block_survivors<const H: usize>(
             row[l] = block_key(data, prior, lo + b * granularity, granularity);
         }
     }
-    rank_count(&keys, h, keep)
+    rank_ahead(&keys, h)
 }
 
-/// Survivor masks of `LANES` groups of `H` single values with nothing
-/// dropped yet — the lowest rank — from cheaper exact keys, or `None` if a
-/// value is NaN.
+/// Rank counts of `LANES` groups of `H` single values with nothing dropped
+/// yet — the lowest rank — from cheaper exact keys, or `None` if a value
+/// is NaN.
 ///
 /// A value's score is the square of an `f32` in `f64`, which is exact and
 /// strictly monotone in `|v|`, so the 31-bit magnitude
@@ -361,10 +382,7 @@ fn block_survivors<const H: usize>(
 /// (a negative NaN squares below every number under `total_cmp`), so a
 /// batch holding a NaN ranks by [`block_key`]s instead.
 #[inline(always)]
-fn value_survivors<const H: usize>(
-    groups: &[[f32; H]; LANES],
-    keep: usize,
-) -> Option<[u32; LANES]> {
+fn value_ahead<const H: usize>(groups: &[[f32; H]; LANES]) -> Option<[[u32; LANES]; H]> {
     let mut keys = [[0i32; LANES]; H];
     for (l, grp) in groups.iter().enumerate() {
         for (row, &v) in keys.iter_mut().zip(grp) {
@@ -375,180 +393,440 @@ fn value_survivors<const H: usize>(
         .as_flattened()
         .iter()
         .fold(false, |nan, v| nan | v.is_nan());
-    (!nan).then(|| rank_count(&keys, H, keep))
+    (!nan).then(|| rank_ahead(&keys, H))
 }
 
-/// What a consumer of the selection kernel does with each group's
-/// survivor mask (see [`rank_count`]). The kernel passes its block
-/// geometry along, as constants where it has them.
-trait Survivors {
-    /// Group `g`, of `h` blocks of `granularity` values, keeps the blocks
-    /// whose bits are set in `mask`.
-    fn group(&mut self, g: usize, mask: u32, h: usize, granularity: usize);
+/// Where the survivors of one `G` of a selection go.
+enum Take<'m> {
+    /// Every dropped block is cleared from this mask.
+    Drop(&'m mut KeptMask),
+    /// The squares of the kept values are added to this sum in data order
+    /// (see [`kept_sum_sq`]): the values of every surviving block that the
+    /// selection's prior keeps.
+    Sum(&'m mut f64),
 }
 
-/// The selection kernel: hands `out` the survivor mask of every group of
-/// `h` blocks of `granularity` values in `data`, in group order, ranking
-/// [`LANES`] groups at a time. `prior` drops the values earlier ranks
-/// pruned (`None` keeps all); `h <= H <= 32`.
-#[inline(always)]
-fn for_each_group<const H: usize>(
-    data: &[f32],
-    prior: Option<&KeptMask>,
-    h: usize,
-    granularity: usize,
-    keep: usize,
-    out: &mut impl Survivors,
-) {
-    let groups = data.len() / (h * granularity);
-    for g0 in (0..groups).step_by(LANES) {
-        let lanes = (groups - g0).min(LANES);
-        let masks = block_survivors::<H>(data, prior, g0, lanes, h, granularity, keep);
-        for (l, &mask) in masks.iter().take(lanes).enumerate() {
-            out.group(g0 + l, mask, h, granularity);
+/// The consumer of one rank's selection: every `G` (as the number of
+/// blocks it keeps) that shares the rank's `H`, granularity and prior,
+/// each with where its survivors go.
+struct Select<'a, 'm> {
+    data: &'a [f32],
+    /// The values earlier ranks dropped (`None` keeps all).
+    prior: Option<&'a KeptMask>,
+    takes: Vec<(usize, Take<'m>)>,
+}
+
+impl Select<'_, '_> {
+    /// Hands every take the survivors of groups `g0..g0 + lanes`, of `h`
+    /// blocks of `granularity` values, whose blocks are ranked `ahead`.
+    #[inline(always)]
+    fn batch<const H: usize>(
+        &mut self,
+        g0: usize,
+        lanes: usize,
+        ahead: &[[u32; LANES]; H],
+        h: usize,
+        granularity: usize,
+    ) {
+        let (data, prior) = (self.data, self.prior);
+        let group = h * granularity;
+        // Lanes whose groups share one 64-bit element mask.
+        let per = (64 / group).max(1);
+        for (keep, take) in &mut self.takes {
+            let masks = survivor_masks(ahead, h, *keep);
+            if lanes * group <= 64 {
+                // The common case: the whole batch in one element mask.
+                take_bits(
+                    data,
+                    prior,
+                    take,
+                    g0 * group,
+                    &masks[..lanes],
+                    h,
+                    granularity,
+                );
+            } else if group <= 64 {
+                for l0 in (0..lanes).step_by(per) {
+                    let n = per.min(lanes - l0);
+                    let lo = (g0 + l0) * group;
+                    take_bits(data, prior, take, lo, &masks[l0..l0 + n], h, granularity);
+                }
+            } else {
+                for (g, &mask) in (g0..).zip(&masks[..lanes]) {
+                    match take {
+                        Take::Drop(kept) => drop_blocks(kept, g * group, mask, h, granularity),
+                        Take::Sum(sum) => {
+                            **sum = add_blocks(
+                                self.data,
+                                self.prior,
+                                **sum,
+                                g * group,
+                                mask,
+                                granularity,
+                            )
+                        }
+                    }
+                }
+            }
         }
     }
 }
 
-/// [`for_each_group`] for the lowest rank, `H` single values per group
-/// with nothing dropped yet, ranked by [`value_survivors`]. The last,
-/// partial batch is ranked from a zero-padded copy.
+/// Hands `take` the survivors of consecutive groups from value `lo` of
+/// `data` on, of `h` blocks of `granularity` values, whose block masks are
+/// `masks` — at most 64 values, so one element mask: one or two word
+/// writes, or one data-order pass over the values `prior` and the masks
+/// keep.
 #[inline(always)]
-fn for_each_value_group<const H: usize>(data: &[f32], keep: usize, out: &mut impl Survivors) {
+fn take_bits(
+    data: &[f32],
+    prior: Option<&KeptMask>,
+    take: &mut Take,
+    lo: usize,
+    masks: &[u32],
+    h: usize,
+    granularity: usize,
+) {
+    let group = h * granularity;
+    let span = masks.len() * group;
+    let bits = masks.iter().enumerate().fold(0, |bits, (i, &mask)| {
+        bits | widen_bits(u64::from(mask), h, granularity) << (i * group)
+    });
+    match take {
+        Take::Drop(kept) => kept.drop_bits(lo, !bits & (u64::MAX >> (64 - span))),
+        Take::Sum(sum) => {
+            let mut bits = prior.map_or(bits, |p| p.bits_at(lo, span) & bits);
+            let mut acc = **sum;
+            while bits != 0 {
+                acc += sq(data[lo + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+            **sum = acc;
+        }
+    }
+}
+
+/// Drops from `kept` the blocks of the group at `lo`, of `h` blocks of
+/// `granularity` values, that `mask` does not keep.
+fn drop_blocks(kept: &mut KeptMask, lo: usize, mask: u32, h: usize, granularity: usize) {
+    let mut dropped = !mask & (u32::MAX >> (32 - h));
+    while dropped != 0 {
+        let b = dropped.trailing_zeros() as usize;
+        kept.drop_range(lo + b * granularity, granularity);
+        dropped &= dropped - 1;
+    }
+}
+
+/// `acc` plus the squares of the values of the group at `lo`, of blocks
+/// of `granularity` values, that `mask` and `prior` keep, in data order.
+fn add_blocks(
+    data: &[f32],
+    prior: Option<&KeptMask>,
+    mut acc: f64,
+    lo: usize,
+    mask: u32,
+    granularity: usize,
+) -> f64 {
+    let mut m = mask;
+    while m != 0 {
+        let start = lo + m.trailing_zeros() as usize * granularity;
+        match prior {
+            None => data[start..start + granularity]
+                .iter()
+                .for_each(|&v| acc += sq(v)),
+            Some(kept) => kept.for_each_in(start, start + granularity, |i| acc += sq(data[i])),
+        }
+        m &= m - 1;
+    }
+    acc
+}
+
+/// The element mask of the block mask `mask`, whose low `n` bits are `n`
+/// blocks of `granularity` values (`n * granularity <= 64`): each block
+/// bit widened to its `granularity` value bits.
+#[inline(always)]
+fn widen_bits(mask: u64, n: usize, granularity: usize) -> u64 {
+    match granularity {
+        1 => mask,
+        2 => {
+            // Spread the (at most 32) bits one apart, then double each.
+            let mut x = mask;
+            x = (x | x << 16) & 0x0000_FFFF_0000_FFFF;
+            x = (x | x << 8) & 0x00FF_00FF_00FF_00FF;
+            x = (x | x << 4) & 0x0F0F_0F0F_0F0F_0F0F;
+            x = (x | x << 2) & 0x3333_3333_3333_3333;
+            x = (x | x << 1) & 0x5555_5555_5555_5555;
+            x * 0b11
+        }
+        4 => {
+            // Spread the (at most 16) bits three apart, then fill each.
+            let mut x = mask;
+            x = (x | x << 24) & 0x0000_00FF_0000_00FF;
+            x = (x | x << 12) & 0x000F_000F_000F_000F;
+            x = (x | x << 6) & 0x0303_0303_0303_0303;
+            x = (x | x << 3) & 0x1111_1111_1111_1111;
+            x * 0b1111
+        }
+        _ => {
+            let block = u64::MAX >> (64 - granularity);
+            (0..n).fold(0, |acc, b| {
+                acc | (((mask >> b) & 1) * block) << (b * granularity)
+            })
+        }
+    }
+}
+
+/// Hands `select` the rank counts of every group of `h <= H <= 32` blocks
+/// of `granularity` values in one segment, whose block scores are
+/// `scores` ([`block_scores`]) and whose first group is group `first` of
+/// the data, ranking [`LANES`] groups at a time.
+///
+/// Those scores are never `-0.0` (sums of squares from `+0.0`), so unless
+/// one is NaN, `>=` on them is the `total_cmp` order; a batch holding a
+/// NaN score ranks by [`block_key`]s. `nan` says whether any score of the
+/// segment is NaN, so that a clean segment checks no batch.
+#[inline(always)]
+fn rank_scored<const H: usize>(
+    select: &mut Select,
+    scores: &[f64],
+    nan: bool,
+    first: usize,
+    h: usize,
+    granularity: usize,
+) {
+    for (i, lanes_scores) in scores.chunks(LANES * h).enumerate() {
+        let g0 = i * LANES;
+        let lanes = lanes_scores.len() / h;
+        let mut batch = [[0.0; LANES]; H];
+        for (l, group) in lanes_scores.chunks_exact(h).enumerate() {
+            for (row, &score) in batch.iter_mut().zip(group) {
+                row[l] = score;
+            }
+        }
+        if nan && batch.iter().flatten().any(|s| s.is_nan()) {
+            let ahead =
+                key_ahead::<H>(select.data, select.prior, first + g0, lanes, h, granularity);
+            select.batch(first + g0, lanes, &ahead, h, granularity);
+        } else {
+            select.batch(first + g0, lanes, &rank_ahead(&batch, h), h, granularity);
+        }
+    }
+}
+
+/// [`rank_scored`] for any `h <= 32`, with constant arms for the widths
+/// the co-design space and the HSS families prune, so the compiler
+/// unrolls the rank count.
+fn rank_segment(
+    select: &mut Select,
+    scores: &[f64],
+    nan: bool,
+    first: usize,
+    h: usize,
+    granularity: usize,
+) {
+    match (h, granularity) {
+        (2, 2) => rank_scored::<2>(select, scores, nan, first, 2, 2),
+        (2, 4) => rank_scored::<2>(select, scores, nan, first, 2, 4),
+        (4, 2) => rank_scored::<4>(select, scores, nan, first, 4, 2),
+        (4, 4) => rank_scored::<4>(select, scores, nan, first, 4, 4),
+        (6, 2) => rank_scored::<6>(select, scores, nan, first, 6, 2),
+        (6, 4) => rank_scored::<6>(select, scores, nan, first, 6, 4),
+        (8, 2) => rank_scored::<8>(select, scores, nan, first, 8, 2),
+        (8, 4) => rank_scored::<8>(select, scores, nan, first, 8, 4),
+        (2, _) => rank_scored::<2>(select, scores, nan, first, 2, granularity),
+        (3, _) => rank_scored::<3>(select, scores, nan, first, 3, granularity),
+        (4, _) => rank_scored::<4>(select, scores, nan, first, 4, granularity),
+        (5, _) => rank_scored::<5>(select, scores, nan, first, 5, granularity),
+        (6, _) => rank_scored::<6>(select, scores, nan, first, 6, granularity),
+        (7, _) => rank_scored::<7>(select, scores, nan, first, 7, granularity),
+        (8, _) => rank_scored::<8>(select, scores, nan, first, 8, granularity),
+        _ => rank_scored::<32>(select, scores, nan, first, h, granularity),
+    }
+}
+
+/// Hands `select` the rank counts of every group of `H` single values of
+/// its data, ranked by [`value_ahead`] — the lowest rank, nothing dropped
+/// yet. The last, partial batch is ranked from a zero-padded copy.
+#[inline(always)]
+fn rank_values<const H: usize>(select: &mut Select) {
+    let data = select.data;
     let (batches, tail) = data.as_chunks::<H>().0.as_chunks::<LANES>();
     for (i, batch) in batches.iter().enumerate() {
         let g0 = i * LANES;
-        let masks = value_survivors(batch, keep)
-            .unwrap_or_else(|| block_survivors::<H>(data, None, g0, LANES, H, 1, keep));
-        for (l, &mask) in masks.iter().enumerate() {
-            out.group(g0 + l, mask, H, 1);
+        // Separate calls keep the common path's counts in registers.
+        match value_ahead(batch) {
+            Some(ahead) => select.batch(g0, LANES, &ahead, H, 1),
+            None => select.batch(
+                g0,
+                LANES,
+                &key_ahead::<H>(data, None, g0, LANES, H, 1),
+                H,
+                1,
+            ),
         }
     }
     if !tail.is_empty() {
         let g0 = batches.len() * LANES;
         let mut padded = [[0.0; H]; LANES];
         padded[..tail.len()].copy_from_slice(tail);
-        let masks = value_survivors(&padded, keep)
-            .unwrap_or_else(|| block_survivors::<H>(data, None, g0, tail.len(), H, 1, keep));
-        for (l, &mask) in masks.iter().take(tail.len()).enumerate() {
-            out.group(g0 + l, mask, H, 1);
-        }
+        let ahead = value_ahead(&padded)
+            .unwrap_or_else(|| key_ahead::<H>(data, None, g0, tail.len(), H, 1));
+        select.batch(g0, tail.len(), &ahead, H, 1);
     }
 }
 
-/// [`for_each_group`] for any `h <= 32`, with constant arms for the widths
-/// the co-design space and the HSS families prune, so the compiler
-/// unrolls the rank count.
-#[inline(always)]
-fn select_groups(
+/// [`rank_values`] for `2 <= h <= 8`.
+fn rank_lowest(select: &mut Select, h: usize) {
+    match h {
+        2 => rank_values::<2>(select),
+        3 => rank_values::<3>(select),
+        4 => rank_values::<4>(select),
+        5 => rank_values::<5>(select),
+        6 => rank_values::<6>(select),
+        7 => rank_values::<7>(select),
+        _ => rank_values::<8>(select),
+    }
+}
+
+/// The [`block_score`] of every block of `granularity` values in
+/// `data[lo..hi]`, in order, into `out`.
+fn block_scores(
     data: &[f32],
     prior: Option<&KeptMask>,
-    h: usize,
+    lo: usize,
+    hi: usize,
     granularity: usize,
-    keep: usize,
-    out: &mut impl Survivors,
+    out: &mut Vec<f64>,
 ) {
-    match (h, granularity, prior) {
-        (2, 1, None) => for_each_value_group::<2>(data, keep, out),
-        (3, 1, None) => for_each_value_group::<3>(data, keep, out),
-        (4, 1, None) => for_each_value_group::<4>(data, keep, out),
-        (5, 1, None) => for_each_value_group::<5>(data, keep, out),
-        (6, 1, None) => for_each_value_group::<6>(data, keep, out),
-        (7, 1, None) => for_each_value_group::<7>(data, keep, out),
-        (8, 1, None) => for_each_value_group::<8>(data, keep, out),
-        (2, 2, _) => for_each_group::<2>(data, prior, 2, 2, keep, out),
-        (2, 4, _) => for_each_group::<2>(data, prior, 2, 4, keep, out),
-        (4, 2, _) => for_each_group::<4>(data, prior, 4, 2, keep, out),
-        (4, 4, _) => for_each_group::<4>(data, prior, 4, 4, keep, out),
-        (6, 2, _) => for_each_group::<6>(data, prior, 6, 2, keep, out),
-        (6, 4, _) => for_each_group::<6>(data, prior, 6, 4, keep, out),
-        (8, 2, _) => for_each_group::<8>(data, prior, 8, 2, keep, out),
-        (8, 4, _) => for_each_group::<8>(data, prior, 8, 4, keep, out),
-        (2, ..) => for_each_group::<2>(data, prior, 2, granularity, keep, out),
-        (3, ..) => for_each_group::<3>(data, prior, 3, granularity, keep, out),
-        (4, ..) => for_each_group::<4>(data, prior, 4, granularity, keep, out),
-        (5, ..) => for_each_group::<5>(data, prior, 5, granularity, keep, out),
-        (6, ..) => for_each_group::<6>(data, prior, 6, granularity, keep, out),
-        (7, ..) => for_each_group::<7>(data, prior, 7, granularity, keep, out),
-        (8, ..) => for_each_group::<8>(data, prior, 8, granularity, keep, out),
-        _ => for_each_group::<32>(data, prior, h, granularity, keep, out),
+    out.clear();
+    match (granularity, prior) {
+        (2, Some(kept)) => masked_block_scores::<2>(data, kept, lo, hi, out),
+        (3, Some(kept)) => masked_block_scores::<3>(data, kept, lo, hi, out),
+        (4, Some(kept)) => masked_block_scores::<4>(data, kept, lo, hi, out),
+        (2, None) => out.extend(data[lo..hi].chunks_exact(2).map(sum_sq_in_order)),
+        (4, None) => out.extend(data[lo..hi].chunks_exact(4).map(sum_sq_in_order)),
+        (n, None) => out.extend(data[lo..hi].chunks_exact(n).map(sum_sq_in_order)),
+        (n, Some(_)) => out.extend((lo..hi).step_by(n).map(|b| block_score(data, prior, b, n))),
     }
 }
 
-/// The element mask of a group of `h` blocks of `granularity` values
-/// (`h * granularity <= 64`) whose block mask is `mask`: each block bit
-/// widened to its `granularity` value bits.
+/// Σv² of `values` from `+0.0` in order: [`kept_sum_sq`] of values with
+/// nothing dropped.
 #[inline(always)]
-fn widen(mask: u32, h: usize, granularity: usize) -> u64 {
-    let block = u64::MAX >> (64 - granularity);
-    (0..h).fold(0, |acc, b| {
-        acc | (u64::from((mask >> b) & 1) * block) << (b * granularity)
-    })
+fn sum_sq_in_order(values: &[f32]) -> f64 {
+    values.iter().fold(0.0, |acc, &v| acc + sq(v))
 }
 
-/// Consumer that drops the blocks a rank prunes from a [`KeptMask`].
-struct DropPruned<'a> {
-    kept: &'a mut KeptMask,
-}
-
-impl Survivors for DropPruned<'_> {
-    #[inline(always)]
-    fn group(&mut self, g: usize, mask: u32, h: usize, granularity: usize) {
-        let dropped = !mask & (u32::MAX >> (32 - h));
-        let lo = g * h * granularity;
-        if h * granularity <= 64 {
-            self.kept.drop_bits(lo, widen(dropped, h, granularity));
-            return;
+/// [`block_scores`] of blocks of `N` values over the values `kept` keeps:
+/// [`block_score`] with the block width a constant.
+#[inline(always)]
+fn masked_block_scores<const N: usize>(
+    data: &[f32],
+    kept: &KeptMask,
+    lo: usize,
+    hi: usize,
+    out: &mut Vec<f64>,
+) {
+    let blocks = data[lo..hi].as_chunks::<N>().0;
+    out.resize(blocks.len(), 0.0);
+    for (i, (score, block)) in out.iter_mut().zip(blocks).enumerate() {
+        // A block at the granularity of the rank below keeps the same
+        // number of values as every other, so this loop runs a fixed
+        // number of times.
+        let mut bits = kept.bits_at(lo + i * N, N);
+        let mut acc = 0.0;
+        while bits != 0 {
+            acc += sq(block[bits.trailing_zeros() as usize]);
+            bits &= bits - 1;
         }
-        let mut m = dropped;
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            self.kept.drop_range(lo + b * granularity, granularity);
-            m &= m - 1;
+        *score = acc;
+    }
+}
+
+/// Runs `ranks` — selections of one granularity over one prior, a
+/// [`Select`] per `H` — over `data` of `cols` columns, scoring the blocks
+/// once for all of them.
+///
+/// - The lowest rank (single values, nothing dropped, `H <= 8`) ranks raw
+///   magnitudes ([`value_ahead`]), one pass per `H`.
+/// - Other groups of up to 32 blocks share one set of [`block_score`]s,
+///   computed a [`SEGMENT`] of whole rows at a time, and each `H` ranks
+///   them.
+/// - Groups wider than 32 blocks fall back to one packed-integer sort per
+///   group and `G` ([`sort_select`]).
+///
+/// Each group is fully scored before any of its blocks is dropped, and
+/// every take writes only its own mask or sum, so the selections read
+/// exactly the scores the prior leaves.
+fn select_shared(
+    data: &[f32],
+    cols: usize,
+    granularity: usize,
+    ranks: &mut [(usize, Select)],
+    scratch: &mut PruneScratch,
+) {
+    let Some(prior) = ranks.first().map(|(_, s)| s.prior) else {
+        return;
+    };
+    let values = |h: usize| granularity == 1 && prior.is_none() && (2..=8).contains(&h);
+    let mut scored = false;
+    for (h, select) in ranks.iter_mut() {
+        match *h {
+            h if values(h) => rank_lowest(select, h),
+            ..=32 => scored = true,
+            _ => sort_select(select, *h, granularity, &mut scratch.keys),
+        }
+    }
+    if !scored {
+        return;
+    }
+    let segment = (SEGMENT / cols.max(1)).max(1) * cols.max(1);
+    for lo in (0..data.len()).step_by(segment) {
+        let hi = (lo + segment).min(data.len());
+        block_scores(data, prior, lo, hi, granularity, &mut scratch.scores);
+        let nan = scratch.scores.iter().fold(false, |nan, s| nan | s.is_nan());
+        for (h, select) in ranks.iter_mut() {
+            if *h <= 32 && !values(*h) {
+                rank_segment(
+                    select,
+                    &scratch.scores,
+                    nan,
+                    lo / (*h * granularity),
+                    *h,
+                    granularity,
+                );
+            }
         }
     }
 }
 
-/// Consumer that adds up the squares of the values a rank keeps, in data
-/// order (see [`kept_sum_sq`]): the values of every surviving block that
-/// `prior` keeps (all of them for `None`).
-struct SumKept<'a> {
-    data: &'a [f32],
-    prior: Option<&'a KeptMask>,
-    acc: f64,
-}
-
-impl Survivors for SumKept<'_> {
-    #[inline(always)]
-    fn group(&mut self, g: usize, mask: u32, h: usize, granularity: usize) {
-        let group = h * granularity;
-        let lo = g * group;
-        // One step per kept value or block: every group has the same
-        // count, so the loops run a fixed number of times.
-        match self.prior {
-            Some(kept) if group <= 64 => {
-                let mut bits = kept.bits_at(lo, group) & widen(mask, h, granularity);
-                while bits != 0 {
-                    self.acc += sq(self.data[lo + bits.trailing_zeros() as usize]);
-                    bits &= bits - 1;
-                }
+/// One selection of groups wider than 32 blocks: per group and `G`, packs
+/// `(!key << 32) | index` for every block, which turns the (score desc,
+/// index asc) order into one ascending integer sort, and drops every
+/// block past the first `G`. A sum takes the whole selection into a copy
+/// of the prior first.
+fn sort_select(select: &mut Select, h: usize, granularity: usize, keys: &mut Vec<u128>) {
+    let (data, prior) = (select.data, select.prior);
+    let drop_sorted = |keep: usize, kept: &mut KeptMask, keys: &mut Vec<u128>| {
+        for lo in (0..data.len()).step_by(h * granularity) {
+            keys.clear();
+            for b in 0..h {
+                let key = block_key(data, prior, lo + b * granularity, granularity);
+                keys.push((u128::from(!key) << 32) | b as u128);
             }
-            prior => {
-                let (data, mut acc) = (self.data, self.acc);
-                let mut m = mask;
-                while m != 0 {
-                    let start = lo + m.trailing_zeros() as usize * granularity;
-                    match prior {
-                        None => data[start..start + granularity]
-                            .iter()
-                            .for_each(|&v| acc += sq(v)),
-                        Some(kept) => {
-                            kept.for_each_in(start, start + granularity, |i| acc += sq(data[i]))
-                        }
-                    }
-                    m &= m - 1;
-                }
-                self.acc = acc;
+            keys.sort_unstable();
+            for &k in &keys[keep..] {
+                kept.drop_range(lo + (k as u32) as usize * granularity, granularity);
+            }
+        }
+    };
+    for (keep, take) in &mut select.takes {
+        match take {
+            Take::Drop(kept) => drop_sorted(*keep, kept, keys),
+            Take::Sum(acc) => {
+                let mut kept = prior.cloned().unwrap_or_else(|| KeptMask::all(data.len()));
+                drop_sorted(*keep, &mut kept, keys);
+                **acc = kept_sum_sq(data, Some(&kept));
             }
         }
     }
@@ -559,14 +837,9 @@ impl Survivors for SumKept<'_> {
 /// the values `kept` still holds, and drops the rest. `fresh` says that
 /// `kept` keeps everything, which lets the lowest rank rank raw
 /// magnitudes.
-///
-/// Groups of up to 32 blocks go through the selection kernel; wider ones
-/// fall back to one packed-integer sort per group. Each group is fully
-/// scored before any of its blocks is dropped, and groups never overlap,
-/// so updating the mask as groups are ranked reads exactly the scores the
-/// previous ranks left.
 fn apply_rank(
     data: &[f32],
+    cols: usize,
     kept: &mut KeptMask,
     fresh: bool,
     gh: Gh,
@@ -579,34 +852,13 @@ fn apply_rank(
         // Every block survives: the selection can drop nothing.
         return;
     }
-    let group = h * granularity;
-    if h <= 32 {
-        let prior = (!fresh).then(|| kept.clone());
-        select_groups(
-            data,
-            prior.as_ref(),
-            h,
-            granularity,
-            keep,
-            &mut DropPruned { kept },
-        );
-        return;
-    }
-    let keys = &mut scratch.keys;
-    for lo in (0..data.len()).step_by(group) {
-        // Packing `(!key << 32) | index` turns the (score desc, index asc)
-        // order into one ascending integer sort.
-        keys.clear();
-        let prior = (!fresh).then_some(&*kept);
-        for b in 0..h {
-            let key = block_key(data, prior, lo + b * granularity, granularity);
-            keys.push((u128::from(!key) << 32) | b as u128);
-        }
-        keys.sort_unstable();
-        for &k in &keys[keep..] {
-            kept.drop_range(lo + (k as u32) as usize * granularity, granularity);
-        }
-    }
+    let prior = (!fresh).then(|| kept.clone());
+    let select = Select {
+        data,
+        prior: prior.as_ref(),
+        takes: vec![(keep, Take::Drop(kept))],
+    };
+    select_shared(data, cols, granularity, &mut [(h, select)], scratch);
 }
 
 /// `(G:H, granularity)` of every rank of `pattern` above its `skip` lowest
@@ -624,10 +876,12 @@ fn selecting_ranks(pattern: &HssPattern, skip: usize) -> Vec<(Gh, usize)> {
     ranks
 }
 
-/// Applies `ranks` lowest first on top of `prefix`, returning the mask
-/// they leave, or `None` when there was neither a prefix nor a rank.
+/// Applies `ranks` lowest first on top of `prefix` to `data` of `cols`
+/// columns, returning the mask they leave, or `None` when there was
+/// neither a prefix nor a rank.
 fn apply_ranks(
     data: &[f32],
+    cols: usize,
     ranks: &[(Gh, usize)],
     prefix: Option<&KeptMask>,
     scratch: &mut PruneScratch,
@@ -636,7 +890,7 @@ fn apply_ranks(
     for &(gh, granularity) in ranks {
         let fresh = kept.is_none();
         let mask = kept.get_or_insert_with(|| KeptMask::all(data.len()));
-        apply_rank(data, mask, fresh, gh, granularity, scratch);
+        apply_rank(data, cols, mask, fresh, gh, granularity, scratch);
     }
     kept
 }
@@ -655,13 +909,8 @@ fn assert_aligned(len: usize, cols: usize, group: usize) {
 }
 
 /// Checks the preconditions shared by [`hss_kept`] and
-/// [`hss_kept_sum_sq`] and lists the ranks they apply on top of `prefix`.
-fn checked_ranks(
-    data: &[f32],
-    cols: usize,
-    pattern: &HssPattern,
-    prefix: Option<&KeptMask>,
-) -> Vec<(Gh, usize)> {
+/// [`hss_kept_sum_sq`].
+fn check_prefix(data: &[f32], cols: usize, pattern: &HssPattern, prefix: Option<&KeptMask>) {
     assert_aligned(data.len(), cols, pattern.group_size());
     if let Some(prefix) = prefix {
         assert!(
@@ -669,7 +918,6 @@ fn checked_ranks(
             "a prefix mask needs a sparse rank and one bit per value"
         );
     }
-    selecting_ranks(pattern, usize::from(prefix.is_some()))
 }
 
 /// The values an HSS pattern keeps in row-major `data` of `cols` columns,
@@ -694,17 +942,15 @@ pub fn hss_kept(
     prefix: Option<&KeptMask>,
     scratch: &mut PruneScratch,
 ) -> KeptMask {
-    let ranks = checked_ranks(data, cols, pattern, prefix);
-    apply_ranks(data, &ranks, prefix, scratch).unwrap_or_else(|| KeptMask::all(data.len()))
+    check_prefix(data, cols, pattern, prefix);
+    let ranks = selecting_ranks(pattern, usize::from(prefix.is_some()));
+    apply_ranks(data, cols, &ranks, prefix, scratch).unwrap_or_else(|| KeptMask::all(data.len()))
 }
 
 /// Σv² over the values [`hss_kept`] keeps, lowest index first, starting
 /// from `+0.0`: bit for bit the [`sum_sq`] of [`prune_hss`]'s output
-/// (any NaN where that is NaN), with no pruned copy.
-///
-/// The highest rank is not stored as a mask (unless its groups hold more
-/// than 32 blocks): the kernel hands each group's survivors straight to
-/// the sum, which adds exactly the `Π G` kept values of every group.
+/// (any NaN where that is NaN), with no pruned copy. This is
+/// [`hss_kept_sums`] of one pattern.
 ///
 /// # Panics
 /// As [`hss_kept`].
@@ -715,26 +961,197 @@ pub fn hss_kept_sum_sq(
     prefix: Option<&KeptMask>,
     scratch: &mut PruneScratch,
 ) -> f64 {
-    let mut ranks = checked_ranks(data, cols, pattern, prefix);
-    let last = ranks.pop_if(|(gh, _)| gh.h <= 32);
-    let lower = apply_ranks(data, &ranks, prefix, scratch);
-    let Some((gh, granularity)) = last else {
-        return kept_sum_sq(data, lower.as_ref());
-    };
-    let mut sum = SumKept {
-        data,
-        prior: lower.as_ref(),
-        acc: 0.0,
-    };
-    select_groups(
-        data,
-        sum.prior,
-        gh.h as usize,
-        granularity,
-        gh.g as usize,
-        &mut sum,
+    check_prefix(data, cols, pattern, prefix);
+    let lowest: Vec<(Gh, &KeptMask)> = prefix
+        .into_iter()
+        .zip(pattern.ranks().last())
+        .map(|(mask, &gh)| (gh, mask))
+        .collect();
+    let (sums, _) = hss_kept_sums(data, cols, &[pattern], &lowest, scratch);
+    sums[0]
+}
+
+/// [`hss_kept_sum_sq`] of every one of `patterns` over the same `data` of
+/// `cols` columns, sharing the selection work the patterns have in common.
+/// Every sum is bit for bit the one [`hss_kept_sum_sq`] returns for its
+/// pattern alone: a data-order sum from `+0.0` of the values it keeps.
+///
+/// The patterns' selecting ranks, lowest first, form a trie: patterns
+/// that agree on their lowest `d` ranks share the mask those ranks leave.
+/// At each node, the next ranks of one granularity share their block
+/// scores, the ranks that also share `H` share one rank count, and each
+/// `G` only picks its survivors from the count ([`rank_ahead`]). The rank
+/// a pattern ends on sums its survivors directly, unless the mask is
+/// needed anyway.
+///
+/// `lowest` holds already-selected lowest-rank masks, each the
+/// [`hss_kept`] of the one-rank pattern of its `G:H`; the batch starts
+/// from those instead of selecting them. Returns the sums, in pattern
+/// order, and the lowest-rank masks the batch selected for patterns with
+/// ranks above them.
+///
+/// # Panics
+/// Panics if `cols` is not a multiple of some pattern's group size,
+/// `data` does not fill whole rows, or a `lowest` mask does not cover
+/// `data`.
+pub fn hss_kept_sums(
+    data: &[f32],
+    cols: usize,
+    patterns: &[&HssPattern],
+    lowest: &[(Gh, &KeptMask)],
+    scratch: &mut PruneScratch,
+) -> (Vec<f64>, Vec<(Gh, KeptMask)>) {
+    for pattern in patterns {
+        assert_aligned(data.len(), cols, pattern.group_size());
+    }
+    assert!(
+        lowest.iter().all(|(_, mask)| mask.len == data.len()),
+        "a lowest-rank mask needs one bit per value"
     );
-    sum.acc
+    let stacks: Vec<Vec<(Gh, usize)>> = patterns.iter().map(|p| selecting_ranks(p, 0)).collect();
+    let members: Vec<(usize, &[(Gh, usize)])> =
+        stacks.iter().map(Vec::as_slice).enumerate().collect();
+    let mut batch = Batch {
+        data,
+        cols,
+        sums: vec![0.0; patterns.len()],
+        selected: Vec::new(),
+        scratch,
+    };
+    batch.node(None, 0, &members, lowest);
+    (batch.sums, batch.selected)
+}
+
+/// The state of one [`hss_kept_sums`] walk over its trie.
+struct Batch<'a> {
+    data: &'a [f32],
+    cols: usize,
+    sums: Vec<f64>,
+    /// Lowest-rank masks selected for patterns that rank on above them.
+    selected: Vec<(Gh, KeptMask)>,
+    scratch: &'a mut PruneScratch,
+}
+
+/// One next rank of a trie node.
+struct Child<'k> {
+    /// `(G:H, granularity)`.
+    rank: (Gh, usize),
+    /// An already-selected mask of this rank.
+    known: Option<&'k KeptMask>,
+    /// The mask this rank leaves, when a pattern ranks on above it.
+    mask: Option<KeptMask>,
+    /// Σv² of what this rank keeps.
+    sum: f64,
+}
+
+impl Batch<'_> {
+    /// Scores the `members` — `(pattern index, selecting ranks)` pairs that
+    /// share their lowest `depth` ranks, which leave `prior` — and walks on
+    /// into the ranks above.
+    fn node(
+        &mut self,
+        prior: Option<&KeptMask>,
+        depth: usize,
+        members: &[(usize, &[(Gh, usize)])],
+        known: &[(Gh, &KeptMask)],
+    ) {
+        let data = self.data;
+        let mut ended = None;
+        let mut next = Vec::new();
+        for &(slot, ranks) in members {
+            match ranks.get(depth) {
+                None => self.sums[slot] = *ended.get_or_insert_with(|| kept_sum_sq(data, prior)),
+                Some(&rank) => next.push(rank),
+            }
+        }
+        // (granularity, H, G) order puts the ranks that share block scores,
+        // and within them the ones that share a rank count, side by side.
+        next.sort_unstable_by_key(|&(gh, granularity)| (granularity, gh.h, gh.g));
+        next.dedup();
+        let goes_on = |rank: (Gh, usize)| {
+            members
+                .iter()
+                .any(|(_, r)| r.len() > depth + 1 && r[depth] == rank)
+        };
+        let mut children: Vec<Child> = next
+            .into_iter()
+            .map(|rank| {
+                let known = known
+                    .iter()
+                    .find(|&&(gh, _)| (gh, 1) == rank)
+                    .map(|&(_, mask)| mask);
+                let mask = (known.is_none() && goes_on(rank))
+                    .then(|| prior.cloned().unwrap_or_else(|| KeptMask::all(data.len())));
+                Child {
+                    rank,
+                    known,
+                    mask,
+                    sum: 0.0,
+                }
+            })
+            .collect();
+
+        for run in children.chunk_by_mut(|a, b| a.rank.1 == b.rank.1) {
+            let granularity = run[0].rank.1;
+            let mut ranks: Vec<(usize, Select)> = Vec::new();
+            for child in run.iter_mut().filter(|c| c.known.is_none()) {
+                let (gh, _) = child.rank;
+                let take = match &mut child.mask {
+                    Some(mask) => Take::Drop(mask),
+                    None => Take::Sum(&mut child.sum),
+                };
+                let (keep, h) = (gh.g as usize, gh.h as usize);
+                match ranks.last_mut() {
+                    Some((last, select)) if *last == h => select.takes.push((keep, take)),
+                    _ => ranks.push((
+                        h,
+                        Select {
+                            data,
+                            prior,
+                            takes: vec![(keep, take)],
+                        },
+                    )),
+                }
+            }
+            select_shared(data, self.cols, granularity, &mut ranks, self.scratch);
+        }
+
+        // A rank that leaves a mask sums over it, once, if a pattern ends
+        // there.
+        for child in &mut children {
+            let ends = members
+                .iter()
+                .any(|(_, r)| r.len() == depth + 1 && r[depth] == child.rank);
+            if let (true, Some(mask)) = (ends, child.mask.as_ref().or(child.known)) {
+                child.sum = kept_sum_sq(data, Some(mask));
+            }
+        }
+        for &(slot, ranks) in members {
+            if ranks.len() == depth + 1 {
+                if let Some(child) = children.iter().find(|c| c.rank == ranks[depth]) {
+                    self.sums[slot] = child.sum;
+                }
+            }
+        }
+        for child in &children {
+            let above: Vec<(usize, &[(Gh, usize)])> = members
+                .iter()
+                .filter(|(_, r)| r.len() > depth + 1 && r[depth] == child.rank)
+                .copied()
+                .collect();
+            if let (false, Some(mask)) = (above.is_empty(), child.mask.as_ref().or(child.known)) {
+                self.node(Some(mask), depth + 1, &above, &[]);
+            }
+        }
+        if depth == 0 {
+            self.selected.extend(
+                children
+                    .into_iter()
+                    .filter(|c| c.rank.1 == 1)
+                    .filter_map(|c| Some((c.rank.0, c.mask?))),
+            );
+        }
+    }
 }
 
 /// Prunes the lowest rank: within every aligned block of `gh.h` values in
@@ -760,6 +1177,7 @@ pub fn prune_rank(m: &Matrix, gh: Gh, granularity: usize) -> Matrix {
     let mut kept = KeptMask::all(m.data().len());
     apply_rank(
         m.data(),
+        m.cols(),
         &mut kept,
         true,
         gh,
@@ -787,8 +1205,8 @@ pub fn prune_hss(m: &Matrix, pattern: &HssPattern) -> Matrix {
 /// lower index) — the pruning order [`prune_unstructured`] consumes.
 ///
 /// The order depends only on the values, not on the sparsity degree, so
-/// sweeps that prune the same matrix at many degrees can compute it once
-/// and replay it through [`unstructured_sum_sq`].
+/// sweeps that prune the same matrix at many degrees can compute it once:
+/// [`magnitude_ranks`] is its inverse, which [`unstructured_sums`] reads.
 ///
 /// # Panics
 /// Panics if `values` holds `u32::MAX` or more elements (the order is
@@ -825,24 +1243,97 @@ fn zero_smallest(data: &mut [f32], sparsity: f64, order: &[u32]) {
     }
 }
 
-/// [`sum_sq`] of `values` pruned unstructured to `sparsity` with their
-/// precomputed [`magnitude_order`]: prunes a copy in `scratch` and sums
-/// all of it.
+/// The position of every value of `values` in its [`magnitude_order`]:
+/// value `i` is the `ranks[i]`-th to be pruned.
+///
+/// Unstructured pruning to any degree keeps exactly the values whose rank
+/// reaches the degree's cut, so [`unstructured_sums`] scores every degree
+/// of a sweep from one rank array.
 ///
 /// # Panics
-/// Panics if `sparsity` is outside `[0, 1]` or `order` does not cover
+/// As [`magnitude_order`].
+pub fn magnitude_ranks(values: &[f32]) -> Vec<u32> {
+    let total = values.len();
+    assert!(
+        total < u32::MAX as usize,
+        "matrix too large for u32 pruning ranks ({total} elements)"
+    );
+    // A stable least-significant-digit radix sort of the indices on the
+    // 31-bit magnitudes (the keys `magnitude_order` sorts by), three
+    // 11-bit digits: equal magnitudes keep index order, so the result is
+    // the (magnitude asc, index asc) order. The last pass writes each
+    // index's position instead of the index.
+    let digit = |i: u32, shift: u32| {
+        ((values[i as usize].to_bits() & 0x7FFF_FFFF) >> shift) as usize & 0x7FF
+    };
+    let mut order: Vec<u32> = (0..total as u32).collect();
+    let mut out = vec![0; total];
+    for shift in [0, 11, 22] {
+        let mut starts = [0u32; 1 << 11];
+        for &i in &order {
+            starts[digit(i, shift)] += 1;
+        }
+        let mut sum = 0;
+        for start in &mut starts {
+            (sum, *start) = (sum + *start, sum);
+        }
+        for &i in &order {
+            let slot = &mut starts[digit(i, shift)];
+            if shift == 22 {
+                out[i as usize] = *slot;
+            } else {
+                out[*slot as usize] = i;
+            }
+            *slot += 1;
+        }
+        if shift != 22 {
+            std::mem::swap(&mut order, &mut out);
+        }
+    }
+    out
+}
+
+/// Accumulators one data-order pass of [`unstructured_sums`] updates.
+const DEGREES: usize = 10;
+
+/// [`sum_sq`] of `values` pruned unstructured to each of `sparsities`,
+/// from the values' [`magnitude_ranks`], bit for bit the sum of
+/// [`prune_unstructured`]'s output, with no pruned copy.
+///
+/// A degree `s` prunes the `round(s · len)` lowest-ranked values. One pass
+/// in data order updates one independent accumulator per degree (up to
+/// [`DEGREES`] per pass), each from `+0.0`: a kept value adds its square,
+/// and a pruned one adds the `+0.0` its zeroed copy would, selected rather
+/// than multiplied so that a pruned NaN adds nothing.
+///
+/// # Panics
+/// Panics if a sparsity is outside `[0, 1]` or `ranks` does not cover
 /// `values`.
-pub fn unstructured_sum_sq(
-    values: &[f32],
-    sparsity: f64,
-    order: &[u32],
-    scratch: &mut PruneScratch,
-) -> f64 {
-    let pruned = &mut scratch.values;
-    pruned.clear();
-    pruned.extend_from_slice(values);
-    zero_smallest(pruned, sparsity, order);
-    sum_sq(pruned)
+pub fn unstructured_sums(values: &[f32], sparsities: &[f64], ranks: &[u32]) -> Vec<f64> {
+    assert_eq!(ranks.len(), values.len(), "ranks must cover every element");
+    let cuts: Vec<u32> = sparsities
+        .iter()
+        .map(|&s| {
+            assert!((0.0..=1.0).contains(&s), "sparsity must be in [0,1]");
+            // At most `len`, which `magnitude_order` keeps below u32::MAX.
+            (s * values.len() as f64).round() as u32
+        })
+        .collect();
+    let mut sums = Vec::with_capacity(cuts.len());
+    for chunk in cuts.chunks(DEGREES) {
+        // Unused lanes cut past every rank: they keep nothing.
+        let mut cut = [u32::MAX; DEGREES];
+        cut[..chunk.len()].copy_from_slice(chunk);
+        let mut acc = [0.0; DEGREES];
+        for (&v, &rank) in values.iter().zip(ranks) {
+            let v2 = sq(v);
+            for (a, &c) in acc.iter_mut().zip(&cut) {
+                *a += if rank >= c { v2 } else { 0.0 };
+            }
+        }
+        sums.extend_from_slice(&acc[..chunk.len()]);
+    }
+    sums
 }
 
 /// Unstructured magnitude pruning: zeroes the `round(sparsity · len)`
@@ -1028,6 +1519,120 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_batches_match_prune_then_sum_bit_for_bit() {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let hss = |ranks: &[(u32, u32)]| {
+            HssPattern::new(ranks.iter().map(|&(g, h)| Gh { g, h }).collect())
+        };
+        // Patterns that share lowest ranks, granularities and `H`s, so the
+        // batch runs its shared masks, block scores and rank counts: one-
+        // and multi-rank patterns over the same lowest rank, upper ranks
+        // of one `H` with several `G`s, `G == H` ranks, three-rank stacks,
+        // and, in a set of its own, groups wider than 32 blocks.
+        let narrow = [
+            hss(&[(1, 2)]),
+            hss(&[(1, 4)]),
+            hss(&[(2, 4)]),
+            hss(&[(3, 4)]),
+            hss(&[(4, 4)]),
+            hss(&[(1, 8)]),
+            hss(&[(5, 8)]),
+            hss(&[(2, 4), (1, 2)]),
+            hss(&[(1, 4), (1, 2)]),
+            hss(&[(3, 4), (1, 2)]),
+            hss(&[(4, 4), (1, 2)]),
+            hss(&[(1, 2), (2, 4)]),
+            hss(&[(2, 2), (2, 4)]),
+            hss(&[(2, 4), (2, 2)]),
+            hss(&[(1, 4), (2, 2)]),
+            hss(&[(1, 2), (1, 2), (1, 2)]),
+            hss(&[(1, 2), (2, 4), (1, 2)]),
+            hss(&[(2, 2), (1, 2), (1, 2)]),
+            hss(&[(0, 2), (1, 2)]),
+            hss(&[(1, 2), (0, 2)]),
+        ];
+        let wide = [
+            hss(&[(1, 2)]),
+            hss(&[(5, 33), (1, 2)]),
+            hss(&[(20, 33), (1, 2)]),
+        ];
+        let mut scratch = PruneScratch::new();
+        // Each set with its group width and the lowest ranks its
+        // multi-rank patterns start from.
+        let two = |g| Gh { g, h: 2 };
+        let sets = [
+            (&narrow[..], 16, vec![two(0), two(1), Gh { g: 2, h: 4 }]),
+            (&wide[..], 66, vec![two(1)]),
+        ];
+        for (set, group, lowest) in sets {
+            let refs: Vec<&HssPattern> = set.iter().collect();
+            for seed in 0..48u64 {
+                let rows = 1 + seed as usize % 3;
+                let cols = group * [1, 2, 5][seed as usize / 3 % 3];
+                let mut m = adversarial_matrix(rows, cols, seed);
+                // Half the matrices hold no NaN, so that their sums are
+                // numbers whatever the selection keeps.
+                if seed % 2 == 0 {
+                    m.data_mut()
+                        .iter_mut()
+                        .filter(|v| v.is_nan())
+                        .for_each(|v| *v = 2.0);
+                }
+                // An all-zero group and, with several rows, a row of `-0.0`.
+                m.row_mut(0)[..group].fill(0.0);
+                if rows > 1 {
+                    m.row_mut(rows - 1).fill(-0.0);
+                }
+                let oracle: Vec<f64> = set
+                    .iter()
+                    .map(|p| sum_sq(prune_hss(&m, p).data()))
+                    .collect();
+                let (cold, selected) = hss_kept_sums(m.data(), cols, &refs, &[], &mut scratch);
+                for ((p, &got), &want) in set.iter().zip(&cold).zip(&oracle) {
+                    assert!(same(got, want), "{p} seed {seed}: {got} vs {want}");
+                }
+                // The lowest ranks multi-rank patterns start from, selected
+                // once each, are their one-rank masks.
+                let selected_lowest: Vec<Gh> = selected.iter().map(|&(gh, _)| gh).collect();
+                assert_eq!(selected_lowest, lowest);
+                for (gh, mask) in &selected {
+                    let one = HssPattern::one_rank(*gh);
+                    assert_eq!(mask, &hss_kept(m.data(), cols, &one, None, &mut scratch));
+                }
+                // Starting from those masks gives the same sums.
+                let known: Vec<(Gh, &KeptMask)> = selected.iter().map(|(gh, m)| (*gh, m)).collect();
+                let (warm, again) = hss_kept_sums(m.data(), cols, &refs, &known, &mut scratch);
+                assert!(again.is_empty(), "known masks are not selected again");
+                for ((p, &got), &want) in set.iter().zip(&warm).zip(&oracle) {
+                    assert!(same(got, want), "{p} from known masks, seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unstructured_sums_match_prune_then_sum_bit_for_bit() {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let sparsities: Vec<f64> = (0..=20).map(|i| f64::from(i) * 0.05).collect();
+        for (rows, cols, seed) in [(1, 1, 20), (3, 7, 21), (9, 64, 22), (2, 33, 23)] {
+            let mut m = adversarial_matrix(rows, cols, seed);
+            m.row_mut(0)[0] = -0.0;
+            let ranks = magnitude_ranks(m.data());
+            for (j, &i) in magnitude_order(m.data()).iter().enumerate() {
+                assert_eq!(ranks[i as usize] as usize, j, "ranks invert the order");
+            }
+            // More degrees than one pass holds, in no particular order.
+            let mut degrees = sparsities.clone();
+            degrees.reverse();
+            let sums = unstructured_sums(m.data(), &degrees, &ranks);
+            for (&s, &got) in degrees.iter().zip(&sums) {
+                let want = sum_sq(prune_unstructured(&m, s).data());
+                assert!(same(got, want), "{s} on {rows}x{cols}: {got} vs {want}");
             }
         }
     }
