@@ -45,6 +45,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Determinism: results must not depend on the wall clock (the byte-identity
+// suites compare runs). clippy.toml lists the banned clock types.
+#![warn(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 mod error;

@@ -2,8 +2,8 @@
 //! output and [`Json::parse`] builds a tree by walking a
 //! [`Reader`](crate::Reader), the crate's one tokenizer, with a nesting
 //! cap ([`MAX_DEPTH`]) so adversarial request bodies cannot blow the
-//! stack, and no panicking index or `unwrap` (hl-lint's request-path rule
-//! covers this crate). Object member order is preserved (members are a
+//! stack, and no panicking index or `unwrap` (the crate root's clippy
+//! lints reject them). Object member order is preserved (members are a
 //! `Vec`, not a map), which keeps encoding deterministic — the property
 //! the byte-identical `/evaluate` acceptance test relies on.
 //!

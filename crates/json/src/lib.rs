@@ -12,6 +12,24 @@
 //! an `f64`, so either way a number decodes to the same bits.
 
 #![warn(missing_docs)]
+// Request-path invariant: the server parses every request body with this
+// codec, so it must not panic (the same lint set as hl-serve's library).
+// Integration tests and `#[cfg(test)]` modules stay out of scope.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros,
+        clippy::print_stderr,
+        clippy::dbg_macro
+    )
+)]
 
 mod json;
 mod reader;

@@ -22,6 +22,9 @@
 //! fine HSS < coarse blocks) lose less.
 
 #![forbid(unsafe_code)]
+// Determinism: results must not depend on the wall clock (the byte-identity
+// suites compare runs). clippy.toml lists the banned clock types.
+#![warn(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod accuracy;

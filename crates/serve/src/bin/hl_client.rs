@@ -24,7 +24,6 @@
 //! stdin, print a one-line summary, and exit nonzero on the first
 //! malformed line.
 
-// hl-lint: allow-file(no-raw-eprintln-in-serve, hl-client is an interactive CLI whose stderr is the user's terminal; it never emits the server's JSON log stream)
 use std::io::Read;
 use std::process::ExitCode;
 

@@ -23,7 +23,6 @@
 //! everything). SIGTERM and ctrl-c drain in-flight requests before the
 //! process exits.
 
-// hl-lint: allow-file(no-raw-eprintln-in-serve, boot/usage errors precede Logger construction and this binary's stderr is the operator terminal, not the JSON log stream)
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;

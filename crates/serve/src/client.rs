@@ -183,7 +183,7 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<WireResponse> 
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| invalid(format!("malformed status line {status_line:?}")))?;
 
-    let mut content_length: Option<usize> = None;
+    let mut content_length: Option<u64> = None;
     let mut chunked = false;
     let mut close = false;
     let mut request_id: Option<String> = None;
@@ -216,22 +216,19 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<WireResponse> 
         loop {
             let mut size_line = String::new();
             reader.read_line(&mut size_line)?;
-            let size = usize::from_str_radix(size_line.trim(), 16)
+            let size = u64::from_str_radix(size_line.trim(), 16)
                 .map_err(|_| invalid(format!("bad chunk size {size_line:?}")))?;
             if size == 0 {
                 let mut trailer = String::new();
                 reader.read_line(&mut trailer)?;
                 break;
             }
-            let start = body.len();
-            body.resize(start + size, 0);
-            reader.read_exact(&mut body[start..])?;
+            read_body(reader, size, &mut body)?;
             let mut crlf = [0u8; 2];
             reader.read_exact(&mut crlf)?;
         }
     } else if let Some(n) = content_length {
-        body.resize(n, 0);
-        reader.read_exact(&mut body)?;
+        read_body(reader, n, &mut body)?;
     } else {
         // No framing: the server signals the end by closing.
         reader.read_to_end(&mut body)?;
@@ -239,6 +236,21 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<WireResponse> 
     }
     let text = String::from_utf8(body).map_err(|_| invalid("response body is not UTF-8"))?;
     Ok((status, text, close, request_id))
+}
+
+/// Appends the next `len` body bytes to `body`. `len` comes from the peer
+/// (a chunk size or `Content-Length`), so nothing is sized from it up
+/// front: the buffer grows only by bytes that arrive, and a connection
+/// that ends early is an [`io::ErrorKind::UnexpectedEof`].
+fn read_body(reader: &mut impl Read, len: u64, body: &mut Vec<u8>) -> io::Result<()> {
+    let got = reader.by_ref().take(len).read_to_end(body)?;
+    if (got as u64) < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("response body ended after {got} of {len} bytes"),
+        ));
+    }
+    Ok(())
 }
 
 /// Sends one request on a fresh `Connection: close` connection and reads

@@ -55,6 +55,26 @@
 
 #![deny(unsafe_code)] // `signal` and `epoll` opt back in for their libc bindings.
 #![warn(missing_docs)]
+// Request-path invariant: the event loop and the workers run this
+// library's code, where a panic kills a worker or the server, and its
+// diagnostics go through the JSON logger. Bins, integration tests and
+// `#[cfg(test)]` modules are compiled separately, so they stay out of
+// scope.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros,
+        clippy::print_stderr,
+        clippy::dbg_macro
+    )
+)]
 
 pub mod api;
 pub mod client;

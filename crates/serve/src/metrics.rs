@@ -121,7 +121,10 @@ const fn routes_cover_each_variant_once() -> bool {
     i == Route::Other as usize + 1
 }
 
-// hl-lint: allow(no-panic-in-request-path, evaluated at compile time: a false check fails the build)
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a false check fails the build"
+)]
 const _: () = assert!(
     routes_cover_each_variant_once(),
     "ROUTES must list every Route variant once, in declaration order"
@@ -129,8 +132,11 @@ const _: () = assert!(
 
 impl Route {
     /// This route's row of [`ROUTES`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the const check above makes every discriminant a row index"
+    )]
     pub(crate) fn spec(self) -> &'static RouteSpec {
-        // hl-lint: allow(no-panic-in-request-path, the const check above makes every discriminant a row index)
         &ROUTES[self as usize]
     }
 

@@ -84,6 +84,10 @@ impl Exposition {
     /// exported unit; buckets are accumulated here and capped with
     /// `+Inf`, `_sum`, and `_count`. Buckets past the last edge (an
     /// open last bucket) are counted only under `+Inf`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "`debug_assert!` expands to `assert!`; it is compiled out of release builds"
+    )]
     pub fn histogram(
         &mut self,
         name: &str,

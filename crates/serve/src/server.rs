@@ -1563,8 +1563,7 @@ fn worker_loop(shared: &WorkerShared) {
             if plane.fire(FaultPoint::WorkerPanic) {
                 shared.app.metrics().record_worker_panic();
                 log_fault(&shared.app, FaultPoint::WorkerPanic, &trace_id);
-                // hl-lint: allow(no-panic-in-request-path, deliberate fault injection; the worker supervisor catches the unwind and respawns)
-                panic!("injected worker panic (fault plane)");
+                injected_worker_panic();
             }
         }
         let before = CacheDelta::read(&shared.app);
@@ -1577,6 +1576,15 @@ fn worker_loop(shared: &WorkerShared) {
         }
         guard.complete(resp, panicked, eval_us, cache, "complete");
     }
+}
+
+/// The fault plane's `WorkerPanic`: unwinds out of the worker loop.
+#[expect(
+    clippy::panic,
+    reason = "deliberate fault injection; the worker supervisor catches the unwind and respawns"
+)]
+fn injected_worker_panic() -> ! {
+    panic!("injected worker panic (fault plane)");
 }
 
 #[cfg(test)]

@@ -199,13 +199,16 @@ const fn crc_steps(mut crc: u32, steps: u32) -> u32 {
 /// The slice-by-8 lookup tables for [`crc32`], built at compile time.
 /// `CRC_TABLES[k][b]` is what byte `b` followed by `k` zero bytes
 /// contributes to the register, so table 0 is the byte-at-a-time table.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "evaluated at compile time with k < 8 and b < 256"
+)]
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut k = 0;
     while k < 8 {
         let mut b = 0;
         while b < 256 {
-            // hl-lint: allow(no-panic-in-request-path, evaluated at compile time with k < 8 and b < 256)
             tables[k][b] = crc_steps(b as u32, 8 * (k as u32 + 1));
             b += 1;
         }
@@ -215,8 +218,11 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 };
 
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a u8 always indexes the 256-entry table"
+)]
 fn crc_lookup(table: &[u32; 256], byte: u8) -> u32 {
-    // hl-lint: allow(no-panic-in-request-path, a u8 always indexes the 256-entry table)
     table[usize::from(byte)]
 }
 

@@ -34,6 +34,9 @@
 //! [`hl-baselines`]: ../hl_baselines/index.html
 
 #![forbid(unsafe_code)]
+// Determinism: results must not depend on the wall clock (the byte-identity
+// suites compare runs). clippy.toml lists the banned clock types.
+#![warn(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod analytic;

@@ -18,6 +18,9 @@
 //! [`Gh`]: hl_fibertree::spec::Gh
 
 #![forbid(unsafe_code)]
+// Determinism: results must not depend on the wall clock (the byte-identity
+// suites compare runs). clippy.toml lists the banned clock types.
+#![warn(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod families;

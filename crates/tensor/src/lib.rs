@@ -20,6 +20,9 @@
 //!   branch.
 
 #![forbid(unsafe_code)]
+// Determinism: results must not depend on the wall clock (the byte-identity
+// suites compare runs). clippy.toml lists the banned clock types.
+#![warn(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod bits;
