@@ -209,7 +209,8 @@ pub struct ParetoPoint {
 
 /// The Fig. 15 sweep core for one model: every `(design, config)` EDP /
 /// accuracy-loss point (EDP normalized to the dense TC), in registry-then-
-/// config order. Cells fan out across the context's pool.
+/// config order. The losses are scored as one batch; the network
+/// evaluations fan out across the context's pool.
 pub fn fig15_points(ctx: &SweepContext, model: &DnnModel) -> Vec<ParetoPoint> {
     let tc_edp = ctx
         .eval_network(DesignId::Tc, model, &PruningConfig::Dense)
@@ -219,8 +220,10 @@ pub fn fig15_points(ctx: &SweepContext, model: &DnnModel) -> Vec<ParetoPoint> {
         .iter()
         .flat_map(|&d| d.fig15_configs().into_iter().map(move |cfg| (d, cfg)))
         .collect();
-    ctx.map(&cells, |&(d, ref cfg)| {
-        let loss = ctx.accuracy_loss(model, cfg);
+    let configs: Vec<PruningConfig> = cells.iter().map(|(_, cfg)| cfg.clone()).collect();
+    let losses = ctx.accuracy_losses(model, &configs);
+    let cells: Vec<_> = cells.into_iter().zip(losses).collect();
+    ctx.map(&cells, |&((d, ref cfg), loss)| {
         ctx.eval_network(d, model, cfg)
             .edp()
             .map(|edp| ParetoPoint {

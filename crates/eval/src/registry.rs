@@ -160,12 +160,12 @@ impl DesignId {
             DesignId::S2ta => distinct_densities(&s2ta_a()),
             DesignId::HighLight | DesignId::Dsso => distinct_densities(&highlight_a()),
         };
-        // Every candidate is scored; ties keep the earlier candidate.
+        // Every candidate is scored, in one batch; ties keep the earlier
+        // candidate.
+        let losses = ctx.accuracy_losses(model, &candidates);
         let mut best: Option<PruningConfig> = None;
-        for cfg in candidates {
-            if ctx.accuracy_loss(model, &cfg) <= budget
-                && best.as_ref().is_none_or(|b| cfg.sparsity() > b.sparsity())
-            {
+        for (cfg, loss) in candidates.into_iter().zip(losses) {
+            if loss <= budget && best.as_ref().is_none_or(|b| cfg.sparsity() > b.sparsity()) {
                 best = Some(cfg);
             }
         }

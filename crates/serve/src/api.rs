@@ -28,7 +28,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hl_eval::{design_names, fig13_degrees, DesignId, SweepContext, UnknownDesign};
 use hl_models::accuracy::PruningConfig;
@@ -125,11 +125,14 @@ impl App {
         self.slow_us.store(us, Ordering::Relaxed);
     }
 
-    /// Records a completed request lifecycle: stamps the start offset
-    /// from the total, pushes the ring, and emits the per-request
-    /// (debug) or slow-request (warn) structured log event.
+    /// Records a completed request lifecycle — the one per-request
+    /// instrumentation point: stamps the start offset from the total,
+    /// derives the per-request metric families from the record
+    /// ([`Metrics::observe`]), emits the per-request (debug) or
+    /// slow-request (warn) structured log event, and pushes the ring.
     pub fn observe_trace(&self, mut rec: TraceRecord) {
         rec.started_s = (self.metrics.uptime_s() - rec.total_us as f64 / 1e6).max(0.0);
+        self.metrics.observe(&rec);
         let slow = rec.total_us >= self.slow_us.load(Ordering::Relaxed);
         let level = if slow { Level::Warn } else { Level::Debug };
         if self.logger.enabled(level) {
@@ -138,9 +141,9 @@ impl App {
                 if slow { "slow_request" } else { "request" },
                 &[
                     ("trace_id", Json::str(rec.id.clone())),
-                    ("route", Json::str(rec.route)),
+                    ("route", Json::str(rec.route.label())),
                     ("status", Json::Num(f64::from(rec.status))),
-                    ("outcome", Json::str(rec.outcome)),
+                    ("outcome", Json::str(rec.outcome.label())),
                     ("duration_ms", Json::Num(rec.total_us as f64 / 1000.0)),
                     ("queue_ms", Json::Num(rec.queue_us as f64 / 1000.0)),
                     ("eval_ms", Json::Num(rec.eval_us as f64 / 1000.0)),
@@ -150,8 +153,9 @@ impl App {
         self.traces.push(rec);
     }
 
-    /// Handles one parsed request: dispatch, panic containment, metrics
-    /// (including the deprecated-alias counter for unversioned paths).
+    /// Handles one parsed request: dispatch, panic containment and the
+    /// deprecated-alias counter for unversioned paths. The request
+    /// itself is counted from its trace record ([`App::observe_trace`]).
     pub fn handle(&self, req: &Request) -> Response {
         self.handle_traced(req).0
     }
@@ -160,7 +164,6 @@ impl App {
     /// the serving layer quarantines a request body whose evaluation
     /// keeps panicking instead of feeding it to the pool again.
     pub fn handle_traced(&self, req: &Request) -> (Response, bool) {
-        let t0 = Instant::now();
         let (route, deprecated) = Route::resolve(&req.path);
         if deprecated {
             self.metrics.record_deprecated_route();
@@ -171,20 +174,16 @@ impl App {
             Ok(Err(e)) => (e.into_response(), false),
             Err(_) => (ApiError::internal("handler panicked").into_response(), true),
         };
-        self.metrics.record(route, resp.status, t0.elapsed());
         (resp, panicked)
     }
 
-    /// Answers a request that failed HTTP parsing (counted, but kept out
-    /// of the latency histogram — no handler ran).
+    /// Answers a request that failed HTTP parsing.
     pub fn handle_parse_error(&self, err: &ParseError) -> Response {
-        let resp = ApiError {
+        ApiError {
             status: err.status,
             message: err.reason.clone(),
         }
-        .into_response();
-        self.metrics.record_unmeasured(Route::Other, resp.status);
-        resp
+        .into_response()
     }
 
     /// Answers `req` on its resolved `route`: the legacy alias and the
@@ -211,7 +210,8 @@ impl App {
     /// `GET /v1/metrics` with content negotiation: `?format=prometheus`
     /// (or an `Accept` header naming `text/plain` when no explicit
     /// `format` is given) selects the Prometheus text exposition;
-    /// everything else gets the historical JSON view.
+    /// everything else gets the JSON view. Both render the same
+    /// families, the per-request ones derived from trace records.
     fn metrics_response(&self, req: &Request) -> Result<Response, ApiError> {
         if wants_prometheus(req)? {
             Ok(Response {
@@ -1030,15 +1030,33 @@ mod tests {
         assert_eq!(err_code(&v), "method_not_allowed");
         let (status, _) = get(&app, "/v1/evaluate");
         assert_eq!(status, 405);
-        // All of the above were counted (the in-flight /metrics request
-        // itself is recorded only after its response is built).
+        // Handling alone counts nothing: a request is counted from its
+        // trace record, which carries the resolved route — a 405 stays
+        // on its route, an unknown path is `other`.
         let (_, m) = get(&app, "/v1/metrics");
-        let total = m
-            .get("requests")
-            .and_then(|r| r.get("total"))
-            .and_then(Json::as_f64)
-            .unwrap();
-        assert_eq!(total, 3.0);
+        let requests = m.get("requests").unwrap();
+        assert_eq!(requests.get("total").and_then(Json::as_f64), Some(0.0));
+        for (path, status) in [("/nope", 404), ("/v1/healthz", 405), ("/v1/evaluate", 405)] {
+            let mut rec = trace_rec("t", Route::resolve(path).0, 1);
+            rec.status = status;
+            app.observe_trace(rec);
+        }
+        let (_, m) = get(&app, "/v1/metrics");
+        let requests = m.get("requests").unwrap();
+        for (key, want) in [
+            ("total", 3.0),
+            ("other", 1.0),
+            ("/v1/healthz", 1.0),
+            ("/v1/evaluate", 1.0),
+        ] {
+            assert_eq!(
+                requests.get(key).and_then(Json::as_f64),
+                Some(want),
+                "{key}"
+            );
+        }
+        let responses = m.get("responses").unwrap();
+        assert_eq!(responses.get("4xx").and_then(Json::as_f64), Some(3.0));
     }
 
     fn get_raw(app: &App, path: &str, query: &str, headers: &[(&str, &str)]) -> Response {
@@ -1186,8 +1204,7 @@ mod tests {
         // the closed edge of bucket i must stop one microsecond short.
         let served_us = [1u64, 2, 3, 4, 8, 1024, 1 << 20];
         for us in served_us {
-            app.metrics()
-                .record(Route::Healthz, 200, Duration::from_micros(us));
+            app.observe_trace(trace_rec("t", Route::Healthz, us));
         }
         let observed = served_us.map(|us| us as f64 / 1e6);
         let seen = assert_le_counts(&app, "hl_request_latency_seconds", &observed);
@@ -1198,12 +1215,12 @@ mod tests {
         );
     }
 
-    fn trace_rec(id: &str, route: &'static str, total_us: u64) -> crate::trace::TraceRecord {
+    fn trace_rec(id: &str, route: Route, total_us: u64) -> crate::trace::TraceRecord {
         crate::trace::TraceRecord {
             id: id.to_string(),
             route,
             status: 200,
-            outcome: "complete",
+            outcome: crate::trace::Outcome::Complete,
             started_s: 0.0,
             total_us,
             parse_us: 0,
@@ -1222,8 +1239,8 @@ mod tests {
     #[test]
     fn trace_endpoint_serves_the_filtered_ring() {
         let app = test_app();
-        app.observe_trace(trace_rec("aaa", "/v1/evaluate", 5000));
-        app.observe_trace(trace_rec("bbb", "/v1/healthz", 100));
+        app.observe_trace(trace_rec("aaa", Route::Evaluate, 5000));
+        app.observe_trace(trace_rec("bbb", Route::Healthz, 100));
         let (status, v) = get(&app, "/v1/trace");
         assert_eq!(status, 200);
         assert_eq!(v.get("count").and_then(Json::as_f64), Some(2.0));
@@ -1275,7 +1292,7 @@ mod tests {
         app.logger().set_sink(buf.make_sink());
         // Threshold 0 → everything is slow (the CI boot check mode).
         app.set_trace_slow(Some(Duration::ZERO));
-        app.observe_trace(trace_rec("slow1", "/v1/evaluate", 1234));
+        app.observe_trace(trace_rec("slow1", Route::Evaluate, 1234));
         let text = buf.contents();
         let v = Json::parse(text.lines().next().unwrap()).unwrap();
         assert_eq!(v.get("event").and_then(Json::as_str), Some("slow_request"));
@@ -1284,7 +1301,7 @@ mod tests {
         assert_eq!(v.get("duration_ms").and_then(Json::as_f64), Some(1.234));
         // Disabled threshold + info level → per-request debug is gated.
         app.set_trace_slow(None);
-        app.observe_trace(trace_rec("fast1", "/v1/evaluate", 1234));
+        app.observe_trace(trace_rec("fast1", Route::Evaluate, 1234));
         assert_eq!(buf.contents().lines().count(), 1);
         // The ring still recorded both.
         assert_eq!(app.traces().snapshot().len(), 2);

@@ -13,20 +13,32 @@
 //!   `requests.total`, `*.hit_rate`, reuse `mean_requests`/`histogram`
 //!   and latency mean/quantile leaves from their family's reading.
 //!
-//! Recording is plain atomics (per-route and status-class counters,
-//! connection, coalescing and supervision counters, and one log₂
-//! histogram type, [`Log2Histogram`], for latency and queue wait in
-//! microseconds and for requests per connection), so the event loop
-//! and the worker pool never contend; `/v1/metrics` reads are racy
-//! snapshots, which is fine for monitoring. Every histogram exports its
-//! open last bucket only under `+Inf`.
+//! Every per-request family is derived from the request's finished
+//! [`TraceRecord`] in one place, [`Metrics::observe`], which
+//! `App::observe_trace` calls as it feeds the trace ring and the
+//! request log: the per-route and status-class counts from the record's
+//! route and status, `requests.coalesced`, `shed.*` and
+//! `workers.quarantined` from its outcome, latency from its total and
+//! queue wait from its queue span. So `/v1/metrics` counts exactly the
+//! requests `/v1/trace` lists, and its latency is the trace's
+//! start-to-last-byte total. The remaining recorders count what is not
+//! a request outcome: connections, busy rejections, worker panics and
+//! respawns, deprecated-alias hits and the queue-depth gauge.
+//!
+//! Recording is plain atomics (counters and one log₂ histogram type,
+//! [`Log2Histogram`], for latency and queue wait in microseconds and
+//! for requests per connection), so the event loop and the worker pool
+//! never contend; `/v1/metrics` reads are racy snapshots, which is fine
+//! for monitoring. Every histogram exports its open last bucket only
+//! under `+Inf`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::api::App;
 use crate::json::Json;
 use crate::prom::Exposition;
+use crate::trace::{Outcome, TraceRecord};
 
 /// The routes the server tracks individually. Each has one row in
 /// `ROUTES`; legacy unversioned aliases record under the same route.
@@ -257,13 +269,6 @@ impl<const N: usize> Log2Histogram<N> {
             lower + frac * (upper - lower)
         })
     }
-
-    /// The pre-interpolation quantile estimate: the upper edge `2^(i+1)`
-    /// of the winning bucket (0 when empty). It overstates by up to 2×.
-    pub fn quantile_upper_edge(&self, q: f64) -> f64 {
-        self.rank_bucket(q)
-            .map_or(0.0, |(i, _)| (1u64 << (i + 1)) as f64)
-    }
 }
 
 /// Number of log₂ latency buckets: bucket `i` counts requests with
@@ -274,20 +279,9 @@ pub const LATENCY_BUCKETS: usize = 26;
 pub type LatencyHistogram = Log2Histogram<LATENCY_BUCKETS>;
 
 impl LatencyHistogram {
-    /// Records one latency.
-    pub fn record(&self, latency: Duration) {
-        self.observe(u64::try_from(latency.as_micros()).unwrap_or(u64::MAX));
-    }
-
     /// [`Self::quantile`] in milliseconds.
     pub fn quantile_ms(&self, q: f64) -> f64 {
         self.quantile(q) / 1000.0
-    }
-
-    /// [`Self::quantile_upper_edge`] in milliseconds: the historical
-    /// estimate the `/v1/metrics` JSON has always reported.
-    pub fn quantile_ms_upper_edge(&self, q: f64) -> f64 {
-        self.quantile_upper_edge(q) / 1000.0
     }
 
     /// Sum of all observations in microseconds.
@@ -366,24 +360,35 @@ impl Metrics {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Records one handled request.
-    pub fn record(&self, route: Route, status: u16, latency: Duration) {
-        self.count_request(route, status);
-        self.latency.record(latency);
-    }
-
-    /// Records a request with no meaningful latency measurement (protocol
-    /// parse failures) — counted, but kept out of the latency histogram
-    /// so probe/garbage traffic cannot skew the service's p50.
-    pub fn record_unmeasured(&self, route: Route, status: u16) {
-        self.count_request(route, status);
-    }
-
-    /// Records a request answered by joining an identical in-flight
-    /// computation instead of running the handler itself.
-    pub fn record_coalesced(&self, route: Route, status: u16, latency: Duration) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-        self.record(route, status, latency);
+    /// Records one finished request from its trace record: the only
+    /// place a per-request family changes (see the module docs).
+    pub fn observe(&self, rec: &TraceRecord) {
+        if let Some(c) = self.requests.get(rec.route as usize) {
+            c.fetch_add(1, Ordering::Relaxed);
+        }
+        match rec.status {
+            200..=299 => &self.status_2xx,
+            300..=399 => &self.status_3xx,
+            400..=499 => &self.status_4xx,
+            500..=599 => &self.status_5xx,
+            // 1xx and anything out of range.
+            _ => &self.status_other,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+        let outcome = match rec.outcome {
+            Outcome::CoalesceJoin => Some(&self.coalesced),
+            Outcome::ShedDeadline => Some(&self.shed_deadline),
+            Outcome::ShedOverload => Some(&self.shed_overload),
+            Outcome::Quarantine => Some(&self.quarantined),
+            Outcome::Complete | Outcome::ParseError | Outcome::Timeout | Outcome::WorkerDied => {
+                None
+            }
+        };
+        if let Some(counter) = outcome {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        self.latency.observe(rec.total_us);
+        self.queue_wait.observe(rec.queue_us);
     }
 
     /// Records a hit on a deprecated legacy (unversioned) route alias.
@@ -403,22 +408,6 @@ impl Metrics {
         self.reuse.observe(requests_served);
     }
 
-    fn count_request(&self, route: Route, status: u16) {
-        if let Some(c) = self.requests.get(route as usize) {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-        match status {
-            200..=299 => &self.status_2xx,
-            300..=399 => &self.status_3xx,
-            400..=499 => &self.status_4xx,
-            500..=599 => &self.status_5xx,
-            // 1xx and anything out of range — previously miscounted
-            // as 5xx by a catch-all arm.
-            _ => &self.status_other,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a connection shed with 503 because the server was at its
     /// connection cap.
     pub fn record_busy_rejection(&self) {
@@ -433,24 +422,6 @@ impl Metrics {
     /// Records a dead worker being respawned by the supervisor.
     pub fn record_worker_respawn(&self) {
         self.worker_respawns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request answered from quarantine (its body has killed
-    /// workers before, so it gets a deterministic error without dispatch).
-    pub fn record_quarantined(&self) {
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a queued request shed because its deadline expired before
-    /// a worker picked it up.
-    pub fn record_deadline_shed(&self) {
-        self.shed_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request shed at dispatch because the worker queue was
-    /// overloaded.
-    pub fn record_overload_shed(&self) {
-        self.shed_overload.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Requests that arrived on a deprecated legacy route alias.
@@ -468,11 +439,9 @@ impl Metrics {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a job leaving the worker queue after waiting `wait`
-    /// (drops the depth gauge, feeds the queue-wait histogram).
-    pub fn record_dequeued(&self, wait: Duration) {
+    /// Records a job leaving the worker queue (drops the depth gauge).
+    pub fn record_dequeued(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        self.queue_wait.record(wait);
     }
 
     /// Jobs currently sitting in the worker queue.
@@ -520,14 +489,9 @@ pub(crate) enum Kind {
         read: fn(&App) -> Vec<(&'static str, f64)>,
     },
     /// A microsecond latency histogram, exported in seconds with the
-    /// inclusive edge `2^(i+1) − 1` µs. In JSON, an object of `count`, `mean` and
-    /// interpolated `p50`/`p90`/`p99` in ms; with `edge_quantiles` the
-    /// quantiles are the historical bucket upper edges and the
-    /// interpolated estimates follow as `*_est`.
-    Latency {
-        edge_quantiles: bool,
-        read: fn(&App) -> &LatencyHistogram,
-    },
+    /// inclusive edge `2^(i+1) − 1` µs. In JSON, an object of `count`,
+    /// `mean` and interpolated `p50`/`p90`/`p99` in ms.
+    Latency(fn(&App) -> &LatencyHistogram),
     /// The requests-per-connection histogram. Bucket `i` holds counts in
     /// `[2^i, 2^(i+1))`, so it is exported with the inclusive edge
     /// `2^(i+1) − 1`. In JSON, an object of `count`, `mean_requests`,
@@ -732,21 +696,15 @@ pub(crate) static FAMILIES: [Family; 27] = [
     },
     Family {
         name: "hl_queue_wait_seconds",
-        help: "Time between enqueue and worker pickup.",
+        help: "Queue span of each request's trace (queue_ms): worker-pool wait, 0 when answered inline.",
         json: "queue.wait_ms",
-        kind: Kind::Latency {
-            edge_quantiles: false,
-            read: |a| &a.metrics().queue_wait,
-        },
+        kind: Kind::Latency(|a| &a.metrics().queue_wait),
     },
     Family {
         name: "hl_request_latency_seconds",
-        help: "Request handling latency.",
+        help: "Total of each request's trace (total_ms): parse start to last byte written.",
         json: "latency_ms",
-        kind: Kind::Latency {
-            edge_quantiles: true,
-            read: |a| &a.metrics().latency,
-        },
+        kind: Kind::Latency(|a| &a.metrics().latency),
     },
 ];
 
@@ -808,27 +766,14 @@ pub(crate) fn metrics_json(app: &App) -> Json {
                     }
                 }
             }
-            Kind::Latency {
-                edge_quantiles,
-                read,
-            } => {
+            Kind::Latency(read) => {
                 let h = read(app);
                 let mut members = vec![
                     num("count", h.count() as f64),
                     num("mean", h.mean() / 1000.0),
                 ];
                 for (name, q) in QUANTILES {
-                    let value = if edge_quantiles {
-                        h.quantile_ms_upper_edge(q)
-                    } else {
-                        h.quantile_ms(q)
-                    };
-                    members.push(num(name, value));
-                }
-                if edge_quantiles {
-                    for (name, q) in QUANTILES {
-                        members.push(num(&format!("{name}_est"), h.quantile_ms(q)));
-                    }
+                    members.push(num(name, h.quantile_ms(q)));
                 }
                 put(&mut root, object, key, Json::Obj(members));
             }
@@ -882,7 +827,7 @@ pub(crate) fn render_prometheus(app: &App) -> String {
             Kind::CounterVec { label, read, .. } => {
                 e.counter_vec(f.name, f.help, label, &read(app));
             }
-            Kind::Latency { read, .. } => export_log2(&mut e, f, read(app), 1e6),
+            Kind::Latency(read) => export_log2(&mut e, f, read(app), 1e6),
             Kind::Reuse(read) => export_log2(&mut e, f, read(app), 1.0),
         }
     }
@@ -924,6 +869,35 @@ mod tests {
         samples.iter().find(|(l, _)| *l == label).unwrap().1
     }
 
+    /// A finished request's record: `queue_us` of its `total_us` queued,
+    /// the rest evaluating.
+    fn rec(
+        route: Route,
+        status: u16,
+        outcome: Outcome,
+        total_us: u64,
+        queue_us: u64,
+    ) -> TraceRecord {
+        TraceRecord {
+            id: String::new(),
+            route,
+            status,
+            outcome,
+            started_s: 0.0,
+            total_us,
+            parse_us: 0,
+            queue_us,
+            eval_us: total_us - queue_us,
+            serialize_us: 0,
+            write_us: 0,
+            eval_cache_hits: 0,
+            eval_cache_misses: 0,
+            search_cache_hits: 0,
+            retention_cache_hits: 0,
+            retention_cache_misses: 0,
+        }
+    }
+
     #[test]
     fn routes_map_paths_and_labels() {
         assert_eq!(Route::resolve("/v1/healthz").0, Route::Healthz);
@@ -961,7 +935,7 @@ mod tests {
     fn fast_and_slow() -> (LatencyHistogram, Log2Histogram<REUSE_BUCKETS>) {
         let (latency, reuse) = (LatencyHistogram::new(), Log2Histogram::new());
         for v in [8; 90].into_iter().chain([16_000; 10]) {
-            latency.record(Duration::from_micros(v));
+            latency.observe(v);
             reuse.observe(v);
         }
         (latency, reuse)
@@ -984,23 +958,6 @@ mod tests {
     }
 
     #[test]
-    fn upper_edge_quantile_keeps_historical_behavior() {
-        fn check<const N: usize>(h: &Log2Histogram<N>) {
-            // The historical estimate is always a bucket upper edge.
-            assert_eq!(h.quantile_upper_edge(0.5), 16.0);
-            assert_eq!(h.quantile_upper_edge(0.99), 16_384.0);
-            // Interpolation never exceeds it.
-            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-                assert!(h.quantile(q) <= h.quantile_upper_edge(q));
-            }
-        }
-        let (latency, reuse) = fast_and_slow();
-        check(&latency);
-        check(&reuse);
-        assert_eq!(latency.quantile_ms_upper_edge(0.99), 16.384);
-    }
-
-    #[test]
     fn bucket_counts_and_sums_snapshot_raw_series() {
         fn check<const N: usize>(h: &Log2Histogram<N>) {
             let counts = h.bucket_counts();
@@ -1014,7 +971,7 @@ mod tests {
             Log2Histogram::<REUSE_BUCKETS>::new(),
         );
         for v in [8, 9, 100] {
-            latency.record(Duration::from_micros(v));
+            latency.observe(v);
             reuse.observe(v);
         }
         check(&latency);
@@ -1025,7 +982,7 @@ mod tests {
     #[test]
     fn zero_and_huge_values_stay_in_range() {
         fn check<const N: usize>(h: &Log2Histogram<N>) {
-            assert_eq!((h.quantile(0.5), h.quantile_upper_edge(0.5)), (0.0, 0.0));
+            assert_eq!(h.quantile(0.5), 0.0);
             h.observe(0);
             h.observe(u64::MAX / 2);
             let counts = h.bucket_counts();
@@ -1036,8 +993,8 @@ mod tests {
         check(&LatencyHistogram::new());
         check(&Log2Histogram::<REUSE_BUCKETS>::new());
         let latency = LatencyHistogram::new();
-        latency.record(Duration::ZERO);
-        latency.record(Duration::from_secs(100_000));
+        latency.observe(0);
+        latency.observe(100_000_000_000);
         assert_eq!(latency.bucket_counts()[LATENCY_BUCKETS - 1], 1);
     }
 
@@ -1060,9 +1017,9 @@ mod tests {
     #[test]
     fn open_last_latency_bucket_is_exported_only_under_inf() {
         let app = app();
+        let us = 100_000_000;
         app.metrics()
-            .record(Route::Healthz, 200, Duration::from_secs(100));
-        app.metrics().record_dequeued(Duration::from_secs(100));
+            .observe(&rec(Route::Evaluate, 200, Outcome::Complete, us, us));
         let text = render_prometheus(&app);
         for family in ["hl_request_latency_seconds", "hl_queue_wait_seconds"] {
             let prefix = format!("{family}_bucket{{le=\"");
@@ -1084,19 +1041,23 @@ mod tests {
     fn metrics_record_and_classify() {
         let app = app();
         let m = app.metrics();
-        m.record(Route::Healthz, 200, Duration::from_micros(5));
-        m.record(Route::Evaluate, 200, Duration::from_micros(50));
-        m.record(Route::Other, 404, Duration::from_micros(2));
-        m.record(Route::Sweep, 500, Duration::from_micros(9));
+        m.observe(&rec(Route::Healthz, 200, Outcome::Complete, 5, 0));
+        m.observe(&rec(Route::Evaluate, 200, Outcome::Complete, 50, 20));
+        m.observe(&rec(Route::Other, 404, Outcome::Complete, 2, 0));
+        m.observe(&rec(Route::Other, 400, Outcome::ParseError, 1, 0));
+        m.observe(&rec(Route::Sweep, 500, Outcome::WorkerDied, 9, 4));
         m.record_busy_rejection();
         let routes = samples(&app, "hl_requests_total");
-        assert_eq!(routes.iter().map(|(_, n)| n).sum::<f64>(), 4.0);
+        assert_eq!(routes.iter().map(|(_, n)| n).sum::<f64>(), 5.0);
         assert_eq!(sample(&app, "hl_requests_total", "/v1/evaluate"), 1.0);
+        assert_eq!(sample(&app, "hl_requests_total", "other"), 2.0);
         assert_eq!(sample(&app, "hl_responses_total", "2xx"), 2.0);
-        assert_eq!(sample(&app, "hl_responses_total", "4xx"), 1.0);
+        assert_eq!(sample(&app, "hl_responses_total", "4xx"), 2.0);
         assert_eq!(sample(&app, "hl_responses_total", "5xx"), 1.0);
         assert_eq!(value(&app, "hl_responses_rejected_busy_total"), 1.0);
-        assert_eq!(m.latency().count(), 4);
+        // Every record feeds both histograms, parse errors included.
+        assert_eq!((m.latency.count(), m.latency.sum_us()), (5, 67));
+        assert_eq!((m.queue_wait.count(), m.queue_wait.sum_us()), (5, 24));
         assert!(value(&app, "hl_uptime_seconds") >= 0.0);
     }
 
@@ -1105,7 +1066,7 @@ mod tests {
         let app = app();
         for status in [200, 301, 304, 404, 500, 101, 999] {
             app.metrics()
-                .record(Route::Healthz, status, Duration::from_micros(1));
+                .observe(&rec(Route::Healthz, status, Outcome::Complete, 1, 0));
         }
         // 1xx/3xx/out-of-range no longer pollute the 5xx counter.
         assert_eq!(
@@ -1127,12 +1088,16 @@ mod tests {
         m.record_enqueued();
         m.record_enqueued();
         assert_eq!(m.queue_depth(), 2);
-        m.record_dequeued(Duration::from_micros(50));
+        m.record_dequeued();
         assert_eq!(m.queue_depth(), 1);
-        m.record_dequeued(Duration::from_micros(150));
+        m.record_dequeued();
         assert_eq!(m.queue_depth(), 0);
-        assert_eq!(m.queue_wait.count(), 2);
-        assert_eq!(m.queue_wait.sum_us(), 200);
+        // The gauge is control state, not a request: no record, no wait.
+        assert_eq!(m.queue_wait.count(), 0);
+        // The wait histogram reads each record's queue span, 0 inline.
+        m.observe(&rec(Route::Evaluate, 200, Outcome::Complete, 80, 50));
+        m.observe(&rec(Route::Healthz, 200, Outcome::Complete, 5, 0));
+        assert_eq!((m.queue_wait.count(), m.queue_wait.sum_us()), (2, 50));
     }
 
     #[test]
@@ -1147,7 +1112,7 @@ mod tests {
         assert_eq!(value(&app, "hl_connections_closed_total"), 1.0);
         assert_eq!(value(&app, "hl_connections_active"), 1.0);
         assert_eq!(m.reuse.count(), 1);
-        m.record_coalesced(Route::Evaluate, 200, Duration::from_micros(3));
+        m.observe(&rec(Route::Evaluate, 200, Outcome::CoalesceJoin, 3, 3));
         assert_eq!(m.coalesced(), 1);
         assert_eq!(
             sample(&app, "hl_requests_total", "/v1/evaluate"),
@@ -1178,14 +1143,18 @@ mod tests {
         m.record_worker_panic();
         m.record_worker_respawn();
         m.record_worker_panic();
-        m.record_quarantined();
-        m.record_deadline_shed();
-        m.record_overload_shed();
-        m.record_overload_shed();
+        m.observe(&rec(Route::Evaluate, 500, Outcome::Quarantine, 2, 0));
+        m.observe(&rec(Route::Evaluate, 503, Outcome::ShedDeadline, 9, 9));
+        m.observe(&rec(Route::Search, 503, Outcome::ShedOverload, 2, 0));
+        m.observe(&rec(Route::Evaluate, 503, Outcome::ShedOverload, 2, 0));
+        // A joiner of a shed coalition counts as coalesced, not shed.
+        m.observe(&rec(Route::Evaluate, 503, Outcome::CoalesceJoin, 9, 9));
         assert_eq!(workers(&app), [2.0, 1.0, 1.0]);
         assert_eq!(
             samples(&app, "hl_shed_total"),
             vec![("deadline", 1.0), ("overload", 2.0)]
         );
+        assert_eq!(m.coalesced(), 1);
+        assert_eq!(sample(&app, "hl_responses_total", "5xx"), 5.0);
     }
 }

@@ -55,7 +55,12 @@
 //! `X-Request-Id` or generated), echoed on the response and recorded —
 //! with a parse/queue/eval/serialize/write span waterfall whose spans
 //! sum exactly to the total — in the [`crate::trace`] ring served at
-//! `GET /v1/trace`. Fault injections, sheds, and snapshot loads and
+//! `GET /v1/trace`. Every request that reaches dispatch yields exactly
+//! one record, also when its connection closes before the answer is
+//! written, and [`App::observe_trace`] derives every per-request
+//! `/v1/metrics` family from it; the loop itself only counts
+//! connections, busy rejections, worker supervision and the queue-depth
+//! gauge. Fault injections, sheds, and snapshot loads and
 //! failures emit structured JSON log lines (see [`crate::log`]) tagged
 //! with the nearest trace id: the request's where one exists, the
 //! connection's for socket-level faults, a boot-scoped id for loop-level
@@ -89,7 +94,7 @@ use crate::log::Level;
 use crate::metrics::Route;
 use crate::schema::{ErrorBody, MAX_DEADLINE_MS};
 use crate::snapshot;
-use crate::trace::TraceRecord;
+use crate::trace::{Outcome, TraceRecord};
 
 /// The default listen address.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:8733";
@@ -461,8 +466,8 @@ struct Completion {
     eval_us: u64,
     /// Cache counter deltas observed across the evaluation.
     cache: CacheDelta,
-    /// The leader's terminal outcome; joiners get `"coalesce_join"`.
-    outcome: &'static str,
+    /// The leader's outcome; joiners get [`Outcome::CoalesceJoin`].
+    outcome: Outcome,
 }
 
 /// Which caches answered one evaluation: counter deltas across it.
@@ -516,7 +521,6 @@ struct Waiter {
     gen: u64,
     seq: u64,
     keep_alive: bool,
-    enqueued: Instant,
     /// This waiter's own trace id — every joiner keeps its own.
     id: String,
     /// When this request's bytes began parsing — the trace clock.
@@ -529,9 +533,9 @@ struct Waiter {
 /// `seq` order regardless of completion order.
 struct Slot {
     seq: u64,
-    bytes: Option<Vec<u8>>,
-    /// The request's trace, carried until its last byte is written.
-    trace: Option<PendingTrace>,
+    /// The response bytes and the request's trace, once answered; the
+    /// trace is carried until the last byte is written.
+    answer: Option<(Vec<u8>, PendingTrace)>,
 }
 
 /// A trace being assembled while its request moves through the loop.
@@ -542,9 +546,9 @@ struct Slot {
 /// recorded total — the waterfall never under- or over-counts.
 struct PendingTrace {
     id: String,
-    route: &'static str,
+    route: Route,
     status: u16,
-    outcome: &'static str,
+    outcome: Outcome,
     t_start: Instant,
     parse_us: u64,
     queue_us: u64,
@@ -554,12 +558,12 @@ struct PendingTrace {
 }
 
 impl PendingTrace {
-    fn new(id: String, route: &'static str, t_start: Instant, parse_us: u64) -> Self {
+    fn new(id: String, route: Route, t_start: Instant, parse_us: u64) -> Self {
         Self {
             id,
             route,
             status: 0,
-            outcome: "complete",
+            outcome: Outcome::Complete,
             t_start,
             parse_us,
             queue_us: 0,
@@ -579,7 +583,7 @@ impl PendingTrace {
 
     /// Closes the serialize span: whatever elapsed time parse/queue/eval
     /// did not claim was spent staging the response bytes.
-    fn mark_serialized(&mut self, status: u16, outcome: &'static str) {
+    fn mark_serialized(&mut self, status: u16, outcome: Outcome) {
         self.status = status;
         self.outcome = outcome;
         self.serialize_us = self.elapsed_us().saturating_sub(self.spans_us());
@@ -867,7 +871,7 @@ impl EventLoop<'_> {
                     conn.reading = false;
                     conn.close_after = true;
                     let resp = self.app.handle_parse_error(&err);
-                    self.push_immediate(id, resp, "parse_error");
+                    self.push_immediate(id, resp, Outcome::ParseError);
                     return true;
                 }
             }
@@ -889,11 +893,7 @@ impl EventLoop<'_> {
         let gen = conn.gen;
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        conn.pending.push_back(Slot {
-            seq,
-            bytes: None,
-            trace: None,
-        });
+        conn.pending.push_back(Slot { seq, answer: None });
         let rid = self.app.request_id(req.header("x-request-id"));
 
         if req.method == "POST" {
@@ -907,18 +907,16 @@ impl EventLoop<'_> {
                 .get(&key)
                 .is_some_and(|c| *c >= QUARANTINE_AFTER)
             {
-                self.app.metrics().record_quarantined();
-                self.app.metrics().record_unmeasured(route, 500);
                 let body = ErrorBody::new(
                     500,
                     "request quarantined: evaluating this body has repeatedly crashed workers",
                 )
                 .to_json()
                 .encode();
-                let mut tr = PendingTrace::new(rid, route.label(), t_start, parse_us);
+                let mut tr = PendingTrace::new(rid, route, t_start, parse_us);
                 let bytes = Response::json(500, body).to_bytes_with_id(keep_alive, Some(&tr.id));
-                tr.mark_serialized(500, "quarantine");
-                self.fill_slot(id, gen, seq, bytes, Some(tr));
+                tr.mark_serialized(500, Outcome::Quarantine);
+                self.fill_slot(id, gen, seq, bytes, tr);
                 return;
             }
             // Overload shedding, expensive routes first. Joiners are
@@ -932,20 +930,18 @@ impl EventLoop<'_> {
                     self.config.max_queue.max(1)
                 };
                 if depth >= bound as u64 {
-                    self.app.metrics().record_overload_shed();
-                    self.app.metrics().record_unmeasured(route, 503);
                     let message = if expensive {
                         "server overloaded: expensive route shed, retry later"
                     } else {
                         "server overloaded: worker queue full, retry later"
                     };
-                    let mut tr = PendingTrace::new(rid, route.label(), t_start, parse_us);
+                    let mut tr = PendingTrace::new(rid, route, t_start, parse_us);
                     let bytes =
                         Response::json(503, ErrorBody::new(503, message).to_json().encode())
                             .with_retry_after(RETRY_AFTER_SECS)
                             .to_bytes_with_id(keep_alive, Some(&tr.id));
-                    tr.mark_serialized(503, "shed_overload");
-                    self.fill_slot(id, gen, seq, bytes, Some(tr));
+                    tr.mark_serialized(503, Outcome::ShedOverload);
+                    self.fill_slot(id, gen, seq, bytes, tr);
                     return;
                 }
             }
@@ -954,7 +950,6 @@ impl EventLoop<'_> {
                 gen,
                 seq,
                 keep_alive,
-                enqueued: Instant::now(),
                 id: rid.clone(),
                 t_start,
                 parse_us,
@@ -977,41 +972,32 @@ impl EventLoop<'_> {
             }
         } else {
             let (route, _) = Route::resolve(&req.path);
-            let mut tr = PendingTrace::new(rid, route.label(), t_start, parse_us);
+            let mut tr = PendingTrace::new(rid, route, t_start, parse_us);
             let resp = self.app.handle(&req);
             // Inline GETs never queue: the handler time is the eval span.
             tr.eval_us = tr.elapsed_us().saturating_sub(tr.spans_us());
             let bytes = resp.to_bytes_with_id(keep_alive, Some(&tr.id));
-            tr.mark_serialized(resp.status, "complete");
-            self.fill_slot(id, gen, seq, bytes, Some(tr));
+            tr.mark_serialized(resp.status, Outcome::Complete);
+            self.fill_slot(id, gen, seq, bytes, tr);
         }
     }
 
     /// Answers a request-level failure (parse error, 408) and marks the
     /// connection for close.
-    fn push_immediate(&mut self, id: usize, resp: Response, outcome: &'static str) {
+    fn push_immediate(&mut self, id: usize, resp: Response, outcome: Outcome) {
         let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
             return;
         };
         let gen = conn.gen;
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        conn.pending.push_back(Slot {
-            seq,
-            bytes: None,
-            trace: None,
-        });
+        conn.pending.push_back(Slot { seq, answer: None });
         // No parsed request to take an id from; mint one so even error
         // responses are traceable end to end.
-        let mut tr = PendingTrace::new(
-            self.app.request_id(None),
-            Route::Other.label(),
-            Instant::now(),
-            0,
-        );
+        let mut tr = PendingTrace::new(self.app.request_id(None), Route::Other, Instant::now(), 0);
         let bytes = resp.to_bytes_with_id(false, Some(&tr.id));
         tr.mark_serialized(resp.status, outcome);
-        self.fill_slot(id, gen, seq, bytes, Some(tr));
+        self.fill_slot(id, gen, seq, bytes, tr);
     }
 
     /// Hands a completed worker evaluation to every waiter that joined
@@ -1041,15 +1027,7 @@ impl EventLoop<'_> {
             let (route, _) = Route::resolve(&key.0);
             let mut touched = Vec::new();
             for (i, w) in waiters.into_iter().enumerate() {
-                if i > 0 {
-                    // The first waiter's App::handle call recorded the
-                    // request; joiners are recorded here with their own
-                    // queueing latency.
-                    self.app
-                        .metrics()
-                        .record_coalesced(route, resp.status, w.enqueued.elapsed());
-                }
-                let mut tr = PendingTrace::new(w.id, route.label(), w.t_start, w.parse_us);
+                let mut tr = PendingTrace::new(w.id, route, w.t_start, w.parse_us);
                 tr.eval_us = eval_us;
                 tr.cache = cache;
                 // Queue span by contiguity: everything between the end
@@ -1057,8 +1035,15 @@ impl EventLoop<'_> {
                 // waiter spent on the pool (dispatch + completion queues).
                 tr.queue_us = tr.elapsed_us().saturating_sub(w.parse_us + eval_us);
                 let bytes = resp.to_bytes_with_id(w.keep_alive, Some(&tr.id));
-                tr.mark_serialized(resp.status, if i > 0 { "coalesce_join" } else { outcome });
-                self.fill_slot(w.conn, w.gen, w.seq, bytes, Some(tr));
+                tr.mark_serialized(
+                    resp.status,
+                    if i > 0 {
+                        Outcome::CoalesceJoin
+                    } else {
+                        outcome
+                    },
+                );
+                self.fill_slot(w.conn, w.gen, w.seq, bytes, tr);
                 if !touched.contains(&w.conn) {
                     touched.push(w.conn);
                 }
@@ -1084,25 +1069,19 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Fills one response slot (ignoring completions addressed to a
-    /// connection generation that no longer exists).
-    fn fill_slot(
-        &mut self,
-        id: usize,
-        gen: u64,
-        seq: u64,
-        bytes: Vec<u8>,
-        trace: Option<PendingTrace>,
-    ) {
-        let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-            return;
-        };
-        if conn.gen != gen {
-            return;
-        }
-        if let Some(slot) = conn.pending.iter_mut().find(|s| s.seq == seq) {
-            slot.bytes = Some(bytes);
-            slot.trace = trace;
+    /// Fills one response slot. An answer addressed to a connection
+    /// that has closed (or whose slab slot now holds a newer one) has
+    /// nowhere to go; its trace is recorded as it stands.
+    fn fill_slot(&mut self, id: usize, gen: u64, seq: u64, bytes: Vec<u8>, trace: PendingTrace) {
+        let slot = self
+            .conns
+            .get_mut(id)
+            .and_then(Option::as_mut)
+            .filter(|conn| conn.gen == gen)
+            .and_then(|conn| conn.pending.iter_mut().find(|s| s.seq == seq));
+        match slot {
+            Some(slot) => slot.answer = Some((bytes, trace)),
+            None => self.app.observe_trace(trace.finish()),
         }
     }
 
@@ -1121,21 +1100,17 @@ impl EventLoop<'_> {
         while conn
             .pending
             .front()
-            .is_some_and(|slot| slot.bytes.is_some())
+            .is_some_and(|slot| slot.answer.is_some())
         {
-            if let Some(slot) = conn.pending.pop_front() {
-                if let Some(bytes) = slot.bytes {
-                    conn.out.extend_from_slice(&bytes);
-                    conn.served += 1;
-                    retired = true;
-                }
-                if let Some(tr) = slot.trace {
-                    // Finalized once the cumulative write watermark
-                    // passes every byte staged so far — i.e. when this
-                    // response's last byte reaches the kernel.
-                    let target = conn.written_cum + (conn.out.len() - conn.out_pos) as u64;
-                    conn.traces.push_back((target, tr));
-                }
+            if let Some((bytes, tr)) = conn.pending.pop_front().and_then(|slot| slot.answer) {
+                conn.out.extend_from_slice(&bytes);
+                conn.served += 1;
+                retired = true;
+                // Finalized once the cumulative write watermark passes
+                // every byte staged so far — i.e. when this response's
+                // last byte reaches the kernel.
+                let target = conn.written_cum + (conn.out.len() - conn.out_pos) as u64;
+                conn.traces.push_back((target, tr));
             }
         }
         while conn.out_pos < conn.out.len() {
@@ -1241,10 +1216,13 @@ impl EventLoop<'_> {
     fn close_conn(&mut self, id: usize) {
         if let Some(conn) = self.conns.get_mut(id).and_then(Option::take) {
             let _ = self.poller.deregister(conn.fd);
-            // Keep traces whose responses were retired but never fully
-            // flushed — the record is still worth having; the write
-            // span just absorbs the time until the close.
-            for (_, tr) in conn.traces {
+            // Record the answers that never fully reached the peer:
+            // retired but unflushed, or filled behind an unanswered
+            // slot; the write span absorbs the time until the close.
+            // An unanswered slot is recorded when its answer arrives.
+            let unflushed = conn.traces.into_iter().map(|(_, tr)| tr);
+            let unretired = conn.pending.into_iter().filter_map(|s| s.answer);
+            for tr in unflushed.chain(unretired.map(|(_, tr)| tr)) {
                 self.app.observe_trace(tr.finish());
             }
             self.app.metrics().record_connection_closed(conn.served);
@@ -1295,7 +1273,7 @@ impl EventLoop<'_> {
                 conn.close_after = true;
                 let err = ParseError::new(408, "timed out waiting for a complete request");
                 let resp = self.app.handle_parse_error(&err);
-                self.push_immediate(id, resp, "timeout");
+                self.push_immediate(id, resp, Outcome::Timeout);
                 self.service(id);
             }
         }
@@ -1413,7 +1391,6 @@ fn job_deadline(req: &Request, default: Option<Duration>) -> Option<Duration> {
 /// waiter ever hangs on a dead thread.
 struct CoalitionGuard<'a> {
     key: Option<CoalesceKey>,
-    route: Route,
     shared: &'a WorkerShared,
 }
 
@@ -1424,7 +1401,7 @@ impl CoalitionGuard<'_> {
         panicked: bool,
         eval_us: u64,
         cache: CacheDelta,
-        outcome: &'static str,
+        outcome: Outcome,
     ) {
         if let Some(key) = self.key.take() {
             post_completion(
@@ -1447,7 +1424,6 @@ impl Drop for CoalitionGuard<'_> {
         let Some(key) = self.key.take() else {
             return;
         };
-        self.shared.app.metrics().record_unmeasured(self.route, 500);
         let body = ErrorBody::new(
             500,
             "internal error: the worker evaluating this request died",
@@ -1462,7 +1438,7 @@ impl Drop for CoalitionGuard<'_> {
                 panicked: true,
                 eval_us: 0,
                 cache: CacheDelta::default(),
-                outcome: "worker_died",
+                outcome: Outcome::WorkerDied,
             },
         );
     }
@@ -1524,34 +1500,31 @@ fn worker_loop(shared: &WorkerShared) {
         else {
             return; // Sender dropped: shutdown.
         };
-        shared.app.metrics().record_dequeued(enqueued.elapsed());
+        shared.app.metrics().record_dequeued();
         // From here until completion the coalition is owed an answer:
         // if anything below unwinds (an injected worker panic), the
         // guard posts the 500 during the unwind and the supervisor
         // respawns this thread.
         let guard = CoalitionGuard {
             key: Some(key),
-            route: Route::resolve(&req.path).0,
             shared,
         };
         // Deadline-aware shedding: work that expired in the queue is
         // answered 503 without spending evaluation cycles on it.
         if let Some(deadline) = job_deadline(&req, shared.default_deadline) {
             if deadline.is_zero() || enqueued.elapsed() > deadline {
-                shared.app.metrics().record_deadline_shed();
-                shared.app.metrics().record_unmeasured(guard.route, 503);
                 shared.app.logger().info(
                     "deadline_shed",
                     &[
                         ("trace_id", Json::str(trace_id.as_str())),
-                        ("route", Json::str(guard.route.label())),
+                        ("route", Json::str(Route::resolve(&req.path).0.label())),
                     ],
                 );
                 let body = ErrorBody::new(503, "deadline expired before evaluation; request shed")
                     .to_json()
                     .encode();
                 let resp = Response::json(503, body).with_retry_after(RETRY_AFTER_SECS);
-                guard.complete(resp, false, 0, CacheDelta::default(), "shed_deadline");
+                guard.complete(resp, false, 0, CacheDelta::default(), Outcome::ShedDeadline);
                 continue;
             }
         }
@@ -1574,7 +1547,7 @@ fn worker_loop(shared: &WorkerShared) {
         if panicked {
             shared.app.metrics().record_worker_panic();
         }
-        guard.complete(resp, panicked, eval_us, cache, "complete");
+        guard.complete(resp, panicked, eval_us, cache, Outcome::Complete);
     }
 }
 

@@ -6,10 +6,14 @@
 //! structured log event the request produces. As the request moves
 //! through the pipeline the server measures each stage
 //! (parse → queue-wait → eval → serialize → write) and, once the last
-//! response byte is flushed, folds the spans into a [`TraceRecord`]
-//! pushed onto a fixed-size [`TraceRing`]. `GET /v1/trace` snapshots
-//! the ring (newest last), filterable by route and minimum duration via
-//! [`TraceQuery`].
+//! response byte is flushed (or its connection is gone), folds the
+//! spans into a [`TraceRecord`]. Every request that reached dispatch
+//! yields exactly one record, and the record is the request's only
+//! instrumentation point: `App::observe_trace` pushes it onto a
+//! fixed-size [`TraceRing`], logs it, and derives every per-request
+//! `/v1/metrics` family from it (`Metrics::observe`). `GET /v1/trace`
+//! snapshots the ring (newest last), filterable by route and minimum
+//! duration via [`TraceQuery`].
 //!
 //! The ring never blocks a producer: each slot is guarded by its own
 //! `Mutex` taken with `try_lock`, and a contended slot just bumps a
@@ -22,6 +26,7 @@ use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::Json;
+use crate::metrics::Route;
 
 /// How many completed traces the ring retains (`GET /v1/trace` can
 /// return at most this many).
@@ -35,14 +40,13 @@ pub const TRACE_RING_CAPACITY: usize = 256;
 pub struct TraceRecord {
     /// Trace ID (client-supplied `X-Request-Id` or generated).
     pub id: String,
-    /// Route label, e.g. `"/v1/evaluate"`.
-    pub route: &'static str,
+    /// The resolved route; its label (e.g. `"/v1/evaluate"`) is the
+    /// record's `route` field in JSON.
+    pub route: Route,
     /// HTTP status of the response.
     pub status: u16,
-    /// Terminal outcome: `"complete"`, `"coalesce_join"`,
-    /// `"shed_overload"`, `"shed_deadline"`, `"quarantine"`,
-    /// `"parse_error"`, `"timeout"`, or `"worker_died"`.
-    pub outcome: &'static str,
+    /// How the request ended; its label is the JSON `outcome` field.
+    pub outcome: Outcome,
     /// Server uptime (seconds) when the request was accepted.
     pub started_s: f64,
     /// Total accept-to-last-byte latency in microseconds.
@@ -82,9 +86,9 @@ impl TraceRecord {
         let ms = |us: u64| Json::Num(us as f64 / 1000.0);
         Json::Obj(vec![
             ("id".to_string(), Json::str(self.id.clone())),
-            ("route".to_string(), Json::str(self.route)),
+            ("route".to_string(), Json::str(self.route.label())),
             ("status".to_string(), Json::Num(f64::from(self.status))),
-            ("outcome".to_string(), Json::str(self.outcome)),
+            ("outcome".to_string(), Json::str(self.outcome.label())),
             ("started_s".to_string(), Json::Num(self.started_s)),
             ("total_ms".to_string(), ms(self.total_us)),
             (
@@ -123,6 +127,44 @@ impl TraceRecord {
                 ]),
             ),
         ])
+    }
+}
+
+/// How a request ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Answered by its own evaluation or inline handler.
+    Complete,
+    /// Answered from an identical in-flight evaluation it joined.
+    CoalesceJoin,
+    /// Shed at dispatch because the worker queue was over its bound.
+    ShedOverload,
+    /// Shed unevaluated because its deadline expired in the queue.
+    ShedDeadline,
+    /// Answered 500 without dispatch: its body has killed workers.
+    Quarantine,
+    /// Failed HTTP parsing.
+    ParseError,
+    /// A partial request that stalled past the request timeout (408).
+    Timeout,
+    /// The worker evaluating it died (500).
+    WorkerDied,
+}
+
+impl Outcome {
+    /// The label `/v1/trace` and the request log show, e.g.
+    /// `"coalesce_join"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Outcome::Complete => "complete",
+            Outcome::CoalesceJoin => "coalesce_join",
+            Outcome::ShedOverload => "shed_overload",
+            Outcome::ShedDeadline => "shed_deadline",
+            Outcome::Quarantine => "quarantine",
+            Outcome::ParseError => "parse_error",
+            Outcome::Timeout => "timeout",
+            Outcome::WorkerDied => "worker_died",
+        }
     }
 }
 
@@ -318,7 +360,7 @@ impl TraceQuery {
     /// True when `rec` passes the route and duration filters.
     pub fn matches(&self, rec: &TraceRecord) -> bool {
         if let Some(route) = &self.route {
-            if rec.route != route.as_str() {
+            if rec.route.label() != route.as_str() {
                 return false;
             }
         }
@@ -330,12 +372,12 @@ impl TraceQuery {
 mod tests {
     use super::*;
 
-    fn rec(id: &str, route: &'static str, total_us: u64) -> TraceRecord {
+    fn rec(id: &str, route: Route, total_us: u64) -> TraceRecord {
         TraceRecord {
             id: id.to_string(),
             route,
             status: 200,
-            outcome: "complete",
+            outcome: Outcome::Complete,
             started_s: 1.5,
             total_us,
             parse_us: total_us / 5,
@@ -354,7 +396,7 @@ mod tests {
     #[test]
     fn span_sum_equals_total_by_construction() {
         for total in [0, 1, 7, 12_345, 999_999] {
-            assert_eq!(rec("x", "/v1/evaluate", total).span_sum_us(), total);
+            assert_eq!(rec("x", Route::Evaluate, total).span_sum_us(), total);
         }
     }
 
@@ -362,7 +404,7 @@ mod tests {
     fn ring_retains_newest_in_order() {
         let ring = TraceRing::new(4);
         for i in 0..10 {
-            ring.push(rec(&format!("r{i}"), "/v1/evaluate", i * 100));
+            ring.push(rec(&format!("r{i}"), Route::Evaluate, i * 100));
         }
         let snap = ring.snapshot();
         let ids: Vec<&str> = snap.iter().map(|r| r.id.as_str()).collect();
@@ -402,9 +444,9 @@ mod tests {
         let q = TraceQuery::parse("limit=2&route=/v1/evaluate&min_ms=0.5").unwrap();
         assert_eq!(q.limit, 2);
         assert_eq!(q.route.as_deref(), Some("/v1/evaluate"));
-        assert!(q.matches(&rec("a", "/v1/evaluate", 600)));
-        assert!(!q.matches(&rec("b", "/v1/evaluate", 400)));
-        assert!(!q.matches(&rec("c", "/v1/search", 600)));
+        assert!(q.matches(&rec("a", Route::Evaluate, 600)));
+        assert!(!q.matches(&rec("b", Route::Evaluate, 400)));
+        assert!(!q.matches(&rec("c", Route::Search, 600)));
         assert_eq!(TraceQuery::parse("").unwrap(), TraceQuery::default());
         assert!(TraceQuery::parse("limit=0").is_err());
         assert!(TraceQuery::parse("limit=abc").is_err());
@@ -415,8 +457,10 @@ mod tests {
 
     #[test]
     fn to_json_shape() {
-        let j = rec("abc", "/v1/evaluate", 5000).to_json();
+        let j = rec("abc", Route::Evaluate, 5000).to_json();
         assert_eq!(j.get("id").and_then(Json::as_str), Some("abc"));
+        assert_eq!(j.get("route").and_then(Json::as_str), Some("/v1/evaluate"));
+        assert_eq!(j.get("outcome").and_then(Json::as_str), Some("complete"));
         assert_eq!(j.get("total_ms").and_then(Json::as_f64), Some(5.0));
         let spans = j.get("spans").unwrap();
         assert_eq!(spans.get("parse_ms").and_then(Json::as_f64), Some(1.0));

@@ -1,18 +1,19 @@
 //! Golden pins of the `/v1/metrics` surfaces: the JSON view byte for
 //! byte, the Prometheus exposition as a set of family blocks, and the
-//! 404 body with its route list. Every counter is driven directly with
-//! fixed durations, so the only wall-clock reading — uptime — is masked.
+//! 404 body with its route list. Every per-request family is driven
+//! through `Metrics::observe` with fixed trace records, and the other
+//! counters directly, so the only wall-clock reading — uptime — is
+//! masked.
 //!
 //! The goldens live in `tests/golden/`; a change to either view must
 //! show up as a diff of those files.
-
-use std::time::Duration;
 
 use hl_eval::SweepContext;
 use hl_models::accuracy::PruningConfig;
 use hl_serve::api::{build_workload, App};
 use hl_serve::http::Request;
 use hl_serve::metrics::Route;
+use hl_serve::trace::{Outcome, TraceRecord};
 use hl_sim::engine::Engine;
 use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::GemmShape;
@@ -28,43 +29,75 @@ fn get(app: &App, path: &str) -> String {
     String::from_utf8(app.handle(&req).body).expect("UTF-8 body")
 }
 
+/// A finished request's record: `queue_us` of its `total_us` queued,
+/// the rest evaluating.
+fn record(
+    route: Route,
+    status: u16,
+    outcome: Outcome,
+    total_us: u64,
+    queue_us: u64,
+) -> TraceRecord {
+    TraceRecord {
+        id: String::new(),
+        route,
+        status,
+        outcome,
+        started_s: 0.0,
+        total_us,
+        parse_us: 0,
+        queue_us,
+        eval_us: total_us - queue_us,
+        serialize_us: 0,
+        write_us: 0,
+        eval_cache_hits: 0,
+        eval_cache_misses: 0,
+        search_cache_hits: 0,
+        retention_cache_hits: 0,
+        retention_cache_misses: 0,
+    }
+}
+
 /// A fresh app whose every metric family holds a fixed, non-trivial
 /// reading.
 fn driven_app() -> App {
     let app = App::with_context(SweepContext::with_engine(Engine::serial()));
     let m = app.metrics();
-    let us = Duration::from_micros;
-    m.record(Route::Healthz, 200, us(3));
-    m.record(Route::Designs, 200, us(40));
-    m.record(Route::Metrics, 200, us(90));
-    m.record(Route::Models, 200, us(35));
-    m.record(Route::Evaluate, 200, us(1_500));
-    m.record(Route::Evaluate, 400, us(12));
-    m.record(Route::EvaluateModel, 200, us(70_000));
-    m.record(Route::Sweep, 500, us(250_000));
-    m.record(Route::Search, 200, us(2_000_000));
-    m.record(Route::Trace, 304, us(7));
-    m.record(Route::Other, 404, us(1));
-    m.record(Route::Other, 101, us(2));
-    m.record_unmeasured(Route::Other, 400);
-    m.record_coalesced(Route::Search, 200, us(900_000));
+    for rec in [
+        record(Route::Healthz, 200, Outcome::Complete, 3, 0),
+        record(Route::Designs, 200, Outcome::Complete, 40, 0),
+        record(Route::Metrics, 200, Outcome::Complete, 90, 0),
+        record(Route::Models, 200, Outcome::Complete, 35, 0),
+        record(Route::Evaluate, 200, Outcome::Complete, 1_500, 5),
+        record(Route::Evaluate, 400, Outcome::Complete, 12, 2),
+        record(Route::EvaluateModel, 200, Outcome::Complete, 70_000, 20),
+        record(Route::Sweep, 500, Outcome::WorkerDied, 250_000, 700),
+        record(Route::Search, 200, Outcome::Complete, 2_000_000, 9),
+        record(Route::Trace, 304, Outcome::Complete, 7, 0),
+        record(Route::Other, 404, Outcome::Complete, 1, 0),
+        record(Route::Other, 101, Outcome::Complete, 2, 0),
+        record(Route::Other, 400, Outcome::ParseError, 4, 0),
+        record(Route::Search, 200, Outcome::CoalesceJoin, 900_000, 899_000),
+        record(Route::Evaluate, 500, Outcome::Quarantine, 6, 0),
+        record(Route::Evaluate, 503, Outcome::ShedDeadline, 300, 300),
+        record(Route::Search, 503, Outcome::ShedOverload, 8, 0),
+        record(Route::Sweep, 503, Outcome::ShedOverload, 9, 0),
+    ] {
+        m.observe(&rec);
+    }
     m.record_deprecated_route();
     m.record_deprecated_route();
     m.record_busy_rejection();
     m.record_worker_panic();
     m.record_worker_respawn();
-    m.record_quarantined();
-    m.record_deadline_shed();
-    m.record_overload_shed();
-    m.record_overload_shed();
     for served in [0, 1, 1, 2, 3, 5, 64, 40_000] {
         m.record_connection_opened();
         m.record_connection_closed(served);
     }
     m.record_connection_opened();
-    for wait in [5, 20, 700] {
+    for _ in 0..3 {
         m.record_enqueued();
-        m.record_dequeued(us(wait));
+        m.record_dequeued();
     }
     m.record_enqueued();
 

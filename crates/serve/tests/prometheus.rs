@@ -5,8 +5,6 @@
 //! every generated document passes the same validator the CI smoke runs
 //! (`hl-client promcheck`).
 
-use std::time::Duration;
-
 use hl_serve::metrics::{LatencyHistogram, LATENCY_BUCKETS};
 use hl_serve::prom::{validate_exposition, Exposition};
 use proptest::prelude::*;
@@ -47,7 +45,7 @@ impl Strategy for ObsStrategy {
 fn record_all(obs: &[u64]) -> LatencyHistogram {
     let h = LatencyHistogram::new();
     for &us in obs {
-        h.record(Duration::from_micros(us));
+        h.observe(us);
     }
     h
 }
@@ -127,9 +125,9 @@ proptest! {
         prop_assert_eq!(sum, h.sum_us() as f64 / 1e6);
     }
 
-    /// The interpolated quantile never exceeds the historical
-    /// upper-edge estimate (the JSON view's byte-compatible series),
-    /// stays inside the winning bucket, and is monotone in `q`.
+    /// The interpolated quantile stays inside the log₂ bucket holding
+    /// the exact rank-`⌈q·n⌉` observation (0 when empty) and is
+    /// monotone in `q`.
     #[test]
     fn interpolated_quantiles_are_bounded_and_monotone(
         obs in observations(),
@@ -138,16 +136,20 @@ proptest! {
     ) {
         let h = record_all(&obs);
         let (lo, hi) = (q1.min(q2) as f64 / 1000.0, q1.max(q2) as f64 / 1000.0);
+        let mut sorted = obs.clone();
+        sorted.sort_unstable();
         for q in [lo, hi] {
-            let interp = h.quantile_ms(q);
-            let edge = h.quantile_ms_upper_edge(q);
-            prop_assert!(interp <= edge, "q={q}: interpolated {interp} > edge {edge}");
-            // The edge estimate is the upper bound of the winning
-            // bucket, whose width is a factor of two.
-            if !obs.is_empty() {
-                prop_assert!(interp >= edge / 2.0 || edge <= 2.0 / 1000.0,
-                    "q={q}: {interp} below bucket floor {}", edge / 2.0);
-            }
+            let interp = h.quantile(q);
+            let rank = (q * obs.len() as f64).ceil().max(1.0) as usize;
+            let Some(&exact) = sorted.get(rank - 1) else {
+                prop_assert_eq!(interp, 0.0);
+                continue;
+            };
+            let i = (63 - exact.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
+            let floor = if i == 0 { 0.0 } else { (1u64 << i) as f64 };
+            let ceiling = (1u64 << (i + 1)) as f64;
+            prop_assert!((floor..=ceiling).contains(&interp),
+                "q={q}: {interp} µs outside the bucket [{floor}, {ceiling}] of {exact}");
         }
         prop_assert!(h.quantile_ms(lo) <= h.quantile_ms(hi),
             "quantile not monotone between {lo} and {hi}");
@@ -155,27 +157,52 @@ proptest! {
 }
 
 /// The full server exposition (every family, both histograms) validates
-/// and its latency `_count` matches the metrics' own counter.
+/// and its latency `_count` matches the metrics' own counter and the
+/// number of request records observed.
 #[test]
 fn full_app_exposition_validates() {
     use hl_serve::api::App;
     use hl_serve::http::Request;
+    use hl_serve::metrics::Route;
+    use hl_serve::trace::{Outcome, TraceRecord};
 
     let app = App::new();
-    let mk = |path: &str| Request {
-        method: "GET".into(),
-        path: path.into(),
-        query: String::new(),
-        headers: Vec::new(),
-        body: Vec::new(),
-    };
-    for _ in 0..3 {
-        let _ = app.handle(&mk("/v1/healthz"));
+    for path in ["/v1/healthz", "/v1/healthz", "/v1/healthz", "/nope"] {
+        let req = Request {
+            method: "GET".into(),
+            path: path.into(),
+            query: String::new(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        let status = app.handle(&req).status;
+        // What the server records once the answer is written.
+        app.observe_trace(TraceRecord {
+            id: "t".into(),
+            route: Route::resolve(path).0,
+            status,
+            outcome: Outcome::Complete,
+            started_s: 0.0,
+            total_us: 120,
+            parse_us: 10,
+            queue_us: 0,
+            eval_us: 100,
+            serialize_us: 5,
+            write_us: 5,
+            eval_cache_hits: 0,
+            eval_cache_misses: 0,
+            search_cache_hits: 0,
+            retention_cache_hits: 0,
+            retention_cache_misses: 0,
+        });
     }
-    let _ = app.handle(&mk("/nope"));
 
     let text = app.render_prometheus();
     validate_exposition(&text).expect("full exposition validates");
+    for family in ["hl_request_latency_seconds", "hl_queue_wait_seconds"] {
+        let (_, _, count) = parse_histogram(&text, family);
+        assert_eq!(count, 4.0, "{family}");
+    }
     let (_, _, count) = parse_histogram(&text, "hl_request_latency_seconds");
     assert_eq!(count, app.metrics().latency().count() as f64);
 }
