@@ -1,9 +1,10 @@
 //! Times the individual cold-path kernels — HSS conformance checking,
 //! compressed-format encoding, the functional micro-architecture
-//! simulator, fibertree construction, HSS pruning, and the accuracy
+//! simulator, fibertree construction, HSS pruning, the accuracy
 //! surrogate's retention misses, one at a time and as a co-design
-//! search's batch — and records the result in `BENCH_micro.json`
-//! (honoring `HL_BENCH_OUT`).
+//! search's batch, and the JSON number formatter every response runs —
+//! and records the result in `BENCH_micro.json` (honoring
+//! `HL_BENCH_OUT`).
 //!
 //! Where `bench_sweeps` measures the end-to-end sweeps, this harness
 //! isolates the kernels those sweeps are built from, so a regression in
@@ -13,9 +14,10 @@
 
 use std::time::Instant;
 
-use hl_bench::{bench_out_path, codesign_space};
-use hl_json::Json;
+use hl_bench::{bench_out_path, codesign_space, DesignId, SweepContext};
+use hl_json::{Json, Writer};
 use hl_models::accuracy::{accuracy_loss_cached, synthetic_weights, RetentionCache};
+use hl_models::ModelId;
 use hl_sim::engine::Engine;
 use hl_sim::micro::{MicroConfig, MicroSim};
 use hl_sparsity::prune::{hss_kept, hss_kept_sum_sq, prune_hss, PruneScratch};
@@ -140,6 +142,27 @@ fn main() {
             .iter()
             .map(|cfg| accuracy_loss_cached(&resnet, cfg, &cache))
             .sum()
+    });
+
+    // The numbers of every point of the 18 co-design searches (each
+    // design × model, budget 1.0) — what `/v1/search` answers carry —
+    // written through the response writer.
+    let ctx = SweepContext::with_engine(Engine::serial());
+    let models = ModelId::ALL.map(ModelId::build);
+    let numbers: Vec<f64> = DesignId::ALL
+        .iter()
+        .flat_map(|&design| models.iter().map(move |m| (design, m)))
+        .flat_map(|(design, m)| ctx.codesign(design, m, 1.0).points)
+        .flat_map(|p| [p.weight_sparsity, p.loss, p.edp, p.energy_j, p.latency_s])
+        .collect();
+    record("json_format_f64", 200, &mut || {
+        let mut w = Writer::with_capacity(numbers.len() * 24);
+        w.array(|w| {
+            for &n in &numbers {
+                w.value(n);
+            }
+        });
+        w.into_bytes().len() as f64
     });
 
     let json = Json::Obj(vec![

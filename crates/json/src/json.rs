@@ -1,21 +1,22 @@
 //! [`Json`] is the value tree; [`Json::encode`] produces compact RFC 8259
-//! output and [`Json::parse`] builds a tree by walking a
-//! [`Reader`](crate::Reader), the crate's one tokenizer, with a nesting
-//! cap ([`MAX_DEPTH`]) so adversarial request bodies cannot blow the
+//! output through a [`Writer`], the crate's one encoder, and
+//! [`Json::parse`] builds a tree by walking a [`Reader`], the crate's
+//! one tokenizer, with a nesting cap ([`MAX_DEPTH`]) so adversarial request bodies cannot blow the
 //! stack, and no panicking index or `unwrap` (the crate root's clippy
 //! lints reject them). Object member order is preserved (members are a
 //! `Vec`, not a map), which keeps encoding deterministic — the property
 //! the byte-identical `/evaluate` acceptance test relies on.
 //!
-//! Numbers are `f64` (as in JSON itself). Encoding uses Rust's shortest
-//! round-trip `Display` for `f64`, so `encode → parse` is the identity on
-//! finite numbers (asserted by hl-serve's `json_roundtrip` proptest
-//! suite). Non-finite numbers have no JSON representation and encode as
-//! `null`.
+//! Numbers are `f64` (as in JSON itself). The crate's own shortest
+//! round-trip formatter writes them, byte for byte what Rust's `Display`
+//! for `f64` prints, so `encode → parse` is the identity on finite
+//! numbers (asserted by hl-serve's `json_roundtrip` proptest suite).
+//! Non-finite numbers have no JSON representation and encode as `null`.
 
 use std::fmt;
 
 use crate::reader::{Kind, Reader};
+use crate::writer::Writer;
 
 /// Maximum nesting depth [`Json::parse`] accepts.
 pub const MAX_DEPTH: usize = 64;
@@ -83,43 +84,11 @@ impl Json {
         }
     }
 
-    /// Compact encoding.
+    /// Compact encoding, written by a [`Writer`].
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    fn encode_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => encode_number(*n, out),
-            Json::Str(s) => encode_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.encode_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    encode_string(k, out);
-                    out.push(':');
-                    v.encode_into(out);
-                }
-                out.push('}');
-            }
-        }
+        let mut w = Writer::new();
+        w.value(self);
+        w.into_string()
     }
 
     /// Parses one JSON document (any value type at the top level; only
@@ -164,39 +133,6 @@ impl Json {
             }
         })
     }
-}
-
-fn encode_number(n: f64, out: &mut String) {
-    use fmt::Write;
-    if n.is_finite() {
-        // Rust's Display for f64 is the shortest string that round-trips,
-        // so parse(encode(x)) == x exactly.
-        let _ = write!(out, "{n}");
-    } else {
-        // NaN / infinities have no JSON representation.
-        out.push_str("null");
-    }
-}
-
-fn encode_string(s: &str, out: &mut String) {
-    use fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A parse failure: what went wrong and where.

@@ -10,6 +10,15 @@
 //! tokenizer, so they accept exactly the same documents. The reader reads
 //! integers of at most 15 digits without `str::parse`; they are exact in
 //! an `f64`, so either way a number decodes to the same bits.
+//!
+//! One way out: [`Writer`] appends a document straight into a byte
+//! buffer, with no tree in between (the server writes every response
+//! body this way, each as a [`View`]); [`Json::encode`] is a walk of the
+//! tree through the same writer. Numbers are written by the crate's own
+//! shortest round-trip formatter, not by `Display`: its output is byte
+//! for byte `format!("{n}")` for every finite `f64` (fixed notation, no
+//! exponent, `-0` for negative zero), and NaN and ±infinity, which JSON
+//! cannot represent, are written as `null`.
 
 #![warn(missing_docs)]
 // Request-path invariant: the server parses every request body with this
@@ -32,7 +41,10 @@
 )]
 
 mod json;
+mod number;
 mod reader;
+mod writer;
 
 pub use json::{Json, JsonError, MAX_DEPTH};
 pub use reader::{Kind, Reader};
+pub use writer::{Value, View, Writer};

@@ -5,12 +5,16 @@
 //! cache are shared by every request the worker pool handles, so repeated
 //! `/v1/evaluate` queries replay from the memo instead of recomputing
 //! (the rising hit rate is visible in `/v1/metrics`). Handlers parse
-//! request bodies through the typed wire structs in [`crate::schema`]
-//! and stay pure request → [`Json`] functions; [`ApiError`] carries the
-//! 4xx/5xx mapping (rendered as the structured
-//! `{"error": {"code": …, "message": …}}` body) and panics are caught
-//! and answered with a 500 so one bad request can never take a worker
-//! down.
+//! request bodies through the typed wire structs in [`crate::schema`],
+//! compute, and return an `Answer`: the code that writes the response
+//! body through a [`Writer`], straight into the body's bytes with no
+//! [`Json`] tree in between. [`App::handle_traced`] runs the handler and
+//! then the answer, and reports the time the answer took, which the
+//! server traces as the request's serialize span rather than its eval
+//! span. [`ApiError`] carries the 4xx/5xx mapping (rendered as the
+//! structured `{"error": {"code": …, "message": …}}` body) and panics
+//! are caught and answered with a 500 so one bad request can never take
+//! a worker down.
 //!
 //! The endpoints are the rows of the route table
 //! `metrics::ROUTES`: `GET /v1/healthz`, `GET /v1/designs`,
@@ -28,7 +32,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hl_eval::{design_names, fig13_degrees, DesignId, SweepContext, UnknownDesign};
 use hl_models::accuracy::PruningConfig;
@@ -38,7 +42,7 @@ use hl_sim::{Accelerator, Workload};
 use hl_tensor::GemmShape;
 
 use crate::http::{ParseError, Request, Response};
-use crate::json::Json;
+use crate::json::{Json, Value, View, Writer};
 use crate::log::{Level, Logger};
 use crate::metrics::{self, Metrics, Route, ROUTES};
 use crate::prom;
@@ -157,24 +161,39 @@ impl App {
     /// deprecated-alias counter for unversioned paths. The request
     /// itself is counted from its trace record ([`App::observe_trace`]).
     pub fn handle(&self, req: &Request) -> Response {
-        self.handle_traced(req).0
+        self.handle_traced(req).response
     }
 
     /// [`App::handle`], also reporting whether the handler panicked —
     /// the serving layer quarantines a request body whose evaluation
-    /// keeps panicking instead of feeding it to the pool again.
-    pub fn handle_traced(&self, req: &Request) -> (Response, bool) {
+    /// keeps panicking instead of feeding it to the pool again — and how
+    /// long writing the response body took.
+    pub fn handle_traced(&self, req: &Request) -> Handled {
         let (route, deprecated) = Route::resolve(&req.path);
         if deprecated {
             self.metrics.record_deprecated_route();
         }
-        let dispatched = panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(req, route)));
-        let (resp, panicked) = match dispatched {
-            Ok(Ok(resp)) => (resp, false),
-            Ok(Err(e)) => (e.into_response(), false),
-            Err(_) => (ApiError::internal("handler panicked").into_response(), true),
-        };
-        (resp, panicked)
+        let dispatched = panic::catch_unwind(AssertUnwindSafe(|| {
+            let answer = self.dispatch(req, route);
+            let t_encode = Instant::now();
+            let response = match answer {
+                Ok(answer) => answer(),
+                Err(e) => e.into_response(),
+            };
+            (response, t_encode.elapsed())
+        }));
+        match dispatched {
+            Ok((response, encode)) => Handled {
+                response,
+                panicked: false,
+                encode_us: u64::try_from(encode.as_micros()).unwrap_or(u64::MAX),
+            },
+            Err(_) => Handled {
+                response: ApiError::internal("handler panicked").into_response(),
+                panicked: true,
+                encode_us: 0,
+            },
+        }
     }
 
     /// Answers a request that failed HTTP parsing.
@@ -188,21 +207,21 @@ impl App {
 
     /// Answers `req` on its resolved `route`: the legacy alias and the
     /// `/v1/` path resolve alike, so they answer byte-identically.
-    fn dispatch(&self, req: &Request, route: Route) -> Result<Response, ApiError> {
+    fn dispatch(&self, req: &Request, route: Route) -> Result<Answer<'_>, ApiError> {
         let method = route.spec().method;
         if route != Route::Other && req.method != method {
             return Err(ApiError::method_not_allowed(method));
         }
         match route {
-            Route::Healthz => Ok(ok_json(self.healthz())),
-            Route::Designs => Ok(ok_json(designs_json())),
+            Route::Healthz => Ok(self.healthz()),
+            Route::Designs => Ok(json_answer(designs_json())),
             Route::Metrics => self.metrics_response(req),
-            Route::Models => Ok(ok_json(models_json())),
-            Route::Trace => self.trace_endpoint(req).map(ok_json),
-            Route::Evaluate => self.evaluate(&req.body).map(ok_json),
-            Route::EvaluateModel => self.evaluate_model(&req.body).map(ok_json),
-            Route::Sweep => self.sweep(&req.body).map(ok_json),
-            Route::Search => self.search(&req.body).map(ok_json),
+            Route::Models => Ok(json_answer(models_json())),
+            Route::Trace => self.trace_endpoint(req),
+            Route::Evaluate => self.evaluate(&req.body),
+            Route::EvaluateModel => self.evaluate_model(&req.body),
+            Route::Sweep => self.sweep(&req.body),
+            Route::Search => self.search(&req.body),
             Route::Other => Err(ApiError::not_found(&req.path)),
         }
     }
@@ -212,49 +231,57 @@ impl App {
     /// `format` is given) selects the Prometheus text exposition;
     /// everything else gets the JSON view. Both render the same
     /// families, the per-request ones derived from trace records.
-    fn metrics_response(&self, req: &Request) -> Result<Response, ApiError> {
+    fn metrics_response(&self, req: &Request) -> Result<Answer<'_>, ApiError> {
         if wants_prometheus(req)? {
-            Ok(Response {
+            Ok(Box::new(|| Response {
                 status: 200,
                 content_type: prom::CONTENT_TYPE,
                 body: self.render_prometheus().into_bytes(),
                 retry_after: None,
-            })
+            }))
         } else {
-            Ok(ok_json(metrics::metrics_json(self)))
+            Ok(json_answer(metrics::metrics_json(self)))
         }
     }
 
     /// `GET /v1/trace`: recent completed request lifecycles, newest
     /// last, filtered by [`TraceQuery`] (`limit`, `route`, `min_ms`).
-    fn trace_endpoint(&self, req: &Request) -> Result<Json, ApiError> {
+    fn trace_endpoint(&self, req: &Request) -> Result<Answer<'_>, ApiError> {
         let q = TraceQuery::parse(&req.query).map_err(ApiError::bad_request)?;
-        let snap = self.traces.snapshot();
-        let mut recs: Vec<&TraceRecord> = snap.iter().filter(|r| q.matches(r)).collect();
+        let mut recs: Vec<TraceRecord> = self
+            .traces
+            .snapshot()
+            .into_iter()
+            .filter(|r| q.matches(r))
+            .collect();
         if recs.len() > q.limit {
             recs.drain(..recs.len() - q.limit);
         }
-        Ok(Json::Obj(vec![
-            ("count".into(), Json::Num(recs.len() as f64)),
-            ("capacity".into(), Json::Num(self.traces.capacity() as f64)),
-            ("dropped".into(), Json::Num(self.traces.dropped() as f64)),
-            (
-                "traces".into(),
-                Json::Arr(recs.iter().map(|r| r.to_json()).collect()),
-            ),
-        ]))
+        let (capacity, dropped) = (self.traces.capacity(), self.traces.dropped());
+        Ok(json_answer(View::new(move |w| {
+            w.object(|w| {
+                w.field("count", recs.len())
+                    .field("capacity", capacity)
+                    .field("dropped", dropped);
+                w.key("traces").array(|w| {
+                    for r in &recs {
+                        w.value(r.to_json());
+                    }
+                });
+            });
+        })))
     }
 
-    fn healthz(&self) -> Json {
-        Json::Obj(vec![
-            ("status".into(), Json::str("ok")),
-            ("uptime_s".into(), Json::Num(self.metrics.uptime_s())),
-            (
-                "threads".into(),
-                Json::Num(self.ctx.engine().threads() as f64),
-            ),
-            ("designs".into(), Json::Num(DesignId::ALL.len() as f64)),
-        ])
+    fn healthz(&self) -> Answer<'_> {
+        let (uptime_s, threads) = (self.metrics.uptime_s(), self.ctx.engine().threads());
+        json_answer(View::new(move |w| {
+            w.object(|w| {
+                w.field("status", "ok")
+                    .field("uptime_s", uptime_s)
+                    .field("threads", threads)
+                    .field("designs", DesignId::ALL.len());
+            });
+        }))
     }
 
     /// The Prometheus text exposition (format 0.0.4) of every
@@ -264,21 +291,22 @@ impl App {
         metrics::render_prometheus(self)
     }
 
-    fn evaluate(&self, body: &[u8]) -> Result<Json, ApiError> {
+    fn evaluate(&self, body: &[u8]) -> Result<Answer<'_>, ApiError> {
         let req = schema::EvaluateRequest::from_body(body)?;
         let id: DesignId = req.design.parse()?;
         let workload = id.workload(req.shape, req.a_sparsity, req.b_sparsity);
 
         let outcome = self.ctx.evaluate_best(id.build().as_ref(), &workload);
-        let mut members = vec![
-            ("design".into(), Json::str(id.name())),
-            ("workload".into(), Json::str(&workload.name)),
-        ];
-        members.extend(schema::workload_eval_members(&workload, &outcome));
-        Ok(Json::Obj(members))
+        Ok(json_answer(View::new(move |w| {
+            w.object(|w| {
+                w.field("design", id.name())
+                    .field("workload", &workload.name);
+                schema::write_workload_eval(w, &workload, &outcome);
+            });
+        })))
     }
 
-    fn evaluate_model(&self, body: &[u8]) -> Result<Json, ApiError> {
+    fn evaluate_model(&self, body: &[u8]) -> Result<Answer<'_>, ApiError> {
         let req = schema::EvaluateModelRequest::from_body(body)?;
         let id: DesignId = req.design.parse()?;
         let model = hl_models::model_by_name(&req.model)
@@ -287,29 +315,33 @@ impl App {
 
         let eval = self.ctx.eval_network(id, &model, &pruning);
         let loss = self.ctx.accuracy_loss(&model, &pruning);
-        Ok(Json::Obj(vec![
-            ("design".into(), Json::str(id.name())),
-            ("model".into(), Json::str(&model.name)),
-            ("metric".into(), Json::str(model.metric)),
-            ("pruning".into(), Json::str(pruning.to_string())),
-            ("weight_sparsity".into(), Json::Num(pruning.sparsity())),
-            ("accuracy_loss".into(), Json::Num(loss)),
-            ("supported".into(), Json::Bool(eval.supported())),
-            ("network".into(), network_eval_json(&eval)),
-        ]))
+        Ok(json_answer(View::new(move |w| {
+            w.object(|w| {
+                w.field("design", id.name())
+                    .field("model", &model.name)
+                    .field("metric", model.metric)
+                    .field("pruning", pruning.to_string())
+                    .field("weight_sparsity", pruning.sparsity())
+                    .field("accuracy_loss", loss)
+                    .field("supported", eval.supported())
+                    .field("network", network_eval_json(&eval));
+            });
+        })))
     }
 
-    fn search(&self, body: &[u8]) -> Result<Json, ApiError> {
+    fn search(&self, body: &[u8]) -> Result<Answer<'_>, ApiError> {
         let req = schema::SearchRequest::from_body(body)?;
         let id: DesignId = req.design.parse()?;
         let model = hl_models::model_by_name(&req.model)
             .map_err(|e| ApiError::bad_request(e.to_string()))?;
 
         let outcome = self.ctx.codesign(id, &model, req.budget);
-        Ok(search_outcome_json(&outcome))
+        Ok(json_answer(View::new(move |w| {
+            w.value(search_outcome_json(&outcome));
+        })))
     }
 
-    fn sweep(&self, body: &[u8]) -> Result<Json, ApiError> {
+    fn sweep(&self, body: &[u8]) -> Result<Answer<'_>, ApiError> {
         let req = schema::SweepRequest::from_body(body)?;
         let names: Vec<String> = req.designs.unwrap_or_else(design_names);
         let ids: Vec<DesignId> = names.iter().map(|n| n.parse()).collect::<Result<_, _>>()?;
@@ -333,42 +365,65 @@ impl App {
         let rows_total = a_degrees.len() * b_degrees.len();
         let rows = grid.run(self.ctx.engine());
 
-        let row_objs: Vec<Json> = degrees
-            .iter()
-            .zip(&rows)
-            .map(|((sa, sb), results)| {
-                Json::Obj(vec![
-                    ("a_sparsity".into(), Json::Num(*sa)),
-                    ("b_sparsity".into(), Json::Num(*sb)),
-                    (
-                        "results".into(),
-                        Json::Arr(
-                            results
-                                .iter()
-                                .map(|r| r.as_ref().map_or(Json::Null, eval_result_json))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        Ok(Json::Obj(vec![
-            ("shape".into(), schema::shape_json(shape)),
-            (
-                "designs".into(),
-                Json::Arr(names.iter().map(Json::str).collect()),
-            ),
-            ("rows_total".into(), Json::Num(rows_total as f64)),
-            ("rows_returned".into(), Json::Num(row_objs.len() as f64)),
-            ("truncated".into(), Json::Bool(row_objs.len() < rows_total)),
-            ("rows".into(), Json::Arr(row_objs)),
-        ]))
+        Ok(json_answer(View::new(move |w| {
+            w.object(|w| {
+                w.field("shape", schema::shape_json(shape));
+                w.key("designs").array(|w| {
+                    for name in &names {
+                        w.value(name);
+                    }
+                });
+                w.field("rows_total", rows_total)
+                    .field("rows_returned", rows.len())
+                    .field("truncated", rows.len() < rows_total);
+                w.key("rows").array(|w| {
+                    for ((sa, sb), results) in degrees.iter().zip(&rows) {
+                        w.object(|w| {
+                            w.field("a_sparsity", *sa).field("b_sparsity", *sb);
+                            w.key("results").array(|w| {
+                                for r in results {
+                                    w.value(r.as_ref().map(eval_result_json));
+                                }
+                            });
+                        });
+                    }
+                });
+            });
+        })))
     }
 }
 
-/// Wraps a handler's JSON payload as the canonical 200 response.
-fn ok_json(json: Json) -> Response {
-    Response::json(200, json.encode())
+/// What [`App::handle_traced`] returns for one request.
+#[derive(Debug)]
+pub struct Handled {
+    /// The response.
+    pub response: Response,
+    /// The handler panicked (and `response` is the 500 answering it).
+    pub panicked: bool,
+    /// Microseconds spent writing the response body, after the handler
+    /// computed what it holds.
+    pub encode_us: u64,
+}
+
+/// A handler's result, computed but not yet written: calling it writes
+/// the response body. [`App::handle_traced`] times the call apart from
+/// the handler.
+type Answer<'a> = Box<dyn FnOnce() -> Response + 'a>;
+
+/// Room reserved for a response body before writing it; the largest
+/// common bodies (a search, a model evaluation) fit without regrowing.
+const BODY_CAPACITY: usize = 16 << 10;
+
+/// The 200 answer whose JSON body `view` writes.
+fn json_answer<'a>(view: impl Value + 'a) -> Answer<'a> {
+    Box::new(move || Response::json(200, json_body(view)))
+}
+
+/// Writes `view` as a whole response body.
+fn json_body(view: impl Value) -> Vec<u8> {
+    let mut w = Writer::with_capacity(BODY_CAPACITY);
+    w.value(view);
+    w.into_bytes()
 }
 
 /// Content negotiation for `GET /v1/metrics`: an explicit
@@ -394,53 +449,46 @@ fn wants_prometheus(req: &Request) -> Result<bool, ApiError> {
 
 /// The `GET /v1/designs` payload: every registered design with its
 /// Table 3/4 identity.
-pub fn designs_json() -> Json {
-    let designs: Vec<Json> = DesignId::ALL
-        .map(DesignId::build)
-        .iter()
-        .map(|d| {
-            let area = d.area();
-            Json::Obj(vec![
-                ("name".into(), Json::str(d.name())),
-                (
-                    "supported_patterns".into(),
-                    Json::str(d.supported_patterns()),
-                ),
-                ("swappable".into(), Json::Bool(d.swappable())),
-                ("area_mm2".into(), Json::Num(area.total() / 1e6)),
-                (
-                    "sparsity_tax_mm2".into(),
-                    Json::Num(area.sparsity_tax() / 1e6),
-                ),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![("designs".into(), Json::Arr(designs))])
+pub fn designs_json() -> View<impl Fn(&mut Writer)> {
+    View::new(|w| {
+        w.object(|w| {
+            w.key("designs").array(|w| {
+                for d in DesignId::ALL.map(DesignId::build) {
+                    let area = d.area();
+                    w.object(|w| {
+                        w.field("name", d.name())
+                            .field("supported_patterns", d.supported_patterns())
+                            .field("swappable", d.swappable())
+                            .field("area_mm2", area.total() / 1e6)
+                            .field("sparsity_tax_mm2", area.sparsity_tax() / 1e6);
+                    });
+                }
+            });
+        });
+    })
 }
 
 /// The `GET /v1/models` payload: every registered model with its
 /// inventory summary.
-pub fn models_json() -> Json {
-    let models: Vec<Json> = ModelId::ALL
-        .map(ModelId::build)
-        .iter()
-        .map(|m| {
-            Json::Obj(vec![
-                ("name".into(), Json::str(&m.name)),
-                ("metric".into(), Json::str(m.metric)),
-                ("dense_accuracy".into(), Json::Num(m.dense_accuracy)),
-                ("layer_shapes".into(), Json::Num(m.layers.len() as f64)),
-                ("gmacs".into(), Json::Num(m.total_macs() / 1e9)),
-                ("prunable_fraction".into(), Json::Num(m.prunable_fraction())),
-                (
-                    "avg_activation_sparsity".into(),
-                    Json::Num(m.avg_activation_sparsity()),
-                ),
-                ("has_dense_layers".into(), Json::Bool(m.has_dense_layers())),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![("models".into(), Json::Arr(models))])
+pub fn models_json() -> View<impl Fn(&mut Writer)> {
+    View::new(|w| {
+        w.object(|w| {
+            w.key("models").array(|w| {
+                for m in ModelId::ALL.map(ModelId::build) {
+                    w.object(|w| {
+                        w.field("name", &m.name)
+                            .field("metric", m.metric)
+                            .field("dense_accuracy", m.dense_accuracy)
+                            .field("layer_shapes", m.layers.len())
+                            .field("gmacs", m.total_macs() / 1e9)
+                            .field("prunable_fraction", m.prunable_fraction())
+                            .field("avg_activation_sparsity", m.avg_activation_sparsity())
+                            .field("has_dense_layers", m.has_dense_layers());
+                    });
+                }
+            });
+        });
+    })
 }
 
 /// Parses the `/v1/evaluate_model` `"pruning"` field into a
@@ -520,8 +568,8 @@ impl ApiError {
 
     /// The JSON error response.
     pub fn into_response(self) -> Response {
-        let body = ErrorBody::new(self.status, self.message).to_json().encode();
-        Response::json(self.status, body)
+        let body = ErrorBody::new(self.status, self.message);
+        Response::json(self.status, json_body(body.to_json()))
     }
 }
 

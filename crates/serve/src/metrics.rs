@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::api::App;
-use crate::json::Json;
+use crate::json::{Value, View, Writer};
 use crate::prom::Exposition;
 use crate::trace::{Outcome, TraceRecord};
 
@@ -710,92 +710,113 @@ pub(crate) static FAMILIES: [Family; 27] = [
 
 const QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)];
 
-/// Adds `key: value` to the JSON object at `object` (`""` is the root).
-/// A row whose object differs from the last root member's opens a new
-/// object, which is why rows sharing an object are adjacent.
-fn put(root: &mut Vec<(String, Json)>, object: &str, key: &str, value: Json) {
-    let member = (key.to_string(), value);
-    if object.is_empty() {
-        root.push(member);
-        return;
-    }
-    match root.last_mut() {
-        Some((name, Json::Obj(members))) if name == object => members.push(member),
-        _ => root.push((object.to_string(), Json::Obj(vec![member]))),
-    }
+/// One member of a `/v1/metrics` JSON object, held until the walk leaves
+/// its object: a `CounterVec`'s `total` leads members read before it.
+enum Leaf<'a> {
+    Num(f64),
+    Latency(&'a LatencyHistogram),
+    Reuse(&'a Log2Histogram<REUSE_BUCKETS>),
 }
 
-fn num(key: &str, value: f64) -> (String, Json) {
-    (key.to_string(), Json::Num(value))
-}
-
-/// The `/v1/metrics` JSON view: one walk over [`FAMILIES`].
-pub(crate) fn metrics_json(app: &App) -> Json {
-    let mut root: Vec<(String, Json)> = Vec::new();
-    for family in &FAMILIES {
-        let (object, key) = family.json.rsplit_once('.').unwrap_or(("", family.json));
-        match family.kind {
-            Kind::Counter(read) | Kind::Gauge(read) => {
-                put(&mut root, object, key, Json::Num(read(app)));
+impl Value for Leaf<'_> {
+    fn write_to(self, w: &mut Writer) {
+        match self {
+            Leaf::Num(n) => {
+                w.value(n);
             }
-            Kind::Misses(read) => {
-                let misses = read(app);
-                let hits = match root.last() {
-                    Some((name, members)) if name == object => {
-                        members.get("hits").and_then(Json::as_f64).unwrap_or(0.0)
+            Leaf::Latency(h) => {
+                w.object(|w| {
+                    w.field("count", h.count()).field("mean", h.mean() / 1000.0);
+                    for (name, q) in QUANTILES {
+                        w.field(name, h.quantile_ms(q));
                     }
-                    _ => 0.0,
-                };
-                let rate = if hits + misses == 0.0 {
-                    0.0
-                } else {
-                    hits / (hits + misses)
-                };
-                put(&mut root, object, key, Json::Num(misses));
-                put(&mut root, object, "hit_rate", Json::Num(rate));
+                });
             }
-            Kind::CounterVec { total, read, .. } => {
-                let samples = read(app);
-                let sum = samples.iter().map(|(_, v)| v).sum();
-                for (label, value) in samples {
-                    put(&mut root, family.json, label, Json::Num(value));
-                }
-                if total {
-                    if let Some((_, Json::Obj(members))) = root.last_mut() {
-                        members.insert(0, num("total", sum));
-                    }
-                }
-            }
-            Kind::Latency(read) => {
-                let h = read(app);
-                let mut members = vec![
-                    num("count", h.count() as f64),
-                    num("mean", h.mean() / 1000.0),
-                ];
-                for (name, q) in QUANTILES {
-                    members.push(num(name, h.quantile_ms(q)));
-                }
-                put(&mut root, object, key, Json::Obj(members));
-            }
-            Kind::Reuse(read) => {
-                let h = read(app);
-                let buckets = (0u32..)
-                    .zip(h.bucket_counts())
-                    .filter(|&(_, n)| n > 0)
-                    .map(|(i, n)| {
-                        Json::Obj(vec![num("ge", (1u64 << i) as f64), num("count", n as f64)])
-                    })
-                    .collect();
-                let members = vec![
-                    num("count", h.count() as f64),
-                    num("mean_requests", h.mean()),
-                    ("histogram".into(), Json::Arr(buckets)),
-                ];
-                put(&mut root, object, key, Json::Obj(members));
+            Leaf::Reuse(h) => {
+                w.object(|w| {
+                    w.field("count", h.count()).field("mean_requests", h.mean());
+                    w.key("histogram").array(|w| {
+                        for (i, n) in (0u32..).zip(h.bucket_counts()).filter(|&(_, n)| n > 0) {
+                            w.object(|w| {
+                                w.field("ge", 1u64 << i).field("count", n);
+                            });
+                        }
+                    });
+                });
             }
         }
     }
-    Json::Obj(root)
+}
+
+/// Writes the members of the object named `object` (`""` is the root)
+/// and empties `members`.
+fn write_members(w: &mut Writer, object: &str, members: &mut Vec<(&str, Leaf<'_>)>) {
+    if object.is_empty() {
+        for (key, leaf) in members.drain(..) {
+            w.field(key, leaf);
+        }
+    } else if !members.is_empty() {
+        w.key(object).object(|w| {
+            for (key, leaf) in members.drain(..) {
+                w.field(key, leaf);
+            }
+        });
+    }
+}
+
+/// The `/v1/metrics` JSON view: one walk over [`FAMILIES`]. Rows whose
+/// JSON paths share an object are adjacent, so an object is written
+/// once the walk leaves it.
+pub(crate) fn metrics_json(app: &App) -> View<impl Fn(&mut Writer) + '_> {
+    View::new(move |w| {
+        w.object(|w| {
+            let mut object = "";
+            let mut members: Vec<(&str, Leaf<'_>)> = Vec::new();
+            for family in &FAMILIES {
+                let (parent, key) = match family.kind {
+                    Kind::CounterVec { .. } => (family.json, ""),
+                    _ => family.json.rsplit_once('.').unwrap_or(("", family.json)),
+                };
+                if parent != object {
+                    write_members(w, object, &mut members);
+                    object = parent;
+                }
+                match family.kind {
+                    Kind::Counter(read) | Kind::Gauge(read) => {
+                        members.push((key, Leaf::Num(read(app))));
+                    }
+                    Kind::Misses(read) => {
+                        let misses = read(app);
+                        let hits = members
+                            .iter()
+                            .find_map(|(k, leaf)| match leaf {
+                                Leaf::Num(n) if *k == "hits" => Some(*n),
+                                _ => None,
+                            })
+                            .unwrap_or(0.0);
+                        let rate = if hits + misses == 0.0 {
+                            0.0
+                        } else {
+                            hits / (hits + misses)
+                        };
+                        members.push((key, Leaf::Num(misses)));
+                        members.push(("hit_rate", Leaf::Num(rate)));
+                    }
+                    Kind::CounterVec { total, read, .. } => {
+                        let samples = read(app);
+                        if total {
+                            let sum = samples.iter().map(|(_, v)| v).sum();
+                            members.insert(0, ("total", Leaf::Num(sum)));
+                        }
+                        members.extend(samples.into_iter().map(|(l, v)| (l, Leaf::Num(v))));
+                    }
+                    Kind::Latency(read) => members.push((key, Leaf::Latency(read(app)))),
+                    Kind::Reuse(read) => members.push((key, Leaf::Reuse(read(app)))),
+                }
+            }
+            write_members(w, object, &mut members);
+        });
+    })
 }
 
 /// Exports a log₂ histogram, `per_unit` observations to one exported

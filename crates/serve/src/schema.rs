@@ -22,6 +22,10 @@
 //! - the canonical response encoders ([`eval_result_json`],
 //!   [`network_eval_json`], [`search_outcome_json`]) are the single
 //!   source of truth the byte-identity acceptance tests compare against;
+//! - every encoder here, requests' `to_json` included, returns a
+//!   [`View`]: the code that writes the value through a [`Writer`],
+//!   straight into the output bytes with no [`Json`] tree. A view
+//!   encodes alone (`.encode()`) or nests as a field of a larger body;
 //! - every 4xx/5xx renders as `{"error": {"code": …, "message": …}}`
 //!   ([`ErrorBody`]), with [`error_code`] mapping status → stable code.
 //!
@@ -36,7 +40,7 @@ use hl_sim::{EvalResult, Unsupported, Workload};
 use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::GemmShape;
 
-use crate::json::Json;
+use crate::json::{Json, View, Writer};
 
 /// Largest accepted GEMM dimension (the analytical models are closed-form,
 /// but keep request shapes sane).
@@ -299,21 +303,19 @@ fn deadline_field(reader: &ObjReader<'_>) -> Result<Option<u64>, SchemaError> {
     Ok(Some(n as u64))
 }
 
-/// Appends `deadline_ms` to a canonical encoding only when present —
+/// Writes `deadline_ms` into a canonical encoding only when present —
 /// requests without a deadline encode byte-identically to the pre-
 /// deadline wire format.
-fn push_deadline(members: &mut Vec<(String, Json)>, deadline_ms: Option<u64>) {
+fn write_deadline(w: &mut Writer, deadline_ms: Option<u64>) {
     if let Some(ms) = deadline_ms {
-        members.push(("deadline_ms".into(), Json::Num(ms as f64)));
+        w.field("deadline_ms", ms);
     }
 }
 
-fn shape_members(shape: GemmShape) -> [(String, Json); 3] {
-    [
-        ("m".into(), Json::Num(shape.m as f64)),
-        ("k".into(), Json::Num(shape.k as f64)),
-        ("n".into(), Json::Num(shape.n as f64)),
-    ]
+fn write_shape_fields(w: &mut Writer, shape: GemmShape) {
+    w.field("m", shape.m)
+        .field("k", shape.k)
+        .field("n", shape.n);
 }
 
 /// `POST /v1/evaluate`: one `(design, shape, sparsity-degree)` cell.
@@ -355,7 +357,8 @@ impl EvaluateRequest {
         Self::from_json(&parse_body_json(body)?)
     }
 
-    /// Parses from a JSON value; inverse of [`EvaluateRequest::to_json`].
+    /// Parses from a JSON value; inverse of [`EvaluateRequest::to_json`]
+    /// (through its encoding).
     ///
     /// # Errors
     /// Any [`SchemaError`].
@@ -372,13 +375,16 @@ impl EvaluateRequest {
 
     /// The canonical wire encoding (all fields explicit; the deadline
     /// stays absent when unset).
-    pub fn to_json(&self) -> Json {
-        let mut members = vec![("design".into(), Json::str(&self.design))];
-        members.extend(shape_members(self.shape));
-        members.push(("a_sparsity".into(), Json::Num(self.a_sparsity)));
-        members.push(("b_sparsity".into(), Json::Num(self.b_sparsity)));
-        push_deadline(&mut members, self.deadline_ms);
-        Json::Obj(members)
+    pub fn to_json(&self) -> View<impl Fn(&mut Writer) + '_> {
+        View::new(|w| {
+            w.object(|w| {
+                w.field("design", &self.design);
+                write_shape_fields(w, self.shape);
+                w.field("a_sparsity", self.a_sparsity)
+                    .field("b_sparsity", self.b_sparsity);
+                write_deadline(w, self.deadline_ms);
+            });
+        })
     }
 }
 
@@ -408,7 +414,7 @@ impl EvaluateModelRequest {
     }
 
     /// Parses from a JSON value; inverse of
-    /// [`EvaluateModelRequest::to_json`].
+    /// [`EvaluateModelRequest::to_json`] (through its encoding).
     ///
     /// # Errors
     /// Any [`SchemaError`].
@@ -424,14 +430,15 @@ impl EvaluateModelRequest {
 
     /// The canonical wire encoding (all fields explicit; the deadline
     /// stays absent when unset).
-    pub fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("design".into(), Json::str(&self.design)),
-            ("model".into(), Json::str(&self.model)),
-            ("pruning".into(), pruning_spec_json(&self.pruning)),
-        ];
-        push_deadline(&mut members, self.deadline_ms);
-        Json::Obj(members)
+    pub fn to_json(&self) -> View<impl Fn(&mut Writer) + '_> {
+        View::new(|w| {
+            w.object(|w| {
+                w.field("design", &self.design)
+                    .field("model", &self.model)
+                    .field("pruning", pruning_spec_json(&self.pruning));
+                write_deadline(w, self.deadline_ms);
+            });
+        })
     }
 }
 
@@ -460,7 +467,8 @@ impl SearchRequest {
         Self::from_json(&parse_body_json(body)?)
     }
 
-    /// Parses from a JSON value; inverse of [`SearchRequest::to_json`].
+    /// Parses from a JSON value; inverse of [`SearchRequest::to_json`]
+    /// (through its encoding).
     ///
     /// # Errors
     /// Any [`SchemaError`].
@@ -483,14 +491,15 @@ impl SearchRequest {
 
     /// The canonical wire encoding (the deadline stays absent when
     /// unset).
-    pub fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("design".into(), Json::str(&self.design)),
-            ("model".into(), Json::str(&self.model)),
-            ("budget".into(), Json::Num(self.budget)),
-        ];
-        push_deadline(&mut members, self.deadline_ms);
-        Json::Obj(members)
+    pub fn to_json(&self) -> View<impl Fn(&mut Writer) + '_> {
+        View::new(|w| {
+            w.object(|w| {
+                w.field("design", &self.design)
+                    .field("model", &self.model)
+                    .field("budget", self.budget);
+                write_deadline(w, self.deadline_ms);
+            });
+        })
     }
 }
 
@@ -536,7 +545,8 @@ impl SweepRequest {
         Self::from_json(&parse_body_json(body)?)
     }
 
-    /// Parses from a JSON value; inverse of [`SweepRequest::to_json`].
+    /// Parses from a JSON value; inverse of [`SweepRequest::to_json`]
+    /// (through its encoding).
     ///
     /// # Errors
     /// Any [`SchemaError`].
@@ -579,31 +589,35 @@ impl SweepRequest {
     }
 
     /// The canonical wire encoding (optional fields stay absent).
-    pub fn to_json(&self) -> Json {
-        let mut members = Vec::new();
-        if let Some(designs) = &self.designs {
-            members.push((
-                "designs".into(),
-                Json::Arr(designs.iter().map(Json::str).collect()),
-            ));
-        }
-        for (key, degrees) in [
-            ("a_degrees", &self.a_degrees),
-            ("b_degrees", &self.b_degrees),
-        ] {
-            if let Some(degrees) = degrees {
-                members.push((
-                    key.into(),
-                    Json::Arr(degrees.iter().map(|&d| Json::Num(d)).collect()),
-                ));
-            }
-        }
-        members.extend(shape_members(self.shape));
-        if let Some(limit) = self.limit {
-            members.push(("limit".into(), Json::Num(limit as f64)));
-        }
-        push_deadline(&mut members, self.deadline_ms);
-        Json::Obj(members)
+    pub fn to_json(&self) -> View<impl Fn(&mut Writer) + '_> {
+        View::new(|w| {
+            w.object(|w| {
+                if let Some(designs) = &self.designs {
+                    w.key("designs").array(|w| {
+                        for d in designs {
+                            w.value(d);
+                        }
+                    });
+                }
+                for (key, degrees) in [
+                    ("a_degrees", &self.a_degrees),
+                    ("b_degrees", &self.b_degrees),
+                ] {
+                    if let Some(degrees) = degrees {
+                        w.key(key).array(|w| {
+                            for &d in degrees {
+                                w.value(d);
+                            }
+                        });
+                    }
+                }
+                write_shape_fields(w, self.shape);
+                if let Some(limit) = self.limit {
+                    w.field("limit", limit);
+                }
+                write_deadline(w, self.deadline_ms);
+            });
+        })
     }
 }
 
@@ -730,162 +744,164 @@ fn gh_component(v: &Json) -> Result<u32, SchemaError> {
 }
 
 /// The canonical wire encoding of a [`PruningConfig`]; inverse of
-/// [`pruning_spec`].
-pub fn pruning_spec_json(config: &PruningConfig) -> Json {
-    match config {
-        PruningConfig::Dense => Json::str("dense"),
-        PruningConfig::Unstructured { sparsity } => {
-            Json::Obj(vec![("unstructured".into(), Json::Num(*sparsity))])
+/// [`pruning_spec`] (through its encoding).
+pub fn pruning_spec_json(config: &PruningConfig) -> View<impl Fn(&mut Writer) + '_> {
+    View::new(move |w| match config {
+        PruningConfig::Dense => {
+            w.value("dense");
         }
-        PruningConfig::Hss(pattern) => Json::Obj(vec![(
-            "hss".into(),
-            Json::Arr(
-                pattern
-                    .ranks()
-                    .iter()
-                    .map(|gh| {
-                        Json::Arr(vec![Json::Num(f64::from(gh.g)), Json::Num(f64::from(gh.h))])
-                    })
-                    .collect(),
-            ),
-        )]),
-    }
+        PruningConfig::Unstructured { sparsity } => {
+            w.object(|w| {
+                w.field("unstructured", *sparsity);
+            });
+        }
+        PruningConfig::Hss(pattern) => {
+            w.object(|w| {
+                w.key("hss").array(|w| {
+                    for gh in pattern.ranks() {
+                        w.array(|w| {
+                            w.value(gh.g).value(gh.h);
+                        });
+                    }
+                });
+            });
+        }
+    })
 }
 
 /// The canonical JSON view of a [`GemmShape`].
-pub fn shape_json(shape: GemmShape) -> Json {
-    Json::Obj(shape_members(shape).into())
+pub fn shape_json(shape: GemmShape) -> View<impl Fn(&mut Writer)> {
+    View::new(move |w| {
+        w.object(|w| write_shape_fields(w, shape));
+    })
 }
 
 /// The canonical JSON view of one [`EvalResult`] — shared by
 /// `/v1/evaluate`, `/v1/sweep`, and the offline byte-identity acceptance
 /// test.
-pub fn eval_result_json(r: &EvalResult) -> Json {
-    Json::Obj(vec![
-        ("design".into(), Json::str(&r.design)),
-        ("workload".into(), Json::str(&r.workload)),
-        ("cycles".into(), Json::Num(r.cycles)),
-        ("latency_s".into(), Json::Num(r.latency_s())),
-        ("energy_j".into(), Json::Num(r.energy_j())),
-        ("edp".into(), Json::Num(r.edp())),
-        (
-            "energy_pj".into(),
-            Json::Obj(
-                r.energy
-                    .iter()
-                    .map(|(c, pj)| (c.label().to_string(), Json::Num(pj)))
-                    .collect(),
-            ),
-        ),
-    ])
+pub fn eval_result_json(r: &EvalResult) -> View<impl Fn(&mut Writer) + '_> {
+    View::new(move |w| {
+        w.object(|w| {
+            w.field("design", &r.design)
+                .field("workload", &r.workload)
+                .field("cycles", r.cycles)
+                .field("latency_s", r.latency_s())
+                .field("energy_j", r.energy_j())
+                .field("edp", r.edp());
+            w.key("energy_pj").object(|w| {
+                for (c, pj) in r.energy.iter() {
+                    w.field(c.label(), pj);
+                }
+            });
+        });
+    })
 }
 
 /// The canonical JSON view of one [`NetworkEval`] — shared by
 /// `/v1/evaluate_model` and the offline byte-identity acceptance test:
 /// per-layer breakdowns (each with its [`EvalResult`] or the unsupported
 /// reason) plus aggregate totals (`null` when any layer cannot run).
-pub fn network_eval_json(eval: &NetworkEval) -> Json {
-    let layers: Vec<Json> = eval.layers.iter().map(layer_eval_json).collect();
-    let totals = match (
-        eval.cycles(),
-        eval.energy_j(),
-        eval.latency_s(),
-        eval.edp(),
-        eval.ed2(),
-        eval.utilization(),
-    ) {
-        (Some(cycles), Some(energy_j), Some(latency_s), Some(edp), Some(ed2), Some(u)) => {
-            Json::Obj(vec![
-                ("cycles".into(), Json::Num(cycles)),
-                ("latency_s".into(), Json::Num(latency_s)),
-                ("energy_j".into(), Json::Num(energy_j)),
-                ("edp".into(), Json::Num(edp)),
-                ("ed2".into(), Json::Num(ed2)),
-                ("utilization".into(), Json::Num(u)),
-            ])
-        }
-        _ => Json::Null,
-    };
-    Json::Obj(vec![
-        ("design".into(), Json::str(&eval.design)),
-        ("network".into(), Json::str(&eval.network)),
-        ("supported".into(), Json::Bool(eval.supported())),
-        ("layers".into(), Json::Arr(layers)),
-        ("totals".into(), totals),
-    ])
+pub fn network_eval_json(eval: &NetworkEval) -> View<impl Fn(&mut Writer) + '_> {
+    View::new(move |w| {
+        w.object(|w| {
+            w.field("design", &eval.design)
+                .field("network", &eval.network)
+                .field("supported", eval.supported());
+            w.key("layers").array(|w| {
+                for layer in &eval.layers {
+                    w.object(|w| write_layer_eval(w, layer));
+                }
+            });
+            let totals = match (
+                eval.cycles(),
+                eval.energy_j(),
+                eval.latency_s(),
+                eval.edp(),
+                eval.ed2(),
+                eval.utilization(),
+            ) {
+                (Some(cycles), Some(energy_j), Some(latency_s), Some(edp), Some(ed2), Some(u)) => {
+                    Some(View::new(move |w| {
+                        w.object(|w| {
+                            w.field("cycles", cycles)
+                                .field("latency_s", latency_s)
+                                .field("energy_j", energy_j)
+                                .field("edp", edp)
+                                .field("ed2", ed2)
+                                .field("utilization", u);
+                        });
+                    }))
+                }
+                _ => None,
+            };
+            w.field("totals", totals);
+        });
+    })
 }
 
-fn layer_eval_json(layer: &LayerEval) -> Json {
-    let mut members = vec![
-        ("name".into(), Json::str(layer.name())),
-        ("count".into(), Json::Num(f64::from(layer.count))),
-    ];
-    members.extend(workload_eval_members(&layer.workload, &layer.outcome));
-    Json::Obj(members)
+fn write_layer_eval(w: &mut Writer, layer: &LayerEval) {
+    w.field("name", layer.name()).field("count", layer.count);
+    write_workload_eval(w, &layer.workload, &layer.outcome);
 }
 
 /// The tail of every evaluated workload's JSON view — `/v1/evaluate` and
 /// each `/v1/evaluate_model` layer: `shape`, the operands `a` and `b`,
 /// then `supported` with the `result` or the unsupported `reason`.
-pub(crate) fn workload_eval_members(
+pub(crate) fn write_workload_eval(
+    w: &mut Writer,
     workload: &Workload,
     outcome: &Result<EvalResult, Unsupported>,
-) -> [(String, Json); 5] {
-    let (supported, last) = match outcome {
-        Ok(result) => (true, ("result".into(), eval_result_json(result))),
-        Err(unsupported) => (false, ("reason".into(), Json::str(unsupported.to_string()))),
+) {
+    w.field("shape", shape_json(workload.shape))
+        .field("a", workload.a.to_string())
+        .field("b", workload.b.to_string())
+        .field("supported", outcome.is_ok());
+    match outcome {
+        Ok(result) => w.field("result", eval_result_json(result)),
+        Err(unsupported) => w.field("reason", unsupported.to_string()),
     };
-    [
-        ("shape".into(), shape_json(workload.shape)),
-        ("a".into(), Json::str(workload.a.to_string())),
-        ("b".into(), Json::str(workload.b.to_string())),
-        ("supported".into(), Json::Bool(supported)),
-        last,
-    ]
 }
 
 /// The canonical JSON view of one co-design [`SearchOutcome`] — shared by
 /// `POST /v1/search` and the offline byte-identity acceptance test, so
 /// the served response and the `codesign` search agree byte for byte.
-pub fn search_outcome_json(outcome: &SearchOutcome) -> Json {
-    let points: Vec<Json> = outcome.points.iter().map(search_point_json).collect();
-    Json::Obj(vec![
-        ("design".into(), Json::str(&outcome.design)),
-        ("model".into(), Json::str(&outcome.model)),
-        ("metric".into(), Json::str(outcome.metric)),
-        ("budget".into(), Json::Num(outcome.budget)),
-        ("candidates".into(), Json::Num(outcome.candidates as f64)),
-        ("unsupported".into(), Json::Num(outcome.unsupported as f64)),
-        (
-            "front".into(),
-            Json::Arr(
-                outcome
-                    .points
-                    .iter()
-                    .filter(|p| p.on_front)
-                    .map(search_point_json)
-                    .collect(),
-            ),
-        ),
-        (
-            "best".into(),
-            outcome.best_point().map_or(Json::Null, search_point_json),
-        ),
-        ("points".into(), Json::Arr(points)),
-    ])
+pub fn search_outcome_json(outcome: &SearchOutcome) -> View<impl Fn(&mut Writer) + '_> {
+    View::new(move |w| {
+        w.object(|w| {
+            w.field("design", &outcome.design)
+                .field("model", &outcome.model)
+                .field("metric", outcome.metric)
+                .field("budget", outcome.budget)
+                .field("candidates", outcome.candidates)
+                .field("unsupported", outcome.unsupported);
+            w.key("front").array(|w| {
+                for p in outcome.points.iter().filter(|p| p.on_front) {
+                    w.value(search_point_json(p));
+                }
+            });
+            w.field("best", outcome.best_point().map(search_point_json));
+            w.key("points").array(|w| {
+                for p in &outcome.points {
+                    w.value(search_point_json(p));
+                }
+            });
+        });
+    })
 }
 
-fn search_point_json(p: &SearchPoint) -> Json {
-    Json::Obj(vec![
-        ("config".into(), Json::str(&p.label)),
-        ("weight_sparsity".into(), Json::Num(p.weight_sparsity)),
-        ("loss".into(), Json::Num(p.loss)),
-        ("edp".into(), Json::Num(p.edp)),
-        ("energy_j".into(), Json::Num(p.energy_j)),
-        ("latency_s".into(), Json::Num(p.latency_s)),
-        ("on_front".into(), Json::Bool(p.on_front)),
-        ("within_budget".into(), Json::Bool(p.within_budget)),
-    ])
+fn search_point_json(p: &SearchPoint) -> View<impl Fn(&mut Writer) + '_> {
+    View::new(move |w| {
+        w.object(|w| {
+            w.field("config", &p.label)
+                .field("weight_sparsity", p.weight_sparsity)
+                .field("loss", p.loss)
+                .field("edp", p.edp)
+                .field("energy_j", p.energy_j)
+                .field("latency_s", p.latency_s)
+                .field("on_front", p.on_front)
+                .field("within_budget", p.within_budget);
+        });
+    })
 }
 
 /// The structured error wire type: every 4xx/5xx response body is
@@ -907,7 +923,8 @@ impl ErrorBody {
         }
     }
 
-    /// Parses from a response body; inverse of [`ErrorBody::to_json`].
+    /// Parses from a response body; inverse of [`ErrorBody::to_json`]
+    /// (through its encoding).
     ///
     /// # Errors
     /// [`SchemaError`] when the body is not a structured error object.
@@ -923,14 +940,14 @@ impl ErrorBody {
     }
 
     /// The canonical wire encoding.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![(
-            "error".into(),
-            Json::Obj(vec![
-                ("code".into(), Json::str(&self.code)),
-                ("message".into(), Json::str(&self.message)),
-            ]),
-        )])
+    pub fn to_json(&self) -> View<impl Fn(&mut Writer) + '_> {
+        View::new(|w| {
+            w.object(|w| {
+                w.key("error").object(|w| {
+                    w.field("code", &self.code).field("message", &self.message);
+                });
+            });
+        })
     }
 }
 
@@ -963,7 +980,10 @@ mod tests {
         assert_eq!(req.design, "HighLight");
         assert_eq!(req.shape, GemmShape::new(1024, 1024, 1024));
         assert_eq!((req.a_sparsity, req.b_sparsity), (0.5, 0.0));
-        assert_eq!(EvaluateRequest::from_json(&req.to_json()).unwrap(), req);
+        assert_eq!(
+            EvaluateRequest::from_body(req.to_json().encode().as_bytes()).unwrap(),
+            req
+        );
     }
 
     #[test]
@@ -996,7 +1016,7 @@ mod tests {
         assert_eq!(req.designs, None);
         assert_eq!(req.a_degrees, None);
         assert_eq!(req.limit, None);
-        let encoded = req.to_json();
+        let encoded = Json::parse(&req.to_json().encode()).unwrap();
         assert!(encoded.get("designs").is_none());
         assert!(encoded.get("limit").is_none());
         assert_eq!(SweepRequest::from_json(&encoded).unwrap(), req);
@@ -1009,7 +1029,10 @@ mod tests {
             limit: Some(7),
             deadline_ms: Some(250),
         };
-        assert_eq!(SweepRequest::from_json(&full.to_json()).unwrap(), full);
+        assert_eq!(
+            SweepRequest::from_body(full.to_json().encode().as_bytes()).unwrap(),
+            full
+        );
     }
 
     #[test]
@@ -1019,12 +1042,15 @@ mod tests {
         let v = Json::parse(r#"{"design":"TC"}"#).unwrap();
         let req = EvaluateRequest::from_json(&v).unwrap();
         assert_eq!(req.deadline_ms, None);
-        assert!(req.to_json().get("deadline_ms").is_none());
+        assert!(!req.to_json().encode().contains("deadline_ms"));
 
         let v = Json::parse(r#"{"design":"TC","deadline_ms":0}"#).unwrap();
         let req = EvaluateRequest::from_json(&v).unwrap();
         assert_eq!(req.deadline_ms, Some(0), "0 is legal (already expired)");
-        assert_eq!(EvaluateRequest::from_json(&req.to_json()).unwrap(), req);
+        assert_eq!(
+            EvaluateRequest::from_body(req.to_json().encode().as_bytes()).unwrap(),
+            req
+        );
 
         for body in [
             r#"{"design":"TC","deadline_ms":-1}"#,
@@ -1056,7 +1082,7 @@ mod tests {
             PruningConfig::Unstructured { sparsity: 0.65 },
             PruningConfig::Hss(HssPattern::two_rank(Gh::new(4, 8), Gh::new(2, 4))),
         ] {
-            let wire = pruning_spec_json(&spec);
+            let wire = Json::parse(&pruning_spec_json(&spec).encode()).unwrap();
             assert_eq!(pruning_spec(Some(&wire)).unwrap(), spec);
         }
         assert_eq!(pruning_spec(None).unwrap(), PruningConfig::Dense);
@@ -1068,7 +1094,10 @@ mod tests {
             br#"{"design":"HighLight","model":"DeiT-small","budget":0.5}"#,
         )
         .unwrap();
-        assert_eq!(SearchRequest::from_json(&ok.to_json()).unwrap(), ok);
+        assert_eq!(
+            SearchRequest::from_body(ok.to_json().encode().as_bytes()).unwrap(),
+            ok
+        );
         for body in [
             r#"{"design":"TC","model":"ResNet50","budget":-1}"#,
             r#"{"design":"TC","model":"ResNet50","budget":101}"#,
@@ -1082,7 +1111,8 @@ mod tests {
     fn error_body_round_trips_with_stable_codes() {
         let body = ErrorBody::new(400, "nope");
         assert_eq!(body.code, "bad_request");
-        assert_eq!(ErrorBody::from_json(&body.to_json()).unwrap(), body);
+        let wire = Json::parse(&body.to_json().encode()).unwrap();
+        assert_eq!(ErrorBody::from_json(&wire).unwrap(), body);
         for (status, code) in [(404, "not_found"), (503, "overloaded"), (418, "error")] {
             assert_eq!(error_code(status), code);
         }

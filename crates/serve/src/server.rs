@@ -85,7 +85,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::api::App;
+use crate::api::{App, Handled};
 use crate::epoll::{Event, Interest, Poller, Waker};
 use crate::faults::{FaultPlane, FaultPoint};
 use crate::http::{parse_request, ParseError, ParseStatus, Request, Response};
@@ -458,11 +458,12 @@ struct Job {
 /// A finished worker-pool evaluation, addressed back to its coalition.
 struct Completion {
     key: CoalesceKey,
-    resp: Response,
-    /// The evaluation panicked (contained or thread-fatal); feeds the
-    /// per-body quarantine count.
-    panicked: bool,
-    /// Wall time the worker spent in the handler — the trace eval span.
+    /// The response, whether the evaluation panicked (contained or
+    /// thread-fatal; feeds the per-body quarantine count), and the time
+    /// spent writing the body, which the trace counts as serialize time.
+    handled: Handled,
+    /// Wall time the worker spent in the handler before writing the
+    /// response body — the trace eval span.
     eval_us: u64,
     /// Cache counter deltas observed across the evaluation.
     cache: CacheDelta,
@@ -582,7 +583,9 @@ impl PendingTrace {
     }
 
     /// Closes the serialize span: whatever elapsed time parse/queue/eval
-    /// did not claim was spent staging the response bytes.
+    /// did not claim was spent writing the response body and framing
+    /// it. The callers leave the body's encoding time out of the spans
+    /// before it, so it lands here.
     fn mark_serialized(&mut self, status: u16, outcome: Outcome) {
         self.status = status;
         self.outcome = outcome;
@@ -973,9 +976,13 @@ impl EventLoop<'_> {
         } else {
             let (route, _) = Route::resolve(&req.path);
             let mut tr = PendingTrace::new(rid, route, t_start, parse_us);
-            let resp = self.app.handle(&req);
-            // Inline GETs never queue: the handler time is the eval span.
-            tr.eval_us = tr.elapsed_us().saturating_sub(tr.spans_us());
+            let handled = self.app.handle_traced(&req);
+            // Inline GETs never queue: the handler time is the eval span,
+            // except the body's encoding, which is serialize time.
+            tr.eval_us = tr
+                .elapsed_us()
+                .saturating_sub(tr.spans_us() + handled.encode_us);
+            let resp = handled.response;
             let bytes = resp.to_bytes_with_id(keep_alive, Some(&tr.id));
             tr.mark_serialized(resp.status, Outcome::Complete);
             self.fill_slot(id, gen, seq, bytes, tr);
@@ -1011,8 +1018,12 @@ impl EventLoop<'_> {
                 .pop_front();
             let Some(Completion {
                 key,
-                resp,
-                panicked,
+                handled:
+                    Handled {
+                        response: resp,
+                        panicked,
+                        encode_us,
+                    },
                 eval_us,
                 cache,
                 outcome,
@@ -1033,7 +1044,11 @@ impl EventLoop<'_> {
                 // Queue span by contiguity: everything between the end
                 // of parsing and the worker's evaluation is time this
                 // waiter spent on the pool (dispatch + completion queues).
-                tr.queue_us = tr.elapsed_us().saturating_sub(w.parse_us + eval_us);
+                // The worker's encoding time is left to the serialize
+                // span, which closes below.
+                tr.queue_us = tr
+                    .elapsed_us()
+                    .saturating_sub(w.parse_us + eval_us + encode_us);
                 let bytes = resp.to_bytes_with_id(w.keep_alive, Some(&tr.id));
                 tr.mark_serialized(
                     resp.status,
@@ -1395,21 +1410,13 @@ struct CoalitionGuard<'a> {
 }
 
 impl CoalitionGuard<'_> {
-    fn complete(
-        mut self,
-        resp: Response,
-        panicked: bool,
-        eval_us: u64,
-        cache: CacheDelta,
-        outcome: Outcome,
-    ) {
+    fn complete(mut self, handled: Handled, eval_us: u64, cache: CacheDelta, outcome: Outcome) {
         if let Some(key) = self.key.take() {
             post_completion(
                 self.shared,
                 Completion {
                     key,
-                    resp,
-                    panicked,
+                    handled,
                     eval_us,
                     cache,
                     outcome,
@@ -1434,8 +1441,11 @@ impl Drop for CoalitionGuard<'_> {
             self.shared,
             Completion {
                 key,
-                resp: Response::json(500, body),
-                panicked: true,
+                handled: Handled {
+                    response: Response::json(500, body),
+                    panicked: true,
+                    encode_us: 0,
+                },
                 eval_us: 0,
                 cache: CacheDelta::default(),
                 outcome: Outcome::WorkerDied,
@@ -1523,8 +1533,12 @@ fn worker_loop(shared: &WorkerShared) {
                 let body = ErrorBody::new(503, "deadline expired before evaluation; request shed")
                     .to_json()
                     .encode();
-                let resp = Response::json(503, body).with_retry_after(RETRY_AFTER_SECS);
-                guard.complete(resp, false, 0, CacheDelta::default(), Outcome::ShedDeadline);
+                let handled = Handled {
+                    response: Response::json(503, body).with_retry_after(RETRY_AFTER_SECS),
+                    panicked: false,
+                    encode_us: 0,
+                };
+                guard.complete(handled, 0, CacheDelta::default(), Outcome::ShedDeadline);
                 continue;
             }
         }
@@ -1541,13 +1555,14 @@ fn worker_loop(shared: &WorkerShared) {
         }
         let before = CacheDelta::read(&shared.app);
         let t_eval = Instant::now();
-        let (resp, panicked) = shared.app.handle_traced(&req);
-        let eval_us = u64::try_from(t_eval.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let handled = shared.app.handle_traced(&req);
+        let handler_us = u64::try_from(t_eval.elapsed().as_micros()).unwrap_or(u64::MAX);
         let cache = CacheDelta::read(&shared.app).since(before);
-        if panicked {
+        if handled.panicked {
             shared.app.metrics().record_worker_panic();
         }
-        guard.complete(resp, panicked, eval_us, cache, Outcome::Complete);
+        let eval_us = handler_us.saturating_sub(handled.encode_us);
+        guard.complete(handled, eval_us, cache, Outcome::Complete);
     }
 }
 

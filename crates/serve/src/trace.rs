@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::json::Json;
+use crate::json::{View, Writer};
 use crate::metrics::Route;
 
 /// How many completed traces the ring retains (`GET /v1/trace` can
@@ -56,9 +56,11 @@ pub struct TraceRecord {
     /// Time spent queued before a worker picked the job up (zero for
     /// inline GETs).
     pub queue_us: u64,
-    /// Time spent evaluating in the worker (or inline handler).
+    /// Time the worker (or inline handler) spent computing the answer,
+    /// before writing its body.
     pub eval_us: u64,
-    /// Time from eval completion until the response bytes were staged.
+    /// Time spent writing the response body and framing it as HTTP
+    /// bytes.
     pub serialize_us: u64,
     /// Time from staging until the kernel accepted the last byte.
     pub write_us: u64,
@@ -82,51 +84,32 @@ impl TraceRecord {
     }
 
     /// The canonical JSON view served by `GET /v1/trace`.
-    pub fn to_json(&self) -> Json {
-        let ms = |us: u64| Json::Num(us as f64 / 1000.0);
-        Json::Obj(vec![
-            ("id".to_string(), Json::str(self.id.clone())),
-            ("route".to_string(), Json::str(self.route.label())),
-            ("status".to_string(), Json::Num(f64::from(self.status))),
-            ("outcome".to_string(), Json::str(self.outcome.label())),
-            ("started_s".to_string(), Json::Num(self.started_s)),
-            ("total_ms".to_string(), ms(self.total_us)),
-            (
-                "spans".to_string(),
-                Json::Obj(vec![
-                    ("parse_ms".to_string(), ms(self.parse_us)),
-                    ("queue_ms".to_string(), ms(self.queue_us)),
-                    ("eval_ms".to_string(), ms(self.eval_us)),
-                    ("serialize_ms".to_string(), ms(self.serialize_us)),
-                    ("write_ms".to_string(), ms(self.write_us)),
-                ]),
-            ),
-            (
-                "cache".to_string(),
-                Json::Obj(vec![
-                    (
-                        "eval_hits".to_string(),
-                        Json::Num(self.eval_cache_hits as f64),
-                    ),
-                    (
-                        "eval_misses".to_string(),
-                        Json::Num(self.eval_cache_misses as f64),
-                    ),
-                    (
-                        "search_hits".to_string(),
-                        Json::Num(self.search_cache_hits as f64),
-                    ),
-                    (
-                        "retention_hits".to_string(),
-                        Json::Num(self.retention_cache_hits as f64),
-                    ),
-                    (
-                        "retention_misses".to_string(),
-                        Json::Num(self.retention_cache_misses as f64),
-                    ),
-                ]),
-            ),
-        ])
+    pub fn to_json(&self) -> View<impl Fn(&mut Writer) + '_> {
+        let ms = |us: u64| us as f64 / 1000.0;
+        View::new(move |w| {
+            w.object(|w| {
+                w.field("id", &self.id)
+                    .field("route", self.route.label())
+                    .field("status", self.status)
+                    .field("outcome", self.outcome.label())
+                    .field("started_s", self.started_s)
+                    .field("total_ms", ms(self.total_us));
+                w.key("spans").object(|w| {
+                    w.field("parse_ms", ms(self.parse_us))
+                        .field("queue_ms", ms(self.queue_us))
+                        .field("eval_ms", ms(self.eval_us))
+                        .field("serialize_ms", ms(self.serialize_us))
+                        .field("write_ms", ms(self.write_us));
+                });
+                w.key("cache").object(|w| {
+                    w.field("eval_hits", self.eval_cache_hits)
+                        .field("eval_misses", self.eval_cache_misses)
+                        .field("search_hits", self.search_cache_hits)
+                        .field("retention_hits", self.retention_cache_hits)
+                        .field("retention_misses", self.retention_cache_misses);
+                });
+            });
+        })
     }
 }
 
@@ -371,6 +354,7 @@ impl TraceQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn rec(id: &str, route: Route, total_us: u64) -> TraceRecord {
         TraceRecord {
@@ -457,7 +441,7 @@ mod tests {
 
     #[test]
     fn to_json_shape() {
-        let j = rec("abc", Route::Evaluate, 5000).to_json();
+        let j = Json::parse(&rec("abc", Route::Evaluate, 5000).to_json().encode()).unwrap();
         assert_eq!(j.get("id").and_then(Json::as_str), Some("abc"));
         assert_eq!(j.get("route").and_then(Json::as_str), Some("/v1/evaluate"));
         assert_eq!(j.get("outcome").and_then(Json::as_str), Some("complete"));

@@ -936,6 +936,94 @@ fn traces_echo_request_ids_and_spans_account_for_latency() {
     server.stop().unwrap();
 }
 
+/// Writing a response body is serialize time, not eval time: a warm
+/// `/v1/search` computes next to nothing (the search-front table answers
+/// it) and then writes a ~16 KB body with ~300 numbers. Each warm
+/// record's serialize span must hold at least half of the fastest
+/// in-process encoding of that body; before the worker reported its
+/// encoding time, encoding counted as eval and serialize held only the
+/// HTTP framing.
+#[test]
+fn a_warm_search_traces_its_encoding_under_serialize() {
+    let server = spawn_server();
+    let addr = server.addr().to_string();
+    let body = r#"{"design":"HighLight","model":"DeiT-small","budget":0.5}"#;
+    let (status, _) = request(&addr, "POST", "/v1/search", Some(body)).unwrap();
+    assert_eq!(status, 200, "cold search");
+
+    let model = hl_models::model_by_name("DeiT-small").unwrap();
+    let outcome =
+        SweepContext::with_engine(Engine::serial()).codesign(DesignId::HighLight, &model, 0.5);
+    let encode_us = (0..20)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            std::hint::black_box(search_outcome_json(&outcome).encode());
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .fold(f64::INFINITY, f64::min);
+
+    let warm = 5;
+    for i in 0..warm {
+        let raw = raw_exchange(
+            &addr,
+            format!(
+                "POST /v1/search HTTP/1.1\r\nHost: x\r\nX-Request-Id: warm-search.{i}\r\n\
+                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+        assert!(raw.starts_with("HTTP/1.1 200"), "warm search {i}: {raw}");
+    }
+    let (status, v) = get_json(&addr, "/v1/trace?route=/v1/search").unwrap();
+    assert_eq!(status, 200);
+    let traces = v.get("traces").and_then(Json::as_arr).unwrap();
+    let us = |rec: &Json, key: &str| {
+        let spans = rec.get("spans").unwrap();
+        spans.get(key).and_then(Json::as_f64).unwrap() * 1000.0
+    };
+    let warm_records: Vec<&Json> = traces
+        .iter()
+        .filter(|t| {
+            t.get("id")
+                .and_then(Json::as_str)
+                .is_some_and(|id| id.starts_with("warm-search."))
+        })
+        .collect();
+    assert_eq!(warm_records.len(), warm);
+    for rec in warm_records {
+        let cache = rec.get("cache").unwrap();
+        assert_eq!(
+            cache.get("search_hits").and_then(Json::as_f64),
+            Some(1.0),
+            "the front table answers a warm search"
+        );
+        let serialize = us(rec, "serialize_ms");
+        assert!(
+            serialize >= encode_us / 2.0,
+            "serialize span {serialize} µs holds less than half of the {encode_us} µs \
+             encoding: {}",
+            rec.encode()
+        );
+        let total = rec.get("total_ms").and_then(Json::as_f64).unwrap() * 1000.0;
+        let sum: f64 = [
+            "parse_ms",
+            "queue_ms",
+            "eval_ms",
+            "serialize_ms",
+            "write_ms",
+        ]
+        .iter()
+        .map(|k| us(rec, k))
+        .sum();
+        assert!(
+            (sum - total).abs() < 0.5,
+            "spans {sum} µs, total {total} µs"
+        );
+    }
+    server.stop().unwrap();
+}
+
 #[test]
 fn every_json_metric_series_has_a_prometheus_family() {
     let server = spawn_server();

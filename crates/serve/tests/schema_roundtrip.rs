@@ -182,14 +182,14 @@ proptest! {
     /// The pruning-spec grammar and its canonical encoding are inverses.
     #[test]
     fn pruning_specs_round_trip(config in PruningStrategy) {
-        let encoded = pruning_spec_json(&config);
+        let encoded = Json::parse(&pruning_spec_json(&config).encode()).unwrap();
         prop_assert_eq!(pruning_spec(Some(&encoded)), Ok(config));
     }
 
     /// Structured error bodies round-trip, and the code stays stable.
     #[test]
     fn error_bodies_round_trip(body in ErrorStrategy) {
-        let encoded = body.to_json();
+        let encoded = Json::parse(&body.to_json().encode()).unwrap();
         let parsed = ErrorBody::from_json(&encoded).unwrap();
         prop_assert_eq!(parsed, body);
     }
