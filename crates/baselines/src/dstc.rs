@@ -1,7 +1,9 @@
+use std::fmt;
+
 use hl_arch::components::{MacUnit, PrefixSum, RegFile, Sram};
 use hl_arch::{AreaBreakdown, Comp, Tech};
 use hl_sim::analytic::{meta_words, Accountant, Resources, TrafficModel};
-use hl_sim::balance::binomial_balance;
+use hl_sim::balance::BinomialTable;
 use hl_sim::{Accelerator, EvalResult, OperandSparsity, Unsupported, Workload};
 
 /// The DSTC-like baseline (paper §7.1.1): dual-sided unstructured sparse
@@ -15,9 +17,9 @@ use hl_sim::{Accelerator, EvalResult, OperandSparsity, Unsupported, Workload};
 ///   structured inner-product designs keep in cheap registers;
 /// - **imbalance**: nonzero counts per sub-tensor are random, so the
 ///   32-wide compute columns only balance perfectly when occupancy is a
-///   multiple of 32; the expected utilization comes from
-///   [`binomial_balance`].
-#[derive(Debug, Clone)]
+///   multiple of 32; the expected utilization comes from the tile's
+///   [`BinomialTable`], built once with the model.
+#[derive(Clone)]
 pub struct Dstc {
     tech: Tech,
     resources: Resources,
@@ -27,6 +29,23 @@ pub struct Dstc {
     tile: usize,
     /// Accumulation-buffer capacity in KB (holds output partial matrices).
     accum_kb: f64,
+    /// `ln C(tile, k)`, derived from `tile`: every evaluation reuses it.
+    balance: BinomialTable,
+}
+
+/// The configuration alone, exactly as a derived impl would print it: the
+/// balance table is derived from `tile`, so it stays out of the design's
+/// `Debug` fingerprint (cache keys and snapshot fingerprints read it).
+impl fmt::Debug for Dstc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Dstc")
+            .field("tech", &self.tech)
+            .field("resources", &self.resources)
+            .field("lanes", &self.lanes)
+            .field("tile", &self.tile)
+            .field("accum_kb", &self.accum_kb)
+            .finish()
+    }
 }
 
 impl Default for Dstc {
@@ -38,12 +57,14 @@ impl Default for Dstc {
 impl Dstc {
     /// Creates the model with the Table 4 sparse allocation.
     pub fn new(tech: Tech) -> Self {
+        let tile = 64;
         Self {
             tech,
             resources: Resources::tc_class(256.0, 64.0),
             lanes: 32,
-            tile: 64,
+            tile,
             accum_kb: 64.0,
+            balance: BinomialTable::new(tile),
         }
     }
 
@@ -70,8 +91,8 @@ impl Accelerator for Dstc {
         // Workload balance: both operand streams distribute their nonzeros
         // over 32-wide columns; utilization is the product of per-side
         // binomial expectations (1.0 at dense).
-        let u_a = binomial_balance(self.tile, d_a, self.lanes).utilization;
-        let u_b = binomial_balance(self.tile, d_b, self.lanes).utilization;
+        let u_a = self.balance.balance(d_a, self.lanes).utilization;
+        let u_b = self.balance.balance(d_b, self.lanes).utilization;
         // The two distribution axes are interleaved in time, not compounded;
         // the geometric mean keeps single-side behaviour exact.
         let utilization = (u_a * u_b).sqrt();
@@ -143,6 +164,32 @@ impl Accelerator for Dstc {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn debug_prints_the_configuration_like_a_derived_impl() {
+        /// The field list a derived `Debug` printed before the balance
+        /// table joined the struct.
+        #[derive(Debug)]
+        #[expect(dead_code, reason = "the fields are only printed")]
+        struct Dstc {
+            tech: Tech,
+            resources: Resources,
+            lanes: usize,
+            tile: usize,
+            accum_kb: f64,
+        }
+        let d = super::Dstc::default();
+        let mirror = Dstc {
+            tech: d.tech.clone(),
+            resources: d.resources,
+            lanes: d.lanes,
+            tile: d.tile,
+            accum_kb: d.accum_kb,
+        };
+        assert_eq!(format!("{d:?}"), format!("{mirror:?}"));
+        assert_eq!(format!("{d:#?}"), format!("{mirror:#?}"));
+        assert_eq!(d.balance, BinomialTable::new(d.tile));
+    }
 
     #[test]
     fn exploits_both_operands_for_speed() {

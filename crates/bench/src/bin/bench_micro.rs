@@ -2,9 +2,11 @@
 //! compressed-format encoding, the functional micro-architecture
 //! simulator, fibertree construction, HSS pruning, the accuracy
 //! surrogate's retention misses, one at a time and as a co-design
-//! search's batch, and the JSON number formatter every response runs —
-//! and records the result in `BENCH_micro.json` (honoring
-//! `HL_BENCH_OUT`).
+//! search's batch, the network stage of a co-design search (uncached
+//! `evaluate_best` cells and model lowering), and the JSON number
+//! formatter every response runs — and records the result in
+//! `BENCH_micro.json` (honoring `HL_BENCH_OUT`), one kernel per line with
+//! four decimals.
 //!
 //! Where `bench_sweeps` measures the end-to-end sweeps, this harness
 //! isolates the kernels those sweeps are built from, so a regression in
@@ -16,9 +18,11 @@ use std::time::Instant;
 
 use hl_bench::{bench_out_path, codesign_space, DesignId, SweepContext};
 use hl_json::{Json, Writer};
+use hl_models::accuracy::PruningConfig;
 use hl_models::accuracy::{accuracy_loss_cached, synthetic_weights, RetentionCache};
 use hl_models::ModelId;
 use hl_sim::engine::Engine;
+use hl_sim::evaluate_best;
 use hl_sim::micro::{MicroConfig, MicroSim};
 use hl_sparsity::prune::{hss_kept, hss_kept_sum_sq, prune_hss, PruneScratch};
 use hl_sparsity::{Gh, HssPattern};
@@ -62,11 +66,10 @@ fn main() {
         let (avg_ms, checksum) = time_kernel(iters, f);
         std::hint::black_box(checksum);
         println!("{name:>18}: {avg_ms:9.3} ms/op  ({iters} iters)");
-        kernels.push(Json::Obj(vec![
-            ("name".into(), Json::str(name)),
-            ("iters".into(), Json::Num(f64::from(iters))),
-            ("avg_ms".into(), Json::Num(avg_ms)),
-        ]));
+        kernels.push(format!(
+            "    {{\"name\": {}, \"iters\": {iters}, \"avg_ms\": {avg_ms:.4}}}",
+            Json::str(name).encode()
+        ));
     };
 
     record("check_hss", 50, &mut || {
@@ -144,6 +147,43 @@ fn main() {
             .sum()
     });
 
+    // A cold co-design search's network stage on ResNet50, uncached:
+    // `evaluate_best` on every layer of every candidate's lowered network
+    // (DSTC and HighLight, the designs whose cells resolve balance tables
+    // and family members), and DSSO's lowering of every candidate (its
+    // operand mappings scan both its families on every layer).
+    for (name, design) in [
+        ("cells_dstc", DesignId::Dstc),
+        ("cells_highlight", DesignId::HighLight),
+    ] {
+        let accelerator = design.build();
+        let workloads: Vec<_> = codesign_space(design.name())
+            .expect("registered")
+            .iter()
+            .flat_map(|cfg| SweepContext::lower_model(design, &resnet, cfg).layers)
+            .map(|layer| layer.workload)
+            .collect();
+        println!("{:>18}  {} cells", "", workloads.len());
+        record(name, 20, &mut || {
+            workloads
+                .iter()
+                .filter_map(|w| evaluate_best(accelerator.as_ref(), w).ok())
+                .map(|r| r.cycles)
+                .sum()
+        });
+    }
+    let dsso_space: Vec<PruningConfig> = codesign_space("DSSO").expect("DSSO is registered");
+    record("lower_dsso", 50, &mut || {
+        dsso_space
+            .iter()
+            .map(|cfg| {
+                SweepContext::lower_model(DesignId::Dsso, &resnet, cfg)
+                    .layers
+                    .len() as f64
+            })
+            .sum()
+    });
+
     // The numbers of every point of the 18 co-design searches (each
     // design × model, budget 1.0) — what `/v1/search` answers carry —
     // written through the response writer.
@@ -165,11 +205,13 @@ fn main() {
         w.into_bytes().len() as f64
     });
 
-    let json = Json::Obj(vec![
-        ("benchmark".into(), Json::str("cold-path kernels")),
-        ("kernels".into(), Json::Arr(kernels)),
-    ]);
+    // The committed layout: one kernel per line, four decimals, so a
+    // regenerated file diffs line by line against the previous one.
+    let json = format!(
+        "{{\n  \"benchmark\": \"cold-path kernels\",\n  \"kernels\": [\n{}\n  ]\n}}\n",
+        kernels.join(",\n")
+    );
     let out = bench_out_path("BENCH_micro.json");
-    std::fs::write(&out, json.encode() + "\n").expect("write BENCH_micro.json");
+    std::fs::write(&out, json).expect("write BENCH_micro.json");
     println!("\nwrote {}", out.display());
 }

@@ -89,8 +89,9 @@ impl HighLight {
                 }
                 // Same density expressible in the supported family ⇒ the
                 // model would be pruned to that member instead.
-                let near = self.config.a_family.closest_to_density(p.density_f64());
-                if (near.density_f64() - p.density_f64()).abs() < 1e-9 {
+                let density = p.density_f64();
+                let near = self.config.a_family.closest_to_density(density);
+                if (near.density_f64() - density).abs() < 1e-9 {
                     Ok(Some(near))
                 } else {
                     Err(Unsupported {

@@ -24,6 +24,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::LazyLock;
 
 use highlight_core::{Dsso, HighLight};
 use hl_baselines::{Dstc, S2ta, Stc, Tc};
@@ -36,6 +37,14 @@ use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::GemmShape;
 
 use crate::SweepContext;
+
+/// HighLight's (and DSSO's) operand-A family, built once: model lowering
+/// maps every prunable layer through it.
+static HIGHLIGHT_A: LazyLock<HssFamily> = LazyLock::new(highlight_a);
+
+/// DSSO's operand-B family, built once: lowering maps every layer's
+/// activations through it.
+static DSSO_B: LazyLock<HssFamily> = LazyLock::new(dsso_b);
 
 /// Parsed identity of a registered design name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,7 +145,7 @@ impl DesignId {
                 .map(PruningConfig::Hss)
                 .collect(),
             // DSSO shares HighLight's operand-A family (§7.5).
-            DesignId::HighLight | DesignId::Dsso => distinct_densities(&highlight_a()),
+            DesignId::HighLight | DesignId::Dsso => distinct_densities(&HIGHLIGHT_A),
         }
     }
 
@@ -158,7 +167,7 @@ impl DesignId {
                 })
                 .collect(),
             DesignId::S2ta => distinct_densities(&s2ta_a()),
-            DesignId::HighLight | DesignId::Dsso => distinct_densities(&highlight_a()),
+            DesignId::HighLight | DesignId::Dsso => distinct_densities(&HIGHLIGHT_A),
         };
         // Every candidate is scored, in one batch; ties keep the earlier
         // candidate.
@@ -201,7 +210,7 @@ impl SparsityMapping for DesignId {
                 OperandSparsity::Hss(HssPattern::one_rank(Gh::new(g.min(4), 8)))
             }
             DesignId::HighLight | DesignId::Dsso => {
-                OperandSparsity::Hss(highlight_a().closest_to_density(1.0 - sparsity))
+                OperandSparsity::Hss(HIGHLIGHT_A.closest_to_density(1.0 - sparsity))
             }
         }
     }
@@ -225,12 +234,8 @@ impl SparsityMapping for DesignId {
                 // activations actually reach (never claim zeros that are
                 // not there); low degrees fall back to the dense 2:2
                 // member.
-                let target = 1.0 - sparsity;
-                let p = dsso_b()
-                    .patterns()
-                    .into_iter()
-                    .filter(|p| p.density_f64() >= target - 1e-12)
-                    .min_by(|a, b| a.density().cmp(&b.density()))
+                let p = DSSO_B
+                    .sparsest_at_least(1.0 - sparsity)
                     .expect("dsso_b has a dense member");
                 OperandSparsity::Hss(p)
             }

@@ -86,6 +86,7 @@
 //! pattern (unstructured degrees) is stored as a hex bit string rather
 //! than a number.
 
+use std::cell::OnceCell;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -94,7 +95,7 @@ use std::time::{Duration, Instant};
 use hl_arch::{Comp, EnergyBreakdown};
 use hl_models::accuracy::{accuracy_loss, PruningConfig, RetentionCache, RetentionScore};
 use hl_models::{DnnModel, LayerKind, LayerSpec};
-use hl_sim::engine::{EvalCache, EvalKey, OperandKey};
+use hl_sim::engine::{DesignFingerprint, EvalCache, EvalKey, OperandKey};
 use hl_sim::{evaluate_best, EvalResult, OperandSparsity, Unsupported, Workload};
 use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::GemmShape;
@@ -593,7 +594,12 @@ fn check(text: &str) -> Result<Reader<'_>, SnapshotError> {
 /// then every entry, then every score, and nothing after them.
 fn decode(mut r: Reader<'_>) -> Result<Decoded, SnapshotError> {
     member(&mut r, "strings")?;
-    let strings = list(&mut r, |r| Ok(Arc::<str>::from(&*r.string()?)))?;
+    let strings = list(&mut r, |r| {
+        Ok(TableString {
+            text: Arc::from(&*r.string()?),
+            design: OnceCell::new(),
+        })
+    })?;
     member(&mut r, "entries")?;
     let entries = list(&mut r, |r| entry(r, &strings))?;
     member(&mut r, "scores")?;
@@ -701,10 +707,22 @@ impl<'a> StringTable<'a> {
 const ENTRY: &str = "an entry must be [design, shape, a, b, outcome]";
 const OUTCOME: &str = "an outcome must be [name, workload, cycles, energy] or [name, reason]";
 
-fn entry(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<(EvalKey, Outcome), SnapshotError> {
+/// One string of a snapshot's table, shared by every entry naming it.
+struct TableString {
+    text: Arc<str>,
+    /// The string as a design fingerprint, made (and its digest computed)
+    /// by the first entry that names it as a design.
+    design: OnceCell<DesignFingerprint>,
+}
+
+fn entry(r: &mut Reader<'_>, strings: &[TableString]) -> Result<(EvalKey, Outcome), SnapshotError> {
     r.enter_array()?;
     field(r, ENTRY)?;
-    let design = Arc::clone(string_at(strings, r.number()?)?);
+    let string = string_at(strings, r.number()?)?;
+    let design = string
+        .design
+        .get_or_init(|| DesignFingerprint::new(Arc::clone(&string.text)))
+        .clone();
     field(r, ENTRY)?;
     let shape = shape(r)?;
     field(r, ENTRY)?;
@@ -725,13 +743,13 @@ fn entry(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<(EvalKey, Outcome),
     ))
 }
 
-fn outcome(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<Outcome, SnapshotError> {
+fn outcome(r: &mut Reader<'_>, strings: &[TableString]) -> Result<Outcome, SnapshotError> {
     r.enter_array()?;
     field(r, OUTCOME)?;
-    let design = string_at(strings, r.number()?)?.to_string();
+    let design = string_at(strings, r.number()?)?.text.to_string();
     field(r, OUTCOME)?;
     // The workload of a result, or the reason of an unsupported pair.
-    let second = string_at(strings, r.number()?)?.to_string();
+    let second = string_at(strings, r.number()?)?.text.to_string();
     if !r.next_element()? {
         return Ok(Err(Unsupported {
             design,
@@ -751,7 +769,7 @@ fn outcome(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<Outcome, Snapshot
 }
 
 /// The string-table entry a JSON index names.
-fn string_at(strings: &[Arc<str>], n: f64) -> Result<&Arc<str>, SnapshotError> {
+fn string_at(strings: &[TableString], n: f64) -> Result<&TableString, SnapshotError> {
     index(n).and_then(|i| strings.get(i)).ok_or_else(|| {
         malformed(format!(
             "{n} is not an index into the {}-string table",
@@ -1076,7 +1094,7 @@ mod tests {
         let entries = restored.entries();
         assert!(entries
             .iter()
-            .all(|(k, _)| Arc::ptr_eq(&k.design, &entries[0].0.design)));
+            .all(|(k, _)| std::ptr::eq(k.design.as_ptr(), entries[0].0.design.as_ptr())));
         std::fs::remove_file(&path).ok();
     }
 

@@ -9,30 +9,86 @@
 //!
 //! This module computes the exact expectation of the step count under a
 //! binomial occupancy model `X ~ Binomial(n, density)`.
+//!
+//! ## What is computed once
+//!
+//! `P(X = k) = exp(ln C(n, k) + k·ln p + (n − k)·ln(1 − p))`. The `n + 1`
+//! log binomial coefficients depend only on the tile size, so a
+//! [`BinomialTable`] builds them once (a design holds one per tile size)
+//! and each [`BinomialTable::balance`] call pays only the `n + 1` `exp`s
+//! of its density, folded straight into the expected-steps sum with no
+//! pmf vector. The table is built by the same running sum, with the same
+//! additions in the same order, as the per-call evaluation it replaces,
+//! and the fold multiplies and adds the same terms in the same order, so
+//! every result is bit-identical to building the pmf on every call (the
+//! oracle test below pins that).
 
-/// Probability mass function of `Binomial(n, p)` computed iteratively in a
-/// numerically stable way. Returns a vector of `n + 1` probabilities.
-fn binomial_pmf(n: usize, p: f64) -> Vec<f64> {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0,1]");
-    let mut pmf = vec![0.0; n + 1];
-    if p == 0.0 {
-        pmf[0] = 1.0;
-        return pmf;
+/// The log binomial coefficients `ln C(n, k)` for `k = 0..=n` — the
+/// density-independent half of `Binomial(n, p)`'s pmf, built once per tile
+/// size `n`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BinomialTable {
+    log_choose: Vec<f64>,
+}
+
+impl BinomialTable {
+    /// The table for tiles of `n` positions.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "tile and lane counts must be positive");
+        // Log-space evaluation avoids under/overflow for n in the thousands.
+        let mut log_choose = Vec::with_capacity(n + 1);
+        let mut acc = 0.0f64; // ln C(n, 0)
+        log_choose.push(acc);
+        for k in 0..n {
+            acc += ((n - k) as f64).ln() - ((k + 1) as f64).ln();
+            log_choose.push(acc);
+        }
+        Self { log_choose }
     }
-    if p == 1.0 {
-        pmf[n] = 1.0;
-        return pmf;
+
+    /// The tile size `n`.
+    pub fn n(&self) -> usize {
+        self.log_choose.len() - 1
     }
-    // Log-space evaluation avoids under/overflow for n in the thousands.
-    let (lp, lq) = (p.ln(), (1.0 - p).ln());
-    let mut log_choose = 0.0f64; // ln C(n, 0)
-    for (k, slot) in pmf.iter_mut().enumerate() {
-        *slot = (log_choose + k as f64 * lp + (n - k) as f64 * lq).exp();
-        if k < n {
-            log_choose += ((n - k) as f64).ln() - ((k + 1) as f64).ln();
+
+    /// The balance model for `X ~ Binomial(n, density)` on `lanes`
+    /// parallel units.
+    ///
+    /// # Panics
+    /// Panics if `lanes == 0` or `density` is outside `[0, 1]`.
+    pub fn balance(&self, density: f64, lanes: usize) -> BalanceModel {
+        assert!(lanes > 0, "tile and lane counts must be positive");
+        assert!((0.0..=1.0).contains(&density), "p must be in [0,1]");
+        let n = self.n();
+        // The pmf at p ∈ {0, 1} is a point mass on k = 0 or k = n.
+        let expected_steps = if density == 0.0 {
+            0.0
+        } else if density == 1.0 {
+            n.div_ceil(lanes) as f64
+        } else {
+            let (lp, lq) = (density.ln(), (1.0 - density).ln());
+            let mut steps = 0.0;
+            for (k, &log_choose) in self.log_choose.iter().enumerate() {
+                let pk = (log_choose + k as f64 * lp + (n - k) as f64 * lq).exp();
+                steps += pk * (k.div_ceil(lanes)) as f64;
+            }
+            steps
+        };
+        let expected_work = n as f64 * density;
+        let utilization = if expected_steps == 0.0 {
+            1.0
+        } else {
+            expected_work / (lanes as f64 * expected_steps)
+        };
+        BalanceModel {
+            expected_steps,
+            expected_work,
+            utilization,
         }
     }
-    pmf
 }
 
 /// Expected processing steps and utilization for a tile of `n` positions at
@@ -49,28 +105,14 @@ pub struct BalanceModel {
 }
 
 /// Computes the balance model for `X ~ Binomial(n, density)` on `lanes`
-/// parallel units.
+/// parallel units, building the tile's [`BinomialTable`] for this one call
+/// (a design evaluating many densities holds its table instead).
 ///
 /// # Panics
 /// Panics if `lanes == 0`, `n == 0`, or `density` is outside `[0, 1]`.
 pub fn binomial_balance(n: usize, density: f64, lanes: usize) -> BalanceModel {
     assert!(lanes > 0 && n > 0, "tile and lane counts must be positive");
-    let pmf = binomial_pmf(n, density);
-    let mut expected_steps = 0.0;
-    for (k, &pk) in pmf.iter().enumerate() {
-        expected_steps += pk * (k.div_ceil(lanes)) as f64;
-    }
-    let expected_work = n as f64 * density;
-    let utilization = if expected_steps == 0.0 {
-        1.0
-    } else {
-        expected_work / (lanes as f64 * expected_steps)
-    };
-    BalanceModel {
-        expected_steps,
-        expected_work,
-        utilization,
-    }
+    BinomialTable::new(n).balance(density, lanes)
 }
 
 /// Utilization of a *structured* `G:H` tile on `lanes` units: exactly `G`
@@ -83,6 +125,82 @@ pub fn structured_utilization() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Probability mass function of `Binomial(n, p)`, built on every call:
+    /// the per-call evaluation [`BinomialTable`] replaces, kept as its
+    /// oracle.
+    fn binomial_pmf(n: usize, p: f64) -> Vec<f64> {
+        assert!((0.0..=1.0).contains(&p), "p must be in [0,1]");
+        let mut pmf = vec![0.0; n + 1];
+        if p == 0.0 {
+            pmf[0] = 1.0;
+            return pmf;
+        }
+        if p == 1.0 {
+            pmf[n] = 1.0;
+            return pmf;
+        }
+        let (lp, lq) = (p.ln(), (1.0 - p).ln());
+        let mut log_choose = 0.0f64; // ln C(n, 0)
+        for (k, slot) in pmf.iter_mut().enumerate() {
+            *slot = (log_choose + k as f64 * lp + (n - k) as f64 * lq).exp();
+            if k < n {
+                log_choose += ((n - k) as f64).ln() - ((k + 1) as f64).ln();
+            }
+        }
+        pmf
+    }
+
+    /// The balance model from a pmf built on every call.
+    fn reference_balance(n: usize, density: f64, lanes: usize) -> BalanceModel {
+        let pmf = binomial_pmf(n, density);
+        let mut expected_steps = 0.0;
+        for (k, &pk) in pmf.iter().enumerate() {
+            expected_steps += pk * (k.div_ceil(lanes)) as f64;
+        }
+        let expected_work = n as f64 * density;
+        let utilization = if expected_steps == 0.0 {
+            1.0
+        } else {
+            expected_work / (lanes as f64 * expected_steps)
+        };
+        BalanceModel {
+            expected_steps,
+            expected_work,
+            utilization,
+        }
+    }
+
+    #[test]
+    fn tabled_balance_matches_the_per_call_pmf_bit_for_bit() {
+        let mut densities = vec![0.0, 1.0, 1e-300, 1.0 - f64::EPSILON / 2.0];
+        densities.extend((0..=997).map(|i| f64::from(i) / 997.0));
+        for n in [1usize, 8, 64, 128] {
+            let table = BinomialTable::new(n);
+            assert_eq!(table.n(), n);
+            for lanes in [1usize, 4, 16, 32] {
+                for &p in &densities {
+                    let got = table.balance(p, lanes);
+                    let want = reference_balance(n, p, lanes);
+                    let bits = |b: BalanceModel| {
+                        [
+                            b.expected_steps.to_bits(),
+                            b.expected_work.to_bits(),
+                            b.utilization.to_bits(),
+                        ]
+                    };
+                    assert_eq!(bits(got), bits(want), "n={n} lanes={lanes} p={p:e}");
+                    assert_eq!(bits(binomial_balance(n, p, lanes)), bits(want));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "p must be in [0,1]")]
+    fn out_of_range_density_panics() {
+        let _ = BinomialTable::new(8).balance(f64::NAN, 4);
+    }
 
     #[test]
     fn pmf_sums_to_one() {

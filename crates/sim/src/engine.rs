@@ -43,7 +43,7 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -325,7 +325,80 @@ impl From<&OperandSparsity> for OperandKey {
 /// A design's configuration fingerprint: its full `Debug` rendering,
 /// shared (`Arc<str>`) so sweeps format it once per design and every cell
 /// key clones a pointer instead of re-rendering the string.
-pub type DesignFingerprint = Arc<str>;
+///
+/// The text runs to hundreds of bytes, so the fingerprint also carries a
+/// 64-bit digest of it, computed once where the text is made
+/// ([`Engine::fingerprint`], a snapshot's decode). `Hash` writes only the
+/// digest, so an [`EvalKey`] lookup hashes eight bytes for the design
+/// instead of the whole text. `Eq` still compares the text (after a
+/// pointer check and the digests), so two configurations whose digests
+/// collide cost a longer probe, never a wrong answer. The digest lives only
+/// in memory: snapshots store the text.
+#[derive(Clone)]
+pub struct DesignFingerprint {
+    text: Arc<str>,
+    digest: u64,
+}
+
+impl DesignFingerprint {
+    /// The fingerprint with `text` as its `Debug` rendering.
+    pub fn new(text: Arc<str>) -> Self {
+        let mut hasher = DefaultHasher::new();
+        hasher.write(text.as_bytes());
+        Self {
+            digest: hasher.finish(),
+            text,
+        }
+    }
+}
+
+impl std::ops::Deref for DesignFingerprint {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl PartialEq for DesignFingerprint {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.text, &other.text)
+            || (self.digest == other.digest && self.text == other.text)
+    }
+}
+
+impl Eq for DesignFingerprint {}
+
+impl Hash for DesignFingerprint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
+/// Prints the text alone, as the `Arc<str>` it wraps would.
+impl std::fmt::Debug for DesignFingerprint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&*self.text, f)
+    }
+}
+
+impl From<Arc<str>> for DesignFingerprint {
+    fn from(text: Arc<str>) -> Self {
+        Self::new(text)
+    }
+}
+
+impl From<&str> for DesignFingerprint {
+    fn from(text: &str) -> Self {
+        Self::new(text.into())
+    }
+}
+
+impl From<String> for DesignFingerprint {
+    fn from(text: String) -> Self {
+        Self::new(text.into())
+    }
+}
 
 /// Cache key for one `(design, workload)` evaluation: everything
 /// [`evaluate_best`] reads except the workload's display name.
@@ -333,6 +406,8 @@ pub type DesignFingerprint = Arc<str>;
 /// The design is identified by its full `Debug` fingerprint, not just its
 /// name: two same-name instances with different configurations (ablation
 /// variants, alternative technology tables) are distinct cache entries.
+/// Hashing a key reads the fingerprint's precomputed digest, not its text;
+/// equality compares the text ([`DesignFingerprint`]).
 ///
 /// Neighboring sweep points differ in at most the shape and one operand
 /// descriptor, so the key is built incrementally: the design fingerprint
@@ -361,7 +436,7 @@ impl EvalKey {
     /// the sweep path, where the fingerprint is hoisted out of the loop.
     pub fn with_fingerprint(design: &DesignFingerprint, workload: &Workload) -> Self {
         Self {
-            design: Arc::clone(design),
+            design: design.clone(),
             shape: workload.shape,
             a: (&workload.a).into(),
             b: (&workload.b).into(),
@@ -436,7 +511,7 @@ impl Engine {
     /// design and share it across every cell of a batch that sweeps many
     /// points over the same design.
     pub fn fingerprint(design: &dyn Accelerator) -> DesignFingerprint {
-        format!("{design:?}").into()
+        DesignFingerprint::from(format!("{design:?}"))
     }
 
     /// Memoized [`evaluate_best`]: identical `(design, shape, a, b)` cells

@@ -5,8 +5,26 @@
 //! `C1(4:{4≤H≤8})→C0(2:{2≤H≤4})`. Families determine both the representable
 //! sparsity degrees (Fig. 1, Fig. 6a) and the muxing sparsity tax, which
 //! grows with the largest supported `H` (§5.2).
+//!
+//! ## What is computed once
+//!
+//! Model lowering and the designs' operand resolution ask a family for the
+//! member nearest a density on every layer they map, so an [`HssFamily`]
+//! enumerates its members once, at construction, each with its exact
+//! [`Ratio`] density and that density's `f64`. The queries
+//! ([`HssFamily::closest_to_density`], [`HssFamily::densest_within`],
+//! [`HssFamily::sparsest_at_least`]) scan that table without allocating,
+//! except for the one pattern they return. The table holds the members in
+//! [`HssFamily::patterns`] order, and each scan makes the comparisons the
+//! `patterns()`-based scan made, in that order and with the same tie rule
+//! (`min_by` keeps the first minimum, `max_by` the last maximum), so every
+//! answer is the member it was before; the oracle test below pins that for
+//! every family in this module.
 
 use std::collections::BTreeSet;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use hl_fibertree::spec::Gh;
 
@@ -82,9 +100,21 @@ impl GhFamily {
 
 /// A family of N-rank HSS patterns: one [`GhFamily`] per rank, highest rank
 /// first. Members are all per-rank combinations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Equality, hashing and `Debug` see the per-rank families only: the
+/// member table is derived from them.
+#[derive(Clone)]
 pub struct HssFamily {
     ranks: Vec<GhFamily>,
+    /// Every member in enumeration order, with its densities (module docs).
+    members: Arc<[Member]>,
+}
+
+/// One family member and its density, exact and as `f64`.
+struct Member {
+    pattern: HssPattern,
+    density: Ratio,
+    density_f64: f64,
 }
 
 impl HssFamily {
@@ -94,7 +124,33 @@ impl HssFamily {
     /// Panics if `ranks` is empty.
     pub fn new(ranks: Vec<GhFamily>) -> Self {
         assert!(!ranks.is_empty(), "family needs at least one rank");
-        Self { ranks }
+        // The cartesian product of the per-rank members, highest rank
+        // outermost.
+        let mut acc: Vec<Vec<Gh>> = vec![Vec::new()];
+        for fam in &ranks {
+            let mut next = Vec::new();
+            for prefix in &acc {
+                for gh in fam.patterns() {
+                    let mut p = prefix.clone();
+                    p.push(gh);
+                    next.push(p);
+                }
+            }
+            acc = next;
+        }
+        let members = acc
+            .into_iter()
+            .map(|ranks| {
+                let pattern = HssPattern::new(ranks);
+                let density = pattern.density();
+                Member {
+                    pattern,
+                    density,
+                    density_f64: density.to_f64(),
+                }
+            })
+            .collect();
+        Self { ranks, members }
     }
 
     /// Per-rank sub-families, highest rank first.
@@ -109,24 +165,12 @@ impl HssFamily {
 
     /// All member patterns (cartesian product of per-rank members).
     pub fn patterns(&self) -> Vec<HssPattern> {
-        let mut acc: Vec<Vec<Gh>> = vec![Vec::new()];
-        for fam in &self.ranks {
-            let mut next = Vec::new();
-            for prefix in &acc {
-                for gh in fam.patterns() {
-                    let mut p = prefix.clone();
-                    p.push(gh);
-                    next.push(p);
-                }
-            }
-            acc = next;
-        }
-        acc.into_iter().map(HssPattern::new).collect()
+        self.members.iter().map(|m| m.pattern.clone()).collect()
     }
 
     /// The distinct density degrees the family represents, ascending.
     pub fn densities(&self) -> Vec<Ratio> {
-        let set: BTreeSet<Ratio> = self.patterns().iter().map(|p| p.density()).collect();
+        let set: BTreeSet<Ratio> = self.members.iter().map(|m| m.density).collect();
         set.into_iter().collect()
     }
 
@@ -155,29 +199,64 @@ impl HssFamily {
     /// A non-finite `target` (NaN distances) falls back to the densest
     /// member via `total_cmp`'s total order instead of panicking.
     pub fn closest_to_density(&self, target: f64) -> HssPattern {
-        self.patterns()
-            .into_iter()
+        self.members
+            .iter()
             .min_by(|a, b| {
-                let da = (a.density_f64() - target).abs();
-                let db = (b.density_f64() - target).abs();
-                da.total_cmp(&db).then(b.density().cmp(&a.density()))
+                let da = (a.density_f64 - target).abs();
+                let db = (b.density_f64 - target).abs();
+                da.total_cmp(&db).then(b.density.cmp(&a.density))
             })
+            .map(|m| m.pattern.clone())
             .expect("families are non-empty")
     }
 
     /// The densest member whose density does not exceed `target` (i.e. the
     /// pattern that fully exploits at least the workload's sparsity), if any.
     pub fn densest_within(&self, target: f64) -> Option<HssPattern> {
-        self.patterns()
-            .into_iter()
-            .filter(|p| p.density_f64() <= target + 1e-12)
-            .max_by(|a, b| a.density().cmp(&b.density()))
+        self.members
+            .iter()
+            .filter(|m| m.density_f64 <= target + 1e-12)
+            .max_by(|a, b| a.density.cmp(&b.density))
+            .map(|m| m.pattern.clone())
+    }
+
+    /// The sparsest member whose density is at least `target` (i.e. the
+    /// pattern that claims no zeros the workload does not have), if any;
+    /// ties keep the first member.
+    pub fn sparsest_at_least(&self, target: f64) -> Option<HssPattern> {
+        self.members
+            .iter()
+            .filter(|m| m.density_f64 >= target - 1e-12)
+            .min_by(|a, b| a.density.cmp(&b.density))
+            .map(|m| m.pattern.clone())
     }
 
     /// The largest supported `H` at each rank, highest rank first — the
     /// quantity the muxing tax scales with (§5.2-5.3).
     pub fn h_maxes(&self) -> Vec<u32> {
         self.ranks.iter().map(|f| f.h_max).collect()
+    }
+}
+
+impl fmt::Debug for HssFamily {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HssFamily")
+            .field("ranks", &self.ranks)
+            .finish()
+    }
+}
+
+impl PartialEq for HssFamily {
+    fn eq(&self, other: &Self) -> bool {
+        self.ranks == other.ranks
+    }
+}
+
+impl Eq for HssFamily {}
+
+impl Hash for HssFamily {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.ranks.hash(state);
     }
 }
 
@@ -237,6 +316,125 @@ pub fn dsso_b() -> HssFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every family this module defines.
+    fn all_families() -> [(&'static str, HssFamily); 7] {
+        [
+            ("design_s", design_s()),
+            ("design_ss", design_ss()),
+            ("highlight_a", highlight_a()),
+            ("stc_a", stc_a()),
+            ("s2ta_a", s2ta_a()),
+            ("s2ta_b", s2ta_b()),
+            ("dsso_b", dsso_b()),
+        ]
+    }
+
+    /// The members by the per-rank cartesian product, highest rank
+    /// outermost, built on every call — the enumeration the scans were
+    /// made over before the member table, kept as their oracle.
+    fn enumerate(family: &HssFamily) -> Vec<HssPattern> {
+        let mut acc: Vec<Vec<Gh>> = vec![Vec::new()];
+        for fam in family.ranks() {
+            acc = acc
+                .iter()
+                .flat_map(|prefix| {
+                    fam.patterns().into_iter().map(move |gh| {
+                        let mut p = prefix.clone();
+                        p.push(gh);
+                        p
+                    })
+                })
+                .collect();
+        }
+        acc.into_iter().map(HssPattern::new).collect()
+    }
+
+    fn reference_closest(members: &[HssPattern], target: f64) -> HssPattern {
+        members
+            .iter()
+            .cloned()
+            .min_by(|a, b| {
+                let da = (a.density_f64() - target).abs();
+                let db = (b.density_f64() - target).abs();
+                da.total_cmp(&db).then(b.density().cmp(&a.density()))
+            })
+            .expect("families are non-empty")
+    }
+
+    fn reference_densest_within(members: &[HssPattern], target: f64) -> Option<HssPattern> {
+        members
+            .iter()
+            .filter(|p| p.density_f64() <= target + 1e-12)
+            .max_by(|a, b| a.density().cmp(&b.density()))
+            .cloned()
+    }
+
+    fn reference_sparsest_at_least(members: &[HssPattern], target: f64) -> Option<HssPattern> {
+        members
+            .iter()
+            .filter(|p| p.density_f64() >= target - 1e-12)
+            .min_by(|a, b| a.density().cmp(&b.density()))
+            .cloned()
+    }
+
+    #[test]
+    fn table_scans_match_the_enumeration_for_every_family() {
+        let mut checked = 0usize;
+        for (name, family) in all_families() {
+            let members = enumerate(&family);
+            assert_eq!(family.patterns(), members, "{name}");
+            let mut targets = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 2.0];
+            for p in &members {
+                let d = p.density_f64();
+                targets.extend([d, d.next_down(), d.next_up()]);
+            }
+            targets.extend((0..=2000).map(|i| f64::from(i) / 2000.0));
+            for &t in &targets {
+                // Patterns compare by their ranks, so equal answers are the
+                // same member, not just one of equal density.
+                assert_eq!(
+                    family.closest_to_density(t),
+                    reference_closest(&members, t),
+                    "{name} closest_to_density({t:e})"
+                );
+                assert_eq!(
+                    family.densest_within(t),
+                    reference_densest_within(&members, t),
+                    "{name} densest_within({t:e})"
+                );
+                assert_eq!(
+                    family.sparsest_at_least(t),
+                    reference_sparsest_at_least(&members, t),
+                    "{name} sparsest_at_least({t:e})"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 7 * 2000, "{checked} targets");
+    }
+
+    #[test]
+    fn identity_and_debug_ignore_the_member_table() {
+        /// The struct a derived `Debug` printed before the member table.
+        #[derive(Debug)]
+        #[expect(dead_code, reason = "the field is only printed")]
+        struct HssFamily {
+            ranks: Vec<GhFamily>,
+        }
+        for (name, family) in all_families() {
+            let mirror = HssFamily {
+                ranks: family.ranks().to_vec(),
+            };
+            assert_eq!(format!("{family:?}"), format!("{mirror:?}"), "{name}");
+            assert_eq!(format!("{family:#?}"), format!("{mirror:#?}"), "{name}");
+            assert_eq!(
+                family.clone(),
+                super::HssFamily::new(family.ranks().to_vec())
+            );
+        }
+        assert_ne!(design_s(), design_ss());
+    }
 
     #[test]
     fn family_members_and_membership() {
