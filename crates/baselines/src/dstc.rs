@@ -167,8 +167,7 @@ mod tests {
 
     #[test]
     fn debug_prints_the_configuration_like_a_derived_impl() {
-        /// The field list a derived `Debug` printed before the balance
-        /// table joined the struct.
+        /// The configuration fields alone, printed by a derived `Debug`.
         #[derive(Debug)]
         #[expect(dead_code, reason = "the fields are only printed")]
         struct Dstc {

@@ -721,7 +721,7 @@ fn entry(r: &mut Reader<'_>, strings: &[TableString]) -> Result<(EvalKey, Outcom
     let string = string_at(strings, r.number()?)?;
     let design = string
         .design
-        .get_or_init(|| DesignFingerprint::new(Arc::clone(&string.text)))
+        .get_or_init(|| DesignFingerprint::from(&*string.text))
         .clone();
     field(r, ENTRY)?;
     let shape = shape(r)?;

@@ -126,9 +126,9 @@ pub fn structured_utilization() -> f64 {
 mod tests {
     use super::*;
 
-    /// Probability mass function of `Binomial(n, p)`, built on every call:
-    /// the per-call evaluation [`BinomialTable`] replaces, kept as its
-    /// oracle.
+    /// Probability mass function of `Binomial(n, p)`, built from scratch on
+    /// every call: the oracle [`BinomialTable::balance`] must match bit for
+    /// bit.
     fn binomial_pmf(n: usize, p: f64) -> Vec<f64> {
         assert!((0.0..=1.0).contains(&p), "p must be in [0,1]");
         let mut pmf = vec![0.0; n + 1];

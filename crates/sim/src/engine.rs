@@ -323,47 +323,39 @@ impl From<&OperandSparsity> for OperandKey {
 }
 
 /// A design's configuration fingerprint: its full `Debug` rendering,
-/// shared (`Arc<str>`) so sweeps format it once per design and every cell
-/// key clones a pointer instead of re-rendering the string.
+/// shared behind one `Arc` so sweeps format it once per design and every
+/// cell key clones a pointer instead of re-rendering the string.
 ///
 /// The text runs to hundreds of bytes, so the fingerprint also carries a
 /// 64-bit digest of it, computed once where the text is made
-/// ([`Engine::fingerprint`], a snapshot's decode). `Hash` writes only the
-/// digest, so an [`EvalKey`] lookup hashes eight bytes for the design
-/// instead of the whole text. `Eq` still compares the text (after a
-/// pointer check and the digests), so two configurations whose digests
-/// collide cost a longer probe, never a wrong answer. The digest lives only
-/// in memory: snapshots store the text.
+/// ([`Engine::fingerprint`], a snapshot's decode) and stored beside the
+/// text in the shared allocation, so a key holds one thin pointer. `Hash`
+/// writes only the digest: an [`EvalKey`] lookup hashes eight bytes for
+/// the design instead of the whole text. `Eq` still compares the text
+/// (after a pointer check and the digests), so two configurations whose
+/// digests collide cost a longer probe, never a wrong answer. The digest
+/// lives only in memory: snapshots store the text.
 #[derive(Clone)]
-pub struct DesignFingerprint {
-    text: Arc<str>,
-    digest: u64,
-}
+pub struct DesignFingerprint(Arc<Fingerprinted>);
 
-impl DesignFingerprint {
-    /// The fingerprint with `text` as its `Debug` rendering.
-    pub fn new(text: Arc<str>) -> Self {
-        let mut hasher = DefaultHasher::new();
-        hasher.write(text.as_bytes());
-        Self {
-            digest: hasher.finish(),
-            text,
-        }
-    }
+/// The shared part of a [`DesignFingerprint`].
+struct Fingerprinted {
+    digest: u64,
+    text: Box<str>,
 }
 
 impl std::ops::Deref for DesignFingerprint {
     type Target = str;
 
     fn deref(&self) -> &str {
-        &self.text
+        &self.0.text
     }
 }
 
 impl PartialEq for DesignFingerprint {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.text, &other.text)
-            || (self.digest == other.digest && self.text == other.text)
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.digest == other.0.digest && self.0.text == other.0.text)
     }
 }
 
@@ -371,32 +363,31 @@ impl Eq for DesignFingerprint {}
 
 impl Hash for DesignFingerprint {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.digest);
+        state.write_u64(self.0.digest);
     }
 }
 
-/// Prints the text alone, as the `Arc<str>` it wraps would.
+/// Prints the text alone, as a `str` would.
 impl std::fmt::Debug for DesignFingerprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&*self.text, f)
-    }
-}
-
-impl From<Arc<str>> for DesignFingerprint {
-    fn from(text: Arc<str>) -> Self {
-        Self::new(text)
-    }
-}
-
-impl From<&str> for DesignFingerprint {
-    fn from(text: &str) -> Self {
-        Self::new(text.into())
+        std::fmt::Debug::fmt(&*self.0.text, f)
     }
 }
 
 impl From<String> for DesignFingerprint {
     fn from(text: String) -> Self {
-        Self::new(text.into())
+        let mut hasher = DefaultHasher::new();
+        hasher.write(text.as_bytes());
+        Self(Arc::new(Fingerprinted {
+            digest: hasher.finish(),
+            text: text.into_boxed_str(),
+        }))
+    }
+}
+
+impl From<&str> for DesignFingerprint {
+    fn from(text: &str) -> Self {
+        Self::from(text.to_owned())
     }
 }
 
@@ -900,6 +891,25 @@ mod tests {
             .collect();
         assert_eq!(cycles, vec![8.0, 16.0, 24.0]);
         assert_eq!(out, grid.run_serial(), "pool and serial paths must agree");
+    }
+
+    #[test]
+    fn fingerprints_hash_their_digest_and_compare_their_text() {
+        let text = "Design { x: 1 }";
+        let a = DesignFingerprint::from(text);
+        let b = DesignFingerprint::from(String::from(text));
+        let c = DesignFingerprint::from("Design { x: 2 }");
+        let hash = |f: &DesignFingerprint| {
+            let mut h = DefaultHasher::new();
+            f.hash(&mut h);
+            h.finish()
+        };
+        // Separately made from equal text: equal keys, equal hashes.
+        assert_eq!(a, b);
+        assert_eq!(hash(&a), hash(&b));
+        assert_ne!(a, c);
+        assert_eq!(&*a, text);
+        assert_eq!(format!("{a:?}"), format!("{text:?}"));
     }
 
     #[test]

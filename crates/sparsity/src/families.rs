@@ -331,8 +331,8 @@ mod tests {
     }
 
     /// The members by the per-rank cartesian product, highest rank
-    /// outermost, built on every call — the enumeration the scans were
-    /// made over before the member table, kept as their oracle.
+    /// outermost, built on every call: the oracle for the member table and
+    /// the scans over it.
     fn enumerate(family: &HssFamily) -> Vec<HssPattern> {
         let mut acc: Vec<Vec<Gh>> = vec![Vec::new()];
         for fam in family.ranks() {
@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn identity_and_debug_ignore_the_member_table() {
-        /// The struct a derived `Debug` printed before the member table.
+        /// The per-rank families alone, printed by a derived `Debug`.
         #[derive(Debug)]
         #[expect(dead_code, reason = "the field is only printed")]
         struct HssFamily {
