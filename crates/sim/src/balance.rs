@@ -17,11 +17,10 @@
 //! [`BinomialTable`] builds them once (a design holds one per tile size)
 //! and each [`BinomialTable::balance`] call pays only the `n + 1` `exp`s
 //! of its density, folded straight into the expected-steps sum with no
-//! pmf vector. The table is built by the same running sum, with the same
-//! additions in the same order, as the per-call evaluation it replaces,
-//! and the fold multiplies and adds the same terms in the same order, so
-//! every result is bit-identical to building the pmf on every call (the
-//! oracle test below pins that).
+//! pmf vector. The table holds exactly the partial sums a per-call pmf
+//! accumulates (same additions, same order), and the fold multiplies and
+//! adds the same terms in the same order, so every result is bit-identical
+//! to building the pmf on every call (the oracle test below pins that).
 
 /// The log binomial coefficients `ln C(n, k)` for `k = 0..=n` — the
 /// density-independent half of `Binomial(n, p)`'s pmf, built once per tile
