@@ -26,7 +26,7 @@
 //! | `worker_stall`    | P(a worker sleeps `stall_ms` before evaluating)  |
 //! | `stall_ms`        | stall duration in milliseconds (default 50)      |
 //! | `spurious_wake`   | P(the poller reports zero events for a wait)     |
-//! | `snapshot`        | `truncate` or `bitflip` the snapshot text on load|
+//! | `snapshot`        | `truncate` or `bitflip` the snapshot on load     |
 //!
 //! # Determinism
 //!
@@ -96,12 +96,12 @@ impl FaultPoint {
     }
 }
 
-/// How to corrupt the snapshot text before parsing it on load.
+/// How to corrupt the snapshot's bytes before checking them on load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotFault {
-    /// Drop the second half of the document (a torn write).
+    /// Drop the second half of the file (a torn write).
     Truncate,
-    /// Flip one bit of one seed-chosen byte (silent media corruption).
+    /// Flip one seed-chosen bit (silent media corruption).
     BitFlip,
 }
 
@@ -243,36 +243,25 @@ impl FaultPlane {
         self.snapshot
     }
 
-    /// Corrupt snapshot text in place per the configured mode. Returns
-    /// true when the text was modified (a no-op without a `snapshot=`
-    /// key or on an empty document).
-    pub fn corrupt_snapshot(&self, text: &mut String) -> bool {
+    /// Corrupt snapshot bytes in place per the configured mode. Returns
+    /// true when the bytes were modified (a no-op without a `snapshot=`
+    /// key or on an empty file).
+    pub fn corrupt_snapshot(&self, bytes: &mut Vec<u8>) -> bool {
         let Some(mode) = self.snapshot else {
             return false;
         };
-        if text.is_empty() {
+        if bytes.is_empty() {
             return false;
         }
         match mode {
-            SnapshotFault::Truncate => {
-                let cut = text.len() / 2;
-                // Back off to a char boundary; snapshot text is ASCII
-                // in practice but a torn write must not split a char.
-                let cut = (0..=cut)
-                    .rev()
-                    .find(|&i| text.is_char_boundary(i))
-                    .unwrap_or(0);
-                text.truncate(cut);
-            }
+            SnapshotFault::Truncate => bytes.truncate(bytes.len() / 2),
             SnapshotFault::BitFlip => {
-                let mut bytes = std::mem::take(text).into_bytes();
-                let i = splitmix64(self.seed ^ 0x5EED_5EED) as usize % bytes.len();
-                // Flip a low bit that keeps ASCII bytes ASCII, so the
-                // corrupted document is still valid UTF-8.
+                // The low bits pick the byte, the top three its bit.
+                let h = splitmix64(self.seed ^ 0x5EED_5EED);
+                let i = h as usize % bytes.len();
                 if let Some(b) = bytes.get_mut(i) {
-                    *b ^= if *b < 0x70 { 0x10 } else { 0x01 };
+                    *b ^= 1 << (h >> 61);
                 }
-                *text = String::from_utf8_lossy(&bytes).into_owned();
             }
         }
         true
@@ -383,33 +372,37 @@ mod tests {
     #[test]
     fn truncate_halves_the_text() {
         let plane = FaultPlane::parse("snapshot=truncate").expect("parses");
-        let mut text = "{\"format\":2,\"entries\":[1,2,3]}".to_string();
-        let orig = text.clone();
-        assert!(plane.corrupt_snapshot(&mut text));
-        assert_eq!(text.len(), orig.len() / 2);
-        assert!(orig.starts_with(&text));
+        let orig = b"HLSNAP\x05\0\0\0\xff\x80".to_vec();
+        let mut bytes = orig.clone();
+        assert!(plane.corrupt_snapshot(&mut bytes));
+        assert_eq!(bytes.len(), orig.len() / 2);
+        assert!(orig.starts_with(&bytes));
     }
 
     #[test]
     fn bitflip_changes_exactly_one_byte() {
-        let plane = FaultPlane::parse("seed=3,snapshot=bitflip").expect("parses");
-        let orig = "{\"format\":2,\"crc32\":\"deadbeef\",\"entries\":[]}".to_string();
-        let mut text = orig.clone();
-        assert!(plane.corrupt_snapshot(&mut text));
-        assert_eq!(text.len(), orig.len());
-        let diffs = orig
-            .bytes()
-            .zip(text.bytes())
-            .filter(|(a, b)| a != b)
-            .count();
-        assert_eq!(diffs, 1);
+        let orig = b"HLSNAP\x05\0\0\0\xff\x80\x00\x7f".to_vec();
+        for seed in 0..64 {
+            let plane =
+                FaultPlane::parse(&format!("seed={seed},snapshot=bitflip")).expect("parses");
+            let mut bytes = orig.clone();
+            assert!(plane.corrupt_snapshot(&mut bytes));
+            assert_eq!(bytes.len(), orig.len());
+            // One bit of one byte, whatever the byte holds.
+            let flipped: u32 = orig
+                .iter()
+                .zip(&bytes)
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            assert_eq!(flipped, 1, "seed {seed}");
+        }
     }
 
     #[test]
     fn corruption_without_mode_is_a_no_op() {
         let plane = FaultPlane::parse("worker_panic=1").expect("parses");
-        let mut text = "{\"format\":2}".to_string();
-        assert!(!plane.corrupt_snapshot(&mut text));
-        assert_eq!(text, "{\"format\":2}");
+        let mut bytes = b"HLSNAP".to_vec();
+        assert!(!plane.corrupt_snapshot(&mut bytes));
+        assert_eq!(bytes, b"HLSNAP");
     }
 }

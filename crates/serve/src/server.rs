@@ -60,7 +60,7 @@
 //! written, and [`App::observe_trace`] derives every per-request
 //! `/v1/metrics` family from it; the loop itself only counts
 //! connections, busy rejections, worker supervision and the queue-depth
-//! gauge. Fault injections, sheds, and snapshot loads and
+//! gauge. Fault injections, sheds, and snapshot loads, saves and
 //! failures emit structured JSON log lines (see [`crate::log`]) tagged
 //! with the nearest trace id: the request's where one exists, the
 //! connection's for socket-level faults, a boot-scoped id for loop-level
@@ -1454,23 +1454,43 @@ impl Drop for CoalitionGuard<'_> {
     }
 }
 
-/// Saves the evaluation-cache and retention-score snapshot, logging a
-/// failure. A failed periodic save is a warning (the next tick retries);
-/// a failed save on drain loses the caches and is an error.
+/// Saves the evaluation-cache and retention-score snapshot on the event
+/// loop's thread, logging `snapshot_saved` with what it wrote and how long
+/// the save stalled the loop (`save_ms`), or the failure. A failed
+/// periodic save is a warning (the next tick retries); a failed save on
+/// drain loses the caches and is an error.
 fn save_snapshot(app: &App, path: &Path, boot_id: &str, periodic: bool) {
     let context = app.context();
-    if let Err(e) = snapshot::save(context.engine().eval_cache(), context.retention(), path) {
-        let level = if periodic { Level::Warn } else { Level::Error };
-        app.logger().log(
-            level,
-            "snapshot_save_failed",
+    let started = Instant::now();
+    let saved = snapshot::save(context.engine().eval_cache(), context.retention(), path);
+    let trace_id = ("trace_id", Json::str(boot_id));
+    let path = ("path", Json::str(path.display().to_string()));
+    match saved {
+        Ok(saved) => app.logger().info(
+            "snapshot_saved",
             &[
-                ("trace_id", Json::str(boot_id)),
-                ("path", Json::str(path.display().to_string())),
-                ("error", Json::str(e.to_string())),
+                trace_id,
+                path,
+                ("entries", Json::Num(saved.entries as f64)),
+                ("scores", Json::Num(saved.scores as f64)),
+                ("bytes", Json::Num(saved.bytes as f64)),
                 ("periodic", Json::Bool(periodic)),
+                ("save_ms", Json::Num(started.elapsed().as_secs_f64() * 1e3)),
             ],
-        );
+        ),
+        Err(e) => {
+            let level = if periodic { Level::Warn } else { Level::Error };
+            app.logger().log(
+                level,
+                "snapshot_save_failed",
+                &[
+                    trace_id,
+                    path,
+                    ("error", Json::str(e.to_string())),
+                    ("periodic", Json::Bool(periodic)),
+                ],
+            );
+        }
     }
 }
 

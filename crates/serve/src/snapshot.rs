@@ -3,41 +3,39 @@
 //! them on boot, so a restarted server answers its steady-state traffic,
 //! first co-design searches included, from warm caches.
 //!
-//! The snapshot is a single JSON document (format 4):
+//! The snapshot (format 5) is a fixed little-endian binary layout.
+//! Integers are unsigned, every `f64` is stored as its IEEE bit pattern
+//! (so it round-trips bit for bit), and every length and count is a `u64`:
 //!
-//! ```json
-//! {
-//!   "format": 4,
-//!   "fingerprint": "hl-snap-v4:9a…",
-//!   "crc32": "9bd366ae",
-//!   "strings": [ "HighLight", "HighLight { … }", "conv1", … ],
-//!   "entries": [ [1, [1024, 768, 512], [[4, 8], [2, 4]], "dense", [0, 2, 1500000, [[0, 12.5], [4, 3.25]]]] ],
-//!   "scores": [ [64, 1024, [[2, 4]], 44224, 0.8715030111] ]
-//! }
+//! ```text
+//! header   magic        6 bytes "HLSNAP"
+//!          format       u32 = 5
+//!          fingerprint  u64 length, UTF-8 ("hl-snap-v5:…")
+//!          crc32        u32, IEEE CRC-32 of the payload
+//!          length       u64, payload bytes
+//! payload  strings      u64 count, then per string a u64 length and UTF-8
+//!          entries      u64 count, then per entry
+//!                         design u32 · m, k, n u64 · a operand · b operand · outcome
+//!          scores       u64 count, then per score
+//!                         rows, cols u64 · config operand · seed u64 · value f64
+//! operand  u8 tag       0 dense
+//!                       1 unstructured: the degree's f64 bits
+//!                       2 HSS: u32 rank count, then g, h u32 per rank
+//! outcome  u8 tag       0 result: name u32 · workload u32 · cycles f64 ·
+//!                         u8 pair count, then component u8 · pJ f64 per pair
+//!                       1 unsupported: name u32 · reason u32
 //! ```
 //!
 //! Every string an entry refers to — design `Debug` fingerprints, design
 //! names, workload names, unsupported reasons — is stored once in the
-//! sorted `strings` table, and entries name them by index. Each entry is
-//! the positional array `[design, [m, k, n], a, b, outcome]`:
-//!
-//! - `design` is the string index of the design fingerprint; every
-//!   loaded key of one design shares one `Arc<str>`.
-//! - an operand (`a`, `b`) is `"dense"`, a 16-digit hex string holding
-//!   the unstructured degree's exact `f64` bit pattern, or an array of
-//!   HSS `[g, h]` ranks (highest rank first).
-//! - `outcome` is `[name, workload, cycles, energy]` for a result, with
-//!   `energy` the `[component, pJ]` pairs in [`Comp::ALL`] index order,
-//!   or `[name, reason]` for an unsupported pair.
-//!
-//! Each score is the positional array `[rows, cols, config, seed, value]`:
-//! one [`RetentionCache`] score, the retained-norm fraction of a
-//! `rows × cols` proxy synthesized from `seed` under the pruning `config`
-//! (encoded like an operand). `value` is a JSON number, which the encoder
-//! prints in shortest round-trip form, and must be finite. A retention
-//! hit reads nothing but its score, so the scores alone restore a warm
-//! surrogate; the weight streams, argsorts and masks behind them are not
-//! persisted.
+//! sorted string table, and entries name them by `u32` index. Every loaded
+//! key of one design shares one [`DesignFingerprint`]. HSS ranks are
+//! listed highest rank first, and energy pairs in [`Comp::ALL`] index
+//! order. Each score is one [`RetentionCache`] score: the retained-norm
+//! fraction of a `rows × cols` proxy synthesized from `seed` under the
+//! pruning `config`. A retention hit reads nothing but its score, so the
+//! scores alone restore a warm surrogate; the weight streams, argsorts and
+//! masks behind them are not persisted.
 //!
 //! Cached results are only valid for the code that produced them. The
 //! `fingerprint` hashes the format, every registered design's `Debug`
@@ -48,48 +46,46 @@
 //! under an unstructured, a one-rank and a two-rank configuration. A
 //! change to an energy formula, a technology table or a surrogate kernel
 //! changes the canary, so a snapshot another build wrote is refused by
-//! construction. A snapshot whose format or fingerprint does not match the
-//! running binary is refused (the server boots cold instead of serving
-//! stale numbers).
+//! construction (the server boots cold instead of serving stale numbers).
 //!
-//! `crc32` is an IEEE CRC-32 over the raw bytes that follow the
-//! `,"strings":` tag, up to the document's closing brace: the string
-//! table, the entries and the scores exactly as written. It is computed
-//! slice-by-8 (eight table lookups per eight-byte word). The file layout
-//! is fixed: the six members come in the order shown, the payload tag is
-//! written byte for byte, and `"strings"`, `"entries"` and `"scores"` are
-//! always the last three members. A document in any other order, or with
-//! any other member, is refused as [`SnapshotError::Malformed`].
+//! [`load`] checks, in order:
 //!
-//! [`load`] decodes the file in one pass with a pull [`Reader`], without
-//! building a [`Json`] tree. It checks, in order:
-//!
-//! 1. the format;
+//! 1. the magic and the format. Every earlier format (1 to 4) was one
+//!    JSON document, so a file that starts with `{` is read with the pull
+//!    [`Reader`] only as far as its `format` member and refused as
+//!    `unsupported format N`;
 //! 2. the fingerprint;
-//! 3. the CRC over the raw payload bytes, so a torn write or silent media
-//!    corruption is refused as [`SnapshotError::ChecksumMismatch`] before
-//!    a single entry is trusted;
-//! 4. every entry and every score as the walk reaches it: string indices,
-//!    dimensions, G:H ranks, energy component order and sign, seed
-//!    range, finite values and known operand forms.
+//! 3. the payload length (no byte missing, none trailing) and the CRC over
+//!    the payload, computed slice-by-8 (eight table lookups per eight-byte
+//!    word), so a torn write or silent media corruption is refused as
+//!    [`SnapshotError::ChecksumMismatch`] before a single entry is
+//!    trusted;
+//! 4. every string, entry and score as the decoder reaches it: UTF-8
+//!    strings, string indices, dimensions and seeds (at most 2⁵³, and
+//!    dimensions at least 1), G:H ranks, known tags, energy component
+//!    order and sign, finite values, and no byte after the scores.
 //!
-//! Every entry and every score is decoded before the first one is
-//! preloaded, so a load either restores the whole snapshot or leaves both
-//! caches untouched. Every load failure is reported, never panicked: the
-//! serving layer logs it and boots cold.
+//! The decoder is a bounds-checked byte cursor: a read past the end, an
+//! unknown tag or a field out of range is a [`SnapshotError::Malformed`]
+//! naming the field, never a panic, and no count is trusted to size an
+//! allocation beyond what the remaining bytes can hold. Entries decode
+//! straight into the table the evaluation cache takes over
+//! ([`Memo::preload_table`](hl_sim::engine::Memo::preload_table)). Every
+//! entry and every score is decoded before either cache changes, so a
+//! load either restores the whole snapshot or leaves both caches
+//! untouched. Every load failure is reported: the serving layer logs it
+//! and boots cold.
 //!
-//! The string table is sorted, and entries and scores are sorted by their
-//! encoded form before writing, so save → load → save is byte-identical
+//! The string table is sorted, and entries and scores are written in the
+//! byte order of their encodings, so save → load → save is byte-identical
 //! (the in-memory memos are `HashMap`s with nondeterministic iteration
-//! order). `f64` payloads round-trip exactly: the [`Json`] encoder prints
-//! shortest-round-trip forms, and the one `f64` that is keyed by bit
-//! pattern (unstructured degrees) is stored as a hex bit string rather
-//! than a number.
+//! order).
 
 use std::cell::OnceCell;
+use std::collections::HashMap;
 use std::io::{self, Write};
+use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hl_arch::{Comp, EnergyBreakdown};
@@ -101,13 +97,17 @@ use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::GemmShape;
 
 use crate::faults::FaultPlane;
-use crate::json::{Json, JsonError, Kind, Reader};
+use crate::json::{Json, JsonError, Reader};
 use crate::log::Logger;
 
 /// Snapshot format version; bumped on any encoding change (v2 added the
 /// `crc32` payload checksum, v3 the string table and positional entries,
-/// v4 the retention scores and the canary in the fingerprint).
-pub const FORMAT: u64 = 4;
+/// v4 the retention scores and the canary in the fingerprint, v5 the
+/// binary layout).
+pub const FORMAT: u32 = 5;
+
+/// The first bytes of every snapshot this binary writes.
+pub const MAGIC: &[u8; 6] = b"HLSNAP";
 
 /// Why a snapshot could not be loaded (`thiserror` idiom: structured
 /// variants, hand-written `Display`, `std::error::Error`).
@@ -115,7 +115,8 @@ pub const FORMAT: u64 = 4;
 pub enum SnapshotError {
     /// The file could not be read or written.
     Io(io::Error),
-    /// The document is not a snapshot (bad JSON, wrong shape, bad entry).
+    /// The file is not a snapshot this binary reads: another magic or
+    /// format, a truncated header or payload, a bad field, trailing bytes.
     Malformed(String),
     /// The snapshot was produced by a different build: another design or
     /// model registry, or code that answers the canary differently.
@@ -166,12 +167,6 @@ impl std::error::Error for SnapshotError {
 impl From<io::Error> for SnapshotError {
     fn from(e: io::Error) -> Self {
         Self::Io(e)
-    }
-}
-
-impl From<JsonError> for SnapshotError {
-    fn from(e: JsonError) -> Self {
-        Self::Malformed(e.to_string())
     }
 }
 
@@ -250,8 +245,24 @@ fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// The tag preceding the payload in the fixed document layout.
-const PAYLOAD_TAG: &str = ",\"strings\":";
+// Operand tags.
+const DENSE: u8 = 0;
+const UNSTRUCTURED: u8 = 1;
+const HSS: u8 = 2;
+
+// Outcome tags.
+const RESULT: u8 = 0;
+const UNSUPPORTED: u8 = 1;
+
+// The fewest bytes a string, an entry and a score take: what bounds the
+// capacity a count may claim.
+const MIN_STRING: usize = 8;
+const MIN_ENTRY: usize = 4 + 3 * 8 + 1 + 1 + 1 + 4 + 4;
+const MIN_SCORE: usize = 2 * 8 + 1 + 8 + 8;
+
+/// The largest dimension and seed the format holds: every integer up to
+/// 2⁵³ is exact in an `f64`, the bound the JSON formats had.
+const MAX_EXACT: u64 = 1 << 53;
 
 /// What this binary computes for the canary's fixed probe set.
 #[derive(Debug, Clone)]
@@ -353,8 +364,18 @@ fn fingerprint(canary: &Canary) -> String {
     format!("hl-snap-v{FORMAT}:{h:016x}")
 }
 
-/// Writes both caches to `path` (atomically: temp file + rename),
-/// returning the number of evaluation-cache entries saved.
+/// What a successful [`save`] wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Saved {
+    /// Evaluation-cache entries written.
+    pub entries: usize,
+    /// Retention scores written.
+    pub scores: usize,
+    /// Size of the snapshot file in bytes.
+    pub bytes: usize,
+}
+
+/// Writes both caches to `path` (atomically: temp file + rename).
 ///
 /// # Errors
 /// [`SnapshotError::Io`].
@@ -362,51 +383,174 @@ pub fn save(
     cache: &EvalCache,
     retention: &RetentionCache,
     path: &Path,
-) -> Result<usize, SnapshotError> {
+) -> Result<Saved, SnapshotError> {
     let entries = cache.entries();
+    let scores = retention.scores();
     let strings = StringTable::new(&entries);
-    // The memos are HashMaps; sort so identical caches write identical
-    // bytes (asserted by the round-trip test).
-    let sorted = |mut encoded: Vec<String>| {
-        encoded.sort_unstable();
-        encoded.join(",")
-    };
-    let encoded = entries
-        .iter()
-        .map(|(k, v)| strings.entry_json(k, v).encode())
-        .collect();
-    let scores = retention
-        .scores()
-        .iter()
-        .map(|s| score_json(s).encode())
-        .collect();
-    // The payload: the string table, the entries and the scores exactly
-    // as written (the CRC input).
-    let mut payload = strings.json().encode();
-    payload.push_str(",\"entries\":[");
-    payload.push_str(&sorted(encoded));
-    payload.push_str("],\"scores\":[");
-    payload.push_str(&sorted(scores));
-    payload.push(']');
-    let mut doc = String::new();
-    doc.push_str("{\"format\":");
-    doc.push_str(&FORMAT.to_string());
-    doc.push_str(",\"fingerprint\":");
-    doc.push_str(&Json::str(cache_fingerprint()).encode());
-    doc.push_str(",\"crc32\":");
-    doc.push_str(&Json::str(format!("{:08x}", crc32(payload.as_bytes()))).encode());
-    doc.push_str(PAYLOAD_TAG);
-    doc.push_str(&payload);
-    doc.push('}');
+    let mut payload = Vec::new();
+    strings.write(&mut payload);
+    write_sorted(&mut payload, &entries, |out, (key, value)| {
+        strings.write_entry(out, key, value);
+    });
+    write_sorted(&mut payload, &scores, write_score);
+    let fingerprint = cache_fingerprint();
+    let mut header = Vec::with_capacity(MAGIC.len() + 4 + 8 + fingerprint.len() + 4 + 8);
+    header.extend_from_slice(MAGIC);
+    put_u32(&mut header, FORMAT);
+    put_str(&mut header, &fingerprint);
+    put_u32(&mut header, crc32(&payload));
+    put_u64(&mut header, payload.len() as u64);
 
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(doc.as_bytes())?;
+        f.write_all(&header)?;
+        f.write_all(&payload)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    Ok(entries.len())
+    Ok(Saved {
+        entries: entries.len(),
+        scores: scores.len(),
+        bytes: header.len() + payload.len(),
+    })
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    put_u64(out, v.to_bits());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u64(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Writes the count of `items`, then their encodings in byte order: the
+/// memos are `HashMap`s, so sorting makes identical caches write
+/// identical bytes (asserted by the round-trip tests). The keys are
+/// distinct, so no two encodings tie.
+fn write_sorted<T>(out: &mut Vec<u8>, items: &[T], mut encode: impl FnMut(&mut Vec<u8>, &T)) {
+    let mut encoded = Vec::new();
+    let mut spans: Vec<Range<usize>> = Vec::with_capacity(items.len());
+    for item in items {
+        let start = encoded.len();
+        encode(&mut encoded, item);
+        spans.push(start..encoded.len());
+    }
+    let bytes = |span: &Range<usize>| encoded.get(span.clone()).unwrap_or_default();
+    spans.sort_unstable_by(|a, b| bytes(a).cmp(bytes(b)));
+    put_u64(out, items.len() as u64);
+    out.reserve(encoded.len());
+    for span in &spans {
+        out.extend_from_slice(bytes(span));
+    }
+}
+
+fn write_operand(out: &mut Vec<u8>, key: &OperandKey) {
+    match key {
+        OperandKey::Dense => out.push(DENSE),
+        OperandKey::Unstructured(bits) => {
+            out.push(UNSTRUCTURED);
+            put_u64(out, *bits);
+        }
+        OperandKey::Hss(p) => {
+            out.push(HSS);
+            put_u32(out, p.ranks().len() as u32);
+            for gh in p.ranks() {
+                put_u32(out, gh.g);
+                put_u32(out, gh.h);
+            }
+        }
+    }
+}
+
+/// Writes the energy pairs, which [`EnergyBreakdown::iter`] yields in
+/// [`Comp::ALL`] order.
+fn write_energy(out: &mut Vec<u8>, energy: &EnergyBreakdown) {
+    let count_at = out.len();
+    out.push(0);
+    let mut count = 0u8;
+    for (comp, pj) in energy.iter() {
+        if let Some(i) = Comp::ALL.iter().position(|&c| c == comp) {
+            out.push(i as u8);
+            put_f64(out, pj);
+            count += 1;
+        }
+    }
+    if let Some(slot) = out.get_mut(count_at) {
+        *slot = count;
+    }
+}
+
+fn write_score(out: &mut Vec<u8>, ((rows, cols, config, seed), value): &RetentionScore) {
+    put_u64(out, *rows as u64);
+    put_u64(out, *cols as u64);
+    write_operand(out, config);
+    put_u64(out, *seed);
+    put_f64(out, *value);
+}
+
+/// The sorted, deduplicated table of every string a snapshot's entries
+/// refer to.
+struct StringTable<'a>(Vec<&'a str>);
+
+impl<'a> StringTable<'a> {
+    fn new(entries: &'a [(EvalKey, Outcome)]) -> Self {
+        let mut table = Vec::new();
+        for (key, value) in entries {
+            table.push(&*key.design);
+            match value {
+                Ok(r) => table.extend([r.design.as_str(), r.workload.as_str()]),
+                Err(u) => table.extend([u.design.as_str(), u.reason.as_str()]),
+            }
+        }
+        table.sort_unstable();
+        table.dedup();
+        Self(table)
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.0.len() as u64);
+        for s in &self.0 {
+            put_str(out, s);
+        }
+    }
+
+    /// The index of `s`, which the table holds by construction.
+    fn index(&self, s: &str) -> u32 {
+        self.0.partition_point(|t| *t < s) as u32
+    }
+
+    fn write_entry(&self, out: &mut Vec<u8>, key: &EvalKey, value: &Outcome) {
+        put_u32(out, self.index(&key.design));
+        for dim in [key.shape.m, key.shape.k, key.shape.n] {
+            put_u64(out, dim as u64);
+        }
+        write_operand(out, &key.a);
+        write_operand(out, &key.b);
+        match value {
+            Ok(r) => {
+                out.push(RESULT);
+                put_u32(out, self.index(&r.design));
+                put_u32(out, self.index(&r.workload));
+                put_f64(out, r.cycles);
+                write_energy(out, &r.energy);
+            }
+            Err(u) => {
+                out.push(UNSUPPORTED);
+                put_u32(out, self.index(&u.design));
+                put_u32(out, self.index(&u.reason));
+            }
+        }
+    }
 }
 
 /// What a successful [`load_logged`] restored, and where its time went.
@@ -422,18 +566,19 @@ pub struct Loaded {
     pub bytes: usize,
     /// Reading the file (and any injected corruption).
     pub read_ms: f64,
-    /// Checking the format, the fingerprint and the payload CRC.
+    /// Checking the magic, the format, the fingerprint and the payload
+    /// length and CRC.
     pub check_ms: f64,
-    /// Decoding every entry and every score.
+    /// Decoding every string, entry and score.
     pub decode_ms: f64,
-    /// Preloading both caches.
+    /// Handing the decoded tables over to both caches.
     pub preload_ms: f64,
 }
 
-/// Loads a snapshot's evaluation-cache entries via [`EvalCache::preload`]
-/// (hit/miss counters untouched; live entries win over preloaded ones),
-/// returning the number of entries loaded. The scores are checked like
-/// the entries and then dropped.
+/// Loads a snapshot's evaluation-cache entries into `cache` (hit/miss
+/// counters untouched; live entries win over preloaded ones), returning
+/// the number of entries loaded. The scores are checked like the entries
+/// and then dropped.
 ///
 /// # Errors
 /// [`SnapshotError`] — including [`SnapshotError::FingerprintMismatch`]
@@ -445,10 +590,10 @@ pub fn load(cache: &EvalCache, path: &Path) -> Result<usize, SnapshotError> {
 }
 
 /// Loads a snapshot into both caches — the server's boot path — with an
-/// optional fault plane corrupting the file text in memory before it is
-/// parsed: the chaos harness' way of proving a truncated or bit-flipped
-/// snapshot is rejected and boots cold, without actually tearing files
-/// on disk.
+/// optional fault plane corrupting the file's bytes in memory before they
+/// are checked: the chaos harness' way of proving a truncated or
+/// bit-flipped snapshot is rejected and boots cold, without actually
+/// tearing files on disk.
 ///
 /// With a structured logger (and the server's boot-scoped trace id) the
 /// outcome is logged: `snapshot_loaded` with the entry and score counts,
@@ -501,8 +646,8 @@ fn millis(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Reads, checks and decodes the snapshot at `path`, then preloads both
-/// caches, timing each stage.
+/// Reads, checks and decodes the snapshot at `path`, then hands the
+/// decoded tables to both caches, timing each stage.
 fn read_and_preload(
     cache: &EvalCache,
     retention: &RetentionCache,
@@ -511,9 +656,9 @@ fn read_and_preload(
     log: Option<(&Logger, &str)>,
 ) -> Result<Loaded, SnapshotError> {
     let started = Instant::now();
-    let mut text = std::fs::read_to_string(path)?;
-    let bytes = text.len();
-    let corrupted = faults.is_some_and(|plane| plane.corrupt_snapshot(&mut text));
+    let mut bytes = std::fs::read(path)?;
+    let size = bytes.len();
+    let corrupted = faults.is_some_and(|plane| plane.corrupt_snapshot(&mut bytes));
     if let (true, Some((logger, trace_id))) = (corrupted, log) {
         logger.warn(
             "fault_injected",
@@ -525,19 +670,19 @@ fn read_and_preload(
         );
     }
     let read = Instant::now();
-    let payload = check(&text)?;
+    let payload = check(&bytes)?;
     let checked = Instant::now();
-    let (entries, scores) = decode(payload)?;
+    let Decoded { entries, scores } = decode(payload)?;
     let decoded = Instant::now();
     let (n_entries, n_scores) = (entries.len(), scores.len());
-    // Preload only once every entry and score has decoded: a bad one
+    // Hand over only once every entry and score has decoded: a bad one
     // anywhere leaves both caches as cold as the boot the server logs.
-    cache.preload(entries);
+    cache.preload_table(entries);
     retention.preload_scores(scores);
     Ok(Loaded {
         entries: n_entries,
         scores: n_scores,
-        bytes,
+        bytes: size,
         read_ms: millis(read.duration_since(started)),
         check_ms: millis(checked.duration_since(read)),
         decode_ms: millis(decoded.duration_since(checked)),
@@ -545,193 +690,232 @@ fn read_and_preload(
     })
 }
 
-/// A decoded snapshot: its evaluation-cache entries and its scores.
-type Decoded = (Vec<(EvalKey, Outcome)>, Vec<RetentionScore>);
+/// A decoded snapshot: the evaluation cache's table and the scores.
+struct Decoded {
+    entries: HashMap<EvalKey, Outcome>,
+    scores: Vec<RetentionScore>,
+}
 
-/// Checks a snapshot document's format, fingerprint and payload checksum,
-/// in that order, and returns the reader standing just before the
-/// payload.
-fn check(text: &str) -> Result<Reader<'_>, SnapshotError> {
-    let mut r = Reader::new(text);
-    r.enter_object()?;
-    member(&mut r, "format")?;
-    let format = r.number()?;
-    if format != FORMAT as f64 {
+/// A bounds-checked little-endian reader over a snapshot's bytes. Every
+/// read names its field, so a read past the end is a
+/// [`SnapshotError::Malformed`] that says what was cut off.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes }
+    }
+
+    fn truncated(&self, what: &str, needed: usize) -> SnapshotError {
+        malformed(format!(
+            "truncated: the {what} needs {needed} bytes, {} remain",
+            self.bytes.len()
+        ))
+    }
+
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], SnapshotError> {
+        let (head, rest) = self
+            .bytes
+            .split_at_checked(n)
+            .ok_or_else(|| self.truncated(what, n))?;
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], SnapshotError> {
+        let (head, rest) = self
+            .bytes
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.truncated(what, N))?;
+        self.bytes = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8, SnapshotError> {
+        self.array::<1>(what).map(|[b]| b)
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, SnapshotError> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, SnapshotError> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self, what: &str) -> Result<f64, SnapshotError> {
+        self.u64(what).map(f64::from_bits)
+    }
+
+    /// A `u64`-length-prefixed run of bytes.
+    fn prefixed(&mut self, what: &str) -> Result<&'a [u8], SnapshotError> {
+        let len = self.u64(what)?;
+        let len = usize::try_from(len).map_err(|_| self.truncated(what, usize::MAX))?;
+        self.take(len, what)
+    }
+
+    /// A `u64`-length-prefixed UTF-8 string.
+    fn str(&mut self, what: &str) -> Result<&'a str, SnapshotError> {
+        let bytes = self.prefixed(what)?;
+        std::str::from_utf8(bytes).map_err(|e| malformed(format!("the {what} is not UTF-8: {e}")))
+    }
+
+    /// The capacity to reserve for `count` items of at least `min_bytes`
+    /// each: no more than the remaining bytes can hold, so a corrupt
+    /// count fails as a truncation instead of a huge allocation.
+    fn capacity(&self, count: u64, min_bytes: usize) -> usize {
+        usize::try_from(count)
+            .unwrap_or(usize::MAX)
+            .min(self.bytes.len() / min_bytes)
+    }
+}
+
+/// Checks a snapshot's magic and format, its fingerprint, and its payload
+/// length and CRC, in that order, and returns the payload.
+fn check(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
+    if bytes.first() == Some(&b'{') {
+        return Err(json_snapshot(bytes));
+    }
+    let mut c = Cursor::new(bytes);
+    if c.array("magic")? != *MAGIC {
+        return Err(malformed(
+            "not a snapshot: the file does not start with HLSNAP",
+        ));
+    }
+    let format = c.u32("format")?;
+    if format != FORMAT {
         return Err(malformed(format!("unsupported format {format}")));
     }
-    member(&mut r, "fingerprint")?;
-    let found = r.string()?;
+    let found = c.prefixed("fingerprint")?;
     let expected = cache_fingerprint();
-    if found != expected.as_str() {
+    if found != expected.as_bytes() {
         return Err(SnapshotError::FingerprintMismatch {
             expected,
-            found: found.into_owned(),
+            found: String::from_utf8_lossy(found).into_owned(),
         });
     }
-    member(&mut r, "crc32")?;
-    let stored = r.string()?;
-    // The fixed layout puts the payload last, so its raw bytes — exactly
-    // what `save` checksummed — run from just past the tag to the
-    // document's closing brace. No re-encoding involved: re-encoding a
-    // corrupted-but-parsable payload could normalize the damage away.
-    let payload = r
-        .rest()
-        .strip_prefix(PAYLOAD_TAG)
-        .ok_or_else(|| malformed("document layout: missing strings tag"))?
-        .strip_suffix('}')
-        .ok_or_else(|| malformed("document layout: missing closing brace"))?;
-    let computed = format!("{:08x}", crc32(payload.as_bytes()));
-    if stored != computed.as_str() {
-        return Err(SnapshotError::ChecksumMismatch {
-            stored: stored.into_owned(),
-            computed,
-        });
-    }
-    Ok(r)
-}
-
-/// Decodes the payload [`check`] verified, in one walk: the string table,
-/// then every entry, then every score, and nothing after them.
-fn decode(mut r: Reader<'_>) -> Result<Decoded, SnapshotError> {
-    member(&mut r, "strings")?;
-    let strings = list(&mut r, |r| {
-        Ok(TableString {
-            text: Arc::from(&*r.string()?),
-            design: OnceCell::new(),
-        })
-    })?;
-    member(&mut r, "entries")?;
-    let entries = list(&mut r, |r| entry(r, &strings))?;
-    member(&mut r, "scores")?;
-    let scores = list(&mut r, score)?;
-    if let Some(key) = r.next_key()? {
+    let stored = c.u32("crc32")?;
+    let length = c.u64("payload length")?;
+    let payload = c.bytes;
+    if length != payload.len() as u64 {
         return Err(malformed(format!(
-            "document layout: unexpected member \"{key}\" after \"scores\""
+            "the header announces a {length}-byte payload, {} bytes follow it",
+            payload.len()
         )));
     }
-    r.finish()?;
-    Ok((entries, scores))
+    let computed = crc32(payload);
+    if stored != computed {
+        return Err(SnapshotError::ChecksumMismatch {
+            stored: format!("{stored:08x}"),
+            computed: format!("{computed:08x}"),
+        });
+    }
+    Ok(payload)
 }
 
-/// Moves to the object member `name`, which the fixed layout puts next.
-fn member(r: &mut Reader<'_>, name: &str) -> Result<(), SnapshotError> {
+/// The refusal of a JSON document, which every snapshot format before 5
+/// was: it names the document's `format` when its first member holds one.
+fn json_snapshot(bytes: &[u8]) -> SnapshotError {
+    // Only the first member is read, so the valid UTF-8 prefix will do.
+    let text = match std::str::from_utf8(bytes) {
+        Ok(text) => text,
+        Err(e) => bytes
+            .get(..e.valid_up_to())
+            .and_then(|valid| std::str::from_utf8(valid).ok())
+            .unwrap_or_default(),
+    };
+    match json_format(text) {
+        Ok(Some(format)) => malformed(format!("unsupported format {format} (a JSON snapshot)")),
+        Ok(None) => malformed("a JSON document whose first member is not \"format\""),
+        Err(e) => malformed(format!("a JSON document that is not a snapshot: {e}")),
+    }
+}
+
+/// The `format` member a JSON document starts with, if it does.
+fn json_format(text: &str) -> Result<Option<f64>, JsonError> {
+    let mut r = Reader::new(text);
+    r.enter_object()?;
     match r.next_key()? {
-        Some(key) if key == name => Ok(()),
-        Some(key) => Err(malformed(format!(
-            "missing \"{name}\" (found \"{key}\" in its place)"
-        ))),
-        None => Err(malformed(format!("missing \"{name}\""))),
+        Some(key) if key == "format" => r.number().map(Some),
+        _ => Ok(None),
     }
 }
 
-/// Reads the array the reader stands at, one `item` per element.
-fn list<'a, T>(
-    r: &mut Reader<'a>,
-    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, SnapshotError>,
-) -> Result<Vec<T>, SnapshotError> {
-    let mut items = Vec::new();
-    r.enter_array()?;
-    while r.next_element()? {
-        items.push(item(r)?);
+/// Decodes the payload [`check`] verified: the string table, then every
+/// entry straight into the table the evaluation cache takes over, then
+/// every score, and nothing after them.
+fn decode(payload: &[u8]) -> Result<Decoded, SnapshotError> {
+    let mut c = Cursor::new(payload);
+    let count = c.u64("string count")?;
+    let mut strings = Vec::with_capacity(c.capacity(count, MIN_STRING));
+    for _ in 0..count {
+        strings.push(TableString {
+            text: c.str("string")?,
+            design: OnceCell::new(),
+        });
     }
-    Ok(items)
+    let count = c.u64("entry count")?;
+    let mut entries = HashMap::with_capacity(c.capacity(count, MIN_ENTRY));
+    for _ in 0..count {
+        let (key, value) = entry(&mut c, &strings)?;
+        entries.entry(key).or_insert(value);
+    }
+    let count = c.u64("score count")?;
+    let mut scores = Vec::with_capacity(c.capacity(count, MIN_SCORE));
+    for _ in 0..count {
+        scores.push(score(&mut c)?);
+    }
+    if !c.bytes.is_empty() {
+        return Err(malformed(format!(
+            "{} bytes after the scores",
+            c.bytes.len()
+        )));
+    }
+    Ok(Decoded { entries, scores })
 }
 
-/// Moves to the next element of a positional array, which must have one;
-/// `layout` says what the array should hold.
-fn field(r: &mut Reader<'_>, layout: &str) -> Result<(), SnapshotError> {
-    if r.next_element()? {
-        Ok(())
-    } else {
-        Err(malformed(layout))
-    }
-}
-
-/// Closes a positional array, which must hold nothing more.
-fn close(r: &mut Reader<'_>, layout: &str) -> Result<(), SnapshotError> {
-    if r.next_element()? {
-        Err(malformed(layout))
-    } else {
-        Ok(())
-    }
-}
-
-/// The sorted, deduplicated table of every string a snapshot's entries
-/// refer to.
-struct StringTable<'a>(Vec<&'a str>);
-
-impl<'a> StringTable<'a> {
-    fn new(entries: &'a [(EvalKey, Outcome)]) -> Self {
-        let mut table = Vec::new();
-        for (key, value) in entries {
-            table.push(&*key.design);
-            match value {
-                Ok(r) => table.extend([r.design.as_str(), r.workload.as_str()]),
-                Err(u) => table.extend([u.design.as_str(), u.reason.as_str()]),
-            }
-        }
-        table.sort_unstable();
-        table.dedup();
-        Self(table)
-    }
-
-    fn json(&self) -> Json {
-        Json::Arr(self.0.iter().map(|s| Json::str(*s)).collect())
-    }
-
-    /// The index of `s`, which the table holds by construction.
-    fn index(&self, s: &str) -> Json {
-        Json::Num(self.0.partition_point(|t| *t < s) as f64)
-    }
-
-    fn entry_json(&self, key: &EvalKey, value: &Outcome) -> Json {
-        let outcome = match value {
-            Ok(r) => Json::Arr(vec![
-                self.index(&r.design),
-                self.index(&r.workload),
-                Json::Num(r.cycles),
-                energy_json(&r.energy),
-            ]),
-            Err(u) => Json::Arr(vec![self.index(&u.design), self.index(&u.reason)]),
-        };
-        Json::Arr(vec![
-            self.index(&key.design),
-            shape_json(key.shape),
-            operand_key_json(&key.a),
-            operand_key_json(&key.b),
-            outcome,
-        ])
-    }
-}
-
-const ENTRY: &str = "an entry must be [design, shape, a, b, outcome]";
-const OUTCOME: &str = "an outcome must be [name, workload, cycles, energy] or [name, reason]";
-
-/// One string of a snapshot's table, shared by every entry naming it.
-struct TableString {
-    text: Arc<str>,
+/// One string of a snapshot's table, borrowed from the file's bytes and
+/// shared by every entry naming it.
+struct TableString<'a> {
+    text: &'a str,
     /// The string as a design fingerprint, made (and its digest computed)
     /// by the first entry that names it as a design.
     design: OnceCell<DesignFingerprint>,
 }
 
-fn entry(r: &mut Reader<'_>, strings: &[TableString]) -> Result<(EvalKey, Outcome), SnapshotError> {
-    r.enter_array()?;
-    field(r, ENTRY)?;
-    let string = string_at(strings, r.number()?)?;
+/// The string-table entry an index names.
+fn string_at<'t, 'a>(
+    strings: &'t [TableString<'a>],
+    c: &mut Cursor<'_>,
+    what: &str,
+) -> Result<&'t TableString<'a>, SnapshotError> {
+    let i = c.u32(what)?;
+    strings.get(i as usize).ok_or_else(|| {
+        malformed(format!(
+            "the {what} {i} is not an index into the {}-string table",
+            strings.len()
+        ))
+    })
+}
+
+fn entry(
+    c: &mut Cursor<'_>,
+    strings: &[TableString<'_>],
+) -> Result<(EvalKey, Outcome), SnapshotError> {
+    let string = string_at(strings, c, "entry design")?;
     let design = string
         .design
-        .get_or_init(|| DesignFingerprint::from(&*string.text))
+        .get_or_init(|| DesignFingerprint::from(string.text))
         .clone();
-    field(r, ENTRY)?;
-    let shape = shape(r)?;
-    field(r, ENTRY)?;
-    let a = operand_key(r)?;
-    field(r, ENTRY)?;
-    let b = operand_key(r)?;
-    field(r, ENTRY)?;
-    let value = outcome(r, strings)?;
-    close(r, ENTRY)?;
+    let m = dim(c)?;
+    let k = dim(c)?;
+    let n = dim(c)?;
+    let a = operand(c)?;
+    let b = operand(c)?;
+    let value = outcome(c, strings)?;
+    let shape = GemmShape::new(m, k, n);
     Ok((
         EvalKey {
             design,
@@ -743,200 +927,89 @@ fn entry(r: &mut Reader<'_>, strings: &[TableString]) -> Result<(EvalKey, Outcom
     ))
 }
 
-fn outcome(r: &mut Reader<'_>, strings: &[TableString]) -> Result<Outcome, SnapshotError> {
-    r.enter_array()?;
-    field(r, OUTCOME)?;
-    let design = string_at(strings, r.number()?)?.text.to_string();
-    field(r, OUTCOME)?;
-    // The workload of a result, or the reason of an unsupported pair.
-    let second = string_at(strings, r.number()?)?.text.to_string();
-    if !r.next_element()? {
-        return Ok(Err(Unsupported {
-            design,
-            reason: second,
-        }));
+fn outcome(c: &mut Cursor<'_>, strings: &[TableString<'_>]) -> Result<Outcome, SnapshotError> {
+    let tag = c.u8("outcome tag")?;
+    if tag != RESULT && tag != UNSUPPORTED {
+        return Err(malformed(format!("unknown outcome tag {tag}")));
     }
-    let cycles = r.number()?;
-    field(r, OUTCOME)?;
-    let energy = energy(r)?;
-    close(r, OUTCOME)?;
+    let design = string_at(strings, c, "outcome design")?.text.to_owned();
+    if tag == UNSUPPORTED {
+        let reason = string_at(strings, c, "unsupported reason")?.text.to_owned();
+        return Ok(Err(Unsupported { design, reason }));
+    }
+    let workload = string_at(strings, c, "result workload")?.text.to_owned();
+    let cycles = c.f64("cycles")?;
+    if !cycles.is_finite() {
+        return Err(malformed(format!("bad cycles {cycles}")));
+    }
+    let energy = energy(c)?;
     Ok(Ok(EvalResult {
         design,
-        workload: second,
+        workload,
         cycles,
         energy,
     }))
 }
 
-/// The string-table entry a JSON index names.
-fn string_at(strings: &[TableString], n: f64) -> Result<&TableString, SnapshotError> {
-    index(n).and_then(|i| strings.get(i)).ok_or_else(|| {
-        malformed(format!(
-            "{n} is not an index into the {}-string table",
-            strings.len()
-        ))
-    })
-}
-
-/// A non-negative integral JSON number as an index.
-fn index(n: f64) -> Option<usize> {
-    (n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n)).then_some(n as usize)
-}
-
-fn energy_json(energy: &EnergyBreakdown) -> Json {
-    let mut pairs: Vec<(usize, f64)> = energy
-        .iter()
-        .filter_map(|(c, pj)| Some((Comp::ALL.iter().position(|&x| x == c)?, pj)))
-        .collect();
-    pairs.sort_by_key(|&(i, _)| i);
-    Json::Arr(
-        pairs
-            .into_iter()
-            .map(|(i, pj)| Json::Arr(vec![Json::Num(i as f64), Json::Num(pj)]))
-            .collect(),
-    )
-}
-
-fn energy(r: &mut Reader<'_>) -> Result<EnergyBreakdown, SnapshotError> {
-    const PAIR: &str = "energy must hold [component, pJ] pairs";
+fn energy(c: &mut Cursor<'_>) -> Result<EnergyBreakdown, SnapshotError> {
     let mut energy = EnergyBreakdown::new();
     let mut next = 0;
-    r.enter_array()?;
-    while r.next_element()? {
-        r.enter_array()?;
-        field(r, PAIR)?;
-        let n = r.number()?;
-        let (i, comp) = index(n)
-            .filter(|&i| i >= next)
-            .and_then(|i| Some((i, *Comp::ALL.get(i)?)))
-            .ok_or_else(|| malformed(format!("energy component {n} is unknown or out of order")))?;
-        field(r, PAIR)?;
-        let pj = r.number()?;
+    for _ in 0..c.u8("energy pair count")? {
+        let i = usize::from(c.u8("energy component")?);
+        let comp = Comp::ALL
+            .get(i)
+            .filter(|_| i >= next)
+            .copied()
+            .ok_or_else(|| malformed(format!("energy component {i} is unknown or out of order")))?;
+        let pj = c.f64("energy")?;
         if !(pj.is_finite() && pj >= 0.0) {
             return Err(malformed(format!("bad {comp} energy {pj}")));
         }
-        close(r, PAIR)?;
         energy.record(comp, pj);
         next = i + 1;
     }
     Ok(energy)
 }
 
-fn score_json(((rows, cols, config, seed), value): &RetentionScore) -> Json {
-    Json::Arr(vec![
-        Json::Num(*rows as f64),
-        Json::Num(*cols as f64),
-        operand_key_json(config),
-        Json::Num(*seed as f64),
-        Json::Num(*value),
-    ])
-}
-
-fn score(r: &mut Reader<'_>) -> Result<RetentionScore, SnapshotError> {
-    const SCORE: &str = "a score must be [rows, cols, config, seed, value]";
-    r.enter_array()?;
-    field(r, SCORE)?;
-    let rows = dim(r.number()?)?;
-    field(r, SCORE)?;
-    let cols = dim(r.number()?)?;
-    field(r, SCORE)?;
-    let config = operand_key(r)?;
-    field(r, SCORE)?;
-    let seed = r.number()?;
-    if !(seed.fract() == 0.0 && (0.0..=(1u64 << 53) as f64).contains(&seed)) {
+fn score(c: &mut Cursor<'_>) -> Result<RetentionScore, SnapshotError> {
+    let rows = dim(c)?;
+    let cols = dim(c)?;
+    let config = operand(c)?;
+    let seed = c.u64("score seed")?;
+    if seed > MAX_EXACT {
         return Err(malformed(format!("bad score seed {seed}")));
     }
-    field(r, SCORE)?;
-    let value = r.number()?;
+    let value = c.f64("score value")?;
     if !value.is_finite() {
         return Err(malformed(format!("bad score value {value}")));
     }
-    close(r, SCORE)?;
-    Ok(((rows, cols, config, seed as u64), value))
+    Ok(((rows, cols, config, seed), value))
 }
 
-fn operand_key_json(key: &OperandKey) -> Json {
-    match key {
-        OperandKey::Dense => Json::str("dense"),
-        // The degree is keyed by its exact f64 bit pattern; a JSON number
-        // would survive (shortest-round-trip encoder) but a hex string
-        // makes bit-exactness structural rather than incidental.
-        OperandKey::Unstructured(bits) => Json::str(format!("{bits:016x}")),
-        OperandKey::Hss(p) => Json::Arr(
-            p.ranks()
-                .iter()
-                .map(|gh| Json::Arr(vec![Json::Num(f64::from(gh.g)), Json::Num(f64::from(gh.h))]))
-                .collect(),
-        ),
-    }
-}
-
-fn operand_key(r: &mut Reader<'_>) -> Result<OperandKey, SnapshotError> {
-    const RANK: &str = "HSS ranks must be [g, h] pairs";
-    match r.peek()? {
-        Kind::Str => {
-            let s = r.string()?;
-            if s == "dense" {
-                return Ok(OperandKey::Dense);
+fn operand(c: &mut Cursor<'_>) -> Result<OperandKey, SnapshotError> {
+    match c.u8("operand tag")? {
+        DENSE => Ok(OperandKey::Dense),
+        UNSTRUCTURED => c.u64("unstructured degree").map(OperandKey::Unstructured),
+        HSS => {
+            let count = c.u32("HSS rank count")?;
+            let mut ranks = Vec::with_capacity(c.capacity(u64::from(count), 8));
+            for _ in 0..count {
+                let g = c.u32("HSS G")?;
+                let h = c.u32("HSS H")?;
+                ranks.push(Gh::try_new(g, h).map_err(|e| malformed(e.to_string()))?);
             }
-            u64::from_str_radix(&s, 16)
-                .ok()
-                .filter(|_| s.len() == 16)
-                .map(OperandKey::Unstructured)
-                .ok_or_else(|| malformed(format!("bad unstructured bit pattern {s:?}")))
-        }
-        Kind::Arr => {
-            let ranks = list(r, |r| {
-                r.enter_array()?;
-                field(r, RANK)?;
-                let g = gh_int(r.number()?)?;
-                field(r, RANK)?;
-                let h = gh_int(r.number()?)?;
-                close(r, RANK)?;
-                Gh::try_new(g, h).map_err(|e| malformed(e.to_string()))
-            })?;
             Ok(OperandKey::Hss(HssPattern::new(ranks)))
         }
-        _ => Err(malformed(
-            "an operand must be \"dense\", a hex bit pattern, or HSS ranks",
-        )),
+        tag => Err(malformed(format!("unknown operand tag {tag}"))),
     }
 }
 
-fn gh_int(n: f64) -> Result<u32, SnapshotError> {
-    if n.fract() != 0.0 || !(1.0..=f64::from(u32::MAX)).contains(&n) {
-        return Err(malformed(format!("bad G:H component {n}")));
-    }
-    Ok(n as u32)
-}
-
-fn shape_json(shape: GemmShape) -> Json {
-    Json::Arr(vec![
-        Json::Num(shape.m as f64),
-        Json::Num(shape.k as f64),
-        Json::Num(shape.n as f64),
-    ])
-}
-
-fn shape(r: &mut Reader<'_>) -> Result<GemmShape, SnapshotError> {
-    const SHAPE: &str = "a shape must be [m, k, n]";
-    r.enter_array()?;
-    field(r, SHAPE)?;
-    let m = dim(r.number()?)?;
-    field(r, SHAPE)?;
-    let k = dim(r.number()?)?;
-    field(r, SHAPE)?;
-    let n = dim(r.number()?)?;
-    close(r, SHAPE)?;
-    Ok(GemmShape::new(m, k, n))
-}
-
-fn dim(n: f64) -> Result<usize, SnapshotError> {
-    if n.fract() == 0.0 && (1.0..=(1u64 << 53) as f64).contains(&n) {
-        Ok(n as usize)
-    } else {
-        Err(malformed(format!("bad shape dimension {n}")))
-    }
+fn dim(c: &mut Cursor<'_>) -> Result<usize, SnapshotError> {
+    let d = c.u64("shape dimension")?;
+    usize::try_from(d)
+        .ok()
+        .filter(|_| (1..=MAX_EXACT).contains(&d))
+        .ok_or_else(|| malformed(format!("bad shape dimension {d}")))
 }
 
 #[cfg(test)]
@@ -949,7 +1022,7 @@ mod tests {
         static SEQ: AtomicU32 = AtomicU32::new(0);
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!(
-            "hl-snap-test-{}-{seq}-{tag}.json",
+            "hl-snap-test-{}-{seq}-{tag}.snap",
             std::process::id()
         ))
     }
@@ -1015,15 +1088,148 @@ mod tests {
         retention
     }
 
-    /// A snapshot document around `payload` (the string table, the
-    /// entries and the scores, as written after the payload tag) with the running
-    /// binary's fingerprint and the payload's true checksum.
-    fn document(payload: &str) -> String {
-        format!(
-            "{{\"format\":{FORMAT},\"fingerprint\":{},\"crc32\":\"{:08x}\"{PAYLOAD_TAG}{payload}}}",
-            Json::str(cache_fingerprint()).encode(),
-            crc32(payload.as_bytes())
-        )
+    /// Format-5 fields, appended in order: the tests' way of writing
+    /// payloads `save` never would.
+    #[derive(Default)]
+    struct Bytes(Vec<u8>);
+
+    impl Bytes {
+        fn u8(mut self, v: u8) -> Self {
+            self.0.push(v);
+            self
+        }
+        fn u32(mut self, v: u32) -> Self {
+            put_u32(&mut self.0, v);
+            self
+        }
+        fn u64(mut self, v: u64) -> Self {
+            put_u64(&mut self.0, v);
+            self
+        }
+        fn f64(mut self, v: f64) -> Self {
+            put_f64(&mut self.0, v);
+            self
+        }
+        fn str(mut self, s: &str) -> Self {
+            put_str(&mut self.0, s);
+            self
+        }
+        fn raw(mut self, bytes: &[u8]) -> Self {
+            self.0.extend_from_slice(bytes);
+            self
+        }
+    }
+
+    /// A three-string table: a design fingerprint (0), its name (1) and an
+    /// unsupported reason (2).
+    fn strings() -> Bytes {
+        Bytes::default()
+            .u64(3)
+            .str("HighLight { tiles: 16 }")
+            .str("HighLight")
+            .str("dense A")
+    }
+
+    /// An entry's design index and an `m × k × n` shape.
+    fn key(design: u32, [m, k, n]: [u64; 3]) -> Bytes {
+        Bytes::default().u32(design).u64(m).u64(k).u64(n)
+    }
+
+    /// A well-formed entry: design 0 on dense 8 × 8 × 8, unsupported.
+    fn good_entry() -> Bytes {
+        key(0, [8, 8, 8])
+            .u8(DENSE)
+            .u8(DENSE)
+            .u8(UNSUPPORTED)
+            .u32(1)
+            .u32(2)
+    }
+
+    /// A well-formed score: a 64 × 512 proxy under 2:4, value 0.75.
+    fn good_score() -> Bytes {
+        Bytes::default()
+            .u64(64)
+            .u64(512)
+            .u8(HSS)
+            .u32(1)
+            .u32(2)
+            .u32(4)
+            .u64(44224)
+            .f64(0.75)
+    }
+
+    /// A payload of the three-string table, `entries` and `scores`.
+    fn payload(entries: &[Bytes], scores: &[Bytes]) -> Bytes {
+        let mut p = strings().u64(entries.len() as u64);
+        for e in entries {
+            p = p.raw(&e.0);
+        }
+        p = p.u64(scores.len() as u64);
+        for s in scores {
+            p = p.raw(&s.0);
+        }
+        p
+    }
+
+    /// A snapshot file around `payload` with the running binary's
+    /// fingerprint and the payload's true length and checksum.
+    fn document(payload: &Bytes) -> Vec<u8> {
+        Bytes::default()
+            .raw(MAGIC)
+            .u32(FORMAT)
+            .str(&cache_fingerprint())
+            .u32(crc32(&payload.0))
+            .u64(payload.0.len() as u64)
+            .raw(&payload.0)
+            .0
+    }
+
+    /// How often `needle` occurs in `haystack`.
+    fn occurrences(haystack: &[u8], needle: &[u8]) -> usize {
+        haystack
+            .windows(needle.len())
+            .filter(|w| *w == needle)
+            .count()
+    }
+
+    /// `file` with its one occurrence of `from` replaced by `to`, which
+    /// has the same length.
+    fn replaced(mut file: Vec<u8>, from: &[u8], to: &[u8]) -> Vec<u8> {
+        assert_eq!(from.len(), to.len());
+        assert_eq!(occurrences(&file, from), 1);
+        let at = file.windows(from.len()).position(|w| w == from).unwrap();
+        file[at..at + from.len()].copy_from_slice(to);
+        file
+    }
+
+    /// Both caches' contents, sorted, with every `f64` as its bits, so
+    /// equality is bit-exact (`-0.0` and `0.0` differ, NaNs compare).
+    fn exact(cache: &EvalCache, retention: &RetentionCache) -> (Vec<String>, Vec<String>) {
+        let mut entries: Vec<String> = cache
+            .entries()
+            .iter()
+            .map(|(key, value)| match value {
+                Ok(r) => {
+                    let energy: Vec<(Comp, u64)> =
+                        r.energy.iter().map(|(c, pj)| (c, pj.to_bits())).collect();
+                    format!(
+                        "{key:?} {} {} {:x} {energy:?}",
+                        r.design,
+                        r.workload,
+                        r.cycles.to_bits()
+                    )
+                }
+                Err(u) => format!("{key:?} {u:?}"),
+            })
+            .collect();
+        entries.sort();
+        let mut scores: Vec<String> = retention
+            .scores()
+            .iter()
+            .map(|(key, value)| format!("{key:?} {:x}", value.to_bits()))
+            .collect();
+        scores.sort();
+        (entries, scores)
     }
 
     #[test]
@@ -1032,32 +1238,28 @@ mod tests {
         let retention = sample_retention();
         let p1 = temp_path("first");
         let p2 = temp_path("second");
-        assert_eq!(save(&cache, &retention, &p1).unwrap(), 2);
+        let saved = save(&cache, &retention, &p1).unwrap();
+        let file = std::fs::read(&p1).unwrap();
+        assert_eq!((saved.entries, saved.scores), (2, 2));
+        assert_eq!(saved.bytes, file.len());
+        assert!(file.starts_with(MAGIC));
 
         let restored = EvalCache::new();
         let restored_scores = RetentionCache::new();
         let loaded = load_logged(&restored, &restored_scores, &p1, None, None).unwrap();
         assert_eq!((loaded.entries, loaded.scores), (2, 2));
+        assert_eq!(loaded.bytes, file.len());
         // Loading counts neither hits nor misses.
         assert_eq!((restored.hits(), restored.misses()), (0, 0));
         assert_eq!(restored_scores.stats(), (0, 0));
-
-        let mut original = cache.entries();
-        let mut round_tripped = restored.entries();
-        let key = |e: &(EvalKey, Result<EvalResult, Unsupported>)| format!("{:?}", e.0);
-        original.sort_by_key(key);
-        round_tripped.sort_by_key(key);
-        assert_eq!(original, round_tripped);
-        let mut scores = retention.scores();
-        let mut round_tripped = restored_scores.scores();
-        let key = |s: &RetentionScore| format!("{s:?}");
-        scores.sort_by_key(key);
-        round_tripped.sort_by_key(key);
-        assert_eq!(scores, round_tripped);
-
-        assert_eq!(save(&restored, &restored_scores, &p2).unwrap(), 2);
         assert_eq!(
-            std::fs::read(&p1).unwrap(),
+            exact(&restored, &restored_scores),
+            exact(&cache, &retention)
+        );
+
+        assert_eq!(save(&restored, &restored_scores, &p2).unwrap(), saved);
+        assert_eq!(
+            file,
             std::fs::read(&p2).unwrap(),
             "save → load → save must be byte-identical"
         );
@@ -1085,9 +1287,9 @@ mod tests {
         }));
         let path = temp_path("shared");
         save(&cache, &RetentionCache::new(), &path).unwrap();
-        let doc = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(doc.matches(design).count(), 1, "{doc}");
-        assert_eq!(doc.matches("dense A").count(), 1, "{doc}");
+        let file = std::fs::read(&path).unwrap();
+        assert_eq!(occurrences(&file, design.as_bytes()), 1);
+        assert_eq!(occurrences(&file, b"dense A"), 1);
 
         let restored = EvalCache::new();
         assert_eq!(load(&restored, &path).unwrap(), 3);
@@ -1103,10 +1305,12 @@ mod tests {
         let cache = sample_cache();
         let path = temp_path("stale");
         save(&cache, &sample_retention(), &path).unwrap();
-        let doc = std::fs::read_to_string(&path)
-            .unwrap()
-            .replace(&cache_fingerprint(), "hl-snap-v4:0000000000000000");
-        std::fs::write(&path, doc).unwrap();
+        let file = replaced(
+            std::fs::read(&path).unwrap(),
+            cache_fingerprint().as_bytes(),
+            b"hl-snap-v5:0000000000000000",
+        );
+        std::fs::write(&path, file).unwrap();
 
         let restored = EvalCache::new();
         let err = load(&restored, &path).unwrap_err();
@@ -1118,14 +1322,22 @@ mod tests {
     #[test]
     fn malformed_documents_are_reported_not_panicked() {
         let path = temp_path("malformed");
-        for doc in [
-            "not json",
-            "{}",
-            r#"{"format":99,"fingerprint":"x","entries":[]}"#,
+        let wrong_format = Bytes::default().raw(MAGIC).u32(4).0;
+        for file in [
+            &b"not json"[..],
+            b"{}",
+            br#"{"format":99,"fingerprint":"x","entries":[]}"#,
+            b"",
+            b"HLSNA",
+            b"HLSNAQ\x05\0\0\0",
+            &wrong_format,
         ] {
-            std::fs::write(&path, doc).unwrap();
+            std::fs::write(&path, file).unwrap();
             let err = load(&EvalCache::new(), &path).unwrap_err();
-            assert!(matches!(err, SnapshotError::Malformed(_)), "{doc}: {err}");
+            assert!(
+                matches!(err, SnapshotError::Malformed(_)),
+                "{file:?}: {err}"
+            );
         }
         std::fs::remove_file(&path).ok();
         assert!(matches!(
@@ -1158,7 +1370,7 @@ mod tests {
         let payload = r#"["HighLight { tiles: 16 }","HighLight","dense A"],"entries":[[0,[8,8,8],"dense","dense",[1,2]]]"#;
         let doc = format!(
             "{{\"format\":3,\"fingerprint\":\"hl-snap-v3:0123456789abcdef\",\
-             \"crc32\":\"{:08x}\"{PAYLOAD_TAG}{payload}}}",
+             \"crc32\":\"{:08x}\",\"strings\":{payload}}}",
             crc32(payload.as_bytes())
         );
         std::fs::write(&path, doc).unwrap();
@@ -1175,7 +1387,7 @@ mod tests {
         let a = cache_fingerprint();
         let b = cache_fingerprint();
         assert_eq!(a, b);
-        assert!(a.starts_with("hl-snap-v4:"), "{a}");
+        assert!(a.starts_with("hl-snap-v5:"), "{a}");
         // The canary probes an unsupported pair as well as results.
         let canary = Canary::probe();
         assert!(canary.evals.iter().any(Result::is_err), "{canary:?}");
@@ -1188,10 +1400,12 @@ mod tests {
     fn refused_as_another_builds(canary: &Canary, tag: &str) {
         let path = temp_path(tag);
         save(&sample_cache(), &sample_retention(), &path).unwrap();
-        let doc = std::fs::read_to_string(&path)
-            .unwrap()
-            .replace(&cache_fingerprint(), &fingerprint(canary));
-        std::fs::write(&path, doc).unwrap();
+        let file = replaced(
+            std::fs::read(&path).unwrap(),
+            cache_fingerprint().as_bytes(),
+            fingerprint(canary).as_bytes(),
+        );
+        std::fs::write(&path, file).unwrap();
         let (cache, retention) = (EvalCache::new(), RetentionCache::new());
         let log = crate::log::SharedBuffer::new();
         let logger = Logger::with_sink(log.make_sink());
@@ -1276,11 +1490,11 @@ mod tests {
         let cache = sample_cache();
         let path = temp_path("bitrot");
         save(&cache, &sample_retention(), &path).unwrap();
-        // Damage one payload byte in a way that still parses as JSON —
+        // Rename the workload "w" to "X": the payload still decodes, so
         // only the CRC can catch this class of corruption.
-        let doc = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(doc.matches("\"w\"").count(), 1, "{doc}");
-        std::fs::write(&path, doc.replace("\"w\"", "\"X\"")).unwrap();
+        let w = Bytes::default().str("w").0;
+        let x = Bytes::default().str("X").0;
+        std::fs::write(&path, replaced(std::fs::read(&path).unwrap(), &w, &x)).unwrap();
 
         let restored = EvalCache::new();
         let err = load(&restored, &path).unwrap_err();
@@ -1294,57 +1508,70 @@ mod tests {
 
     #[test]
     fn a_bad_last_entry_leaves_the_cache_empty() {
-        // A checksum-valid document whose first entry decodes and whose
-        // last does not: the load fails as a whole.
-        let good = r#"[0,[8,8,8],"dense","dense",[1,2]]"#;
-        let bad = r#"[0,[8,8,8],"dense","dense",[1]]"#;
-        let strings = r#"["HighLight { tiles: 16 }","HighLight","dense A"]"#;
-        let payload = format!(r#"{strings},"entries":[{good},{bad}],"scores":[]"#);
+        // A checksum-valid file whose first entry decodes and whose last
+        // names a reason past the string table: the load fails as a whole.
+        let bad = key(0, [8, 8, 8])
+            .u8(DENSE)
+            .u8(DENSE)
+            .u8(UNSUPPORTED)
+            .u32(1)
+            .u32(3);
         let path = temp_path("bad-last");
-        std::fs::write(&path, document(&payload)).unwrap();
+        std::fs::write(&path, document(&payload(&[good_entry(), bad], &[]))).unwrap();
         let restored = EvalCache::new();
         let err = load(&restored, &path).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
         assert!(restored.entries().is_empty(), "no entry of a failed load");
 
         // The good entry on its own loads.
-        let payload = format!(r#"{strings},"entries":[{good}],"scores":[]"#);
-        std::fs::write(&path, document(&payload)).unwrap();
+        std::fs::write(&path, document(&payload(&[good_entry()], &[]))).unwrap();
         assert_eq!(load(&restored, &path).unwrap(), 1);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn a_bad_last_score_leaves_both_caches_empty() {
-        // A checksum-valid document whose entry and first score decode and
+        // A checksum-valid file whose entry and first score decode and
         // whose last score does not: neither cache takes anything.
-        let strings = r#"["HighLight { tiles: 16 }","HighLight","dense A"]"#;
-        let entries = r#"[[0,[8,8,8],"dense","dense",[1,2]]]"#;
-        let good = r#"[64,512,[[2,4]],44224,0.75]"#;
+        let head = || {
+            Bytes::default()
+                .u64(64)
+                .u64(512)
+                .u8(HSS)
+                .u32(1)
+                .u32(2)
+                .u32(4)
+        };
         let path = temp_path("bad-last-score");
-        for bad in [
-            r#"[64,512,[[2,4]],44224,"x"]"#,   // value not a number
-            r#"[64,512,[[2,4]],44224]"#,       // no value
-            r#"[64,512,[[2,4]],-1,0.75]"#,     // negative seed
-            r#"[64,512,[[2,4]],1.5,0.75]"#,    // fractional seed
-            r#"[0,512,[[2,4]],44224,0.75]"#,   // zero rows
-            r#"[64,512,"sparse",44224,0.75]"#, // unknown config
+        for (bad, what) in [
+            (head().u64(44224).f64(f64::NAN), "NaN value"),
+            (head().u64(44224).f64(f64::INFINITY), "infinite value"),
+            (head().u64(44224), "no value"),
+            (head().u64(MAX_EXACT + 1).f64(0.75), "seed past 2^53"),
+            (
+                Bytes::default().u64(0).u64(512).u8(DENSE).u64(1).f64(0.75),
+                "zero rows",
+            ),
+            (
+                Bytes::default().u64(64).u64(512).u8(3).u64(1).f64(0.75),
+                "unknown config tag",
+            ),
         ] {
-            let payload = format!(r#"{strings},"entries":{entries},"scores":[{good},{bad}]"#);
-            std::fs::write(&path, document(&payload)).unwrap();
+            let file = document(&payload(&[good_entry()], &[good_score(), bad]));
+            std::fs::write(&path, file).unwrap();
             let (cache, retention) = (EvalCache::new(), RetentionCache::new());
             let err = load_logged(&cache, &retention, &path, None, None).unwrap_err();
-            assert!(matches!(err, SnapshotError::Malformed(_)), "{bad}: {err}");
+            assert!(matches!(err, SnapshotError::Malformed(_)), "{what}: {err}");
             assert!(
                 cache.entries().is_empty(),
-                "{bad}: no entry of a failed load"
+                "{what}: no entry of a failed load"
             );
-            assert!(retention.is_empty(), "{bad}: no score of a failed load");
+            assert!(retention.is_empty(), "{what}: no score of a failed load");
         }
 
         // Without the bad score, both load.
-        let payload = format!(r#"{strings},"entries":{entries},"scores":[{good}]"#);
-        std::fs::write(&path, document(&payload)).unwrap();
+        let file = document(&payload(&[good_entry()], &[good_score()]));
+        std::fs::write(&path, file).unwrap();
         let (cache, retention) = (EvalCache::new(), RetentionCache::new());
         let loaded = load_logged(&cache, &retention, &path, None, None).unwrap();
         assert_eq!((loaded.entries, loaded.scores), (1, 1));
@@ -1360,29 +1587,119 @@ mod tests {
 
     #[test]
     fn checksum_valid_but_bad_entries_are_malformed() {
-        let strings = r#"["HighLight { tiles: 16 }","HighLight","dense A"]"#;
+        let dense = |k: Bytes| k.u8(DENSE).u8(DENSE);
+        let result = |k: Bytes, cycles: f64| dense(k).u8(RESULT).u32(1).u32(1).f64(cycles);
+        let eight = || key(0, [8, 8, 8]);
         let path = temp_path("bad-entries");
-        for entry in [
-            r#"[3,[8,8,8],"dense","dense",[1,2]]"#, // index past the table
-            r#"[0.5,[8,8,8],"dense","dense",[1,2]]"#, // fractional index
-            r#"[0,[8,0,8],"dense","dense",[1,2]]"#, // zero dimension
-            r#"[0,[8,8],"dense","dense",[1,2]]"#,   // short shape
-            r#"[0,[8,8,8],"sparse","dense",[1,2]]"#, // unknown operand
-            r#"[0,[8,8,8],"3fe0","dense",[1,2]]"#,  // short bit pattern
-            r#"[0,[8,8,8],[[3,2]],"dense",[1,2]]"#, // G > H
-            r#"[0,[8,8,8],[[1,2,3]],"dense",[1,2]]"#, // not a pair
-            r#"[0,[8,8,8],"dense","dense",[1,1,5,[[0,-1]]]]"#, // negative energy
-            r#"[0,[8,8,8],"dense","dense",[1,1,5,[[13,1]]]]"#, // unknown component
-            r#"[0,[8,8,8],"dense","dense",[1,1,5,[[4,1],[0,1]]]]"#, // out of order
-            r#"[0,[8,8,8],"dense","dense",[1,1,5,[[4,1],[4,1]]]]"#, // repeated
-            r#"[0,[8,8,8],"dense","dense"]"#,       // no outcome
+        for (entry, what) in [
+            (
+                key(3, [8, 8, 8])
+                    .u8(DENSE)
+                    .u8(DENSE)
+                    .u8(UNSUPPORTED)
+                    .u32(1)
+                    .u32(2),
+                "design index past the table",
+            ),
+            (
+                dense(key(0, [8, 0, 8])).u8(UNSUPPORTED).u32(1).u32(2),
+                "zero dimension",
+            ),
+            (
+                dense(key(0, [8, MAX_EXACT + 1, 8]))
+                    .u8(UNSUPPORTED)
+                    .u32(1)
+                    .u32(2),
+                "dimension past 2^53",
+            ),
+            (
+                eight().u8(3).u8(DENSE).u8(UNSUPPORTED).u32(1).u32(2),
+                "unknown operand tag",
+            ),
+            (
+                eight()
+                    .u8(HSS)
+                    .u32(1)
+                    .u32(3)
+                    .u32(2)
+                    .u8(DENSE)
+                    .u8(UNSUPPORTED)
+                    .u32(1)
+                    .u32(2),
+                "G > H",
+            ),
+            (
+                eight()
+                    .u8(HSS)
+                    .u32(1)
+                    .u32(0)
+                    .u32(2)
+                    .u8(DENSE)
+                    .u8(UNSUPPORTED)
+                    .u32(1)
+                    .u32(2),
+                "G = 0",
+            ),
+            (
+                eight().u8(HSS).u32(u32::MAX).u32(1).u32(2),
+                "a rank count past the bytes",
+            ),
+            (
+                result(eight(), 5.0).u8(1).u8(0).f64(-1.0),
+                "negative energy",
+            ),
+            (result(eight(), 5.0).u8(1).u8(0).f64(f64::NAN), "NaN energy"),
+            (
+                result(eight(), 5.0).u8(1).u8(13).f64(1.0),
+                "unknown component",
+            ),
+            (
+                result(eight(), 5.0).u8(2).u8(4).f64(1.0).u8(0).f64(1.0),
+                "out of order",
+            ),
+            (
+                result(eight(), 5.0).u8(2).u8(4).f64(1.0).u8(4).f64(1.0),
+                "repeated component",
+            ),
+            (result(eight(), f64::INFINITY).u8(0), "infinite cycles"),
+            (dense(eight()).u8(2).u32(1).u32(2), "unknown outcome tag"),
+            (dense(eight()), "no outcome"),
         ] {
-            let payload = format!(r#"{strings},"entries":[{entry}],"scores":[]"#);
-            std::fs::write(&path, document(&payload)).unwrap();
+            std::fs::write(&path, document(&payload(&[entry], &[]))).unwrap();
             let restored = EvalCache::new();
             let err = load(&restored, &path).unwrap_err();
-            assert!(matches!(err, SnapshotError::Malformed(_)), "{entry}: {err}");
-            assert!(restored.entries().is_empty(), "{entry}");
+            assert!(matches!(err, SnapshotError::Malformed(_)), "{what}: {err}");
+            assert!(restored.entries().is_empty(), "{what}");
+        }
+
+        // Tables that do not hold what they claim.
+        for (payload, what) in [
+            (
+                strings().u64(u64::MAX).raw(&good_entry().0).u64(0),
+                "entry count past the bytes",
+            ),
+            (strings().u64(0).u64(u64::MAX), "score count past the bytes"),
+            (
+                Bytes::default().u64(u64::MAX),
+                "string count past the bytes",
+            ),
+            (
+                Bytes::default().u64(1).u64(u64::MAX),
+                "string length past the bytes",
+            ),
+            (
+                Bytes::default()
+                    .u64(1)
+                    .u64(2)
+                    .raw(&[0xC3, 0x28])
+                    .u64(0)
+                    .u64(0),
+                "a string that is not UTF-8",
+            ),
+        ] {
+            std::fs::write(&path, document(&payload)).unwrap();
+            let err = load(&EvalCache::new(), &path).unwrap_err();
+            assert!(matches!(err, SnapshotError::Malformed(_)), "{what}: {err}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1392,69 +1709,107 @@ mod tests {
         let cache = sample_cache();
         let path = temp_path("torn");
         save(&cache, &sample_retention(), &path).unwrap();
-        let doc = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &doc[..doc.len() / 2]).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &file[..file.len() / 2]).unwrap();
         let err = load(&EvalCache::new(), &path).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
+    /// The corruption sweep: every truncation of a real snapshot, and 500
+    /// seeded single-bit flips across its header and payload, must be
+    /// refused as malformed, stale or corrupt, never panic, and leave
+    /// both caches empty.
     #[test]
     fn every_truncation_and_byte_flip_is_refused() {
         let path = temp_path("exhaustive");
         save(&sample_cache(), &sample_retention(), &path).unwrap();
-        let doc = std::fs::read(&path).unwrap();
+        let file = std::fs::read(&path).unwrap();
         let refused = |bytes: &[u8], what: &str| {
             std::fs::write(&path, bytes).unwrap();
-            let restored = EvalCache::new();
-            assert!(load(&restored, &path).is_err(), "{what} loaded");
-            assert!(restored.entries().is_empty(), "{what} left entries");
+            let (cache, retention) = (EvalCache::new(), RetentionCache::new());
+            let err = load_logged(&cache, &retention, &path, None, None)
+                .err()
+                .unwrap_or_else(|| panic!("{what} loaded"));
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::Malformed(_)
+                        | SnapshotError::ChecksumMismatch { .. }
+                        | SnapshotError::FingerprintMismatch { .. }
+                ),
+                "{what}: {err}"
+            );
+            assert!(cache.entries().is_empty(), "{what} left entries");
+            assert!(retention.is_empty(), "{what} left scores");
         };
-        for len in 0..doc.len() {
-            refused(&doc[..len], &format!("a {len}-byte prefix"));
+        for len in 0..file.len() {
+            refused(&file[..len], &format!("a {len}-byte prefix"));
         }
-        for i in 0..doc.len() {
-            let mut flipped = doc.clone();
-            flipped[i] ^= 0x01;
-            refused(&flipped, &format!("a flip of byte {i}"));
+        // splitmix64: a fixed stream, so the sweep is the same every run.
+        let mut state = 0xF11F_5EED_u64;
+        let mut header_flips = 0;
+        for _ in 0..500 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let (byte, bit) = ((z >> 3) as usize % file.len(), z & 7);
+            let mut flipped = file.clone();
+            flipped[byte] ^= 1 << bit;
+            header_flips += usize::from(byte < file.len() - payload_len(&file));
+            refused(&flipped, &format!("a flip of bit {bit} of byte {byte}"));
         }
+        assert!(header_flips > 0, "the sweep reaches the header");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The payload length a well-formed file's header announces.
+    fn payload_len(file: &[u8]) -> usize {
+        let mut c = Cursor::new(file);
+        c.array::<6>("magic").unwrap();
+        c.u32("format").unwrap();
+        c.prefixed("fingerprint").unwrap();
+        c.u32("crc32").unwrap();
+        c.u64("payload length").unwrap() as usize
     }
 
     #[test]
     fn missing_crc_field_is_malformed() {
         let path = temp_path("nocrc");
-        let doc = format!(
-            "{{\"format\":{FORMAT},\"fingerprint\":{},\"strings\":[],\"entries\":[],\"scores\":[]}}",
-            Json::str(cache_fingerprint()).encode()
-        );
-        std::fs::write(&path, doc).unwrap();
+        let file = Bytes::default()
+            .raw(MAGIC)
+            .u32(FORMAT)
+            .str(&cache_fingerprint())
+            .0;
+        std::fs::write(&path, file).unwrap();
         let err = load(&EvalCache::new(), &path).unwrap_err();
+        assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
         assert!(err.to_string().contains("crc32"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn the_payload_layout_is_fixed() {
-        // Checksum-valid documents whose payload holds every member, but
-        // in another order or with one more: the walk refuses both.
-        let strings = r#"["HighLight { tiles: 16 }","HighLight","dense A"]"#;
-        let entries = r#"[[0,[8,8,8],"dense","dense",[1,2]]]"#;
-        let scores = r#"[[64,512,[[2,4]],44224,0.75]]"#;
+        // A checksum-valid payload with a byte after the scores, and a
+        // file with a byte after the payload its header announces: both
+        // are refused.
         let path = temp_path("layout");
-        for payload in [
-            format!(r#"{strings},"scores":{scores},"entries":{entries}"#),
-            format!(r#"{strings},"entries":{entries},"scores":{scores},"extra":[]"#),
+        let trailing = payload(&[good_entry()], &[good_score()]).u8(0);
+        let mut longer = document(&payload(&[good_entry()], &[good_score()]));
+        longer.push(0);
+        for (file, what) in [
+            (document(&trailing), "after the scores"),
+            (longer, "follow it"),
         ] {
-            std::fs::write(&path, document(&payload)).unwrap();
+            std::fs::write(&path, file).unwrap();
             let (cache, retention) = (EvalCache::new(), RetentionCache::new());
             let err = load_logged(&cache, &retention, &path, None, None).unwrap_err();
-            assert!(
-                matches!(err, SnapshotError::Malformed(_)),
-                "{payload}: {err}"
-            );
-            assert!(cache.entries().is_empty(), "{payload}: no entry loaded");
-            assert!(retention.is_empty(), "{payload}: no score loaded");
+            assert!(matches!(err, SnapshotError::Malformed(_)), "{what}: {err}");
+            assert!(err.to_string().contains(what), "{what}: {err}");
+            assert!(cache.entries().is_empty(), "{what}: no entry loaded");
+            assert!(retention.is_empty(), "{what}: no score loaded");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1585,6 +1940,10 @@ mod tests {
         assert_eq!(
             (loaded.entries, loaded.scores),
             (cache.entries().len(), retention.len())
+        );
+        assert!(
+            exact(&restored, &restored_scores) == exact(&cache, &retention),
+            "the loaded caches equal the saved ones bit for bit"
         );
         save(&restored, &restored_scores, &p2).unwrap();
         assert!(

@@ -293,7 +293,7 @@ fn identical_inflight_posts_coalesce_into_one_evaluation() {
 
 #[test]
 fn snapshot_round_trips_the_cache_across_a_restart() {
-    let path = std::env::temp_dir().join(format!("hl-serve-e2e-snap-{}.json", std::process::id()));
+    let path = std::env::temp_dir().join(format!("hl-serve-e2e-snap-{}.snap", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let body =
         Json::parse(r#"{"design":"HighLight","a_sparsity":0.5,"b_sparsity":0.125}"#).unwrap();
@@ -310,6 +310,17 @@ fn snapshot_round_trips_the_cache_across_a_restart() {
     assert!(path.exists(), "drain must write the snapshot");
     assert!(log_events(&log, "snapshot_loaded").is_empty());
     assert!(log_events(&log, "snapshot_load_failed").is_empty());
+    // The drain says what it wrote and how long the save took.
+    let saved = log_events(&log, "snapshot_saved");
+    assert_eq!(saved.len(), 1, "{}", log.contents());
+    let field = |key: &str| saved[0].get(key).and_then(Json::as_f64);
+    assert_eq!(field("entries"), Some(entries as f64));
+    assert_eq!(field("scores"), Some(0.0));
+    let bytes = std::fs::metadata(&path).unwrap().len();
+    assert_eq!(field("bytes"), Some(bytes as f64));
+    assert!(field("save_ms").is_some_and(|ms| ms >= 0.0));
+    assert_eq!(saved[0].get("periodic"), Some(&Json::Bool(false)));
+    assert_eq!(saved[0].get("level").and_then(Json::as_str), Some("info"));
 
     // Warm boot: the same request replays entirely from the preloaded
     // cache (zero misses) and stays byte-identical.
@@ -322,6 +333,14 @@ fn snapshot_round_trips_the_cache_across_a_restart() {
     assert_eq!(cache.misses(), 0, "warm boot must answer from the snapshot");
     assert!(cache.hits() > 0);
     server.stop().unwrap();
+
+    // One save per drain: the warm server's drain wrote the file again.
+    assert_eq!(
+        log_events(&log, "snapshot_saved").len(),
+        1,
+        "{}",
+        log.contents()
+    );
 
     // The warm boot says so: entry count, file size, load time, trace id.
     let loaded = log_events(&log, "snapshot_loaded");
@@ -338,7 +357,7 @@ fn snapshot_round_trips_the_cache_across_a_restart() {
 
 #[test]
 fn warm_boots_are_transparent() {
-    let path = std::env::temp_dir().join(format!("hl-serve-e2e-warm-{}.json", std::process::id()));
+    let path = std::env::temp_dir().join(format!("hl-serve-e2e-warm-{}.snap", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let requests = [
         (
@@ -439,31 +458,90 @@ fn log_events(log: &SharedBuffer, event: &str) -> Vec<Json> {
         .collect()
 }
 
+/// A format-4 snapshot as a server of that format wrote it on drain: one
+/// `/v1/evaluate` of TC on a dense 8 × 8 × 8 GEMM.
+const V4_SNAPSHOT: &str = r#"{"format":4,"fingerprint":"hl-snap-v4:fada5a3d3d00cbec","crc32":"d9b16b02","strings":["A[dense] B[dense]","TC","Tc { tech: Tech { mac_pj: 2.2, reg_pj: 0.18, sram_coeff_pj: 0.64, dram_pj: 128.0, mux2_pj: 0.012, noc_pj: 0.6, mac_um2: 1800.0, reg_bit_um2: 5.0, sram_kb_um2: 5500.0, mux2_bit_um2: 4.0 }, resources: Resources { macs: 1024, glb_kb: 320.0, glb_meta_kb: 0.0, rf_kb: 8.0, spatial_accum: 4 } }"],"entries":[[2,[8,8,8],"dense","dense",[1,0,1,[[0,1402.88],[1,157.3269609541522],[2,2930.8590194685244],[4,24576],[5,76.8]]]]],"scores":[]}"#;
+
 #[test]
 fn a_v2_snapshot_is_refused_and_the_server_boots_cold() {
-    let path = std::env::temp_dir().join(format!("hl-serve-e2e-v2-{}.json", std::process::id()));
-    std::fs::write(
-        &path,
-        r#"{"format":2,"fingerprint":"hl-snap-v2:0123456789abcdef","crc32":"00000000","entries":[]}"#,
-    )
-    .unwrap();
+    let v2 = r#"{"format":2,"fingerprint":"hl-snap-v2:0123456789abcdef","crc32":"00000000","entries":[]}"#;
+    for (format, doc) in [(2, v2), (4, V4_SNAPSHOT)] {
+        let path = std::env::temp_dir().join(format!(
+            "hl-serve-e2e-v{format}-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, doc).unwrap();
 
-    let (server, log) = spawn_logged(&path);
-    let addr = server.addr().to_string();
-    let body =
-        Json::parse(r#"{"design":"HighLight","a_sparsity":0.5,"b_sparsity":0.125}"#).unwrap();
-    let (status, _) = post_json(&addr, "/v1/evaluate", &body).unwrap();
-    assert_eq!(status, 200);
-    let cache = server.app().context().engine().eval_cache();
-    assert!(cache.misses() > 0, "a refused snapshot boots cold");
+        let (server, log) = spawn_logged(&path);
+        let addr = server.addr().to_string();
+        let body =
+            Json::parse(r#"{"design":"HighLight","a_sparsity":0.5,"b_sparsity":0.125}"#).unwrap();
+        let (status, _) = post_json(&addr, "/v1/evaluate", &body).unwrap();
+        assert_eq!(status, 200);
+        let cache = server.app().context().engine().eval_cache();
+        assert!(
+            cache.misses() > 0,
+            "a refused v{format} snapshot boots cold"
+        );
+        server.stop().unwrap();
+
+        let failed = log_events(&log, "snapshot_load_failed");
+        assert_eq!(failed.len(), 1, "{}", log.contents());
+        let error = failed[0].get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(
+            error.contains(&format!("unsupported format {format}")),
+            "{error}"
+        );
+        assert!(log_events(&log, "snapshot_loaded").is_empty());
+
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
+fn periodic_saves_log_snapshot_saved() {
+    let path =
+        std::env::temp_dir().join(format!("hl-serve-e2e-periodic-{}.snap", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let app = App::with_context(SweepContext::with_engine(Engine::with_threads(2)));
+    let log = SharedBuffer::new();
+    app.logger().set_sink(log.make_sink());
+    let server = Server::bind(
+        ServerConfig {
+            snapshot: Some(path.clone()),
+            snapshot_interval: Some(Duration::from_millis(20)),
+            ..config()
+        },
+        app,
+    )
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !log.contents().contains("\"periodic\":true") && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     server.stop().unwrap();
 
-    let failed = log_events(&log, "snapshot_load_failed");
-    assert_eq!(failed.len(), 1, "{}", log.contents());
-    let error = failed[0].get("error").and_then(Json::as_str).unwrap_or("");
-    assert!(error.contains("unsupported format 2"), "{error}");
-    assert!(log_events(&log, "snapshot_loaded").is_empty());
-
+    let saved = log_events(&log, "snapshot_saved");
+    let periodic = |e: &Json| e.get("periodic").and_then(Json::as_bool);
+    assert!(
+        saved.iter().any(|e| periodic(e) == Some(true)),
+        "{}",
+        log.contents()
+    );
+    // The drain's save is the last one.
+    assert_eq!(saved.last().and_then(periodic), Some(false));
+    for event in &saved {
+        assert!(event
+            .get("save_ms")
+            .and_then(Json::as_f64)
+            .is_some_and(|ms| ms >= 0.0));
+        assert!(event
+            .get("bytes")
+            .and_then(Json::as_f64)
+            .is_some_and(|b| b > 0.0));
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -479,6 +557,7 @@ fn a_failed_drain_save_is_logged_as_an_error() {
 
     let failed = log_events(&log, "snapshot_save_failed");
     assert_eq!(failed.len(), 1, "{}", log.contents());
+    assert!(log_events(&log, "snapshot_saved").is_empty());
     assert_eq!(failed[0].get("level").and_then(Json::as_str), Some("error"));
     assert_eq!(failed[0].get("periodic"), Some(&Json::Bool(false)));
     assert!(log_events(&log, "snapshot_load_failed").is_empty());

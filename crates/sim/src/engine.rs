@@ -298,6 +298,22 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
             map.entry(key).or_insert(value);
         }
     }
+
+    /// [`Memo::preload`] of a whole decoded table. A memo that holds
+    /// nothing takes `table` over as it is, so the snapshot-load path
+    /// moves (and hashes) no entry a second time; otherwise every entry
+    /// merges in as [`Memo::preload`] would.
+    pub fn preload_table(&self, table: HashMap<K, V>) {
+        let mut map = self.map();
+        if map.is_empty() {
+            *map = table;
+            return;
+        }
+        map.reserve(table.len());
+        for (key, value) in table {
+            map.entry(key).or_insert(value);
+        }
+    }
 }
 
 /// Hashable identity of one operand's sparsity descriptor (`f64` degrees
@@ -828,6 +844,23 @@ mod tests {
         warm.preload([(1, 99)]);
         assert_eq!(warm.get_or_insert_with(&1, || unreachable!()), 10);
         assert_eq!((warm.hits(), warm.misses()), (1, 0));
+    }
+
+    #[test]
+    fn preload_table_takes_over_an_empty_memo_and_merges_otherwise() {
+        let cold: Memo<u32, u32> = Memo::new();
+        cold.preload_table(HashMap::from([(1, 10), (2, 20)]));
+        assert_eq!((cold.hits(), cold.misses(), cold.len()), (0, 0, 2));
+        let mut entries = cold.entries();
+        entries.sort_unstable();
+        assert_eq!(entries, vec![(1, 10), (2, 20)]);
+
+        // A memo that already holds entries keeps them: live entries win.
+        cold.preload_table(HashMap::from([(1, 99), (3, 30)]));
+        let mut entries = cold.entries();
+        entries.sort_unstable();
+        assert_eq!(entries, vec![(1, 10), (2, 20), (3, 30)]);
+        assert_eq!((cold.hits(), cold.misses()), (0, 0));
     }
 
     #[test]
