@@ -1,4 +1,3 @@
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
@@ -72,6 +71,11 @@ impl Comp {
         }
     }
 
+    /// The category's position in [`Comp::ALL`] (its declaration order).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// True for categories that exist *only* to support sparsity — the
     /// components whose cost is the paper's "sparsity tax".
     pub fn is_sparsity_tax(self) -> bool {
@@ -97,9 +101,16 @@ impl fmt::Display for Comp {
 macro_rules! breakdown_type {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Default, PartialEq)]
+        ///
+        /// The amounts live inline, one slot per [`Comp::ALL`] entry beside
+        /// a mask of the categories recorded (at any amount, 0 included),
+        /// so a breakdown owns no heap block.
+        #[derive(Clone, Default, PartialEq)]
         pub struct $name {
-            entries: BTreeMap<Comp, f64>,
+            /// Bit `i` is set once `Comp::ALL[i]` has been recorded.
+            recorded: u16,
+            /// Each category's amount by `Comp::ALL` index; 0 if unrecorded.
+            amounts: [f64; Comp::ALL.len()],
         }
 
         impl $name {
@@ -114,23 +125,23 @@ macro_rules! breakdown_type {
             /// Panics if `amount` is negative or non-finite.
             pub fn record(&mut self, comp: Comp, amount: f64) {
                 assert!(amount.is_finite() && amount >= 0.0, "invalid amount {amount}");
-                *self.entries.entry(comp).or_insert(0.0) += amount;
+                self.recorded |= 1 << comp.index();
+                self.amounts[comp.index()] += amount;
             }
 
             /// The amount recorded for a category (0 if absent).
             pub fn get(&self, comp: Comp) -> f64 {
-                self.entries.get(&comp).copied().unwrap_or(0.0)
+                self.amounts[comp.index()]
             }
 
             #[doc = concat!("Total across all categories (", $unit, ").")]
             pub fn total(&self) -> f64 {
-                self.entries.values().sum()
+                self.iter().map(|(_, v)| v).sum()
             }
 
             /// Total across sparsity-tax categories only.
             pub fn sparsity_tax(&self) -> f64 {
-                self.entries
-                    .iter()
+                self.iter()
                     .filter(|(c, _)| c.is_sparsity_tax())
                     .map(|(_, v)| v)
                     .sum()
@@ -138,7 +149,10 @@ macro_rules! breakdown_type {
 
             /// Iterates `(category, amount)` pairs in display order.
             pub fn iter(&self) -> impl Iterator<Item = (Comp, f64)> + '_ {
-                self.entries.iter().map(|(c, v)| (*c, *v))
+                Comp::ALL
+                    .into_iter()
+                    .filter(|c| self.recorded >> c.index() & 1 == 1)
+                    .map(|c| (c, self.amounts[c.index()]))
             }
 
             /// Scales every entry by `factor` (e.g. per-layer weighting).
@@ -148,8 +162,23 @@ macro_rules! breakdown_type {
             pub fn scaled(&self, factor: f64) -> Self {
                 assert!(factor.is_finite() && factor >= 0.0, "invalid factor {factor}");
                 Self {
-                    entries: self.entries.iter().map(|(c, v)| (*c, v * factor)).collect(),
+                    recorded: self.recorded,
+                    amounts: self.amounts.map(|v| v * factor),
                 }
+            }
+        }
+
+        /// Collects `(category, amount)` pairs recorded elsewhere (a
+        /// repeated category keeps its last amount), without re-checking
+        /// the amounts [`record`](Self::record) checked.
+        impl FromIterator<(Comp, f64)> for $name {
+            fn from_iter<I: IntoIterator<Item = (Comp, f64)>>(pairs: I) -> Self {
+                let mut out = Self::default();
+                for (comp, amount) in pairs {
+                    out.recorded |= 1 << comp.index();
+                    out.amounts[comp.index()] = amount;
+                }
+                out
             }
         }
 
@@ -163,16 +192,32 @@ macro_rules! breakdown_type {
 
         impl AddAssign for $name {
             fn add_assign(&mut self, rhs: Self) {
-                for (c, v) in rhs.entries {
-                    *self.entries.entry(c).or_insert(0.0) += v;
+                for (c, v) in rhs.iter() {
+                    self.recorded |= 1 << c.index();
+                    self.amounts[c.index()] += v;
                 }
+            }
+        }
+
+        /// Prints the recorded categories as a map, `Name { entries: {…} }`.
+        impl fmt::Debug for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                struct Entries<'a>(&'a $name);
+                impl fmt::Debug for Entries<'_> {
+                    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                        f.debug_map().entries(self.0.iter()).finish()
+                    }
+                }
+                f.debug_struct(stringify!($name))
+                    .field("entries", &Entries(self))
+                    .finish()
             }
         }
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, "{} {{ ", stringify!($name))?;
-                for (c, v) in &self.entries {
+                for (c, v) in self.iter() {
                     write!(f, "{c}: {v:.3e} ")?;
                 }
                 write!(f, "}} total={:.3e} {}", self.total(), $unit)
@@ -235,6 +280,31 @@ mod tests {
     #[should_panic(expected = "invalid amount")]
     fn rejects_negative_amounts() {
         AreaBreakdown::new().record(Comp::Mac, -1.0);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, comp) in Comp::ALL.into_iter().enumerate() {
+            assert_eq!(comp.index(), i);
+        }
+    }
+
+    #[test]
+    fn debug_prints_the_recorded_categories_as_a_map() {
+        let mut e = EnergyBreakdown::new();
+        e.record(Comp::Dram, 2.5);
+        e.record(Comp::Mac, 0.0);
+        assert_eq!(
+            format!("{e:?}"),
+            "EnergyBreakdown { entries: {Mac: 0.0, Dram: 2.5} }"
+        );
+        assert_eq!(
+            format!("{:?}", AreaBreakdown::new()),
+            "AreaBreakdown { entries: {} }"
+        );
+        let collected: EnergyBreakdown = e.iter().collect();
+        assert_eq!(collected, e);
+        assert_ne!(collected, EnergyBreakdown::new(), "0 pJ is still recorded");
     }
 
     #[test]

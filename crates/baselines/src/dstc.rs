@@ -72,33 +72,29 @@ impl Dstc {
     fn density(op: &OperandSparsity) -> f64 {
         op.density()
     }
-}
 
-impl Accelerator for Dstc {
-    fn name(&self) -> &str {
-        "DSTC"
+    /// The expected utilization of one operand stream's nonzeros spread
+    /// over the 32-wide columns (1.0 at dense).
+    fn utilization(&self, op: &OperandSparsity) -> f64 {
+        self.balance
+            .balance(Self::density(op), self.lanes)
+            .utilization
     }
 
-    fn evaluate(&self, w: &Workload) -> Result<EvalResult, Unsupported> {
-        // A fully-pruned operand would zero both the partial-product count
-        // and the balance utilization, making `cycles` 0/0 = NaN.
-        hl_sim::check_densities(self.name(), w)?;
+    /// Evaluates `w`, whose densities are nondegenerate, given the
+    /// utilizations of operands A and B.
+    fn evaluate_balanced(&self, w: &Workload, u_a: f64, u_b: f64) -> EvalResult {
         let d_a = Self::density(&w.a);
         let d_b = Self::density(&w.b);
         let macs = self.resources.macs as f64;
         let partial_products = w.dense_macs() * d_a * d_b;
 
-        // Workload balance: both operand streams distribute their nonzeros
-        // over 32-wide columns; utilization is the product of per-side
-        // binomial expectations (1.0 at dense).
-        let u_a = self.balance.balance(d_a, self.lanes).utilization;
-        let u_b = self.balance.balance(d_b, self.lanes).utilization;
         // The two distribution axes are interleaved in time, not compounded;
         // the geometric mean keeps single-side behaviour exact.
         let utilization = (u_a * u_b).sqrt();
         let cycles = (partial_products / (macs * utilization)).ceil();
 
-        // Densities are in (0, 1] after the guard above, so the traffic
+        // Densities are in (0, 1] after the caller's guard, so the traffic
         // model cannot reject them.
         let traffic = TrafficModel::new(w.shape, d_a, d_b, &self.resources);
         let mut acc = Accountant::new(self.tech.clone(), self.resources);
@@ -129,12 +125,41 @@ impl Accelerator for Dstc {
             acc.prefix_sum(PrefixSum::new(self.lanes as u32), partial_products / macs);
         }
 
-        Ok(EvalResult {
+        EvalResult {
             design: "DSTC".into(),
             workload: w.name.clone(),
             cycles,
             energy: acc.into_energy(),
-        })
+        }
+    }
+}
+
+impl Accelerator for Dstc {
+    fn name(&self) -> &str {
+        "DSTC"
+    }
+
+    fn evaluate(&self, w: &Workload) -> Result<EvalResult, Unsupported> {
+        // A fully-pruned operand would zero both the partial-product count
+        // and the balance utilization, making `cycles` 0/0 = NaN.
+        hl_sim::check_densities(self.name(), w)?;
+        // Workload balance: both operand streams distribute their nonzeros
+        // over 32-wide columns; utilization is the product of per-side
+        // binomial expectations.
+        let (u_a, u_b) = (self.utilization(&w.a), self.utilization(&w.b));
+        Ok(self.evaluate_balanced(w, u_a, u_b))
+    }
+
+    /// The swapped workload has the same two densities, so both
+    /// orientations share one pair of balance utilizations (and one
+    /// density check) instead of computing each twice.
+    fn evaluate_best(&self, w: &Workload) -> Result<EvalResult, Unsupported> {
+        hl_sim::check_densities(self.name(), w)?;
+        let (u_a, u_b) = (self.utilization(&w.a), self.utilization(&w.b));
+        hl_sim::best_of(
+            Ok(self.evaluate_balanced(w, u_a, u_b)),
+            Ok(self.evaluate_balanced(&w.swapped(), u_b, u_a)),
+        )
     }
 
     fn area(&self) -> AreaBreakdown {
@@ -188,6 +213,34 @@ mod tests {
         assert_eq!(format!("{d:?}"), format!("{mirror:?}"));
         assert_eq!(format!("{d:#?}"), format!("{mirror:#?}"));
         assert_eq!(d.balance, BinomialTable::new(d.tile));
+    }
+
+    #[test]
+    fn evaluate_best_answers_what_both_orientations_would() {
+        use hl_sparsity::{Gh, HssPattern};
+        let d = Dstc::default();
+        let operands = [
+            OperandSparsity::Dense,
+            OperandSparsity::unstructured(0.3),
+            OperandSparsity::unstructured(0.875),
+            OperandSparsity::unstructured(1.0),
+            OperandSparsity::Hss(HssPattern::two_rank(Gh::new(4, 8), Gh::new(2, 4))),
+        ];
+        for a in &operands {
+            for b in &operands {
+                for (m, k, n) in [(64, 1024, 7), (3, 9, 512)] {
+                    let mut w = Workload::synthetic(a.clone(), b.clone());
+                    (w.shape.m, w.shape.k, w.shape.n) = (m, k, n);
+                    let reference = hl_sim::best_of(d.evaluate(&w), d.evaluate(&w.swapped()));
+                    // `Debug` prints every f64 in shortest round-trip form.
+                    assert_eq!(
+                        format!("{:?}", d.evaluate_best(&w)),
+                        format!("{reference:?}"),
+                        "{w}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -214,7 +214,7 @@ mod tests {
         assert!(!s.swappable());
         // evaluate_best must NOT rescue a dense-A workload via swapping.
         let w = Workload::synthetic(OperandSparsity::Dense, gh8(4));
-        assert!(hl_sim::evaluate_best(&s, &w).is_err());
+        assert!(s.evaluate_best(&w).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use highlight_core::{HighLight, HighLightConfig};
 use hl_bench::DesignId;
-use hl_sim::{evaluate_best, Workload};
+use hl_sim::{Accelerator, Workload};
 use hl_tensor::GemmShape;
 use std::hint::black_box;
 
@@ -55,14 +55,14 @@ fn workload() -> Workload {
 
 fn print_ablation_table() {
     let w = workload();
-    let full = evaluate_best(&HighLight::default(), &w).unwrap();
+    let full = HighLight::default().evaluate_best(&w).unwrap();
     println!("\nHighLight SAF ablation on A 75% / B 50% (1024^3 GEMM):");
     println!(
         "{:>14} {:>12} {:>12} {:>12}",
         "variant", "speedup", "energy", "EDP vs full"
     );
     for (name, hl) in variants() {
-        let r = evaluate_best(&hl, &w).unwrap();
+        let r = hl.evaluate_best(&w).unwrap();
         println!(
             "{:>14} {:>11.2}x {:>11.2}x {:>12.2}",
             name,
@@ -79,7 +79,7 @@ fn bench_ablations(c: &mut Criterion) {
     let w = workload();
     for (name, hl) in variants() {
         c.bench_function(&format!("ablation/{name}"), |bench| {
-            bench.iter(|| black_box(evaluate_best(&hl, &w)))
+            bench.iter(|| black_box(hl.evaluate_best(&w)))
         });
     }
 }

@@ -5,7 +5,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hl_bench::{run_synthetic_sweep, DesignId};
-use hl_sim::evaluate_best;
 use hl_tensor::GemmShape;
 use std::hint::black_box;
 
@@ -14,7 +13,7 @@ fn bench_design_evaluations(c: &mut Criterion) {
         let w = d.workload(GemmShape::new(1024, 1024, 1024), 0.75, 0.5);
         let design = d.build();
         c.bench_function(&format!("evaluate/{d}"), |bench| {
-            bench.iter(|| black_box(evaluate_best(design.as_ref(), &w)))
+            bench.iter(|| black_box(design.evaluate_best(&w)))
         });
     }
 }

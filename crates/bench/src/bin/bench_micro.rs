@@ -3,7 +3,8 @@
 //! simulator, fibertree construction, HSS pruning, the accuracy
 //! surrogate's retention misses, one at a time and as a co-design
 //! search's batch, the network stage of a co-design search (uncached
-//! `evaluate_best` cells and model lowering), and the JSON number
+//! `evaluate_best` cells, the same networks replayed from a warm engine,
+//! and model lowering), and the JSON number
 //! formatter every response runs — and records the result in
 //! `BENCH_micro.json` (honoring `HL_BENCH_OUT`), one kernel per line with
 //! four decimals.
@@ -22,7 +23,6 @@ use hl_models::accuracy::PruningConfig;
 use hl_models::accuracy::{accuracy_loss_cached, synthetic_weights, RetentionCache};
 use hl_models::ModelId;
 use hl_sim::engine::Engine;
-use hl_sim::evaluate_best;
 use hl_sim::micro::{MicroConfig, MicroSim};
 use hl_sparsity::prune::{hss_kept, hss_kept_sum_sq, prune_hss, PruneScratch};
 use hl_sparsity::{Gh, HssPattern};
@@ -167,11 +167,29 @@ fn main() {
         record(name, 20, &mut || {
             workloads
                 .iter()
-                .filter_map(|w| evaluate_best(accelerator.as_ref(), w).ok())
+                .filter_map(|w| accelerator.evaluate_best(w).ok())
                 .map(|r| r.cycles)
                 .sum()
         });
     }
+    // The same stage replayed warm: every HighLight candidate's ResNet50
+    // network on an engine whose memo already holds each cell, so the row
+    // times the lookups and the reports built from the cached costs.
+    let highlight = DesignId::HighLight.build();
+    let networks: Vec<_> = codesign_space("HighLight")
+        .expect("registered")
+        .iter()
+        .map(|cfg| SweepContext::lower_model(DesignId::HighLight, &resnet, cfg))
+        .collect();
+    let warm = Engine::serial();
+    let replay = || -> f64 {
+        networks
+            .iter()
+            .filter_map(|n| warm.evaluate_network(highlight.as_ref(), n).cycles())
+            .sum()
+    };
+    replay();
+    record("network_warm", 20, &mut || replay());
     let dsso_space: Vec<PruningConfig> = codesign_space("DSSO").expect("DSSO is registered");
     record("lower_dsso", 50, &mut || {
         dsso_space

@@ -4,7 +4,7 @@ use hl_arch::Comp;
 use hl_eval::{designs, DesignId};
 use hl_fibertree::catalog;
 use hl_sim::network::SparsityMapping;
-use hl_sim::{evaluate_best, OperandSparsity, Workload};
+use hl_sim::{OperandSparsity, Workload};
 use hl_sparsity::families::highlight_a;
 
 /// Table 1: design-category comparison, measured from the models.
@@ -20,7 +20,9 @@ pub fn table1() -> String {
     ));
     for &d in DesignId::EVALUATED {
         let w = Workload::synthetic(d.operand_a(0.5), OperandSparsity::Dense);
-        let tax = evaluate_best(d.build().as_ref(), &w)
+        let tax = d
+            .build()
+            .evaluate_best(&w)
             .map(|r| r.energy.sparsity_tax() / r.energy.total() * 100.0)
             .ok();
         let (category, degrees) = match d {

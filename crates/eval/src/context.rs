@@ -13,7 +13,7 @@ use hl_models::accuracy::{accuracy_loss, accuracy_loss_cached, PruningConfig, Re
 use hl_models::DnnModel;
 use hl_sim::engine::{DesignFingerprint, Engine, Memo, SweepGrid};
 use hl_sim::network::{NetworkEval, NetworkWorkload};
-use hl_sim::{evaluate_best, Accelerator, EvalResult, Unsupported, Workload};
+use hl_sim::{Accelerator, EvalResult, Unsupported, Workload};
 
 use crate::search::SearchFront;
 use crate::DesignId;
@@ -135,7 +135,7 @@ impl SweepContext {
     /// `evaluate_best` through the context (memoized in engine mode).
     ///
     /// # Errors
-    /// Exactly the errors of [`evaluate_best`].
+    /// Exactly the errors of [`Accelerator::evaluate_best`].
     pub fn evaluate_best(
         &self,
         design: &dyn Accelerator,
@@ -144,7 +144,7 @@ impl SweepContext {
         if self.cached {
             self.engine.evaluate_best(design, workload)
         } else {
-            evaluate_best(design, workload)
+            design.evaluate_best(workload)
         }
     }
 

@@ -209,7 +209,8 @@ impl RetentionCache {
     /// snapshots them next to the evaluation cache. Order is unspecified
     /// (callers sort).
     pub fn scores(&self) -> Vec<RetentionScore> {
-        self.retention.entries()
+        self.retention
+            .walk(|scores| scores.map(|(key, &score)| (key.clone(), score)).collect())
     }
 
     /// Seeds retention scores without touching the hit/miss counters — the
@@ -282,7 +283,7 @@ impl RetentionCache {
                     let (r, c) = proxy_shape(rows, cols, cfg);
                     (key.0, key.1, key.3) = (r, c, layer_seed(l));
                     match get(&key) {
-                        Some(score) => scores[i * n + l] = score,
+                        Some(&score) => scores[i * n + l] = score,
                         None => misses.push(Miss {
                             slot: i * n + l,
                             key: key.clone(),
@@ -381,7 +382,9 @@ impl RetentionCache {
         lowest.sort_unstable();
         lowest.dedup();
         let keys: Vec<_> = lowest.iter().map(|&gh| (r, c, seed, gh)).collect();
-        let found = self.hss_prefix.get_many(&keys);
+        let found: Vec<_> = self
+            .hss_prefix
+            .lookup(|get| keys.iter().map(|key| get(key).cloned()).collect());
         let known: Vec<(Gh, &KeptMask)> = lowest
             .iter()
             .zip(&found)

@@ -703,7 +703,7 @@ mod tests {
         // Byte-identical to the offline evaluation through the same view.
         let design = DesignId::HighLight.build();
         let w = build_workload("HighLight", GemmShape::new(1024, 1024, 1024), 0.5, 0.25).unwrap();
-        let offline = hl_sim::evaluate_best(design.as_ref(), &w).unwrap();
+        let offline = design.evaluate_best(&w).unwrap();
         assert_eq!(
             v.get("result").unwrap().encode(),
             eval_result_json(&offline).encode()

@@ -3,14 +3,14 @@
 //! them on boot, so a restarted server answers its steady-state traffic,
 //! first co-design searches included, from warm caches.
 //!
-//! The snapshot (format 5) is a fixed little-endian binary layout.
+//! The snapshot (format 6) is a fixed little-endian binary layout.
 //! Integers are unsigned, every `f64` is stored as its IEEE bit pattern
 //! (so it round-trips bit for bit), and every length and count is a `u64`:
 //!
 //! ```text
 //! header   magic        6 bytes "HLSNAP"
-//!          format       u32 = 5
-//!          fingerprint  u64 length, UTF-8 ("hl-snap-v5:…")
+//!          format       u32 = 6
+//!          fingerprint  u64 length, UTF-8 ("hl-snap-v6:…")
 //!          crc32        u32, IEEE CRC-32 of the payload
 //!          length       u64, payload bytes
 //! payload  strings      u64 count, then per string a u64 length and UTF-8
@@ -21,21 +21,24 @@
 //! operand  u8 tag       0 dense
 //!                       1 unstructured: the degree's f64 bits
 //!                       2 HSS: u32 rank count, then g, h u32 per rank
-//! outcome  u8 tag       0 result: name u32 · workload u32 · cycles f64 ·
-//!                         u8 pair count, then component u8 · pJ f64 per pair
-//!                       1 unsupported: name u32 · reason u32
+//! outcome  u8 tag       0 cost: cycles f64 · u16 component mask, then
+//!                         pJ f64 per set bit, lowest bit first
+//!                       1 unsupported: reason u32
 //! ```
 //!
-//! Every string an entry refers to — design `Debug` fingerprints, design
-//! names, workload names, unsupported reasons — is stored once in the
-//! sorted string table, and entries name them by `u32` index. Every loaded
-//! key of one design shares one [`DesignFingerprint`]. HSS ranks are
-//! listed highest rank first, and energy pairs in [`Comp::ALL`] index
-//! order. Each score is one [`RetentionCache`] score: the retained-norm
-//! fraction of a `rows × cols` proxy synthesized from `seed` under the
-//! pruning `config`. A retention hit reads nothing but its score, so the
-//! scores alone restore a warm surrogate; the weight streams, argsorts and
-//! masks behind them are not persisted.
+//! An entry holds what the evaluation cache holds, a [`Cost`] or an
+//! unsupported reason, and no design or workload name: the engine names
+//! each report on the way out. Bit `i` of a component mask stands for
+//! `Comp::ALL[i]`, set even for a component recorded at 0 pJ. Design
+//! `Debug` fingerprints and unsupported reasons are stored once in the
+//! sorted string table, and entries name them by `u32` index. Every
+//! loaded key of one design shares one [`DesignFingerprint`], and every
+//! loaded entry of one reason shares one `Arc<str>`. HSS ranks are listed
+//! highest rank first. Each score is one [`RetentionCache`] score:
+//! the retained-norm fraction of a `rows × cols` proxy synthesized from
+//! `seed` under the pruning `config`. A retention hit reads nothing but
+//! its score, so the scores alone restore a warm surrogate; the weight
+//! streams, argsorts and masks behind them are not persisted.
 //!
 //! Cached results are only valid for the code that produced them. The
 //! `fingerprint` hashes the format, every registered design's `Debug`
@@ -50,10 +53,11 @@
 //!
 //! [`load`] checks, in order:
 //!
-//! 1. the magic and the format. Every earlier format (1 to 4) was one
-//!    JSON document, so a file that starts with `{` is read with the pull
-//!    [`Reader`] only as far as its `format` member and refused as
-//!    `unsupported format N`;
+//! 1. the magic and the format. A format-5 file (binary, with names in
+//!    every entry) is refused as `unsupported format 5`. Every earlier
+//!    format (1 to 4) was one JSON document, so a file that starts with
+//!    `{` is read with the pull [`Reader`] only as far as its `format`
+//!    member and refused as `unsupported format N`;
 //! 2. the fingerprint;
 //! 3. the payload length (no byte missing, none trailing) and the CRC over
 //!    the payload, computed slice-by-8 (eight table lookups per eight-byte
@@ -62,8 +66,9 @@
 //!    trusted;
 //! 4. every string, entry and score as the decoder reaches it: UTF-8
 //!    strings, string indices, dimensions and seeds (at most 2⁵³, and
-//!    dimensions at least 1), G:H ranks, known tags, energy component
-//!    order and sign, finite values, and no byte after the scores.
+//!    dimensions at least 1), G:H ranks, known tags, component masks
+//!    (no bit at or past 13, the size of `Comp::ALL`), energy signs,
+//!    finite values, and no byte after the scores.
 //!
 //! The decoder is a bounds-checked byte cursor: a read past the end, an
 //! unknown tag or a field out of range is a [`SnapshotError::Malformed`]
@@ -82,17 +87,18 @@
 //! order).
 
 use std::cell::OnceCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hl_arch::{Comp, EnergyBreakdown};
+use hl_arch::Comp;
 use hl_models::accuracy::{accuracy_loss, PruningConfig, RetentionCache, RetentionScore};
 use hl_models::{DnnModel, LayerKind, LayerSpec};
 use hl_sim::engine::{DesignFingerprint, EvalCache, EvalKey, OperandKey};
-use hl_sim::{evaluate_best, EvalResult, OperandSparsity, Unsupported, Workload};
+use hl_sim::{Cost, EvalResult, OperandSparsity, Unsupported, Workload};
 use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::GemmShape;
 
@@ -103,8 +109,8 @@ use crate::log::Logger;
 /// Snapshot format version; bumped on any encoding change (v2 added the
 /// `crc32` payload checksum, v3 the string table and positional entries,
 /// v4 the retention scores and the canary in the fingerprint, v5 the
-/// binary layout).
-pub const FORMAT: u32 = 5;
+/// binary layout, v6 entries without names and component masks).
+pub const FORMAT: u32 = 6;
 
 /// The first bytes of every snapshot this binary writes.
 pub const MAGIC: &[u8; 6] = b"HLSNAP";
@@ -175,7 +181,7 @@ fn malformed(msg: impl Into<String>) -> SnapshotError {
 }
 
 /// One cached evaluation outcome.
-type Outcome = Result<EvalResult, Unsupported>;
+type Outcome = Result<Cost, Arc<str>>;
 
 /// `steps` shift steps of the reflected CRC-32 register (polynomial
 /// 0xEDB88320) starting from `crc`.
@@ -251,13 +257,13 @@ const UNSTRUCTURED: u8 = 1;
 const HSS: u8 = 2;
 
 // Outcome tags.
-const RESULT: u8 = 0;
+const COST: u8 = 0;
 const UNSUPPORTED: u8 = 1;
 
 // The fewest bytes a string, an entry and a score take: what bounds the
 // capacity a count may claim.
 const MIN_STRING: usize = 8;
-const MIN_ENTRY: usize = 4 + 3 * 8 + 1 + 1 + 1 + 4 + 4;
+const MIN_ENTRY: usize = 4 + 3 * 8 + 1 + 1 + 1 + 4;
 const MIN_SCORE: usize = 2 * 8 + 1 + 8 + 8;
 
 /// The largest dimension and seed the format holds: every integer up to
@@ -268,7 +274,7 @@ const MAX_EXACT: u64 = 1 << 53;
 #[derive(Debug, Clone)]
 struct Canary {
     /// `evaluate_best` of every design on every probe workload.
-    evals: Vec<Outcome>,
+    evals: Vec<Result<EvalResult, Unsupported>>,
     /// Uncached surrogate losses of the probe model, one per probe config.
     losses: Vec<f64>,
 }
@@ -294,7 +300,7 @@ impl Canary {
             for shape in [GemmShape::new(64, 64, 64), GemmShape::new(512, 256, 128)] {
                 for (a, b) in &operands {
                     let workload = Workload::new("canary", shape, a.clone(), b.clone());
-                    evals.push(evaluate_best(design.as_ref(), &workload));
+                    evals.push(design.evaluate_best(&workload));
                 }
             }
         }
@@ -375,7 +381,9 @@ pub struct Saved {
     pub bytes: usize,
 }
 
-/// Writes both caches to `path` (atomically: temp file + rename).
+/// Writes both caches to `path` (atomically: temp file + rename). The
+/// string table and the entries encode straight from the evaluation
+/// cache's stored pairs, under its lock, without copying any of them.
 ///
 /// # Errors
 /// [`SnapshotError::Io`].
@@ -384,15 +392,17 @@ pub fn save(
     retention: &RetentionCache,
     path: &Path,
 ) -> Result<Saved, SnapshotError> {
-    let entries = cache.entries();
-    let scores = retention.scores();
-    let strings = StringTable::new(&entries);
     let mut payload = Vec::new();
-    strings.write(&mut payload);
-    write_sorted(&mut payload, &entries, |out, (key, value)| {
-        strings.write_entry(out, key, value);
+    // Only the encoding holds the lock; the sort runs after it.
+    let entries = cache.walk(|entries| {
+        let strings = StringTable::new(entries.clone());
+        strings.write(&mut payload);
+        Encoded::new(entries, |out, (key, value)| {
+            strings.write_entry(out, key, value)
+        })
     });
-    write_sorted(&mut payload, &scores, write_score);
+    let entries = entries.write_sorted(&mut payload);
+    let scores = Encoded::new(retention.scores().iter(), write_score).write_sorted(&mut payload);
     let fingerprint = cache_fingerprint();
     let mut header = Vec::with_capacity(MAGIC.len() + 4 + 8 + fingerprint.len() + 4 + 8);
     header.extend_from_slice(MAGIC);
@@ -410,8 +420,8 @@ pub fn save(
     }
     std::fs::rename(&tmp, path)?;
     Ok(Saved {
-        entries: entries.len(),
-        scores: scores.len(),
+        entries,
+        scores,
         bytes: header.len() + payload.len(),
     })
 }
@@ -433,24 +443,38 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Writes the count of `items`, then their encodings in byte order: the
-/// memos are `HashMap`s, so sorting makes identical caches write
-/// identical bytes (asserted by the round-trip tests). The keys are
-/// distinct, so no two encodings tie.
-fn write_sorted<T>(out: &mut Vec<u8>, items: &[T], mut encode: impl FnMut(&mut Vec<u8>, &T)) {
-    let mut encoded = Vec::new();
-    let mut spans: Vec<Range<usize>> = Vec::with_capacity(items.len());
-    for item in items {
-        let start = encoded.len();
-        encode(&mut encoded, item);
-        spans.push(start..encoded.len());
+/// Items encoded back to back, with each one's span.
+struct Encoded(Vec<u8>, Vec<Range<usize>>);
+
+impl Encoded {
+    fn new<T>(
+        items: impl ExactSizeIterator<Item = T>,
+        mut encode: impl FnMut(&mut Vec<u8>, T),
+    ) -> Self {
+        let mut spans = Vec::with_capacity(items.len());
+        let mut bytes = Vec::new();
+        for item in items {
+            let start = bytes.len();
+            encode(&mut bytes, item);
+            spans.push(start..bytes.len());
+        }
+        Self(bytes, spans)
     }
-    let bytes = |span: &Range<usize>| encoded.get(span.clone()).unwrap_or_default();
-    spans.sort_unstable_by(|a, b| bytes(a).cmp(bytes(b)));
-    put_u64(out, items.len() as u64);
-    out.reserve(encoded.len());
-    for span in &spans {
-        out.extend_from_slice(bytes(span));
+
+    /// Writes the count, then the encodings in byte order, and returns the
+    /// count: the memos are `HashMap`s, so sorting makes identical caches
+    /// write identical bytes (asserted by the round-trip tests). The keys
+    /// are distinct, so no two encodings tie.
+    fn write_sorted(self, out: &mut Vec<u8>) -> usize {
+        let Self(encoded, mut spans) = self;
+        let bytes = |span: &Range<usize>| encoded.get(span.clone()).unwrap_or_default();
+        spans.sort_unstable_by(|a, b| bytes(a).cmp(bytes(b)));
+        put_u64(out, spans.len() as u64);
+        out.reserve(encoded.len());
+        for span in &spans {
+            out.extend_from_slice(bytes(span));
+        }
+        spans.len()
     }
 }
 
@@ -472,24 +496,6 @@ fn write_operand(out: &mut Vec<u8>, key: &OperandKey) {
     }
 }
 
-/// Writes the energy pairs, which [`EnergyBreakdown::iter`] yields in
-/// [`Comp::ALL`] order.
-fn write_energy(out: &mut Vec<u8>, energy: &EnergyBreakdown) {
-    let count_at = out.len();
-    out.push(0);
-    let mut count = 0u8;
-    for (comp, pj) in energy.iter() {
-        if let Some(i) = Comp::ALL.iter().position(|&c| c == comp) {
-            out.push(i as u8);
-            put_f64(out, pj);
-            count += 1;
-        }
-    }
-    if let Some(slot) = out.get_mut(count_at) {
-        *slot = count;
-    }
-}
-
 fn write_score(out: &mut Vec<u8>, ((rows, cols, config, seed), value): &RetentionScore) {
     put_u64(out, *rows as u64);
     put_u64(out, *cols as u64);
@@ -503,15 +509,16 @@ fn write_score(out: &mut Vec<u8>, ((rows, cols, config, seed), value): &Retentio
 struct StringTable<'a>(Vec<&'a str>);
 
 impl<'a> StringTable<'a> {
-    fn new(entries: &'a [(EvalKey, Outcome)]) -> Self {
-        let mut table = Vec::new();
+    /// Collects each distinct design and reason once (the fingerprints
+    /// hash their digest), then sorts the few distinct strings.
+    fn new(entries: impl Iterator<Item = (&'a EvalKey, &'a Outcome)>) -> Self {
+        let mut designs = HashSet::new();
+        let mut reasons = HashSet::new();
         for (key, value) in entries {
-            table.push(&*key.design);
-            match value {
-                Ok(r) => table.extend([r.design.as_str(), r.workload.as_str()]),
-                Err(u) => table.extend([u.design.as_str(), u.reason.as_str()]),
-            }
+            designs.insert(&key.design);
+            reasons.extend(value.as_ref().err().map(|reason| &**reason));
         }
+        let mut table: Vec<&str> = designs.into_iter().map(|d| &**d).chain(reasons).collect();
         table.sort_unstable();
         table.dedup();
         Self(table)
@@ -537,17 +544,15 @@ impl<'a> StringTable<'a> {
         write_operand(out, &key.a);
         write_operand(out, &key.b);
         match value {
-            Ok(r) => {
-                out.push(RESULT);
-                put_u32(out, self.index(&r.design));
-                put_u32(out, self.index(&r.workload));
-                put_f64(out, r.cycles);
-                write_energy(out, &r.energy);
+            Ok(cost) => {
+                out.push(COST);
+                put_f64(out, cost.cycles);
+                out.extend_from_slice(&cost.mask.to_le_bytes());
+                cost.pj.iter().for_each(|&pj| put_f64(out, pj));
             }
-            Err(u) => {
+            Err(reason) => {
                 out.push(UNSUPPORTED);
-                put_u32(out, self.index(&u.design));
-                put_u32(out, self.index(&u.reason));
+                put_u32(out, self.index(reason));
             }
         }
     }
@@ -854,6 +859,7 @@ fn decode(payload: &[u8]) -> Result<Decoded, SnapshotError> {
         strings.push(TableString {
             text: c.str("string")?,
             design: OnceCell::new(),
+            reason: OnceCell::new(),
         });
     }
     let count = c.u64("entry count")?;
@@ -883,6 +889,9 @@ struct TableString<'a> {
     /// The string as a design fingerprint, made (and its digest computed)
     /// by the first entry that names it as a design.
     design: OnceCell<DesignFingerprint>,
+    /// The string as an unsupported reason, made by the first entry that
+    /// names it as one.
+    reason: OnceCell<Arc<str>>,
 }
 
 /// The string-table entry an index names.
@@ -928,47 +937,38 @@ fn entry(
 }
 
 fn outcome(c: &mut Cursor<'_>, strings: &[TableString<'_>]) -> Result<Outcome, SnapshotError> {
-    let tag = c.u8("outcome tag")?;
-    if tag != RESULT && tag != UNSUPPORTED {
-        return Err(malformed(format!("unknown outcome tag {tag}")));
+    match c.u8("outcome tag")? {
+        COST => cost(c).map(Ok),
+        UNSUPPORTED => {
+            let string = string_at(strings, c, "unsupported reason")?;
+            let reason = string.reason.get_or_init(|| string.text.into());
+            Ok(Err(Arc::clone(reason)))
+        }
+        tag => Err(malformed(format!("unknown outcome tag {tag}"))),
     }
-    let design = string_at(strings, c, "outcome design")?.text.to_owned();
-    if tag == UNSUPPORTED {
-        let reason = string_at(strings, c, "unsupported reason")?.text.to_owned();
-        return Ok(Err(Unsupported { design, reason }));
-    }
-    let workload = string_at(strings, c, "result workload")?.text.to_owned();
+}
+
+fn cost(c: &mut Cursor<'_>) -> Result<Cost, SnapshotError> {
     let cycles = c.f64("cycles")?;
     if !cycles.is_finite() {
         return Err(malformed(format!("bad cycles {cycles}")));
     }
-    let energy = energy(c)?;
-    Ok(Ok(EvalResult {
-        design,
-        workload,
-        cycles,
-        energy,
-    }))
-}
-
-fn energy(c: &mut Cursor<'_>) -> Result<EnergyBreakdown, SnapshotError> {
-    let mut energy = EnergyBreakdown::new();
-    let mut next = 0;
-    for _ in 0..c.u8("energy pair count")? {
-        let i = usize::from(c.u8("energy component")?);
-        let comp = Comp::ALL
-            .get(i)
-            .filter(|_| i >= next)
-            .copied()
-            .ok_or_else(|| malformed(format!("energy component {i} is unknown or out of order")))?;
-        let pj = c.f64("energy")?;
-        if !(pj.is_finite() && pj >= 0.0) {
-            return Err(malformed(format!("bad {comp} energy {pj}")));
-        }
-        energy.record(comp, pj);
-        next = i + 1;
+    let mask = c.array("component mask").map(u16::from_le_bytes)?;
+    if mask >> Comp::ALL.len() != 0 {
+        return Err(malformed(format!(
+            "component mask {mask:#06x} sets a bit past the {} components",
+            Comp::ALL.len()
+        )));
     }
-    Ok(energy)
+    let mut pj = Vec::with_capacity(mask.count_ones() as usize);
+    for _ in 0..mask.count_ones() {
+        match c.f64("energy")? {
+            v if v.is_finite() && v >= 0.0 => pj.push(v),
+            v => return Err(malformed(format!("bad energy {v}"))),
+        }
+    }
+    let pj = pj.into_boxed_slice();
+    Ok(Cost { cycles, mask, pj })
 }
 
 fn score(c: &mut Cursor<'_>) -> Result<RetentionScore, SnapshotError> {
@@ -1029,9 +1029,16 @@ mod tests {
 
     fn sample_cache() -> EvalCache {
         let cache = EvalCache::new();
-        let mut energy = EnergyBreakdown::new();
+        let mut energy = hl_arch::EnergyBreakdown::new();
         energy.record(Comp::Mac, 123.456789);
         energy.record(Comp::Dram, 0.1 + 0.2); // non-terminating f64
+        energy.record(Comp::Vfmu, 0.0); // recorded at 0 pJ: present all the same
+        let result = EvalResult {
+            design: "HighLight".into(),
+            workload: "w".into(),
+            cycles: 1.0e9 + 0.25,
+            energy,
+        };
         cache.preload([
             (
                 EvalKey {
@@ -1040,12 +1047,7 @@ mod tests {
                     a: OperandKey::Hss(HssPattern::two_rank(Gh::new(4, 8), Gh::new(2, 4))),
                     b: OperandKey::Dense,
                 },
-                Ok(EvalResult {
-                    design: "HighLight".into(),
-                    workload: "w".into(),
-                    cycles: 1.0e9 + 0.25,
-                    energy,
-                }),
+                Ok(Cost::of(&result)),
             ),
             (
                 EvalKey {
@@ -1054,10 +1056,7 @@ mod tests {
                     a: OperandKey::Unstructured(0.55_f64.to_bits()),
                     b: OperandKey::Unstructured(0.25_f64.to_bits()),
                 },
-                Err(Unsupported {
-                    design: "S2TA".into(),
-                    reason: "dense A".into(),
-                }),
+                Err("dense A".into()),
             ),
         ]);
         cache
@@ -1088,7 +1087,7 @@ mod tests {
         retention
     }
 
-    /// Format-5 fields, appended in order: the tests' way of writing
+    /// Format-6 fields, appended in order: the tests' way of writing
     /// payloads `save` never would.
     #[derive(Default)]
     struct Bytes(Vec<u8>);
@@ -1096,6 +1095,10 @@ mod tests {
     impl Bytes {
         fn u8(mut self, v: u8) -> Self {
             self.0.push(v);
+            self
+        }
+        fn u16(mut self, v: u16) -> Self {
+            self.0.extend_from_slice(&v.to_le_bytes());
             self
         }
         fn u32(mut self, v: u32) -> Self {
@@ -1120,13 +1123,12 @@ mod tests {
         }
     }
 
-    /// A three-string table: a design fingerprint (0), its name (1) and an
-    /// unsupported reason (2).
+    /// A two-string table: a design fingerprint (0) and an unsupported
+    /// reason (1).
     fn strings() -> Bytes {
         Bytes::default()
-            .u64(3)
+            .u64(2)
             .str("HighLight { tiles: 16 }")
-            .str("HighLight")
             .str("dense A")
     }
 
@@ -1137,12 +1139,7 @@ mod tests {
 
     /// A well-formed entry: design 0 on dense 8 × 8 × 8, unsupported.
     fn good_entry() -> Bytes {
-        key(0, [8, 8, 8])
-            .u8(DENSE)
-            .u8(DENSE)
-            .u8(UNSUPPORTED)
-            .u32(1)
-            .u32(2)
+        key(0, [8, 8, 8]).u8(DENSE).u8(DENSE).u8(UNSUPPORTED).u32(1)
     }
 
     /// A well-formed score: a 64 × 512 proxy under 2:4, value 0.75.
@@ -1158,7 +1155,7 @@ mod tests {
             .f64(0.75)
     }
 
-    /// A payload of the three-string table, `entries` and `scores`.
+    /// A payload of the two-string table, `entries` and `scores`.
     fn payload(entries: &[Bytes], scores: &[Bytes]) -> Bytes {
         let mut p = strings().u64(entries.len() as u64);
         for e in entries {
@@ -1205,23 +1202,18 @@ mod tests {
     /// Both caches' contents, sorted, with every `f64` as its bits, so
     /// equality is bit-exact (`-0.0` and `0.0` differ, NaNs compare).
     fn exact(cache: &EvalCache, retention: &RetentionCache) -> (Vec<String>, Vec<String>) {
-        let mut entries: Vec<String> = cache
-            .entries()
-            .iter()
-            .map(|(key, value)| match value {
-                Ok(r) => {
-                    let energy: Vec<(Comp, u64)> =
-                        r.energy.iter().map(|(c, pj)| (c, pj.to_bits())).collect();
-                    format!(
-                        "{key:?} {} {} {:x} {energy:?}",
-                        r.design,
-                        r.workload,
-                        r.cycles.to_bits()
-                    )
-                }
-                Err(u) => format!("{key:?} {u:?}"),
-            })
-            .collect();
+        let mut entries: Vec<String> = cache.walk(|entries| {
+            entries
+                .map(|(key, value)| match value {
+                    Ok(cost) => {
+                        let energy: Vec<(Comp, u64)> =
+                            cost.energy().map(|(c, pj)| (c, pj.to_bits())).collect();
+                        format!("{key:?} {:x} {energy:?}", cost.cycles.to_bits())
+                    }
+                    Err(reason) => format!("{key:?} {reason:?}"),
+                })
+                .collect()
+        });
         entries.sort();
         let mut scores: Vec<String> = retention
             .scores()
@@ -1279,10 +1271,7 @@ mod tests {
                     a: OperandKey::Dense,
                     b: OperandKey::Dense,
                 },
-                Err(Unsupported {
-                    design: "HighLight".into(),
-                    reason: "dense A".into(),
-                }),
+                Err("dense A".into()),
             )
         }));
         let path = temp_path("shared");
@@ -1293,10 +1282,14 @@ mod tests {
 
         let restored = EvalCache::new();
         assert_eq!(load(&restored, &path).unwrap(), 3);
-        let entries = restored.entries();
-        assert!(entries
-            .iter()
-            .all(|(k, _)| std::ptr::eq(k.design.as_ptr(), entries[0].0.design.as_ptr())));
+        restored.walk(|mut entries| {
+            let (first_key, first_reason) = entries.next().unwrap();
+            let first_reason = first_reason.as_ref().unwrap_err();
+            for (key, reason) in entries {
+                assert!(std::ptr::eq(key.design.as_ptr(), first_key.design.as_ptr()));
+                assert!(Arc::ptr_eq(reason.as_ref().unwrap_err(), first_reason));
+            }
+        });
         std::fs::remove_file(&path).ok();
     }
 
@@ -1315,7 +1308,7 @@ mod tests {
         let restored = EvalCache::new();
         let err = load(&restored, &path).unwrap_err();
         assert!(matches!(err, SnapshotError::FingerprintMismatch { .. }));
-        assert!(restored.entries().is_empty(), "cache left untouched");
+        assert!(restored.is_empty(), "cache left untouched");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1360,7 +1353,7 @@ mod tests {
         let err = load(&restored, &path).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
         assert!(err.to_string().contains("unsupported format 2"), "{err}");
-        assert!(restored.entries().is_empty());
+        assert!(restored.is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1378,7 +1371,29 @@ mod tests {
         let err = load(&restored, &path).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
         assert!(err.to_string().contains("unsupported format 3"), "{err}");
-        assert!(restored.entries().is_empty());
+        assert!(restored.is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_v5_snapshot_is_refused_as_an_unsupported_format() {
+        // A well-formed format-5 header: the server boots cold from it.
+        let path = temp_path("v5");
+        let payload = Bytes::default().u64(0).u64(0).u64(0);
+        let file = Bytes::default()
+            .raw(MAGIC)
+            .u32(5)
+            .str("hl-snap-v5:0123456789abcdef")
+            .u32(crc32(&payload.0))
+            .u64(payload.0.len() as u64)
+            .raw(&payload.0)
+            .0;
+        std::fs::write(&path, file).unwrap();
+        let restored = EvalCache::new();
+        let err = load(&restored, &path).unwrap_err();
+        assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("unsupported format 5"), "{err}");
+        assert!(restored.is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1387,7 +1402,7 @@ mod tests {
         let a = cache_fingerprint();
         let b = cache_fingerprint();
         assert_eq!(a, b);
-        assert!(a.starts_with("hl-snap-v5:"), "{a}");
+        assert!(a.starts_with("hl-snap-v6:"), "{a}");
         // The canary probes an unsupported pair as well as results.
         let canary = Canary::probe();
         assert!(canary.evals.iter().any(Result::is_err), "{canary:?}");
@@ -1414,7 +1429,7 @@ mod tests {
             matches!(err, SnapshotError::FingerprintMismatch { .. }),
             "{tag}: {err}"
         );
-        assert!(cache.entries().is_empty() && retention.is_empty(), "{tag}");
+        assert!(cache.is_empty() && retention.is_empty(), "{tag}");
         let logged = log.contents();
         let failed: Vec<Json> = logged
             .lines()
@@ -1440,7 +1455,7 @@ mod tests {
             .iter_mut()
             .find_map(|e| e.as_mut().ok())
             .expect("the canary probes supported pairs");
-        let mut energy = EnergyBreakdown::new();
+        let mut energy = hl_arch::EnergyBreakdown::new();
         for (i, (comp, pj)) in result.energy.iter().enumerate() {
             let pj = if i == 0 {
                 f64::from_bits(pj.to_bits() + 1)
@@ -1490,11 +1505,10 @@ mod tests {
         let cache = sample_cache();
         let path = temp_path("bitrot");
         save(&cache, &sample_retention(), &path).unwrap();
-        // Rename the workload "w" to "X": the payload still decodes, so
-        // only the CRC can catch this class of corruption.
-        let w = Bytes::default().str("w").0;
-        let x = Bytes::default().str("X").0;
-        std::fs::write(&path, replaced(std::fs::read(&path).unwrap(), &w, &x)).unwrap();
+        // Rename the reason "dense A" to "dense B": the payload still
+        // decodes, so only the CRC can catch this class of corruption.
+        let file = replaced(std::fs::read(&path).unwrap(), b"dense A", b"dense B");
+        std::fs::write(&path, file).unwrap();
 
         let restored = EvalCache::new();
         let err = load(&restored, &path).unwrap_err();
@@ -1502,7 +1516,7 @@ mod tests {
             matches!(err, SnapshotError::ChecksumMismatch { .. }),
             "{err}"
         );
-        assert!(restored.entries().is_empty(), "cache left untouched");
+        assert!(restored.is_empty(), "cache left untouched");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1510,18 +1524,13 @@ mod tests {
     fn a_bad_last_entry_leaves_the_cache_empty() {
         // A checksum-valid file whose first entry decodes and whose last
         // names a reason past the string table: the load fails as a whole.
-        let bad = key(0, [8, 8, 8])
-            .u8(DENSE)
-            .u8(DENSE)
-            .u8(UNSUPPORTED)
-            .u32(1)
-            .u32(3);
+        let bad = key(0, [8, 8, 8]).u8(DENSE).u8(DENSE).u8(UNSUPPORTED).u32(2);
         let path = temp_path("bad-last");
         std::fs::write(&path, document(&payload(&[good_entry(), bad], &[]))).unwrap();
         let restored = EvalCache::new();
         let err = load(&restored, &path).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
-        assert!(restored.entries().is_empty(), "no entry of a failed load");
+        assert!(restored.is_empty(), "no entry of a failed load");
 
         // The good entry on its own loads.
         std::fs::write(&path, document(&payload(&[good_entry()], &[]))).unwrap();
@@ -1562,10 +1571,7 @@ mod tests {
             let (cache, retention) = (EvalCache::new(), RetentionCache::new());
             let err = load_logged(&cache, &retention, &path, None, None).unwrap_err();
             assert!(matches!(err, SnapshotError::Malformed(_)), "{what}: {err}");
-            assert!(
-                cache.entries().is_empty(),
-                "{what}: no entry of a failed load"
-            );
+            assert!(cache.is_empty(), "{what}: no entry of a failed load");
             assert!(retention.is_empty(), "{what}: no score of a failed load");
         }
 
@@ -1588,32 +1594,24 @@ mod tests {
     #[test]
     fn checksum_valid_but_bad_entries_are_malformed() {
         let dense = |k: Bytes| k.u8(DENSE).u8(DENSE);
-        let result = |k: Bytes, cycles: f64| dense(k).u8(RESULT).u32(1).u32(1).f64(cycles);
+        let cost = |k: Bytes, cycles: f64| dense(k).u8(COST).f64(cycles);
         let eight = || key(0, [8, 8, 8]);
         let path = temp_path("bad-entries");
         for (entry, what) in [
             (
-                key(3, [8, 8, 8])
-                    .u8(DENSE)
-                    .u8(DENSE)
-                    .u8(UNSUPPORTED)
-                    .u32(1)
-                    .u32(2),
+                key(3, [8, 8, 8]).u8(DENSE).u8(DENSE).u8(UNSUPPORTED).u32(1),
                 "design index past the table",
             ),
             (
-                dense(key(0, [8, 0, 8])).u8(UNSUPPORTED).u32(1).u32(2),
+                dense(key(0, [8, 0, 8])).u8(UNSUPPORTED).u32(1),
                 "zero dimension",
             ),
             (
-                dense(key(0, [8, MAX_EXACT + 1, 8]))
-                    .u8(UNSUPPORTED)
-                    .u32(1)
-                    .u32(2),
+                dense(key(0, [8, MAX_EXACT + 1, 8])).u8(UNSUPPORTED).u32(1),
                 "dimension past 2^53",
             ),
             (
-                eight().u8(3).u8(DENSE).u8(UNSUPPORTED).u32(1).u32(2),
+                eight().u8(3).u8(DENSE).u8(UNSUPPORTED).u32(1),
                 "unknown operand tag",
             ),
             (
@@ -1624,8 +1622,7 @@ mod tests {
                     .u32(2)
                     .u8(DENSE)
                     .u8(UNSUPPORTED)
-                    .u32(1)
-                    .u32(2),
+                    .u32(1),
                 "G > H",
             ),
             (
@@ -1636,8 +1633,7 @@ mod tests {
                     .u32(2)
                     .u8(DENSE)
                     .u8(UNSUPPORTED)
-                    .u32(1)
-                    .u32(2),
+                    .u32(1),
                 "G = 0",
             ),
             (
@@ -1645,31 +1641,27 @@ mod tests {
                 "a rank count past the bytes",
             ),
             (
-                result(eight(), 5.0).u8(1).u8(0).f64(-1.0),
-                "negative energy",
+                dense(eight()).u8(UNSUPPORTED).u32(2),
+                "reason index past the table",
             ),
-            (result(eight(), 5.0).u8(1).u8(0).f64(f64::NAN), "NaN energy"),
+            (cost(eight(), 5.0).u16(1).f64(-1.0), "negative energy"),
+            (cost(eight(), 5.0).u16(1).f64(f64::NAN), "NaN energy"),
+            (cost(eight(), 5.0).u16(1 << 13).f64(1.0), "mask bit 13"),
+            (cost(eight(), 5.0).u16(1 << 15).f64(1.0), "mask bit 15"),
             (
-                result(eight(), 5.0).u8(1).u8(13).f64(1.0),
-                "unknown component",
+                cost(eight(), 5.0).u16(0b101).f64(1.0),
+                "a set bit's value missing",
             ),
-            (
-                result(eight(), 5.0).u8(2).u8(4).f64(1.0).u8(0).f64(1.0),
-                "out of order",
-            ),
-            (
-                result(eight(), 5.0).u8(2).u8(4).f64(1.0).u8(4).f64(1.0),
-                "repeated component",
-            ),
-            (result(eight(), f64::INFINITY).u8(0), "infinite cycles"),
-            (dense(eight()).u8(2).u32(1).u32(2), "unknown outcome tag"),
+            (cost(eight(), 5.0).u8(1), "a cut mask"),
+            (cost(eight(), f64::INFINITY).u16(0), "infinite cycles"),
+            (dense(eight()).u8(2).u32(1), "unknown outcome tag"),
             (dense(eight()), "no outcome"),
         ] {
             std::fs::write(&path, document(&payload(&[entry], &[]))).unwrap();
             let restored = EvalCache::new();
             let err = load(&restored, &path).unwrap_err();
             assert!(matches!(err, SnapshotError::Malformed(_)), "{what}: {err}");
-            assert!(restored.entries().is_empty(), "{what}");
+            assert!(restored.is_empty(), "{what}");
         }
 
         // Tables that do not hold what they claim.
@@ -1740,7 +1732,7 @@ mod tests {
                 ),
                 "{what}: {err}"
             );
-            assert!(cache.entries().is_empty(), "{what} left entries");
+            assert!(cache.is_empty(), "{what} left entries");
             assert!(retention.is_empty(), "{what} left scores");
         };
         for len in 0..file.len() {
@@ -1808,7 +1800,7 @@ mod tests {
             let err = load_logged(&cache, &retention, &path, None, None).unwrap_err();
             assert!(matches!(err, SnapshotError::Malformed(_)), "{what}: {err}");
             assert!(err.to_string().contains(what), "{what}: {err}");
-            assert!(cache.entries().is_empty(), "{what}: no entry loaded");
+            assert!(cache.is_empty(), "{what}: no entry loaded");
             assert!(retention.is_empty(), "{what}: no score loaded");
         }
         std::fs::remove_file(&path).ok();
@@ -1893,24 +1885,16 @@ mod tests {
                 a: operand(&mut next),
                 b: operand(&mut next),
             };
-            let name = design.split(' ').next().unwrap().to_string();
             let value = if next() % 4 == 0 {
-                Err(Unsupported {
-                    design: name,
-                    reason: format!("reason {}", next() % 7),
-                })
+                Err(format!("reason {}", next() % 7).into())
             } else {
-                let mut energy = EnergyBreakdown::new();
-                for comp in Comp::ALL {
-                    if next() % 4 == 0 {
-                        energy.record(comp, finite(&mut next, true));
-                    }
-                }
-                Ok(EvalResult {
-                    design: name,
-                    workload: format!("layer{}", next() % 50),
+                let mask = (next() & 0x1FFF) as u16;
+                Ok(Cost {
                     cycles: finite(&mut next, false),
-                    energy,
+                    mask,
+                    pj: (0..mask.count_ones())
+                        .map(|_| finite(&mut next, true))
+                        .collect(),
                 })
             };
             entries.push((key, value));
@@ -1930,7 +1914,7 @@ mod tests {
             })
             .collect();
         retention.preload_scores(scores);
-        assert!(cache.entries().len() > 1900 && retention.len() > 450);
+        assert!(cache.len() > 1900 && retention.len() > 450);
 
         let p1 = temp_path("seeded-first");
         let p2 = temp_path("seeded-second");
@@ -1939,7 +1923,7 @@ mod tests {
         let loaded = load_logged(&restored, &restored_scores, &p1, None, None).unwrap();
         assert_eq!(
             (loaded.entries, loaded.scores),
-            (cache.entries().len(), retention.len())
+            (cache.len(), retention.len())
         );
         assert!(
             exact(&restored, &restored_scores) == exact(&cache, &retention),
@@ -1974,7 +1958,7 @@ mod tests {
                 ),
                 "{spec}: {err}"
             );
-            assert!(restored.entries().is_empty(), "{spec}: cache left cold");
+            assert!(restored.is_empty(), "{spec}: cache left cold");
             assert!(retention.is_empty(), "{spec}: scores left cold");
         }
         // The same file loads cleanly without the fault plane.

@@ -120,7 +120,7 @@ fn evaluate_is_byte_identical_to_offline_for_every_design() {
 
             let design = hl_eval::design_by_name(name).unwrap();
             let workload = build_workload(name, shape, sa, sb).unwrap();
-            match hl_sim::evaluate_best(design.as_ref(), &workload) {
+            match design.evaluate_best(&workload) {
                 Ok(offline) => {
                     assert_eq!(
                         v.get("supported").and_then(Json::as_bool),
@@ -304,7 +304,7 @@ fn snapshot_round_trips_the_cache_across_a_restart() {
     let addr = server.addr().to_string();
     let (status, first) = post_json(&addr, "/v1/evaluate", &body).unwrap();
     assert_eq!(status, 200);
-    let entries = server.app().context().engine().eval_cache().entries().len();
+    let entries = server.app().context().engine().eval_cache().len();
     assert!(server.app().context().engine().eval_cache().misses() > 0);
     server.stop().unwrap();
     assert!(path.exists(), "drain must write the snapshot");
@@ -816,11 +816,12 @@ fn sweep_end_to_end_with_limit() {
     assert_eq!(rows.len(), 4);
     // Spot-check one cell against the offline evaluation.
     let cell = rows[1].get("results").and_then(Json::as_arr).unwrap()[2].clone();
-    let offline = hl_sim::evaluate_best(
-        hl_eval::design_by_name("HighLight").unwrap().as_ref(),
-        &build_workload("HighLight", GemmShape::new(256, 256, 256), 0.0, 0.5).unwrap(),
-    )
-    .unwrap();
+    let offline = hl_eval::design_by_name("HighLight")
+        .unwrap()
+        .evaluate_best(
+            &build_workload("HighLight", GemmShape::new(256, 256, 256), 0.0, 0.5).unwrap(),
+        )
+        .unwrap();
     assert_eq!(cell.encode(), eval_result_json(&offline).encode());
     server.stop().unwrap();
 }

@@ -1,20 +1,19 @@
 //! Parallel design-space evaluation engine.
 //!
 //! The paper's artifacts iterate `designs × sparsity degrees × H-values ×
-//! model layers` through [`evaluate_best`] — a workload that grows
-//! combinatorially as the design registry and model zoo widen. This module
-//! provides the machinery that makes those sweeps scale:
+//! model layers` through [`Accelerator::evaluate_best`] — a workload that
+//! grows combinatorially as the design registry and model zoo widen. This
+//! module provides the machinery that makes those sweeps scale:
 //!
 //! - [`parallel_map`]: a `std::thread::scope`-based chunked worker pool
 //!   (no external dependencies) with a **deterministic ordered-collect**:
 //!   results are returned in input order regardless of scheduling, so
 //!   parallel sweeps are byte-identical to their serial baseline;
 //! - [`Memo`]: a generic thread-safe memo table for repeated *pure*
-//!   evaluations, with lookup-only reads ([`Memo::get_many`],
-//!   [`Memo::lookup`], [`Memo::get_if`]) that count hits without
-//!   computing;
-//! - [`Engine`]: the pool plus an [`EvalCache`] memoizing
-//!   [`evaluate_best`] results keyed on `(design, shape, operand
+//!   evaluations, with lookup-only reads ([`Memo::lookup`],
+//!   [`Memo::get_if`]) that count hits without computing;
+//! - [`Engine`]: the pool plus an [`EvalCache`] memoizing the [`Cost`] of
+//!   [`Accelerator::evaluate_best`] keyed on `(design, shape, operand
 //!   sparsity)` — whole-DNN sweeps stop recomputing identical layers.
 //!   `Engine::evaluate_cells` looks a whole batch of cells up under one
 //!   lock and fans out only the misses, so a fully warm batch (a replayed
@@ -42,14 +41,14 @@
 //! the property the `determinism` integration tests assert.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hl_tensor::GemmShape;
 
-use crate::eval::{evaluate_best, Accelerator, EvalResult, Unsupported};
+use crate::eval::{Accelerator, Cost, EvalResult, Unsupported};
 use crate::workload::{OperandSparsity, Workload};
 
 /// Environment variable overriding the engine's worker-thread count.
@@ -138,10 +137,11 @@ where
 
 /// A thread-safe memo table for pure evaluations.
 ///
-/// Lookups clone the stored value; misses compute *outside* the lock, so a
-/// slow evaluation never serializes the other workers (two workers may race
-/// on the same key, but the evaluation is pure, so both compute the same
-/// value and either insert wins).
+/// Lookups clone the stored value ([`Memo::lookup`] lends it under the
+/// lock instead); misses compute *outside* the lock, so a slow evaluation
+/// never serializes the other workers (two workers may race on the same
+/// key, but the evaluation is pure, so both compute the same value and
+/// either insert wins).
 ///
 /// The table is unwind-safe: evaluations run outside the lock, so a
 /// panicking evaluation can never leave a half-written entry, and every
@@ -191,27 +191,20 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         v
     }
 
-    /// Looks every key up under one lock without computing anything,
-    /// counting a hit per stored value. An absent key counts nothing:
-    /// the caller computes it and stores it through
-    /// [`Memo::get_or_insert_with`] or [`Memo::insert_many`], which count
-    /// the miss.
-    pub fn get_many<'k>(&self, keys: impl IntoIterator<Item = &'k K>) -> Vec<Option<V>>
-    where
-        K: 'k,
-    {
-        self.lookup(|get| keys.into_iter().map(get).collect())
-    }
-
-    /// [`Memo::get_many`] for keys the caller builds one at a time: under
-    /// one lock, `visit` is handed a lookup to call once per key, and
-    /// every stored value it returns counts a hit. The caller can rewrite
-    /// one key in place between lookups instead of owning every key.
-    pub fn lookup<R>(&self, visit: impl FnOnce(&mut dyn FnMut(&K) -> Option<V>) -> R) -> R {
+    /// Looks keys up under one lock without computing anything: `visit`
+    /// is handed a lookup to call once per key, borrowing what it finds
+    /// for as long as the lock is held, and every stored value it returns
+    /// counts a hit. An absent key counts nothing: the caller computes it
+    /// and stores it through [`Memo::get_or_insert_with`] or
+    /// [`Memo::insert_many`], which count the miss.
+    pub fn lookup<R>(
+        &self,
+        visit: impl for<'m> FnOnce(&mut dyn FnMut(&K) -> Option<&'m V>) -> R,
+    ) -> R {
         let map = self.map();
         let mut hits = 0;
         let result = visit(&mut |key| {
-            let found = map.get(key).cloned();
+            let found = map.get(key);
             hits += u64::from(found.is_some());
             found
         });
@@ -276,14 +269,13 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         (self.hits(), self.misses())
     }
 
-    /// Clones out every `(key, value)` pair — the persistence path:
-    /// `hl-serve` snapshots the evaluation cache to disk on graceful
-    /// drain. Order is unspecified (callers sort).
-    pub fn entries(&self) -> Vec<(K, V)> {
-        self.map()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+    /// Hands `read` the stored `(key, value)` pairs under one lock,
+    /// borrowed, not cloned — the persistence path: `hl-serve` encodes
+    /// the evaluation cache into a snapshot straight from them. The
+    /// iterator clones cheaply for a second pass; order is unspecified
+    /// (callers sort).
+    pub fn walk<R>(&self, read: impl FnOnce(hash_map::Iter<'_, K, V>) -> R) -> R {
+        read(self.map().iter())
     }
 
     /// Seeds entries without touching the hit/miss counters — the
@@ -408,7 +400,7 @@ impl From<&str> for DesignFingerprint {
 }
 
 /// Cache key for one `(design, workload)` evaluation: everything
-/// [`evaluate_best`] reads except the workload's display name.
+/// [`Accelerator::evaluate_best`] reads except the names.
 ///
 /// The design is identified by its full `Debug` fingerprint, not just its
 /// name: two same-name instances with different configurations (ablation
@@ -451,14 +443,16 @@ impl EvalKey {
     }
 }
 
-/// Memo table over [`evaluate_best`] outcomes.
+/// Memo table over [`Accelerator::evaluate_best`] outcomes: the [`Cost`]
+/// of a supported evaluation, or the reason the design cannot run it.
 ///
 /// The analytical models are pure: cycles and the energy ledger depend only
 /// on the design configuration and `(shape, a, b)` — the
 /// [`crate::analytic::TrafficModel`] / [`crate::analytic::Accountant`]
-/// pipeline never reads the workload name. Cached results are re-labeled
-/// with the requesting workload's name so reports stay byte-identical.
-pub type EvalCache = Memo<EvalKey, Result<EvalResult, Unsupported>>;
+/// pipeline never reads the workload name. The names a report carries are
+/// not stored: the engine builds each report on the way out, from the
+/// design's name and the requesting workload's.
+pub type EvalCache = Memo<EvalKey, Result<Cost, Arc<str>>>;
 
 /// The parallel evaluation engine: a worker pool plus the evaluation memo.
 #[derive(Debug)]
@@ -521,30 +515,29 @@ impl Engine {
         DesignFingerprint::from(format!("{design:?}"))
     }
 
-    /// Memoized [`evaluate_best`]: identical `(design, shape, a, b)` cells
-    /// are evaluated once and replayed from the cache, re-labeled with this
-    /// workload's name.
+    /// Memoized [`Accelerator::evaluate_best`]: identical `(design, shape,
+    /// a, b)` cells are evaluated once and replayed from the cache,
+    /// reported for this design and workload.
     ///
     /// # Errors
-    /// Exactly the errors of [`evaluate_best`].
+    /// Exactly the errors of [`Accelerator::evaluate_best`].
     pub fn evaluate_best(
         &self,
         design: &dyn Accelerator,
         workload: &Workload,
     ) -> Result<EvalResult, Unsupported> {
         let key = EvalKey::new(design, workload);
-        let mut out = self
+        let cached = self
             .evals
-            .get_or_insert_with(&key, || evaluate_best(design, workload));
-        relabel(&mut out, workload);
-        out
+            .get_or_insert_with(&key, || memo(design, workload));
+        report(&cached, design, workload)
     }
 
-    /// Memoized [`evaluate_best`] over a batch of cells, results in input
-    /// order. Every cell's key is looked up under one lock first and the
-    /// hits are re-labeled in place; only the misses fan out across the
-    /// pool. A fully warm batch therefore spawns no threads, and a cold
-    /// one fans out exactly as [`Engine::map`] would.
+    /// Memoized [`Accelerator::evaluate_best`] over a batch of cells,
+    /// results in input order. Every cell's key is looked up, and every
+    /// hit reported, under one lock first; only the misses fan out across
+    /// the pool. A fully warm batch therefore spawns no threads, and a
+    /// cold one fans out exactly as [`Engine::map`] would.
     ///
     /// Network evaluation and [`SweepGrid::run`] both go through here, so
     /// every batched path follows the same rule.
@@ -556,26 +549,25 @@ impl Engine {
             .iter()
             .map(|&(_, fingerprint, workload)| EvalKey::with_fingerprint(fingerprint, workload))
             .collect();
-        let mut found = self.evals.get_many(&keys);
+        let mut found: Vec<_> = self.evals.lookup(|get| {
+            let hits = keys.iter().zip(cells).map(|(key, &(design, _, workload))| {
+                get(key).map(|cached| report(cached, design, workload))
+            });
+            hits.collect()
+        });
         let misses: Vec<usize> = (0..cells.len()).filter(|&i| found[i].is_none()).collect();
         let computed = self.map(&misses, |&i| {
             let (design, _, workload) = cells[i];
-            self.evals
-                .get_or_insert_with(&keys[i], || evaluate_best(design, workload))
+            let cached = self
+                .evals
+                .get_or_insert_with(&keys[i], || memo(design, workload));
+            report(&cached, design, workload)
         });
         for (i, outcome) in misses.into_iter().zip(computed) {
             found[i] = Some(outcome);
         }
         // Every slot is filled now, so `flatten` keeps one outcome per cell.
-        found
-            .into_iter()
-            .flatten()
-            .zip(cells)
-            .map(|(mut outcome, &(_, _, workload))| {
-                relabel(&mut outcome, workload);
-                outcome
-            })
-            .collect()
+        found.into_iter().flatten().collect()
     }
 }
 
@@ -583,10 +575,27 @@ impl Engine {
 /// [`Engine::fingerprint`], and the workload to evaluate on it.
 pub(crate) type EvalCell<'a> = (&'a dyn Accelerator, &'a DesignFingerprint, &'a Workload);
 
-/// Names a (possibly cached) result after the workload that asked for it.
-fn relabel(outcome: &mut Result<EvalResult, Unsupported>, workload: &Workload) {
-    if let Ok(r) = outcome {
-        r.workload.clone_from(&workload.name);
+/// What the memo keeps of `design`'s [`Accelerator::evaluate_best`] on
+/// `workload`.
+fn memo(design: &dyn Accelerator, workload: &Workload) -> Result<Cost, Arc<str>> {
+    match design.evaluate_best(workload) {
+        Ok(result) => Ok(Cost::of(&result)),
+        Err(unsupported) => Err(unsupported.reason.into()),
+    }
+}
+
+/// The report of a memoized outcome for `design` on `workload`.
+fn report(
+    cached: &Result<Cost, Arc<str>>,
+    design: &dyn Accelerator,
+    workload: &Workload,
+) -> Result<EvalResult, Unsupported> {
+    match cached {
+        Ok(cost) => Ok(cost.report(design.name(), &workload.name)),
+        Err(reason) => Err(Unsupported {
+            design: design.name().to_owned(),
+            reason: reason.to_string(),
+        }),
     }
 }
 
@@ -608,11 +617,6 @@ impl<'a> SweepGrid<'a> {
             designs,
             rows: Vec::new(),
         }
-    }
-
-    /// The design registry the grid evaluates.
-    pub fn designs(&self) -> &[Box<dyn Accelerator>] {
-        self.designs
     }
 
     /// Number of rows pushed so far.
@@ -652,26 +656,22 @@ impl<'a> SweepGrid<'a> {
                     .map(|(w, (d, fp))| (d.as_ref(), fp, w))
             })
             .collect();
-        let n = self.designs.len();
-        let mut out = Vec::with_capacity(self.rows.len());
         let mut it = engine.evaluate_cells(&cells).into_iter().map(Result::ok);
-        for _ in 0..self.rows.len() {
-            out.push(it.by_ref().take(n).collect());
-        }
-        out
+        let row = |_: &Vec<Workload>| it.by_ref().take(self.designs.len()).collect();
+        self.rows.iter().map(row).collect()
     }
 
     /// Evaluates every cell inline on the caller thread with the plain,
-    /// uncached [`evaluate_best`] — the reference path [`SweepGrid::run`]
-    /// must reproduce byte-for-byte. Sharing the grid keeps both paths
-    /// sweeping exactly the same cells.
+    /// uncached [`Accelerator::evaluate_best`] — the reference path
+    /// [`SweepGrid::run`] must reproduce byte-for-byte. Sharing the grid
+    /// keeps both paths sweeping exactly the same cells.
     pub fn run_serial(&self) -> Vec<Vec<Option<EvalResult>>> {
         self.rows
             .iter()
             .map(|row| {
                 row.iter()
                     .zip(self.designs)
-                    .map(|(w, d)| evaluate_best(d.as_ref(), w).ok())
+                    .map(|(w, d)| d.evaluate_best(w).ok())
                     .collect()
             })
             .collect()
@@ -735,6 +735,13 @@ mod tests {
         fn swappable(&self) -> bool {
             false
         }
+    }
+
+    /// Every `(key, value)` pair of `memo`, sorted.
+    fn sorted(memo: &Memo<u32, u32>) -> Vec<(u32, u32)> {
+        let mut entries: Vec<(u32, u32)> = memo.walk(|e| e.map(|(&k, &v)| (k, v)).collect());
+        entries.sort_unstable();
+        entries
     }
 
     fn sparse_workload(name: &str, m: usize) -> Workload {
@@ -814,9 +821,7 @@ mod tests {
         assert_eq!(memo.get_or_insert_with(&2, || 20), 20);
         assert_eq!(memo.len(), 2);
         memo.preload([(3, 30)]);
-        let mut entries = memo.entries();
-        entries.sort_unstable();
-        assert_eq!(entries, vec![(1, 10), (2, 20), (3, 30)]);
+        assert_eq!(sorted(&memo), vec![(1, 10), (2, 20), (3, 30)]);
     }
 
     #[test]
@@ -833,8 +838,7 @@ mod tests {
         let memo: Memo<u32, u32> = Memo::new();
         assert_eq!(memo.get_or_insert_with(&1, || 10), 10);
         assert_eq!(memo.get_or_insert_with(&2, || 20), 20);
-        let mut entries = memo.entries();
-        entries.sort_unstable();
+        let entries = sorted(&memo);
         assert_eq!(entries, vec![(1, 10), (2, 20)]);
 
         let warm: Memo<u32, u32> = Memo::new();
@@ -851,15 +855,11 @@ mod tests {
         let cold: Memo<u32, u32> = Memo::new();
         cold.preload_table(HashMap::from([(1, 10), (2, 20)]));
         assert_eq!((cold.hits(), cold.misses(), cold.len()), (0, 0, 2));
-        let mut entries = cold.entries();
-        entries.sort_unstable();
-        assert_eq!(entries, vec![(1, 10), (2, 20)]);
+        assert_eq!(sorted(&cold), vec![(1, 10), (2, 20)]);
 
         // A memo that already holds entries keeps them: live entries win.
         cold.preload_table(HashMap::from([(1, 99), (3, 30)]));
-        let mut entries = cold.entries();
-        entries.sort_unstable();
-        assert_eq!(entries, vec![(1, 10), (2, 20), (3, 30)]);
+        assert_eq!(sorted(&cold), vec![(1, 10), (2, 20), (3, 30)]);
         assert_eq!((cold.hits(), cold.misses()), (0, 0));
     }
 
@@ -882,6 +882,52 @@ mod tests {
             .evaluate_best(&design, &sparse_workload("third", 32))
             .unwrap();
         assert_eq!(design.evals.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_memo_bucket_fits_in_112_bytes() {
+        let bucket = std::mem::size_of::<(EvalKey, Result<Cost, Arc<str>>)>();
+        assert!(bucket <= 112, "an EvalCache bucket takes {bucket} bytes");
+    }
+
+    #[test]
+    fn hits_report_every_recorded_component_even_at_zero() {
+        /// Records a component at 0 pJ beside a nonzero one.
+        #[derive(Debug)]
+        struct Idle;
+        impl Accelerator for Idle {
+            fn name(&self) -> &str {
+                "idle"
+            }
+            fn evaluate(&self, w: &Workload) -> Result<EvalResult, Unsupported> {
+                let mut energy = hl_arch::EnergyBreakdown::new();
+                energy.record(hl_arch::Comp::Vfmu, 0.0);
+                energy.record(hl_arch::Comp::Mac, 0.1 + 0.2);
+                Ok(EvalResult {
+                    design: self.name().into(),
+                    workload: w.name.clone(),
+                    cycles: 7.0,
+                    energy,
+                })
+            }
+            fn area(&self) -> AreaBreakdown {
+                AreaBreakdown::new()
+            }
+            fn supported_patterns(&self) -> String {
+                "any".into()
+            }
+        }
+        let engine = Engine::serial();
+        let plain = Idle.evaluate_best(&sparse_workload("w", 8)).unwrap();
+        for _ in 0..2 {
+            let cached = engine
+                .evaluate_best(&Idle, &sparse_workload("w", 8))
+                .unwrap();
+            assert_eq!(cached, plain);
+            let comps: Vec<_> = cached.energy.iter().map(|(c, _)| c).collect();
+            assert_eq!(comps, [hl_arch::Comp::Mac, hl_arch::Comp::Vfmu]);
+        }
+        assert_eq!(engine.eval_cache().stats(), (1, 1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use hl_arch::{AreaBreakdown, EnergyBreakdown};
+use hl_arch::{AreaBreakdown, Comp, EnergyBreakdown};
 
 use crate::workload::Workload;
 
@@ -42,6 +42,59 @@ impl EvalResult {
     /// Energy-delay-squared product in J·s².
     pub fn ed2(&self) -> f64 {
         self.energy_j() * self.latency_s() * self.latency_s()
+    }
+}
+
+/// What the engine's memo keeps of a supported evaluation: its cycles and
+/// energy, without the names a report carries. The energy is a presence
+/// mask over [`Comp::ALL`] (bit `i` stands for `Comp::ALL[i]` and is set
+/// even for a component recorded at 0 pJ) and one heap block of the
+/// recorded values.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cost {
+    /// Processing cycles.
+    pub cycles: f64,
+    /// Which components were recorded.
+    pub mask: u16,
+    /// The recorded pJ, one per set bit of `mask`, lowest bit first.
+    pub pj: Box<[f64]>,
+}
+
+impl Cost {
+    /// The cost `result` reports.
+    pub fn of(result: &EvalResult) -> Self {
+        let mut mask = 0;
+        let mut pj = Vec::with_capacity(result.energy.iter().count());
+        // The breakdown iterates in `Comp::ALL` order.
+        for (comp, value) in result.energy.iter() {
+            mask |= 1 << comp.index();
+            pj.push(value);
+        }
+        let pj = pj.into_boxed_slice();
+        Self {
+            cycles: result.cycles,
+            mask,
+            pj,
+        }
+    }
+
+    /// The recorded `(component, pJ)` pairs in [`Comp::ALL`] order.
+    pub fn energy(&self) -> impl Iterator<Item = (Comp, f64)> + '_ {
+        let recorded = Comp::ALL
+            .into_iter()
+            .filter(|c| self.mask >> c.index() & 1 == 1);
+        recorded.zip(self.pj.iter().copied())
+    }
+
+    /// The report of this cost under the names `design` and `workload`:
+    /// bit for bit the result it was taken [`of`](Cost::of).
+    pub fn report(&self, design: &str, workload: &str) -> EvalResult {
+        EvalResult {
+            design: design.to_owned(),
+            workload: workload.to_owned(),
+            cycles: self.cycles,
+            energy: self.energy().collect(),
+        }
     }
 }
 
@@ -104,6 +157,22 @@ pub trait Accelerator: fmt::Debug + Send + Sync {
     fn swappable(&self) -> bool {
         true
     }
+
+    /// Evaluates `workload` directly and, on a [`swappable`](Self::swappable)
+    /// design, with operands swapped, returning the lower-EDP result
+    /// (§7.1.1: "we allow them to swap operands and report the best
+    /// hardware performance"). A design overrides it only to share work
+    /// between the two orientations, answering bit for bit the same.
+    ///
+    /// # Errors
+    /// Returns [`Unsupported`] only if *both* orientations are unsupported.
+    fn evaluate_best(&self, workload: &Workload) -> Result<EvalResult, Unsupported> {
+        let direct = self.evaluate(workload);
+        if !self.swappable() {
+            return direct;
+        }
+        best_of(direct, self.evaluate(&workload.swapped()))
+    }
 }
 
 /// Rejects workloads whose expected operand densities are degenerate —
@@ -132,21 +201,15 @@ pub fn check_densities(design: &str, workload: &Workload) -> Result<(), Unsuppor
     Ok(())
 }
 
-/// Evaluates `workload` directly and with operands swapped, returning the
-/// lower-EDP result (§7.1.1: "we allow them to swap operands and report the
-/// best hardware performance").
+/// The better of a workload's two orientations: the lower EDP, the direct
+/// one on a tie, and the direct error when neither runs.
 ///
 /// # Errors
-/// Returns [`Unsupported`] only if *both* orientations are unsupported.
-pub fn evaluate_best(
-    accel: &dyn Accelerator,
-    workload: &Workload,
+/// The direct orientation's [`Unsupported`] when both are unsupported.
+pub fn best_of(
+    direct: Result<EvalResult, Unsupported>,
+    swapped: Result<EvalResult, Unsupported>,
 ) -> Result<EvalResult, Unsupported> {
-    let direct = accel.evaluate(workload);
-    if !accel.swappable() {
-        return direct;
-    }
-    let swapped = accel.evaluate(&workload.swapped());
     match (direct, swapped) {
         (Ok(a), Ok(b)) => Ok(if a.edp() <= b.edp() { a } else { b }),
         (Ok(a), Err(_)) => Ok(a),
@@ -239,7 +302,7 @@ mod tests {
             OperandSparsity::unstructured(0.5),
         );
         // Direct fails (dense A); swapped succeeds with m = n = 2 cycles.
-        let r = evaluate_best(&SwapSensitive, &w).unwrap();
+        let r = SwapSensitive.evaluate_best(&w).unwrap();
         assert_eq!(r.cycles, 2.0);
         // Both-dense fails both ways.
         let wd = Workload::new(
@@ -248,6 +311,6 @@ mod tests {
             OperandSparsity::Dense,
             OperandSparsity::Dense,
         );
-        assert!(evaluate_best(&SwapSensitive, &wd).is_err());
+        assert!(SwapSensitive.evaluate_best(&wd).is_err());
     }
 }

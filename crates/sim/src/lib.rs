@@ -51,6 +51,6 @@ mod eval;
 mod workload;
 
 pub use eval::{
-    check_densities, evaluate_best, geomean, Accelerator, EvalResult, Unsupported, CLOCK_GHZ,
+    best_of, check_densities, geomean, Accelerator, Cost, EvalResult, Unsupported, CLOCK_GHZ,
 };
 pub use workload::{OperandSparsity, Workload};

@@ -27,7 +27,7 @@
 //! network determinism tests assert.
 
 use crate::engine::{DesignFingerprint, Engine, EvalCell};
-use crate::eval::{evaluate_best, Accelerator, EvalResult, Unsupported};
+use crate::eval::{Accelerator, EvalResult, Unsupported};
 use crate::workload::{OperandSparsity, Workload};
 
 /// Peak MAC throughput of the shared Table 4 resource class (every MAC
@@ -181,6 +181,26 @@ pub struct NetworkEval {
 }
 
 impl NetworkEval {
+    /// `network` on `design`, given one outcome per layer in order.
+    fn new(
+        design: &dyn Accelerator,
+        network: &NetworkWorkload,
+        outcomes: impl IntoIterator<Item = Result<EvalResult, Unsupported>>,
+    ) -> Self {
+        let layers = network.layers.iter().zip(outcomes);
+        Self {
+            design: design.name().to_string(),
+            network: network.name.clone(),
+            layers: layers
+                .map(|(l, outcome)| LayerEval {
+                    workload: l.workload.clone(),
+                    count: l.count,
+                    outcome,
+                })
+                .collect(),
+        }
+    }
+
     /// True when every layer evaluated.
     pub fn supported(&self) -> bool {
         self.layers.iter().all(|l| l.outcome.is_ok())
@@ -245,22 +265,15 @@ impl NetworkEval {
 }
 
 /// Evaluates every layer of `network` on `design` inline on the caller
-/// thread with the plain, uncached [`evaluate_best`] — the reference path
-/// [`Engine::evaluate_network`] must reproduce byte-for-byte.
+/// thread with the plain, uncached [`Accelerator::evaluate_best`] — the
+/// reference path [`Engine::evaluate_network`] must reproduce
+/// byte-for-byte.
 pub fn evaluate_network(design: &dyn Accelerator, network: &NetworkWorkload) -> NetworkEval {
-    NetworkEval {
-        design: design.name().to_string(),
-        network: network.name.clone(),
-        layers: network
-            .layers
-            .iter()
-            .map(|l| LayerEval {
-                workload: l.workload.clone(),
-                count: l.count,
-                outcome: evaluate_best(design, &l.workload),
-            })
-            .collect(),
-    }
+    let outcomes = network
+        .layers
+        .iter()
+        .map(|l| design.evaluate_best(&l.workload));
+    NetworkEval::new(design, network, outcomes)
 }
 
 impl Engine {
@@ -293,21 +306,7 @@ impl Engine {
             .iter()
             .map(|l| (design, fingerprint, &l.workload))
             .collect();
-        let outcomes = self.evaluate_cells(&cells);
-        NetworkEval {
-            design: design.name().to_string(),
-            network: network.name.clone(),
-            layers: network
-                .layers
-                .iter()
-                .zip(outcomes)
-                .map(|(l, outcome)| LayerEval {
-                    workload: l.workload.clone(),
-                    count: l.count,
-                    outcome,
-                })
-                .collect(),
-        }
+        NetworkEval::new(design, network, self.evaluate_cells(&cells))
     }
 }
 
@@ -451,15 +450,21 @@ mod tests {
         let nw = distinct_network(6);
         let reference = evaluate_network(&SparseOnly, &nw);
         let engine = Engine::serial();
-        // Preload every other layer, evaluated under a foreign name so
-        // the hits must be re-labeled.
+        // Preload every other layer, evaluated under a foreign name: the
+        // hits must still report this network's layer names.
         engine
             .eval_cache()
             .preload(nw.layers.iter().step_by(2).map(|l| {
                 let mut foreign = l.workload.clone();
                 foreign.name = "preloaded".into();
                 let key = crate::engine::EvalKey::new(&SparseOnly, &foreign);
-                (key, evaluate_best(&SparseOnly, &foreign))
+                let outcome = SparseOnly.evaluate_best(&foreign);
+                (
+                    key,
+                    outcome
+                        .map(|r| crate::Cost::of(&r))
+                        .map_err(|u| u.reason.into()),
+                )
             }));
         let eval = engine.evaluate_network(&SparseOnly, &nw);
         assert_eq!(eval, reference);

@@ -55,8 +55,8 @@ fn main() {
         OperandSparsity::Hss(pattern),
         OperandSparsity::unstructured(0.5), // ReLU-like activations
     );
-    let hl = evaluate_best(&HighLight::default(), &w).expect("supported");
-    let tc = evaluate_best(&Tc::default(), &w).expect("dense always runs");
+    let hl = HighLight::default().evaluate_best(&w).expect("supported");
+    let tc = Tc::default().evaluate_best(&w).expect("dense always runs");
     println!(
         "\nHighLight vs TC on {w}:\n  speedup {:.2}x | energy {:.2}x lower | EDP {:.2}x lower",
         tc.cycles / hl.cycles,

@@ -36,7 +36,7 @@ fn main() {
                 OperandSparsity::Dense
             };
             let w = Workload::new(layer.name.clone(), layer.shape, a, b);
-            let r = evaluate_best(design, &w).ok()?;
+            let r = design.evaluate_best(&w).ok()?;
             energy += r.energy_j() * f64::from(layer.count);
             latency += r.latency_s() * f64::from(layer.count);
         }

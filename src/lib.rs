@@ -31,8 +31,8 @@
 //!     OperandSparsity::Hss(highlight_family().closest_to_density(0.25)),
 //!     OperandSparsity::unstructured(0.5),
 //! );
-//! let fast = evaluate_best(&hl, &w)?;
-//! let slow = evaluate_best(&tc, &w)?;
+//! let fast = hl.evaluate_best(&w)?;
+//! let slow = tc.evaluate_best(&w)?;
 //! assert!(fast.edp() < slow.edp());
 //! # Ok::<(), highlight::sim::Unsupported>(())
 //! ```
@@ -58,9 +58,7 @@ pub mod prelude {
     pub use hl_baselines::{Dstc, S2ta, Stc, Tc};
     pub use hl_fibertree::spec::{Gh, PatternSpec};
     pub use hl_fibertree::Fibertree;
-    pub use hl_sim::{
-        evaluate_best, Accelerator, EvalResult, OperandSparsity, Unsupported, Workload,
-    };
+    pub use hl_sim::{Accelerator, EvalResult, OperandSparsity, Unsupported, Workload};
     pub use hl_sparsity::{HssPattern, Ratio};
     pub use hl_tensor::{GemmShape, Matrix};
 
@@ -79,7 +77,7 @@ mod tests {
     fn facade_reexports_work_together() {
         let hl = HighLight::default();
         let w = Workload::synthetic(OperandSparsity::Dense, OperandSparsity::Dense);
-        assert!(evaluate_best(&hl, &w).is_ok());
+        assert!(hl.evaluate_best(&w).is_ok());
         assert_eq!(Gh::new(2, 4).density(), 0.5);
     }
 }

@@ -83,12 +83,13 @@ fn sparsity_degree_agrees_across_layers_of_the_stack() {
         OperandSparsity::Dense,
     );
     let hl = HighLight::default();
-    let r = evaluate_best(&hl, &w).unwrap();
-    let dense = evaluate_best(
-        &hl,
-        &Workload::synthetic(OperandSparsity::Dense, OperandSparsity::Dense),
-    )
-    .unwrap();
+    let r = hl.evaluate_best(&w).unwrap();
+    let dense = hl
+        .evaluate_best(&Workload::synthetic(
+            OperandSparsity::Dense,
+            OperandSparsity::Dense,
+        ))
+        .unwrap();
     assert!((r.cycles / dense.cycles - pattern.density_f64()).abs() < 1e-9);
 }
 

@@ -81,7 +81,7 @@ proptest! {
             let mut energy_j = 0.0f64;
             let mut all_supported = true;
             for layer in &network.layers {
-                match highlight::sim::evaluate_best(design.as_ref(), &layer.workload) {
+                match design.evaluate_best(&layer.workload) {
                     Ok(r) => {
                         cycles += r.cycles * f64::from(layer.count);
                         energy_j += r.energy_j() * f64::from(layer.count);

@@ -123,7 +123,7 @@ proptest! {
             OperandSparsity::unstructured(sb),
         );
         let direct = tc.evaluate(&w).unwrap();
-        let best = evaluate_best(&tc, &w).unwrap();
+        let best = tc.evaluate_best(&w).unwrap();
         prop_assert!(best.edp() <= direct.edp() + 1e-30);
         prop_assert!((best.ed2() - best.edp() * best.latency_s()).abs() <= best.ed2() * 1e-12);
     }
@@ -149,7 +149,7 @@ proptest! {
         let designs: Vec<Box<dyn Accelerator>> =
             vec![Box::new(Tc::default()), Box::new(HighLight::default())];
         for d in &designs {
-            let plain = evaluate_best(d.as_ref(), &w);
+            let plain = d.evaluate_best(&w);
             let cold = engine.evaluate_best(d.as_ref(), &w);
             let warm = engine.evaluate_best(d.as_ref(), &w);
             prop_assert_eq!(plain.clone().ok(), cold.ok());

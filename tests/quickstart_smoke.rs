@@ -19,8 +19,12 @@ fn prelude_quickstart_holds() {
         OperandSparsity::Hss(highlight_family().closest_to_density(0.25)),
         OperandSparsity::unstructured(0.5),
     );
-    let fast = evaluate_best(&hl, &w).expect("HighLight supports its own family");
-    let slow = evaluate_best(&tc, &w).expect("TC supports any workload (processed densely)");
+    let fast = hl
+        .evaluate_best(&w)
+        .expect("HighLight supports its own family");
+    let slow = tc
+        .evaluate_best(&w)
+        .expect("TC supports any workload (processed densely)");
     assert!(
         fast.edp() < slow.edp(),
         "HighLight EDP {:.3e} must beat TC EDP {:.3e} on the synthetic sparse workload",

@@ -242,7 +242,8 @@ fn fully_pruned_operands_are_unsupported_on_every_design() {
     let empty_b = Workload::synthetic(OperandSparsity::Dense, OperandSparsity::unstructured(1.0));
     for design in designs() {
         for w in [&empty_a, &empty_b] {
-            let err = evaluate_best(design.as_ref(), w)
+            let err = design
+                .evaluate_best(w)
                 .expect_err(&format!("{} must reject density 0", design.name()));
             assert!(err.reason.contains("degenerate"), "{}", err);
         }
