@@ -1,3 +1,4 @@
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
@@ -101,16 +102,9 @@ impl fmt::Display for Comp {
 macro_rules! breakdown_type {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        ///
-        /// The amounts live inline, one slot per [`Comp::ALL`] entry beside
-        /// a mask of the categories recorded (at any amount, 0 included),
-        /// so a breakdown owns no heap block.
-        #[derive(Clone, Default, PartialEq)]
+        #[derive(Debug, Clone, Default, PartialEq)]
         pub struct $name {
-            /// Bit `i` is set once `Comp::ALL[i]` has been recorded.
-            recorded: u16,
-            /// Each category's amount by `Comp::ALL` index; 0 if unrecorded.
-            amounts: [f64; Comp::ALL.len()],
+            entries: BTreeMap<Comp, f64>,
         }
 
         impl $name {
@@ -125,23 +119,23 @@ macro_rules! breakdown_type {
             /// Panics if `amount` is negative or non-finite.
             pub fn record(&mut self, comp: Comp, amount: f64) {
                 assert!(amount.is_finite() && amount >= 0.0, "invalid amount {amount}");
-                self.recorded |= 1 << comp.index();
-                self.amounts[comp.index()] += amount;
+                *self.entries.entry(comp).or_insert(0.0) += amount;
             }
 
             /// The amount recorded for a category (0 if absent).
             pub fn get(&self, comp: Comp) -> f64 {
-                self.amounts[comp.index()]
+                self.entries.get(&comp).copied().unwrap_or(0.0)
             }
 
             #[doc = concat!("Total across all categories (", $unit, ").")]
             pub fn total(&self) -> f64 {
-                self.iter().map(|(_, v)| v).sum()
+                self.entries.values().sum()
             }
 
             /// Total across sparsity-tax categories only.
             pub fn sparsity_tax(&self) -> f64 {
-                self.iter()
+                self.entries
+                    .iter()
                     .filter(|(c, _)| c.is_sparsity_tax())
                     .map(|(_, v)| v)
                     .sum()
@@ -149,10 +143,7 @@ macro_rules! breakdown_type {
 
             /// Iterates `(category, amount)` pairs in display order.
             pub fn iter(&self) -> impl Iterator<Item = (Comp, f64)> + '_ {
-                Comp::ALL
-                    .into_iter()
-                    .filter(|c| self.recorded >> c.index() & 1 == 1)
-                    .map(|c| (c, self.amounts[c.index()]))
+                self.entries.iter().map(|(c, v)| (*c, *v))
             }
 
             /// Scales every entry by `factor` (e.g. per-layer weighting).
@@ -162,23 +153,8 @@ macro_rules! breakdown_type {
             pub fn scaled(&self, factor: f64) -> Self {
                 assert!(factor.is_finite() && factor >= 0.0, "invalid factor {factor}");
                 Self {
-                    recorded: self.recorded,
-                    amounts: self.amounts.map(|v| v * factor),
+                    entries: self.entries.iter().map(|(c, v)| (*c, v * factor)).collect(),
                 }
-            }
-        }
-
-        /// Collects `(category, amount)` pairs recorded elsewhere (a
-        /// repeated category keeps its last amount), without re-checking
-        /// the amounts [`record`](Self::record) checked.
-        impl FromIterator<(Comp, f64)> for $name {
-            fn from_iter<I: IntoIterator<Item = (Comp, f64)>>(pairs: I) -> Self {
-                let mut out = Self::default();
-                for (comp, amount) in pairs {
-                    out.recorded |= 1 << comp.index();
-                    out.amounts[comp.index()] = amount;
-                }
-                out
             }
         }
 
@@ -192,32 +168,16 @@ macro_rules! breakdown_type {
 
         impl AddAssign for $name {
             fn add_assign(&mut self, rhs: Self) {
-                for (c, v) in rhs.iter() {
-                    self.recorded |= 1 << c.index();
-                    self.amounts[c.index()] += v;
+                for (c, v) in rhs.entries {
+                    *self.entries.entry(c).or_insert(0.0) += v;
                 }
-            }
-        }
-
-        /// Prints the recorded categories as a map, `Name { entries: {…} }`.
-        impl fmt::Debug for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                struct Entries<'a>(&'a $name);
-                impl fmt::Debug for Entries<'_> {
-                    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                        f.debug_map().entries(self.0.iter()).finish()
-                    }
-                }
-                f.debug_struct(stringify!($name))
-                    .field("entries", &Entries(self))
-                    .finish()
             }
         }
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, "{} {{ ", stringify!($name))?;
-                for (c, v) in self.iter() {
+                for (c, v) in &self.entries {
                     write!(f, "{c}: {v:.3e} ")?;
                 }
                 write!(f, "}} total={:.3e} {}", self.total(), $unit)
@@ -237,6 +197,62 @@ breakdown_type!(
     AreaBreakdown,
     "um^2"
 );
+
+/// An [`EnergyBreakdown`] packed for storage: a mask of the recorded
+/// categories (bit `i` stands for `Comp::ALL[i]` and is set even for a
+/// category recorded at 0 pJ) and one heap block of their amounts, lowest
+/// bit first.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedEnergy {
+    mask: u16,
+    amounts: Box<[f64]>,
+}
+
+impl PackedEnergy {
+    /// Packs `amounts` under `mask`, or `None` when the mask sets a bit at
+    /// or past `Comp::ALL.len()`, the amounts are not one per set bit, or
+    /// one of them is an amount [`EnergyBreakdown::record`] refuses.
+    pub fn new(mask: u16, amounts: Box<[f64]>) -> Option<Self> {
+        let valid = mask >> Comp::ALL.len() == 0
+            && amounts.len() == mask.count_ones() as usize
+            && amounts.iter().all(|v| v.is_finite() && *v >= 0.0);
+        valid.then_some(Self { mask, amounts })
+    }
+
+    /// The recorded categories, bit `i` standing for `Comp::ALL[i]`.
+    pub fn mask(&self) -> u16 {
+        self.mask
+    }
+
+    /// The recorded amounts (pJ), lowest mask bit first.
+    pub fn amounts(&self) -> &[f64] {
+        &self.amounts
+    }
+
+    /// The breakdown this packs, bit for bit.
+    pub fn unpack(&self) -> EnergyBreakdown {
+        let recorded = Comp::ALL
+            .into_iter()
+            .filter(|c| self.mask >> c.index() & 1 == 1);
+        let mut entries = BTreeMap::new();
+        // In key order, so each insert appends to the one leaf.
+        for (comp, amount) in recorded.zip(self.amounts.iter().copied()) {
+            entries.insert(comp, amount);
+        }
+        EnergyBreakdown { entries }
+    }
+}
+
+impl EnergyBreakdown {
+    /// The breakdown packed for storage; [`PackedEnergy::unpack`] gives it
+    /// back bit for bit.
+    pub fn packed(&self) -> PackedEnergy {
+        PackedEnergy {
+            mask: self.entries.keys().fold(0, |mask, c| mask | 1 << c.index()),
+            amounts: self.entries.values().copied().collect(),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -290,21 +306,31 @@ mod tests {
     }
 
     #[test]
-    fn debug_prints_the_recorded_categories_as_a_map() {
+    fn packing_keeps_every_recorded_category_bit_for_bit() {
         let mut e = EnergyBreakdown::new();
-        e.record(Comp::Dram, 2.5);
-        e.record(Comp::Mac, 0.0);
-        assert_eq!(
-            format!("{e:?}"),
-            "EnergyBreakdown { entries: {Mac: 0.0, Dram: 2.5} }"
-        );
-        assert_eq!(
-            format!("{:?}", AreaBreakdown::new()),
-            "AreaBreakdown { entries: {} }"
-        );
-        let collected: EnergyBreakdown = e.iter().collect();
-        assert_eq!(collected, e);
-        assert_ne!(collected, EnergyBreakdown::new(), "0 pJ is still recorded");
+        e.record(Comp::Compressor, 0.1 + 0.2);
+        e.record(Comp::Mac, 0.0); // recorded at 0 pJ: packed all the same
+        let packed = e.packed();
+        assert_eq!(packed.mask(), 1 | 1 << 12);
+        assert_eq!(packed.amounts(), [0.0, 0.1 + 0.2]);
+        assert_eq!(format!("{:?}", packed.unpack()), format!("{e:?}"));
+        assert_eq!(packed.unpack(), e);
+        assert_ne!(packed.unpack(), EnergyBreakdown::new());
+        let empty = EnergyBreakdown::new().packed();
+        assert_eq!((empty.mask(), empty.unpack()), (0, EnergyBreakdown::new()));
+    }
+
+    #[test]
+    fn packing_refuses_what_record_refuses() {
+        let new = |mask, amounts: &[f64]| PackedEnergy::new(mask, amounts.into());
+        assert_eq!(new(0b101, &[1.0, 0.0]).map(|p| p.mask()), Some(0b101));
+        assert!(new(1 << 13, &[1.0]).is_none(), "a bit past Comp::ALL");
+        assert!(new(1 << 15, &[1.0]).is_none(), "a bit past Comp::ALL");
+        assert!(new(0b101, &[1.0]).is_none(), "a set bit without its amount");
+        assert!(new(0b1, &[1.0, 2.0]).is_none(), "an amount without its bit");
+        assert!(new(0b1, &[-1.0]).is_none(), "a negative amount");
+        assert!(new(0b1, &[f64::NAN]).is_none(), "a NaN amount");
+        assert!(new(0b1, &[f64::INFINITY]).is_none(), "an infinite amount");
     }
 
     #[test]

@@ -27,5 +27,5 @@ pub mod components;
 mod breakdown;
 mod tech;
 
-pub use breakdown::{AreaBreakdown, Comp, EnergyBreakdown};
+pub use breakdown::{AreaBreakdown, Comp, EnergyBreakdown, PackedEnergy};
 pub use tech::Tech;

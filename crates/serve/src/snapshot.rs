@@ -28,8 +28,9 @@
 //!
 //! An entry holds what the evaluation cache holds, a [`Cost`] or an
 //! unsupported reason, and no design or workload name: the engine names
-//! each report on the way out. Bit `i` of a component mask stands for
-//! `Comp::ALL[i]`, set even for a component recorded at 0 pJ. Design
+//! each report on the way out. A cost's mask and values are its
+//! [`PackedEnergy`]'s: bit `i` stands for `Comp::ALL[i]`, set even for a
+//! component recorded at 0 pJ. Design
 //! `Debug` fingerprints and unsupported reasons are stored once in the
 //! sorted string table, and entries name them by `u32` index. Every
 //! loaded key of one design shares one [`DesignFingerprint`], and every
@@ -94,7 +95,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hl_arch::Comp;
+use hl_arch::PackedEnergy;
 use hl_models::accuracy::{accuracy_loss, PruningConfig, RetentionCache, RetentionScore};
 use hl_models::{DnnModel, LayerKind, LayerSpec};
 use hl_sim::engine::{DesignFingerprint, EvalCache, EvalKey, OperandKey};
@@ -547,8 +548,10 @@ impl<'a> StringTable<'a> {
             Ok(cost) => {
                 out.push(COST);
                 put_f64(out, cost.cycles);
-                out.extend_from_slice(&cost.mask.to_le_bytes());
-                cost.pj.iter().for_each(|&pj| put_f64(out, pj));
+                out.extend_from_slice(&cost.energy.mask().to_le_bytes());
+                for &pj in cost.energy.amounts() {
+                    put_f64(out, pj);
+                }
             }
             Err(reason) => {
                 out.push(UNSUPPORTED);
@@ -954,21 +957,12 @@ fn cost(c: &mut Cursor<'_>) -> Result<Cost, SnapshotError> {
         return Err(malformed(format!("bad cycles {cycles}")));
     }
     let mask = c.array("component mask").map(u16::from_le_bytes)?;
-    if mask >> Comp::ALL.len() != 0 {
-        return Err(malformed(format!(
-            "component mask {mask:#06x} sets a bit past the {} components",
-            Comp::ALL.len()
-        )));
-    }
-    let mut pj = Vec::with_capacity(mask.count_ones() as usize);
-    for _ in 0..mask.count_ones() {
-        match c.f64("energy")? {
-            v if v.is_finite() && v >= 0.0 => pj.push(v),
-            v => return Err(malformed(format!("bad energy {v}"))),
-        }
-    }
-    let pj = pj.into_boxed_slice();
-    Ok(Cost { cycles, mask, pj })
+    let pj: Box<[f64]> = (0..mask.count_ones())
+        .map(|_| c.f64("energy"))
+        .collect::<Result<_, _>>()?;
+    let energy = PackedEnergy::new(mask, pj)
+        .ok_or_else(|| malformed(format!("bad energy under component mask {mask:#06x}")))?;
+    Ok(Cost { cycles, energy })
 }
 
 fn score(c: &mut Cursor<'_>) -> Result<RetentionScore, SnapshotError> {
@@ -1015,6 +1009,7 @@ fn dim(c: &mut Cursor<'_>) -> Result<usize, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hl_arch::Comp;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -1033,9 +1028,8 @@ mod tests {
         energy.record(Comp::Mac, 123.456789);
         energy.record(Comp::Dram, 0.1 + 0.2); // non-terminating f64
         energy.record(Comp::Vfmu, 0.0); // recorded at 0 pJ: present all the same
-        let result = EvalResult {
-            design: "HighLight".into(),
-            workload: "w".into(),
+        let energy = energy.packed();
+        let cost = Cost {
             cycles: 1.0e9 + 0.25,
             energy,
         };
@@ -1047,7 +1041,7 @@ mod tests {
                     a: OperandKey::Hss(HssPattern::two_rank(Gh::new(4, 8), Gh::new(2, 4))),
                     b: OperandKey::Dense,
                 },
-                Ok(Cost::of(&result)),
+                Ok(cost),
             ),
             (
                 EvalKey {
@@ -1206,9 +1200,10 @@ mod tests {
             entries
                 .map(|(key, value)| match value {
                     Ok(cost) => {
-                        let energy: Vec<(Comp, u64)> =
-                            cost.energy().map(|(c, pj)| (c, pj.to_bits())).collect();
-                        format!("{key:?} {:x} {energy:?}", cost.cycles.to_bits())
+                        let energy = &cost.energy;
+                        let pj: Vec<u64> = energy.amounts().iter().map(|v| v.to_bits()).collect();
+                        let cycles = cost.cycles.to_bits();
+                        format!("{key:?} {cycles:x} {:x} {pj:x?}", energy.mask())
                     }
                     Err(reason) => format!("{key:?} {reason:?}"),
                 })
@@ -1889,13 +1884,10 @@ mod tests {
                 Err(format!("reason {}", next() % 7).into())
             } else {
                 let mask = (next() & 0x1FFF) as u16;
-                Ok(Cost {
-                    cycles: finite(&mut next, false),
-                    mask,
-                    pj: (0..mask.count_ones())
-                        .map(|_| finite(&mut next, true))
-                        .collect(),
-                })
+                let cycles = finite(&mut next, false);
+                let pj = (0..mask.count_ones()).map(|_| finite(&mut next, true));
+                let energy = PackedEnergy::new(mask, pj.collect()).unwrap();
+                Ok(Cost { cycles, energy })
             };
             entries.push((key, value));
         }

@@ -577,21 +577,30 @@ pub(crate) type EvalCell<'a> = (&'a dyn Accelerator, &'a DesignFingerprint, &'a 
 
 /// What the memo keeps of `design`'s [`Accelerator::evaluate_best`] on
 /// `workload`.
-fn memo(design: &dyn Accelerator, workload: &Workload) -> Result<Cost, Arc<str>> {
+pub(crate) fn memo(design: &dyn Accelerator, workload: &Workload) -> Result<Cost, Arc<str>> {
     match design.evaluate_best(workload) {
-        Ok(result) => Ok(Cost::of(&result)),
+        Ok(r) => Ok(Cost {
+            cycles: r.cycles,
+            energy: r.energy.packed(),
+        }),
         Err(unsupported) => Err(unsupported.reason.into()),
     }
 }
 
-/// The report of a memoized outcome for `design` on `workload`.
+/// The report of a memoized outcome for `design` on `workload`: bit for
+/// bit what [`Accelerator::evaluate_best`] answers.
 fn report(
     cached: &Result<Cost, Arc<str>>,
     design: &dyn Accelerator,
     workload: &Workload,
 ) -> Result<EvalResult, Unsupported> {
     match cached {
-        Ok(cost) => Ok(cost.report(design.name(), &workload.name)),
+        Ok(cost) => Ok(EvalResult {
+            design: design.name().to_owned(),
+            workload: workload.name.clone(),
+            cycles: cost.cycles,
+            energy: cost.energy.unpack(),
+        }),
         Err(reason) => Err(Unsupported {
             design: design.name().to_owned(),
             reason: reason.to_string(),

@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use hl_arch::{AreaBreakdown, Comp, EnergyBreakdown};
+use hl_arch::{AreaBreakdown, EnergyBreakdown, PackedEnergy};
 
 use crate::workload::Workload;
 
@@ -46,56 +46,13 @@ impl EvalResult {
 }
 
 /// What the engine's memo keeps of a supported evaluation: its cycles and
-/// energy, without the names a report carries. The energy is a presence
-/// mask over [`Comp::ALL`] (bit `i` stands for `Comp::ALL[i]` and is set
-/// even for a component recorded at 0 pJ) and one heap block of the
-/// recorded values.
+/// packed energy, without the names a report carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cost {
     /// Processing cycles.
     pub cycles: f64,
-    /// Which components were recorded.
-    pub mask: u16,
-    /// The recorded pJ, one per set bit of `mask`, lowest bit first.
-    pub pj: Box<[f64]>,
-}
-
-impl Cost {
-    /// The cost `result` reports.
-    pub fn of(result: &EvalResult) -> Self {
-        let mut mask = 0;
-        let mut pj = Vec::with_capacity(result.energy.iter().count());
-        // The breakdown iterates in `Comp::ALL` order.
-        for (comp, value) in result.energy.iter() {
-            mask |= 1 << comp.index();
-            pj.push(value);
-        }
-        let pj = pj.into_boxed_slice();
-        Self {
-            cycles: result.cycles,
-            mask,
-            pj,
-        }
-    }
-
-    /// The recorded `(component, pJ)` pairs in [`Comp::ALL`] order.
-    pub fn energy(&self) -> impl Iterator<Item = (Comp, f64)> + '_ {
-        let recorded = Comp::ALL
-            .into_iter()
-            .filter(|c| self.mask >> c.index() & 1 == 1);
-        recorded.zip(self.pj.iter().copied())
-    }
-
-    /// The report of this cost under the names `design` and `workload`:
-    /// bit for bit the result it was taken [`of`](Cost::of).
-    pub fn report(&self, design: &str, workload: &str) -> EvalResult {
-        EvalResult {
-            design: design.to_owned(),
-            workload: workload.to_owned(),
-            cycles: self.cycles,
-            energy: self.energy().collect(),
-        }
-    }
+    /// Per-component energy.
+    pub energy: PackedEnergy,
 }
 
 /// Returned when a design cannot process a workload at all (e.g. S2TA on a
@@ -212,9 +169,8 @@ pub fn best_of(
 ) -> Result<EvalResult, Unsupported> {
     match (direct, swapped) {
         (Ok(a), Ok(b)) => Ok(if a.edp() <= b.edp() { a } else { b }),
-        (Ok(a), Err(_)) => Ok(a),
         (Err(_), Ok(b)) => Ok(b),
-        (Err(e), Err(_)) => Err(e),
+        (direct, _) => direct,
     }
 }
 

@@ -458,13 +458,7 @@ mod tests {
                 let mut foreign = l.workload.clone();
                 foreign.name = "preloaded".into();
                 let key = crate::engine::EvalKey::new(&SparseOnly, &foreign);
-                let outcome = SparseOnly.evaluate_best(&foreign);
-                (
-                    key,
-                    outcome
-                        .map(|r| crate::Cost::of(&r))
-                        .map_err(|u| u.reason.into()),
-                )
+                (key, crate::engine::memo(&SparseOnly, &foreign))
             }));
         let eval = engine.evaluate_network(&SparseOnly, &nw);
         assert_eq!(eval, reference);
