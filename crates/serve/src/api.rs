@@ -25,10 +25,8 @@
 //! /v1/evaluate`, `POST /v1/evaluate_model`, `POST /v1/sweep`, `POST
 //! /v1/search`. A request resolves to its row once; the method check,
 //! the 405 and 404 replies come from the table, and dispatch is one
-//! exhaustive match from [`Route`] to its handler. The legacy
-//! unversioned paths remain as byte-identical aliases; each hit
-//! increments the `deprecated` counter surfaced in `/v1/metrics`.
-//! (`/v1/trace` postdates the aliases and has no unversioned form.)
+//! exhaustive match from [`Route`] to its handler. An unversioned path
+//! is an unknown path: it gets the structured 404.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,9 +155,9 @@ impl App {
         self.traces.push(rec);
     }
 
-    /// Handles one parsed request: dispatch, panic containment and the
-    /// deprecated-alias counter for unversioned paths. The request
-    /// itself is counted from its trace record ([`App::observe_trace`]).
+    /// Handles one parsed request: dispatch and panic containment. The
+    /// request itself is counted from its trace record
+    /// ([`App::observe_trace`]).
     pub fn handle(&self, req: &Request) -> Response {
         self.handle_traced(req).response
     }
@@ -169,12 +167,8 @@ impl App {
     /// keeps panicking instead of feeding it to the pool again — and how
     /// long writing the response body took.
     pub fn handle_traced(&self, req: &Request) -> Handled {
-        let (route, deprecated) = Route::resolve(&req.path);
-        if deprecated {
-            self.metrics.record_deprecated_route();
-        }
         let dispatched = panic::catch_unwind(AssertUnwindSafe(|| {
-            let answer = self.dispatch(req, route);
+            let answer = self.dispatch(req, Route::resolve(&req.path));
             let t_encode = Instant::now();
             let response = match answer {
                 Ok(answer) => answer(),
@@ -205,8 +199,7 @@ impl App {
         .into_response()
     }
 
-    /// Answers `req` on its resolved `route`: the legacy alias and the
-    /// `/v1/` path resolve alike, so they answer byte-identically.
+    /// Answers `req` on its resolved `route`.
     fn dispatch(&self, req: &Request, route: Route) -> Result<Answer<'_>, ApiError> {
         let method = route.spec().method;
         if route != Route::Other && req.method != method {
@@ -652,45 +645,30 @@ mod tests {
     }
 
     #[test]
-    fn legacy_aliases_are_byte_identical_and_counted() {
+    fn unversioned_paths_answer_the_structured_404() {
         let app = test_app();
         for (method, path, body) in [
             ("GET", "/designs", ""),
             ("GET", "/models", ""),
+            ("GET", "/metrics", ""),
             (
                 "POST",
                 "/evaluate",
                 r#"{"design":"HighLight","m":64,"k":64,"n":64}"#,
             ),
-            ("POST", "/evaluate", r#"{"design":"TC","m":0}"#),
-            ("GET", "/nope", ""),
         ] {
-            let versioned = format!("/v1{path}");
-            let (legacy, v1) = if method == "GET" {
-                (get(&app, path), get(&app, &versioned))
+            let (status, v) = if method == "GET" {
+                get(&app, path)
             } else {
-                (post(&app, path, body), post(&app, &versioned, body))
+                post(&app, path, body)
             };
-            assert_eq!(legacy.0, v1.0, "{method} {path}");
-            if path == "/nope" {
-                // The 404 echoes the request path; everything else in the
-                // body (code, route list) is shared.
-                assert_eq!(legacy.0, 404);
-                assert_eq!(err_code(&legacy.1), err_code(&v1.1));
-            } else {
-                assert_eq!(legacy.1.encode(), v1.1.encode(), "{method} {path}");
-            }
+            assert_eq!(status, 404, "{method} {path}");
+            assert_eq!(err_code(&v), "not_found");
+            assert!(err_msg(&v).contains(path), "{method} {path}");
         }
-        // Only hits on known legacy paths count as deprecated: 4 above
-        // (the unknown path is not an alias of anything).
-        assert_eq!(app.metrics().deprecated_routes(), 4);
+        // No member counts them apart from any other unknown path.
         let (_, m) = get(&app, "/v1/metrics");
-        let deprecated = m
-            .get("requests")
-            .and_then(|r| r.get("deprecated"))
-            .and_then(Json::as_f64)
-            .unwrap();
-        assert_eq!(deprecated, 4.0);
+        assert!(m.get("requests").unwrap().get("deprecated").is_none());
     }
 
     #[test]
@@ -1085,7 +1063,7 @@ mod tests {
         let requests = m.get("requests").unwrap();
         assert_eq!(requests.get("total").and_then(Json::as_f64), Some(0.0));
         for (path, status) in [("/nope", 404), ("/v1/healthz", 405), ("/v1/evaluate", 405)] {
-            let mut rec = trace_rec("t", Route::resolve(path).0, 1);
+            let mut rec = trace_rec("t", Route::resolve(path), 1);
             rec.status = status;
             app.observe_trace(rec);
         }
@@ -1149,9 +1127,6 @@ mod tests {
         // Unknown formats are 400s, not silent fallbacks.
         let resp = get_raw(&app, "/v1/metrics", "format=xml", &[]);
         assert_eq!(resp.status, 400);
-        // Legacy alias answers the Prometheus form too.
-        let resp = get_raw(&app, "/metrics", "format=prometheus", &[]);
-        assert_eq!(resp.content_type, prom::CONTENT_TYPE);
     }
 
     /// The family owning a leaf of the `/v1/metrics` JSON view: the
@@ -1313,7 +1288,7 @@ mod tests {
         // Typos 400 instead of silently returning everything.
         let resp = get_raw(&app, "/v1/trace", "bogus=1", &[]);
         assert_eq!(resp.status, 400);
-        // Method and legacy-path mapping: no unversioned alias.
+        // Method mapping, and no unversioned form.
         let (status, _) = post(&app, "/v1/trace", "");
         assert_eq!(status, 405);
         let (status, _) = get(&app, "/trace");

@@ -294,8 +294,7 @@ impl Response {
     /// connections — the terminating `0\r\n\r\n` delimits the body).
     ///
     /// The bytes are a pure function of `(self, keep_alive)`, which is
-    /// what the `/v1` ↔ legacy-alias byte-identity guarantee and the
-    /// coalescing path lean on: one computed [`Response`] serializes
+    /// what the coalescing path leans on: one computed [`Response`] serializes
     /// identically for every waiter with the same connection mode.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
         self.to_bytes_with_id(keep_alive, None)

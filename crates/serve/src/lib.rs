@@ -11,8 +11,8 @@
 //! [`hl_eval::SweepContext`]:
 //! the parallel engine plus its [`hl_sim::engine::EvalCache`], so
 //! repeated queries replay from the memo and `/v1/metrics` exposes the
-//! hit rate. The API is versioned under `/v1/`; the original unversioned
-//! paths still answer byte-identically but count as deprecated aliases.
+//! hit rate. The API is versioned under `/v1/`; an unversioned path gets
+//! the structured 404.
 //!
 //! There is no crates.io access in this workspace, so everything is
 //! hand-rolled on `std`: [`json`] (the `hl-json` codec, re-exported),
@@ -22,8 +22,8 @@
 //! [`epoll`] (a minimal epoll(7) facade with a self-pipe waker),
 //! [`faults`] (the seeded fault-injection plane behind `HL_FAULTS`),
 //! [`server`] (the single-threaded event loop: nonblocking accepts,
-//! per-connection state machines, in-flight request coalescing, a
-//! worker pool for evaluation, cooperative drain), [`snapshot`]
+//! in-flight request coalescing, a worker pool for evaluation,
+//! cooperative drain) and its socket-free per-connection state machine, [`snapshot`]
 //! (evaluation-cache persistence across restarts), [`signal`]
 //! (SIGTERM/ctrl-c → shutdown flag), [`api`] (the endpoint handlers),
 //! [`metrics`] (lock-free counters and histograms, the route table, and
@@ -78,6 +78,7 @@
 
 pub mod api;
 pub mod client;
+mod conn;
 pub mod epoll;
 pub mod faults;
 pub mod http;

@@ -2,8 +2,7 @@
 //! serving surface once.
 //!
 //! - `ROUTES` holds one row per [`Route`]: its canonical `/v1/` path,
-//!   its method, whether the unversioned path is a legacy alias, and
-//!   whether overload sheds it first. Path resolution, labels, the 405
+//!   its method and whether overload sheds it first. Path resolution, labels, the 405
 //!   and 404 replies, the per-route counters and the shedding policy
 //!   all read it; a const check keeps it in step with the enum.
 //! - `FAMILIES` holds one row per `/v1/metrics` family: its
@@ -23,7 +22,7 @@
 //! requests `/v1/trace` lists, and its latency is the trace's
 //! start-to-last-byte total. The remaining recorders count what is not
 //! a request outcome: connections, busy rejections, worker panics and
-//! respawns, deprecated-alias hits and the queue-depth gauge.
+//! respawns and the queue-depth gauge.
 //!
 //! Recording is plain atomics (counters and one log₂ histogram type,
 //! [`Log2Histogram`], for latency and queue wait in microseconds and
@@ -41,7 +40,7 @@ use crate::prom::Exposition;
 use crate::trace::{Outcome, TraceRecord};
 
 /// The routes the server tracks individually. Each has one row in
-/// `ROUTES`; legacy unversioned aliases record under the same route.
+/// `ROUTES`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// `GET /v1/healthz`.
@@ -77,24 +76,15 @@ pub(crate) struct RouteSpec {
     pub path: &'static str,
     /// The one method the route answers; any other gets a 405.
     pub method: &'static str,
-    /// Whether the path without its `/v1` prefix is a deprecated alias.
-    pub legacy_alias: bool,
     /// Whether overload sheds this route before the others.
     pub expensive: bool,
 }
 
-const fn row(
-    route: Route,
-    path: &'static str,
-    method: &'static str,
-    legacy_alias: bool,
-    expensive: bool,
-) -> RouteSpec {
+const fn row(route: Route, path: &'static str, method: &'static str, expensive: bool) -> RouteSpec {
     RouteSpec {
         route,
         path,
         method,
-        legacy_alias,
         expensive,
     }
 }
@@ -103,18 +93,17 @@ const fn row(
 /// is also the display order of the per-route series and the 404 list).
 #[rustfmt::skip]
 pub(crate) const ROUTES: [RouteSpec; 10] = [
-    // route, canonical path, method, legacy alias, expensive
-    row(Route::Healthz, "/v1/healthz", "GET", true, false),
-    row(Route::Designs, "/v1/designs", "GET", true, false),
-    row(Route::Metrics, "/v1/metrics", "GET", true, false),
-    row(Route::Models, "/v1/models", "GET", true, false),
-    row(Route::Evaluate, "/v1/evaluate", "POST", true, false),
-    row(Route::EvaluateModel, "/v1/evaluate_model", "POST", true, false),
-    row(Route::Sweep, "/v1/sweep", "POST", true, true),
-    row(Route::Search, "/v1/search", "POST", true, true),
-    // Postdates the unversioned paths, so it has no alias.
-    row(Route::Trace, "/v1/trace", "GET", false, false),
-    row(Route::Other, "other", "", false, false),
+    // route, path, method, expensive
+    row(Route::Healthz, "/v1/healthz", "GET", false),
+    row(Route::Designs, "/v1/designs", "GET", false),
+    row(Route::Metrics, "/v1/metrics", "GET", false),
+    row(Route::Models, "/v1/models", "GET", false),
+    row(Route::Evaluate, "/v1/evaluate", "POST", false),
+    row(Route::EvaluateModel, "/v1/evaluate_model", "POST", false),
+    row(Route::Sweep, "/v1/sweep", "POST", true),
+    row(Route::Search, "/v1/search", "POST", true),
+    row(Route::Trace, "/v1/trace", "GET", false),
+    row(Route::Other, "other", "", false),
 ];
 
 /// True when row `i` of [`ROUTES`] names the variant whose discriminant
@@ -152,19 +141,13 @@ impl Route {
         &ROUTES[self as usize]
     }
 
-    /// Resolves a request path (`/v1/` or legacy alias) to its route,
-    /// plus whether it used a deprecated legacy alias. Unknown paths are
-    /// `(Other, false)` — a 404 is not a deprecation.
-    pub fn resolve(path: &str) -> (Route, bool) {
-        for spec in &ROUTES {
-            if spec.path == path {
-                return (spec.route, false);
-            }
-            if spec.legacy_alias && spec.path.strip_prefix("/v1") == Some(path) {
-                return (spec.route, true);
-            }
-        }
-        (Route::Other, false)
+    /// Resolves a request path to its route; an unknown path (an
+    /// unversioned one included) is [`Route::Other`].
+    pub fn resolve(path: &str) -> Route {
+        ROUTES
+            .iter()
+            .find(|spec| spec.path == path)
+            .map_or(Route::Other, |spec| spec.route)
     }
 
     /// Display label (the canonical `/v1/` path, or `other`).
@@ -306,7 +289,6 @@ pub struct Metrics {
     status_5xx: AtomicU64,
     status_other: AtomicU64,
     rejected_busy: AtomicU64,
-    deprecated_route: AtomicU64,
     coalesced: AtomicU64,
     conns_accepted: AtomicU64,
     conns_closed: AtomicU64,
@@ -339,7 +321,6 @@ impl Metrics {
             status_5xx: AtomicU64::new(0),
             status_other: AtomicU64::new(0),
             rejected_busy: AtomicU64::new(0),
-            deprecated_route: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             conns_accepted: AtomicU64::new(0),
             conns_closed: AtomicU64::new(0),
@@ -391,11 +372,6 @@ impl Metrics {
         self.queue_wait.observe(rec.queue_us);
     }
 
-    /// Records a hit on a deprecated legacy (unversioned) route alias.
-    pub fn record_deprecated_route(&self) {
-        self.deprecated_route.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records an accepted connection.
     pub fn record_connection_opened(&self) {
         self.conns_accepted.fetch_add(1, Ordering::Relaxed);
@@ -422,11 +398,6 @@ impl Metrics {
     /// Records a dead worker being respawned by the supervisor.
     pub fn record_worker_respawn(&self) {
         self.worker_respawns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests that arrived on a deprecated legacy route alias.
-    pub fn deprecated_routes(&self) -> u64 {
-        self.deprecated_route.load(Ordering::Relaxed)
     }
 
     /// Requests answered by coalescing onto an in-flight computation.
@@ -505,7 +476,7 @@ fn load(counter: &AtomicU64) -> f64 {
 
 /// Every `/v1/metrics` family, in JSON order. Rows whose JSON paths
 /// share an object are adjacent.
-pub(crate) static FAMILIES: [Family; 27] = [
+pub(crate) static FAMILIES: [Family; 26] = [
     Family {
         name: "hl_uptime_seconds",
         help: "Seconds since the server started.",
@@ -523,12 +494,6 @@ pub(crate) static FAMILIES: [Family; 27] = [
         help: "Requests answered by joining an identical in-flight computation.",
         json: "requests.coalesced",
         kind: Kind::Counter(|a| load(&a.metrics().coalesced)),
-    },
-    Family {
-        name: "hl_requests_deprecated_total",
-        help: "Requests that arrived on a deprecated legacy route alias.",
-        json: "requests.deprecated",
-        kind: Kind::Counter(|a| load(&a.metrics().deprecated_route)),
     },
     Family {
         name: "hl_requests_total",
@@ -921,12 +886,10 @@ mod tests {
 
     #[test]
     fn routes_map_paths_and_labels() {
-        assert_eq!(Route::resolve("/v1/healthz").0, Route::Healthz);
-        assert_eq!(Route::resolve("/healthz").0, Route::Healthz);
-        assert_eq!(Route::resolve("/v1/evaluate").0, Route::Evaluate);
-        assert_eq!(Route::resolve("/evaluate").0, Route::Evaluate);
-        assert_eq!(Route::resolve("/nope").0, Route::Other);
-        assert_eq!(Route::resolve("/v1/nope").0, Route::Other);
+        assert_eq!(Route::resolve("/v1/healthz"), Route::Healthz);
+        assert_eq!(Route::resolve("/v1/evaluate"), Route::Evaluate);
+        assert_eq!(Route::resolve("/nope"), Route::Other);
+        assert_eq!(Route::resolve("/v1/nope"), Route::Other);
         for spec in ROUTES {
             assert_eq!(spec.route.label(), spec.path);
             assert_eq!(spec.route.spec().route, spec.route);
@@ -935,20 +898,18 @@ mod tests {
     }
 
     #[test]
-    fn resolve_flags_legacy_aliases_only() {
-        assert_eq!(Route::resolve("/v1/healthz"), (Route::Healthz, false));
-        assert_eq!(Route::resolve("/healthz"), (Route::Healthz, true));
-        assert_eq!(Route::resolve("/v1/sweep"), (Route::Sweep, false));
-        assert_eq!(Route::resolve("/sweep"), (Route::Sweep, true));
-        // /v1/trace is new — no legacy alias, so bare /trace is a 404.
-        assert_eq!(Route::resolve("/v1/trace"), (Route::Trace, false));
-        assert_eq!(Route::resolve("/trace"), (Route::Other, false));
-        // 404s are not deprecations, versioned or not.
-        assert_eq!(Route::resolve("/nope"), (Route::Other, false));
-        assert_eq!(Route::resolve("/v1/nope"), (Route::Other, false));
+    fn resolve_knows_only_v1_paths() {
+        // Every route answers its `/v1/` path alone: the unversioned
+        // form of each is an unknown path.
+        for spec in ROUTES.iter().filter(|s| s.route != Route::Other) {
+            assert_eq!(Route::resolve(spec.path), spec.route);
+            let bare = spec.path.trim_start_matches("/v1");
+            assert_eq!(Route::resolve(bare), Route::Other, "{bare}");
+        }
+        assert_eq!(Route::resolve("other"), Route::Other);
         // "/v1healthz" has no path separator after the prefix.
-        assert_eq!(Route::resolve("/v1healthz"), (Route::Other, false));
-        assert_eq!(Route::resolve("/v1"), (Route::Other, false));
+        assert_eq!(Route::resolve("/v1healthz"), Route::Other);
+        assert_eq!(Route::resolve("/v1"), Route::Other);
     }
 
     /// 90 small and 10 large observations, fed to a latency histogram
@@ -1140,8 +1101,6 @@ mod tests {
             1.0,
             "coalesced counts as a request"
         );
-        m.record_deprecated_route();
-        assert_eq!(m.deprecated_routes(), 1);
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! The serving core: a single-threaded `epoll` event loop owning every
 //! connection, with evaluation fanned out to a worker pool.
 //!
-//! One thread runs [`Server::run`]: nonblocking accepts, per-connection
-//! read/write state machines, HTTP keep-alive and pipelining (responses
-//! flush strictly in request order through per-connection slots), and
-//! timers (idle keep-alive timeout, a 408 for stalled partial requests,
-//! and a short lame-duck drain before close so an in-flight response is
-//! never destroyed by a TCP RST). The loop never computes: `GET`s are
-//! answered inline (they are registry/metrics reads), `POST`s are handed
-//! to a fixed worker pool over a channel, and completed responses come
-//! back through a mutex-guarded queue plus the poller's self-pipe
+//! One thread runs [`Server::run`]: nonblocking accepts, and for each
+//! connection a socket-free state machine (`conn.rs`: keep-alive,
+//! pipelining with in-order answers, half-close, the idle and 408
+//! timers, a lame-duck drain before close). The loop never computes:
+//! `GET`s are answered inline (they are registry/metrics reads), `POST`s
+//! go to a fixed worker pool over a channel, and completed responses
+//! come back through a mutex-guarded queue plus the poller's self-pipe
 //! [`Waker`].
 //!
 //! **Coalescing**: identical in-flight `POST`s — same path, same body —
@@ -77,7 +75,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -86,9 +84,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::api::{App, Handled};
+use crate::conn::{Conn, Cue, Next};
 use crate::epoll::{Event, Interest, Poller, Waker};
 use crate::faults::{FaultPlane, FaultPoint};
-use crate::http::{parse_request, ParseError, ParseStatus, Request, Response};
+use crate::http::{ParseError, Request, Response};
 use crate::json::Json;
 use crate::log::Level;
 use crate::metrics::Route;
@@ -101,16 +100,6 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:8733";
 
 /// Token the listener is registered under (`u64::MAX` is the waker's).
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
-
-/// Most requests a connection may have in flight before the loop stops
-/// reading from it (pipelining backpressure).
-const MAX_PIPELINE: usize = 32;
-
-/// Lame-duck budget: after the last response is flushed the socket's
-/// write side closes, and the loop keeps draining client bytes this long
-/// before dropping the fd (unread bytes at close would turn into a RST
-/// that can destroy the just-sent response).
-const LAME_DUCK: Duration = Duration::from_millis(250);
 
 /// Hard wall-clock budget for the shutdown drain.
 const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
@@ -301,7 +290,6 @@ impl Server {
             jobs: tx,
             completions: &completions,
             panics: HashMap::new(),
-            draining: false,
         };
 
         let mut next_snapshot = match (&self.config.snapshot, self.config.snapshot_interval) {
@@ -358,7 +346,7 @@ impl Server {
         drop(self.listener);
         el.begin_shutdown();
         let deadline = Instant::now() + SHUTDOWN_DRAIN;
-        while el.has_work() && Instant::now() < deadline {
+        while el.active > 0 && Instant::now() < deadline {
             let budget = deadline.saturating_duration_since(Instant::now());
             let timeout = el
                 .next_timeout()
@@ -378,13 +366,18 @@ impl Server {
             }
             el.check_timers(Instant::now());
         }
-        el.close_all();
+        for id in 0..el.conns.len() {
+            el.close_conn(id);
+        }
 
-        // Stop feeding the pool; workers drain the queue and exit.
-        drop(el);
+        // Drop the job sender but keep the loop: the workers finish the
+        // queue and exit, and the answers they post for the connections
+        // the drain gave up on are recorded as they stand.
+        el.jobs = channel().0;
         for h in workers {
             let _ = h.join();
         }
+        el.drain_completions();
 
         if let Some(path) = &self.config.snapshot {
             save_snapshot(&self.app, path, &boot_id, false);
@@ -530,22 +523,13 @@ struct Waiter {
     parse_us: u64,
 }
 
-/// One in-flight request's response slot; responses flush strictly in
-/// `seq` order regardless of completion order.
-struct Slot {
-    seq: u64,
-    /// The response bytes and the request's trace, once answered; the
-    /// trace is carried until the last byte is written.
-    answer: Option<(Vec<u8>, PendingTrace)>,
-}
-
 /// A trace being assembled while its request moves through the loop.
 ///
 /// Span fields are checkpoint deltas: each one is "elapsed since
 /// `t_start` minus every span already recorded" (saturating), so the
 /// five spans plus the final write span always sum *exactly* to the
 /// recorded total — the waterfall never under- or over-counts.
-struct PendingTrace {
+pub(crate) struct PendingTrace {
     id: String,
     route: Route,
     status: u16,
@@ -559,7 +543,7 @@ struct PendingTrace {
 }
 
 impl PendingTrace {
-    fn new(id: String, route: Route, t_start: Instant, parse_us: u64) -> Self {
+    pub(crate) fn new(id: String, route: Route, t_start: Instant, parse_us: u64) -> Self {
         Self {
             id,
             route,
@@ -619,49 +603,69 @@ impl PendingTrace {
     }
 }
 
-/// Per-connection state machine.
-struct Conn {
-    stream: TcpStream,
-    fd: RawFd,
-    /// Generation stamp: completions for a closed connection whose slab
-    /// slot was reused must not write into the new connection.
-    gen: u64,
-    /// Unparsed request bytes.
-    buf: Vec<u8>,
-    /// In-flight requests, in arrival order.
-    pending: VecDeque<Slot>,
-    next_seq: u64,
-    /// Serialized responses being written.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// False once no further requests will be parsed (Connection: close,
-    /// parse error, EOF, shutdown).
-    reading: bool,
-    /// Close once everything pending has flushed.
-    close_after: bool,
-    /// The peer already half-closed; no lame-duck drain needed.
-    peer_eof: bool,
-    /// Lame-duck deadline once the write side is shut down.
-    lame_duck: Option<Instant>,
-    last_activity: Instant,
-    served: u64,
-    interest: Interest,
-    /// Connection-scoped trace id: attributes socket-level fault events
-    /// that fire outside (or across) individual requests.
-    trace_id: String,
-    /// Cumulative bytes ever written to the socket — the watermark that
-    /// finalizes traces in [`Conn::traces`].
-    written_cum: u64,
-    /// Retired traces waiting for their last byte to reach the kernel,
-    /// keyed by the `written_cum` value that completes each one.
-    traces: VecDeque<(u64, PendingTrace)>,
+/// A connection's TCP stream, with the fault plane's socket injections
+/// when one is armed: `EINTR` reads as `WouldBlock`, so the loop retries
+/// on the next readiness event (the poller is level-triggered),
+/// `ECONNRESET` drops the connection, and a short read or write moves
+/// one byte.
+struct Socket {
+    tcp: TcpStream,
+    /// The plane, the app that logs each injection, and the
+    /// connection-scoped trace id those events carry.
+    faults: Option<(Arc<FaultPlane>, Arc<App>, String)>,
+}
+
+impl Socket {
+    /// Draws the socket faults of one read (or write): the injected
+    /// error, or how many of `len` bytes the call may move.
+    fn inject(&self, read: bool, len: usize) -> io::Result<usize> {
+        let Some((plane, app, trace_id)) = &self.faults else {
+            return Ok(len);
+        };
+        let (reset, short) = match read {
+            true => (FaultPoint::ConnReadErr, FaultPoint::ConnReadShort),
+            false => (FaultPoint::ConnWriteErr, FaultPoint::ConnWriteShort),
+        };
+        let fire = |point| {
+            let hit = plane.fire(point);
+            if hit {
+                log_fault(app, point, trace_id);
+            }
+            hit
+        };
+        if fire(FaultPoint::Eintr) {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        if fire(reset) {
+            return Err(io::ErrorKind::ConnectionReset.into());
+        }
+        Ok(if fire(short) { len.min(1) } else { len })
+    }
+}
+
+impl Read for Socket {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inject(true, buf.len())?;
+        self.tcp.read(buf.split_at_mut(n).0)
+    }
+}
+
+impl Write for Socket {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inject(false, buf.len())?;
+        self.tcp.write(buf.split_at(n).0)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.tcp.flush()
+    }
 }
 
 struct EventLoop<'a> {
     poller: &'a Poller,
     app: &'a Arc<App>,
     config: &'a ServerConfig,
-    conns: Vec<Option<Conn>>,
+    conns: Vec<Option<Conn<Socket>>>,
     free: Vec<usize>,
     active: usize,
     next_gen: u64,
@@ -671,7 +675,6 @@ struct EventLoop<'a> {
     /// Worker panics per request body; at [`QUARANTINE_AFTER`] the body
     /// is quarantined. Bounded by [`PANIC_HISTORY_CAP`].
     panics: HashMap<CoalesceKey, u32>,
-    draining: bool,
 }
 
 impl EventLoop<'_> {
@@ -689,36 +692,28 @@ impl EventLoop<'_> {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
                     let id = self.free.pop().unwrap_or_else(|| {
                         self.conns.push(None);
                         self.conns.len() - 1
                     });
-                    self.next_gen += 1;
-                    let conn = Conn {
-                        stream,
-                        fd,
-                        gen: self.next_gen,
-                        buf: Vec::new(),
-                        pending: VecDeque::new(),
-                        next_seq: 0,
-                        out: Vec::new(),
-                        out_pos: 0,
-                        reading: true,
-                        close_after: false,
-                        peer_eof: false,
-                        lame_duck: None,
-                        last_activity: Instant::now(),
-                        served: 0,
-                        interest: Interest::READ,
-                        trace_id: self.app.request_id(None),
-                        written_cum: 0,
-                        traces: VecDeque::new(),
-                    };
+                    let fd = stream.as_raw_fd();
                     if self.poller.register(fd, id as u64, Interest::READ).is_err() {
                         self.free.push(id);
                         continue;
                     }
+                    let faults = self
+                        .config
+                        .faults
+                        .clone()
+                        .map(|plane| (plane, Arc::clone(self.app), self.app.request_id(None)));
+                    self.next_gen += 1;
+                    let conn = Conn::new(
+                        Socket {
+                            tcp: stream,
+                            faults,
+                        },
+                        self.next_gen,
+                    );
                     match self.conns.get_mut(id) {
                         Some(slot) => *slot = Some(conn),
                         // Unreachable: `id` is a slot freed or pushed
@@ -754,154 +749,67 @@ impl EventLoop<'_> {
         let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
             return; // already closed this tick
         };
-        if conn.lame_duck.is_some() {
-            self.drain_lame_duck(id);
-            return;
-        }
-        if ev.readable {
-            self.fill_buffer(id);
+        if ev.readable && conn.fill() == Next::Close {
+            return self.close_conn(id);
         }
         self.service(id);
     }
 
-    /// Reads everything available into the connection's buffer.
-    fn fill_buffer(&mut self, id: usize) {
-        let fault_tid = if self.config.faults.is_some() {
-            match self.conns.get(id).and_then(Option::as_ref) {
-                Some(c) => c.trace_id.clone(),
-                None => return,
-            }
-        } else {
-            String::new()
-        };
-        let mut chunk = [0u8; 4096];
-        loop {
-            // Injected socket faults (inert without a fault plane):
-            // EINTR returns and retries on the next readiness event
-            // (the poller is level-triggered), ECONNRESET drops the
-            // connection, a short read narrows the window to one byte.
-            let mut window = chunk.len();
-            if let Some(plane) = self.config.faults.as_deref() {
-                if plane.fire(FaultPoint::Eintr) {
-                    log_fault(self.app, FaultPoint::Eintr, &fault_tid);
-                    return;
-                }
-                if plane.fire(FaultPoint::ConnReadErr) {
-                    log_fault(self.app, FaultPoint::ConnReadErr, &fault_tid);
-                    self.close_conn(id);
-                    return;
-                }
-                if plane.fire(FaultPoint::ConnReadShort) {
-                    log_fault(self.app, FaultPoint::ConnReadShort, &fault_tid);
-                    window = 1;
-                }
-            }
-            // Unreachable: the window is the whole chunk or one byte of it.
-            let Some(window) = chunk.get_mut(..window) else {
-                self.close_conn(id);
-                return;
-            };
-            let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-                return;
-            };
-            match conn.stream.read(window) {
-                Ok(0) => {
-                    conn.peer_eof = true;
-                    conn.reading = false;
-                    if conn.pending.is_empty() && conn.out.len() == conn.out_pos {
-                        self.close_conn(id);
-                    } else {
-                        conn.close_after = true;
-                    }
-                    return;
-                }
-                Ok(n) => {
-                    if conn.reading {
-                        // `read` never reports more bytes than the window.
-                        conn.buf.extend(window.iter().take(n));
-                    }
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close_conn(id);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Parses and dispatches buffered requests, flushes ready responses,
-    /// and reconciles epoll interest — the one entry point after any
-    /// state change.
+    /// Parses and dispatches buffered requests and writes ready
+    /// responses until neither makes progress, then lets the connection
+    /// settle: the one entry point after any state change.
     fn service(&mut self, id: usize) {
+        let app = self.app;
         loop {
             let parsed = self.pump_parse(id);
-            let flushed = self.flush(id);
-            if self.conns.get(id).and_then(Option::as_ref).is_none() {
+            let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
                 return;
+            };
+            let next = match conn.flush(&mut |tr| app.observe_trace(tr.finish())) {
+                Ok(flushed) if flushed || parsed => continue,
+                Ok(_) => conn.advance(Cue::Settled),
+                Err(_) => Next::Close,
+            };
+            match next {
+                Next::Close => return self.close_conn(id),
+                Next::ShutWrite => {
+                    let _ = conn.stream.tcp.shutdown(std::net::Shutdown::Write);
+                }
+                Next::Keep => {}
             }
-            if !parsed && !flushed {
-                break;
-            }
+            return watch(self.poller, id, conn);
         }
-        self.update_interest(id);
     }
 
-    /// Parses as many complete requests as capacity allows; true if any
-    /// request was dispatched.
+    /// Dispatches every request the connection parses now; true if any.
     fn pump_parse(&mut self, id: usize) -> bool {
         let mut dispatched = false;
-        loop {
-            let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-                return dispatched;
-            };
-            if !conn.reading || conn.pending.len() >= MAX_PIPELINE || conn.buf.is_empty() {
-                return dispatched;
-            }
-            let t_start = Instant::now();
-            match parse_request(&conn.buf) {
-                ParseStatus::Incomplete => return dispatched,
-                ParseStatus::Complete(req, consumed) => {
-                    let parse_us = u64::try_from(t_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    conn.buf.drain(..consumed);
-                    self.dispatch(id, req, t_start, parse_us);
-                    dispatched = true;
-                }
-                ParseStatus::Bad(err) => {
-                    conn.buf.clear();
-                    conn.reading = false;
-                    conn.close_after = true;
+        while let Some(parsed) = self.conn(id).and_then(Conn::next_request) {
+            dispatched = true;
+            match parsed {
+                Ok((req, t_start, parse_us)) => self.dispatch(id, req, t_start, parse_us),
+                Err(err) => {
                     let resp = self.app.handle_parse_error(&err);
                     self.push_immediate(id, resp, Outcome::ParseError);
-                    return true;
                 }
             }
         }
+        dispatched
     }
 
     /// Routes one parsed request: `GET`s (and stray methods) answer
     /// inline; `POST`s go to the worker pool, coalescing onto an
     /// identical in-flight evaluation when one exists.
     fn dispatch(&mut self, id: usize, req: Request, t_start: Instant, parse_us: u64) {
-        let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
+        let Some((gen, seq)) = self.conn(id).map(|c| (c.gen, c.open_slot())) else {
             return;
         };
-        let keep_alive = req.keep_alive() && !self.draining;
-        if !keep_alive {
-            conn.reading = false;
-            conn.close_after = true;
-        }
-        let gen = conn.gen;
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.pending.push_back(Slot { seq, answer: None });
+        let keep_alive = req.keep_alive();
         let rid = self.app.request_id(req.header("x-request-id"));
 
         if req.method == "POST" {
             let key: CoalesceKey = (req.path.clone(), req.body.clone());
-            let (route, _) = Route::resolve(&key.0);
+            let route = Route::resolve(&key.0);
             // A body that has already killed [`QUARANTINE_AFTER`]
             // workers is answered deterministically without ever
             // re-entering the pool.
@@ -974,7 +882,7 @@ impl EventLoop<'_> {
                 }
             }
         } else {
-            let (route, _) = Route::resolve(&req.path);
+            let route = Route::resolve(&req.path);
             let mut tr = PendingTrace::new(rid, route, t_start, parse_us);
             let handled = self.app.handle_traced(&req);
             // Inline GETs never queue: the handler time is the eval span,
@@ -989,16 +897,12 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Answers a request-level failure (parse error, 408) and marks the
-    /// connection for close.
+    /// Answers a request-level failure (parse error, 408); the
+    /// connection has already stopped parsing.
     fn push_immediate(&mut self, id: usize, resp: Response, outcome: Outcome) {
-        let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
+        let Some((gen, seq)) = self.conn(id).map(|c| (c.gen, c.open_slot())) else {
             return;
         };
-        let gen = conn.gen;
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.pending.push_back(Slot { seq, answer: None });
         // No parsed request to take an id from; mint one so even error
         // responses are traceable end to end.
         let mut tr = PendingTrace::new(self.app.request_id(None), Route::Other, Instant::now(), 0);
@@ -1035,7 +939,7 @@ impl EventLoop<'_> {
                 self.note_panic(&key);
             }
             let waiters = self.inflight.remove(&key).unwrap_or_default();
-            let (route, _) = Route::resolve(&key.0);
+            let route = Route::resolve(&key.0);
             let mut touched = Vec::new();
             for (i, w) in waiters.into_iter().enumerate() {
                 let mut tr = PendingTrace::new(w.id, route, w.t_start, w.parse_us);
@@ -1088,204 +992,49 @@ impl EventLoop<'_> {
     /// that has closed (or whose slab slot now holds a newer one) has
     /// nowhere to go; its trace is recorded as it stands.
     fn fill_slot(&mut self, id: usize, gen: u64, seq: u64, bytes: Vec<u8>, trace: PendingTrace) {
-        let slot = self
-            .conns
-            .get_mut(id)
-            .and_then(Option::as_mut)
-            .filter(|conn| conn.gen == gen)
-            .and_then(|conn| conn.pending.iter_mut().find(|s| s.seq == seq));
-        match slot {
-            Some(slot) => slot.answer = Some((bytes, trace)),
-            None => self.app.observe_trace(trace.finish()),
+        let conn = self.conn(id).filter(|conn| conn.gen == gen);
+        let orphan = match conn {
+            Some(conn) => conn.answer(seq, bytes, trace),
+            None => Some(trace),
+        };
+        if let Some(trace) = orphan {
+            self.app.observe_trace(trace.finish());
         }
     }
 
-    /// Moves ready in-order responses into the write buffer and writes
-    /// what the socket accepts; true if any slot was retired.
-    fn flush(&mut self, id: usize) -> bool {
-        let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-            return false;
-        };
-        let fault_tid = if self.config.faults.is_some() {
-            conn.trace_id.clone()
-        } else {
-            String::new()
-        };
-        let mut retired = false;
-        while conn
-            .pending
-            .front()
-            .is_some_and(|slot| slot.answer.is_some())
-        {
-            if let Some((bytes, tr)) = conn.pending.pop_front().and_then(|slot| slot.answer) {
-                conn.out.extend_from_slice(&bytes);
-                conn.served += 1;
-                retired = true;
-                // Finalized once the cumulative write watermark passes
-                // every byte staged so far — i.e. when this response's
-                // last byte reaches the kernel.
-                let target = conn.written_cum + (conn.out.len() - conn.out_pos) as u64;
-                conn.traces.push_back((target, tr));
-            }
-        }
-        while conn.out_pos < conn.out.len() {
-            // Injected socket faults, mirroring the read side: EINTR
-            // leaves the rest for the next writable event, ECONNRESET
-            // drops the connection, a short write sends one byte.
-            let mut end = conn.out.len();
-            if let Some(plane) = self.config.faults.as_deref() {
-                if plane.fire(FaultPoint::Eintr) {
-                    log_fault(self.app, FaultPoint::Eintr, &fault_tid);
-                    break;
-                }
-                if plane.fire(FaultPoint::ConnWriteErr) {
-                    log_fault(self.app, FaultPoint::ConnWriteErr, &fault_tid);
-                    self.close_conn(id);
-                    return retired;
-                }
-                if plane.fire(FaultPoint::ConnWriteShort) {
-                    log_fault(self.app, FaultPoint::ConnWriteShort, &fault_tid);
-                    end = conn.out_pos + 1;
-                }
-            }
-            // Unreachable: `out_pos < end <= out.len()` in this loop.
-            let Some(unsent) = conn.out.get(conn.out_pos..end) else {
-                self.close_conn(id);
-                return retired;
-            };
-            match conn.stream.write(unsent) {
-                Ok(0) => {
-                    self.close_conn(id);
-                    return retired;
-                }
-                Ok(n) => {
-                    conn.out_pos += n;
-                    conn.written_cum += n as u64;
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close_conn(id);
-                    return retired;
-                }
-            }
-        }
-        while conn
-            .traces
-            .front()
-            .is_some_and(|(target, _)| *target <= conn.written_cum)
-        {
-            if let Some((_, tr)) = conn.traces.pop_front() {
-                self.app.observe_trace(tr.finish());
-            }
-        }
-        if conn.out_pos == conn.out.len() {
-            conn.out.clear();
-            conn.out_pos = 0;
-            if conn.close_after && conn.pending.is_empty() {
-                if conn.peer_eof {
-                    self.close_conn(id);
-                } else {
-                    self.begin_lame_duck(id);
-                }
-            }
-        }
-        retired
-    }
-
-    /// Shuts the write side and keeps draining client bytes briefly so
-    /// the kernel doesn't RST the in-flight response.
-    fn begin_lame_duck(&mut self, id: usize) {
-        let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-            return;
-        };
-        let _ = conn.stream.shutdown(std::net::Shutdown::Write);
-        conn.lame_duck = Some(Instant::now() + LAME_DUCK);
-        conn.reading = false;
-        self.drain_lame_duck(id);
-    }
-
-    fn drain_lame_duck(&mut self, id: usize) {
-        let mut sink = [0u8; 4096];
-        loop {
-            let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-                return;
-            };
-            match conn.stream.read(&mut sink) {
-                Ok(0) => {
-                    self.close_conn(id);
-                    return;
-                }
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close_conn(id);
-                    return;
-                }
-            }
-        }
+    fn conn(&mut self, id: usize) -> Option<&mut Conn<Socket>> {
+        self.conns.get_mut(id).and_then(Option::as_mut)
     }
 
     fn close_conn(&mut self, id: usize) {
         if let Some(conn) = self.conns.get_mut(id).and_then(Option::take) {
-            let _ = self.poller.deregister(conn.fd);
-            // Record the answers that never fully reached the peer:
-            // retired but unflushed, or filled behind an unanswered
-            // slot; the write span absorbs the time until the close.
-            // An unanswered slot is recorded when its answer arrives.
-            let unflushed = conn.traces.into_iter().map(|(_, tr)| tr);
-            let unretired = conn.pending.into_iter().filter_map(|s| s.answer);
-            for tr in unflushed.chain(unretired.map(|(_, tr)| tr)) {
+            let _ = self.poller.deregister(conn.stream.tcp.as_raw_fd());
+            let served = conn.served;
+            // The write span absorbs the time until the close.
+            for tr in conn.into_unrecorded() {
                 self.app.observe_trace(tr.finish());
             }
-            self.app.metrics().record_connection_closed(conn.served);
+            self.app.metrics().record_connection_closed(served);
             self.active -= 1;
             self.free.push(id);
-        }
-    }
-
-    fn update_interest(&mut self, id: usize) {
-        let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
-            return;
-        };
-        let want = Interest {
-            readable: conn.lame_duck.is_some()
-                || (conn.reading && conn.pending.len() < MAX_PIPELINE),
-            writable: conn.out_pos < conn.out.len(),
-        };
-        if want != conn.interest && self.poller.modify(conn.fd, id as u64, want).is_ok() {
-            conn.interest = want;
         }
     }
 
     // ---- timers ------------------------------------------------------
 
     fn check_timers(&mut self, now: Instant) {
+        let config = self.config;
         for id in 0..self.conns.len() {
-            let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
+            let Some(conn) = self.conn(id) else {
                 continue;
             };
-            if let Some(deadline) = conn.lame_duck {
-                if now >= deadline {
-                    self.close_conn(id);
-                }
+            let Some((_, cue)) = conn.deadline(config).filter(|&(at, _)| now >= at) else {
                 continue;
-            }
-            let busy = !conn.pending.is_empty() || conn.out_pos < conn.out.len();
-            if busy {
-                continue;
-            }
-            if conn.buf.is_empty() {
-                if conn.reading && now >= conn.last_activity + self.config.idle_timeout {
-                    self.close_conn(id);
-                }
-            } else if now >= conn.last_activity + self.config.request_timeout {
-                // A partial request stopped making progress.
-                conn.buf.clear();
-                conn.reading = false;
-                conn.close_after = true;
+            };
+            if conn.advance(cue) == Next::Close {
+                self.close_conn(id);
+            } else {
+                // Only a stalled partial request outlives its deadline.
                 let err = ParseError::new(408, "timed out waiting for a complete request");
                 let resp = self.app.handle_parse_error(&err);
                 self.push_immediate(id, resp, Outcome::Timeout);
@@ -1297,27 +1046,10 @@ impl EventLoop<'_> {
     /// The next poll timeout: the soonest connection deadline, or block
     /// indefinitely when nothing is waiting on time.
     fn next_timeout(&self) -> Option<Duration> {
-        let now = Instant::now();
-        let mut soonest: Option<Instant> = None;
-        for conn in self.conns.iter().flatten() {
-            let deadline = if let Some(d) = conn.lame_duck {
-                d
-            } else if !conn.pending.is_empty() || conn.out_pos < conn.out.len() {
-                continue; // waiting on work/socket, not on time
-            } else if conn.buf.is_empty() {
-                if !conn.reading {
-                    continue;
-                }
-                conn.last_activity + self.config.idle_timeout
-            } else {
-                conn.last_activity + self.config.request_timeout
-            };
-            soonest = Some(soonest.map_or(deadline, |s| s.min(deadline)));
-        }
-        soonest.map(|s| {
-            s.saturating_duration_since(now)
-                .max(Duration::from_millis(10))
-        })
+        let deadlines = self.conns.iter().flatten().map(|c| c.deadline(self.config));
+        let (soonest, _) = deadlines.flatten().min_by_key(|&(at, _)| at)?;
+        let wait = soonest.saturating_duration_since(Instant::now());
+        Some(wait.max(Duration::from_millis(10)))
     }
 
     // ---- shutdown ----------------------------------------------------
@@ -1325,31 +1057,25 @@ impl EventLoop<'_> {
     /// Starts the drain: no new requests are parsed; idle connections
     /// close now, busy ones close as their last response flushes.
     fn begin_shutdown(&mut self) {
-        self.draining = true;
         for id in 0..self.conns.len() {
             let Some(conn) = self.conns.get_mut(id).and_then(Option::as_mut) else {
                 continue;
             };
-            conn.reading = false;
-            conn.close_after = true;
-            conn.buf.clear();
-            if conn.pending.is_empty() && conn.out_pos >= conn.out.len() {
+            if conn.advance(Cue::Drain) == Next::Close {
                 self.close_conn(id);
             } else {
-                self.update_interest(id);
+                watch(self.poller, id, conn);
             }
         }
     }
+}
 
-    /// True while any connection still owes a response.
-    fn has_work(&self) -> bool {
-        self.active > 0
-    }
-
-    fn close_all(&mut self) {
-        for id in 0..self.conns.len() {
-            self.close_conn(id);
-        }
+/// Registers `conn` for the readiness it now waits on.
+fn watch(poller: &Poller, id: usize, conn: &mut Conn<Socket>) {
+    let want = conn.wants();
+    let fd = conn.stream.tcp.as_raw_fd();
+    if want != conn.interest && poller.modify(fd, id as u64, want).is_ok() {
+        conn.interest = want;
     }
 }
 
@@ -1547,7 +1273,7 @@ fn worker_loop(shared: &WorkerShared) {
                     "deadline_shed",
                     &[
                         ("trace_id", Json::str(trace_id.as_str())),
-                        ("route", Json::str(Route::resolve(&req.path).0.label())),
+                        ("route", Json::str(Route::resolve(&req.path).label())),
                     ],
                 );
                 let body = ErrorBody::new(503, "deadline expired before evaluation; request shed")

@@ -6,7 +6,7 @@
 #![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,25 +14,38 @@ use hl_eval::SweepContext;
 use hl_serve::api::App;
 use hl_serve::client::get_json;
 use hl_serve::faults::FaultPlane;
+use hl_serve::http::Request;
 use hl_serve::json::Json;
 use hl_serve::server::{Server, ServerConfig, ServerHandle};
 use hl_sim::engine::Engine;
 
-/// One worker that stalls `stall_ms` before every evaluation.
-fn spawn_stalled(stall_ms: u64, config: ServerConfig) -> ServerHandle {
-    let spec = format!("seed=11,worker_stall=1.0,stall_ms={stall_ms}");
-    let plane = Arc::new(FaultPlane::parse(&spec).expect("fault spec"));
+const HEALTHZ: &str = "GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+
+/// A one-worker server on an ephemeral port, not yet running.
+fn bind(config: ServerConfig) -> Server {
     let app = App::with_context(SweepContext::with_engine(Engine::serial()));
     let config = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        faults: Some(plane),
         ..config
     };
-    Server::bind(config, app)
-        .expect("bind ephemeral port")
-        .spawn()
-        .expect("spawn server")
+    Server::bind(config, app).expect("bind ephemeral port")
+}
+
+/// The fault plane of a worker that stalls `stall_ms` before every
+/// evaluation.
+fn stall(stall_ms: u64) -> Option<Arc<FaultPlane>> {
+    let spec = format!("seed=11,worker_stall=1.0,stall_ms={stall_ms}");
+    Some(Arc::new(FaultPlane::parse(&spec).expect("fault spec")))
+}
+
+/// One worker that stalls `stall_ms` before every evaluation.
+fn spawn_stalled(stall_ms: u64, config: ServerConfig) -> ServerHandle {
+    let config = ServerConfig {
+        faults: stall(stall_ms),
+        ..config
+    };
+    bind(config).spawn().expect("spawn server")
 }
 
 /// A raw `POST /v1/evaluate` with `extra` header lines.
@@ -54,6 +67,62 @@ fn exchange(addr: &str, bytes: &[u8]) -> String {
     let mut text = String::new();
     let _ = stream.read_to_string(&mut text);
     text
+}
+
+/// Opens `conns` connections, writes `bytes` on each and half-closes
+/// it, and only then reads each one to its end, so every request and
+/// its EOF were sent before the server could answer any of them.
+fn half_closed(addr: &str, conns: usize, bytes: &str) -> Vec<String> {
+    let streams: Vec<TcpStream> = (0..conns)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            stream.write_all(bytes.as_bytes()).expect("write");
+            stream.shutdown(Shutdown::Write).expect("half-close");
+            stream
+        })
+        .collect();
+    streams
+        .into_iter()
+        .map(|mut stream| {
+            let mut text = String::new();
+            let _ = stream.read_to_string(&mut text);
+            text
+        })
+        .collect()
+}
+
+/// Writes three pipelined `GET /v1/healthz` tagged `{tag}-0..2` and
+/// closes the connection without reading: returns the three ids.
+fn three_then_close(addr: &str, tag: &str) -> Vec<String> {
+    let ids: Vec<String> = (0..3).map(|i| format!("{tag}-{i}")).collect();
+    let pipelined: String = ids
+        .iter()
+        .map(|id| format!("GET /v1/healthz HTTP/1.1\r\nHost: x\r\nX-Request-Id: {id}\r\n\r\n"))
+        .collect();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(pipelined.as_bytes()).expect("write");
+    ids
+}
+
+/// Polls the trace ring until every id in `ids` is listed, and returns
+/// the ids it still misses at the deadline.
+fn wait_traced(addr: &str, ids: &[String]) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let seen = traces(addr);
+        let missing: Vec<String> = ids
+            .iter()
+            .filter(|id| !seen.iter().any(|t| text_of(t, "id") == id.as_str()))
+            .cloned()
+            .collect();
+        if missing.is_empty() || Instant::now() > deadline {
+            return missing;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 fn traces(addr: &str) -> Vec<Json> {
@@ -181,6 +250,12 @@ fn metrics_reconcile_with_the_trace_ring() {
     assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
     let text = exchange(&addr, evaluate("{}", "").trim_end_matches("{}").as_bytes());
     assert!(text.starts_with("HTTP/1.1 408 "), "{text}");
+    // Three pipelined requests and a half-close: all three answered.
+    let text = half_closed(&addr, 1, &HEALTHZ.repeat(3)).concat();
+    assert_eq!(text.matches("HTTP/1.1 200").count(), 3, "{text}");
+    // Three more and a full close: nothing to read, but three records.
+    let closed = three_then_close(&addr, "reconcile-closed");
+    assert_eq!(wait_traced(&addr, &closed), Vec::<String>::new());
 
     let records = traces(&addr);
     let (_, m) = get_json(&addr, "/v1/metrics").expect("metrics");
@@ -264,4 +339,91 @@ fn metrics_reconcile_with_the_trace_ring() {
     assert_eq!(latency_count, requests);
     assert_eq!(requests, total + 1.0, "plus the JSON metrics request");
     server.stop().expect("graceful stop");
+}
+
+#[test]
+fn a_request_then_a_half_close_is_answered() {
+    let server = bind(ServerConfig::default()).spawn().expect("spawn server");
+    let addr = server.addr().to_string();
+    for text in half_closed(&addr, 20, HEALTHZ) {
+        assert_eq!(text.matches("HTTP/1.1 200").count(), 1, "{text:?}");
+    }
+    server.stop().expect("graceful stop");
+}
+
+#[test]
+fn pipelined_requests_then_a_half_close_are_all_answered_and_counted() {
+    let server = bind(ServerConfig::default()).spawn().expect("spawn server");
+    let addr = server.addr().to_string();
+    for text in half_closed(&addr, 20, &HEALTHZ.repeat(3)) {
+        assert_eq!(text.matches("HTTP/1.1 200").count(), 3, "{text:?}");
+    }
+    let (_, m) = get_json(&addr, "/v1/metrics").expect("metrics");
+    assert_eq!(num(&m, &["requests", "/v1/healthz"]), 60.0);
+    server.stop().expect("graceful stop");
+}
+
+#[test]
+fn pipelined_requests_then_a_full_close_are_all_recorded() {
+    let server = bind(ServerConfig::default()).spawn().expect("spawn server");
+    let addr = server.addr().to_string();
+    let ids: Vec<String> = (0..10)
+        .flat_map(|c| three_then_close(&addr, &format!("closed-{c}")))
+        .collect();
+    assert_eq!(wait_traced(&addr, &ids), Vec::<String>::new());
+    // Exactly once each.
+    let seen = traces(&addr);
+    for id in &ids {
+        let n = seen.iter().filter(|t| text_of(t, "id") == id).count();
+        assert_eq!(n, 1, "{id}");
+    }
+    server.stop().expect("graceful stop");
+}
+
+#[test]
+fn jobs_the_shutdown_drain_gives_up_on_are_still_recorded() {
+    // One worker stalls 3 s per job. Of two pipelined evaluations the
+    // first is answered inside the 5 s drain; the second finishes after
+    // the drain has given up and closed its connection.
+    let server = bind(ServerConfig {
+        faults: stall(3000),
+        ..ServerConfig::default()
+    });
+    let app = Arc::clone(server.app());
+    let server = server.spawn().expect("spawn server");
+    let addr = server.addr().to_string();
+    let ids = ["drain-0", "drain-1"];
+    let mut pipelined = String::new();
+    for (i, id) in ids.iter().enumerate() {
+        let body = format!(r#"{{"design":"HighLight","a_sparsity":0.{}}}"#, i + 1);
+        pipelined.push_str(&evaluate(&body, &format!("X-Request-Id: {id}\r\n")));
+    }
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.write_all(pipelined.as_bytes()).expect("write");
+    // Both are dispatched once one waits in the queue behind the other.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while Instant::now() < deadline {
+        let (_, m) = get_json(&addr, "/v1/metrics").expect("metrics");
+        if num(&m, &["queue", "depth"]) >= 1.0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.stop().expect("graceful stop");
+
+    let recorded: Vec<String> = app.traces().snapshot().into_iter().map(|r| r.id).collect();
+    for id in ids {
+        let n = recorded.iter().filter(|r| *r == id).count();
+        assert_eq!(n, 1, "{id} recorded {n} times: {recorded:?}");
+    }
+    let metrics = app.handle(&Request {
+        method: "GET".into(),
+        path: "/v1/metrics".into(),
+        query: String::new(),
+        headers: Vec::new(),
+        body: Vec::new(),
+    });
+    let m = Json::parse(std::str::from_utf8(&metrics.body).expect("utf-8")).expect("json");
+    assert_eq!(num(&m, &["requests", "/v1/evaluate"]), 2.0);
+    drop(stream);
 }

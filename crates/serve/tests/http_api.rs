@@ -5,9 +5,7 @@
 //! responses are **byte-identical** to the offline
 //! [`hl_sim::evaluate_best`] results rendered through the same JSON view,
 //! for every registered design — the HTTP layer adds transport, never
-//! drift. The same contract extends sideways: the legacy unversioned
-//! paths answer byte-identically to their `/v1/` counterparts. The rest
-//! covers the 4xx mapping, keep-alive + pipelining, in-flight request
+//! drift. Unversioned paths get the structured 404. The rest covers the 4xx mapping, keep-alive + pipelining, in-flight request
 //! coalescing, the cache snapshot, the shared-cache hit rate rising in
 //! `/v1/metrics`, sweep truncation, concurrency, and graceful shutdown.
 
@@ -148,37 +146,26 @@ fn evaluate_is_byte_identical_to_offline_for_every_design() {
 }
 
 #[test]
-fn legacy_paths_answer_byte_identically_to_v1() {
+fn unversioned_paths_get_the_structured_404() {
     let server = spawn_server();
     let addr = server.addr().to_string();
     let eval = r#"{"design":"HighLight","a_sparsity":0.5,"b_sparsity":0.25}"#;
-    let bad = r#"{"design":"HighLight","a_sparsity":7}"#;
-
-    // Deterministic endpoints only: /healthz and /metrics answer with
-    // time-varying fields and cannot be compared bytewise.
-    for (method, legacy, v1, body) in [
-        ("GET", "/designs", "/v1/designs", None),
-        ("GET", "/models", "/v1/models", None),
-        ("POST", "/evaluate", "/v1/evaluate", Some(eval)),
-        ("POST", "/evaluate", "/v1/evaluate", Some(bad)),
+    for (method, path, body) in [
+        ("GET", "/healthz", None),
+        ("GET", "/designs", None),
+        ("POST", "/evaluate", Some(eval)),
     ] {
-        let (s_new, t_new) = request(&addr, method, v1, body).unwrap();
-        let (s_old, t_old) = request(&addr, method, legacy, body).unwrap();
-        assert_eq!(s_old, s_new, "{method} {legacy}");
-        assert_eq!(
-            t_old, t_new,
-            "{method} {legacy} must be byte-identical to {v1}"
+        let (status, text) = request(&addr, method, path, body).unwrap();
+        assert_eq!(status, 404, "{method} {path}");
+        let v = Json::parse(&text).unwrap();
+        let error = v.get("error").unwrap();
+        assert_eq!(error.get("code").and_then(Json::as_str), Some("not_found"));
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(
+            message.starts_with(&format!("no route {path};")),
+            "{message}"
         );
     }
-    assert_eq!(server.app().metrics().deprecated_routes(), 4);
-
-    let (_, m) = get_json(&addr, "/v1/metrics").unwrap();
-    assert_eq!(
-        m.get("requests")
-            .and_then(|r| r.get("deprecated"))
-            .and_then(Json::as_f64),
-        Some(4.0)
-    );
     server.stop().unwrap();
 }
 

@@ -85,8 +85,6 @@ fn driven_app() -> App {
     ] {
         m.observe(&rec);
     }
-    m.record_deprecated_route();
-    m.record_deprecated_route();
     m.record_busy_rejection();
     m.record_worker_panic();
     m.record_worker_respawn();

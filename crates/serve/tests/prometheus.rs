@@ -179,7 +179,7 @@ fn full_app_exposition_validates() {
         // What the server records once the answer is written.
         app.observe_trace(TraceRecord {
             id: "t".into(),
-            route: Route::resolve(path).0,
+            route: Route::resolve(path),
             status,
             outcome: Outcome::Complete,
             started_s: 0.0,

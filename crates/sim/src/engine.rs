@@ -195,8 +195,8 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     /// is handed a lookup to call once per key, borrowing what it finds
     /// for as long as the lock is held, and every stored value it returns
     /// counts a hit. An absent key counts nothing: the caller computes it
-    /// and stores it through [`Memo::get_or_insert_with`] or
-    /// [`Memo::insert_many`], which count the miss.
+    /// and stores it through [`Memo::insert`] or [`Memo::insert_many`],
+    /// which count the miss.
     pub fn lookup<R>(
         &self,
         visit: impl for<'m> FnOnce(&mut dyn FnMut(&K) -> Option<&'m V>) -> R,
@@ -224,7 +224,8 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     }
 
     /// Stores `value` under `key`, replacing any stored value, and counts
-    /// a miss: the value a [`Memo::get_if`] lookup did not answer.
+    /// a miss: the value a [`Memo::get_if`] or [`Memo::lookup`] did not
+    /// answer.
     pub fn insert(&self, key: K, value: V) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.map().insert(key, value);
@@ -526,11 +527,25 @@ impl Engine {
         design: &dyn Accelerator,
         workload: &Workload,
     ) -> Result<EvalResult, Unsupported> {
-        let key = EvalKey::new(design, workload);
-        let cached = self
+        self.evaluate_cell(&EvalKey::new(design, workload), design, workload)
+    }
+
+    /// One memoized cell: on a hit, the report of the cached cost; on a
+    /// miss, the result just computed, of which the memo keeps the cost.
+    fn evaluate_cell(
+        &self,
+        key: &EvalKey,
+        design: &dyn Accelerator,
+        workload: &Workload,
+    ) -> Result<EvalResult, Unsupported> {
+        let hit = self
             .evals
-            .get_or_insert_with(&key, || memo(design, workload));
-        report(&cached, design, workload)
+            .lookup(|get| get(key).map(|cached| report(cached, design, workload)));
+        hit.unwrap_or_else(|| {
+            let result = design.evaluate_best(workload);
+            self.evals.insert(key.clone(), pack(&result));
+            result
+        })
     }
 
     /// Memoized [`Accelerator::evaluate_best`] over a batch of cells,
@@ -558,10 +573,7 @@ impl Engine {
         let misses: Vec<usize> = (0..cells.len()).filter(|&i| found[i].is_none()).collect();
         let computed = self.map(&misses, |&i| {
             let (design, _, workload) = cells[i];
-            let cached = self
-                .evals
-                .get_or_insert_with(&keys[i], || memo(design, workload));
-            report(&cached, design, workload)
+            self.evaluate_cell(&keys[i], design, workload)
         });
         for (i, outcome) in misses.into_iter().zip(computed) {
             found[i] = Some(outcome);
@@ -575,15 +587,14 @@ impl Engine {
 /// [`Engine::fingerprint`], and the workload to evaluate on it.
 pub(crate) type EvalCell<'a> = (&'a dyn Accelerator, &'a DesignFingerprint, &'a Workload);
 
-/// What the memo keeps of `design`'s [`Accelerator::evaluate_best`] on
-/// `workload`.
-pub(crate) fn memo(design: &dyn Accelerator, workload: &Workload) -> Result<Cost, Arc<str>> {
-    match design.evaluate_best(workload) {
+/// What the memo keeps of an [`Accelerator::evaluate_best`] outcome.
+pub(crate) fn pack(result: &Result<EvalResult, Unsupported>) -> Result<Cost, Arc<str>> {
+    match result {
         Ok(r) => Ok(Cost {
             cycles: r.cycles,
             energy: r.energy.packed(),
         }),
-        Err(unsupported) => Err(unsupported.reason.into()),
+        Err(unsupported) => Err(unsupported.reason.as_str().into()),
     }
 }
 

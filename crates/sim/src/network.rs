@@ -458,7 +458,10 @@ mod tests {
                 let mut foreign = l.workload.clone();
                 foreign.name = "preloaded".into();
                 let key = crate::engine::EvalKey::new(&SparseOnly, &foreign);
-                (key, crate::engine::memo(&SparseOnly, &foreign))
+                (
+                    key,
+                    crate::engine::pack(&SparseOnly.evaluate_best(&foreign)),
+                )
             }));
         let eval = engine.evaluate_network(&SparseOnly, &nw);
         assert_eq!(eval, reference);
